@@ -33,6 +33,7 @@ OPTIMA = {
     (True, "uniform", "high"): 1125, (True, "uniform", "low"): 975,
     (True, "truncated-normal", "high"): 1084, (True, "truncated-normal", "low"): 1017,
 }
+ANCHOR_WEIGHT = 0.5  # w of the scripted mean-anchor agent the workloads run
 MAS_TOLERANCE = 0.02  # integer rounding of the mean-anchor order, as in the acceptance tests
 BUNDLE_FILES = (
     "bias_table.csv", "mas_table.csv", "risk_neutral_table.csv", "learning_table.csv",
@@ -90,8 +91,7 @@ def trajectories(rows, rounds: int) -> tuple[dict, list[str]]:
     return groups, problems
 
 
-def check_sim_store(kind: str, run_dir, trajectories_expected: int, rounds: int,
-                    anchor_weight: float = 0.5) -> list[str]:
+def check_sim_store(kind: str, run_dir, trajectories_expected: int, rounds: int) -> list[str]:
     """One scripted agent's store: complete, accounted, and its oracle recovered.
 
     optimal: every order is the optimum, so the bias is exactly 0.
@@ -113,7 +113,7 @@ def check_sim_store(kind: str, run_dir, trajectories_expected: int, rounds: int,
             mean = sum(r["order"] for r in scenario_rows) / len(scenario_rows)
             score = (mean - _anchor(scenario_rows[0])) / (
                 _optimum(scenario_rows[0]) - _anchor(scenario_rows[0]))
-            if abs(score - anchor_weight) > MAS_TOLERANCE:
+            if abs(score - ANCHOR_WEIGHT) > MAS_TOLERANCE:
                 problems.append(f"mean-anchor {key}: adjustment score {score:.4f} != w")
     elif kind == "demand-chaser":
         away = toward = 0
@@ -140,7 +140,7 @@ def _csv(path) -> list[dict]:
         return list(csv.DictReader(handle))
 
 
-def check_bundle(out_dir, anchor_weight: float = 0.5) -> list[str]:
+def check_bundle(out_dir) -> list[str]:
     """A report over the four scripted stores: all files, and the oracles in the tables."""
     out_dir = Path(out_dir)
     problems = [f"missing {name}" for name in BUNDLE_FILES if not (out_dir / name).is_file()]
@@ -158,7 +158,7 @@ def check_bundle(out_dir, anchor_weight: float = 0.5) -> list[str]:
         problems.append("mas_table.csv: no mean-anchor rows")
     for row in mas:
         for cell in (row["mas_high"], row["mas_low"]):
-            if abs(float(cell) - anchor_weight) > MAS_TOLERANCE:
+            if abs(float(cell) - ANCHOR_WEIGHT) > MAS_TOLERANCE:
                 problems.append(f"mas_table.csv: score {cell} != w in {row['experiment']}, "
                                 f"{row['distribution']}, {row['order_condition']}")
     return problems

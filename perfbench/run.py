@@ -73,11 +73,16 @@ def summary(args, result: dict) -> list[str]:
         f"numpy={info.get('numpy')} scipy={info.get('scipy')}",
         f"  failed_share: {result['failed']}/{result['attempted']}",
     ]
+    for key, what in (("slowdown", "reference work"), ("import_slowdown", "reference import")):
+        median, count = info.get(key) or (None, 0)
+        if count:
+            lines.append(f"  machine speed: the {what} ran {median:.3f}x its reference time "
+                         f"(median of {count}); timings it gauges are scaled back by it")
     if "chat_requests_per_round" in info:
         lines.append(f"  chat_requests_per_round: {info['chat_requests_per_round']:.4f} "
                      f"(stub latency {info['stub_latency_ms']:g} ms)")
     counts = {
-        "setup_s": f"median of {samples.get('setup_s')} set-ups",
+        "setup_s": f"median of {samples.get('setup_s')} set-up samples",
         "import_s": f"median of {samples.get('import_s')} fresh interpreters",
         "rounds_per_s": f"from {samples.get('rounds_per_s')} samples; "
                         f"{info.get('rounds_per_pass')} rounds per pass",
@@ -96,7 +101,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), required=True)
     args = parser.parse_args(argv)
 
     if not (SRC / "nvlab" / "__init__.py").is_file():
@@ -126,7 +131,12 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(WORK, ignore_errors=True)
 
-    result["metrics"] = {name: {"value": float(values.get(name, 0.0)), "unit": unit}
+    missing = [name for name in units if name not in values]
+    if missing:
+        print("\n".join(f"perfbench: {p}" for p in result.get("problems", [])), file=sys.stderr)
+        print(f"perfbench: the workload produced no {', '.join(missing)}", file=sys.stderr)
+        return 1
+    result["metrics"] = {name: {"value": float(values[name]), "unit": unit}
                          for name, unit in units.items()}
     print("\n".join(summary(args, result)))
     print(json.dumps({key: result[key] for key in ("correct", "attempted", "failed", "metrics")}))

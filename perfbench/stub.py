@@ -43,6 +43,10 @@ EXACT = "exact"
 RATE_LIMIT = "rate-limit"
 FALLBACK = "fallback"
 NUDGE = "nudge"
+# A synthetic mix, not measured from any endpoint: each fault path runs at
+# least once per period (so a 120-round pass takes 12 rate-limits, 12 fallback
+# parses and 6 nudges), and exact replies stay the large majority so that the
+# stub's latency, not fault handling, sets the pace.
 PERIOD_KINDS = (RATE_LIMIT,) * 2 + (FALLBACK,) * 2 + (NUDGE,) + (EXACT,) * 15
 
 USAGE = {"prompt_tokens": 40, "completion_tokens": 20, "total_tokens": 60}
@@ -169,7 +173,7 @@ async def _serve(endpoint: StubEndpoint, latency: float):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--latency-ms", type=float, default=10.0)
+    parser.add_argument("--latency-ms", type=float, required=True)
     args = parser.parse_args(argv)
     asyncio.run(_serve(StubEndpoint(args.seed), args.latency_ms / 1000.0))
     return 0

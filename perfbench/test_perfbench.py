@@ -6,11 +6,13 @@ Each correctness check is shown to accept the program's real output and to
 reject a deliberately corrupted one.
 """
 
+import argparse
 import hashlib
 import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ sys.path.insert(0, str(HERE))
 
 import checks  # noqa: E402
 import run  # noqa: E402
+import speed  # noqa: E402
 import stub  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -243,6 +246,37 @@ def test_tracer_records_spans_at_every_binding_and_restores(tmp_path):
     assert len((tmp_path / "spans.jsonl").read_text().splitlines()) == len(tracer.spans)
 
 
+class SmallSimGrid(workloads.SimGrid):
+    def setup(self):
+        self.plans = workloads.grid_plans(self.seed, **SMALL_GRID)
+        self.rounds_per_pass = self.attempted_per_pass = sum(map(workloads.plan_rounds,
+                                                                 self.plans))
+        return [0.0]
+
+
+def test_a_traced_function_missing_from_nvlab_makes_the_run_incorrect(tmp_path, monkeypatch):
+    monkeypatch.setattr(tracing, "TRACED",
+                        tracing.TRACED + (("model.gone", "model", "no_such_function"),))
+    monkeypatch.setitem(workloads.WORKLOADS, "sim-grid", SmallSimGrid)
+    args = argparse.Namespace(workload="sim-grid", seed=7, seconds=0.0, trace=1,
+                              work=str(tmp_path / "work"))
+    result = workloads.measure(args)
+    assert not result["correct"]
+    assert any("model.gone" in p for p in result["problems"])
+    assert result["metrics"]["store.append.calls"] > 0
+
+
+def test_gauge_scales_a_sample_by_the_reference_around_it(monkeypatch):
+    references = iter([3.0 * speed.REFERENCE_S, 1.0 * speed.REFERENCE_S])
+    monkeypatch.setattr(speed, "reference_s", lambda: next(references))
+    gauge = speed.Gauge()
+    result, seconds = gauge.time(lambda x: time.sleep(0.05) or x, 7)
+    assert result == 7
+    assert gauge.slowdowns == [pytest.approx(2.0)]
+    assert 0.025 <= seconds < 0.5
+    assert gauge.summary() == {"slowdown": (pytest.approx(2.0), 1), "import_slowdown": (None, 0)}
+
+
 def test_self_time_excludes_children():
     spans = [(1, None, "a", 0.0, 10.0), (2, 1, "b", 1.0, 4.0), (3, 1, "b", 5.0, 6.0)]
     calls, busy, self_time = tracing.span_totals(spans)
@@ -258,6 +292,11 @@ def test_metric_lists_match_benchmark_json():
         name: (unit, better) for name, (unit, better, _) in tracing.LAYER_METRICS.items()}
     assert {w["name"] for w in spec["workloads"]} == set(workloads.WORKLOADS) == set(
         run.WORKLOADS)
+    traced = {name for name, _, _ in tracing.TRACED}
+    for name in tracing.LAYER_METRICS:
+        base, _, kind = name.rpartition(".")
+        if kind in ("calls", "busy_ms", "self_ms"):
+            assert base in traced, name
 
 
 def test_run_refuses_a_directory_without_sources(tmp_path):

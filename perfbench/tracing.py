@@ -96,6 +96,7 @@ LAYER_METRICS = {
     "llm.chat.useful_ratio": ("ratio", "higher", f"chat_requests_per_round on {LLM}"),
     "llm.chat.requests_per_round": ("1/round", "lower", f"chat spend on {LLM}"),
     "llm.token_bucket.wait_ms": ("ms/pass", "lower", f"rounds_per_s on {LLM}"),
+    "llm.token_bucket.acquire.busy_ms": ("ms/pass", "lower", f"rounds_per_s on {LLM}"),
     "metrics.learning_stats.busy_ms": ("ms/pass", "lower", f"rounds_per_s on {REPORT}"),
     "metrics.profit_efficiency.calls": ("calls/pass", "lower", f"rounds_per_s on {REPORT}"),
     "metrics.profit_efficiency.busy_ms": ("ms/pass", "lower", f"rounds_per_s on {REPORT}"),
@@ -119,8 +120,7 @@ LAYER_METRICS = {
 class Tracer:
     """Wraps nvlab functions and keeps their spans in memory."""
 
-    def __init__(self, clock=time.perf_counter):
-        self.clock = clock
+    def __init__(self):
         self.spans: list[tuple] = []  # (id, parent id, name, start, end)
         self.counters: Counter = Counter()
         self.missing: list[str] = []
@@ -144,11 +144,11 @@ class Tracer:
             span_id = next(tracer._ids)
             parent = stack[-1] if stack else None
             stack.append(span_id)
-            start = tracer.clock()
+            start = time.perf_counter()
             try:
                 result = fn(*args, **kwargs)
             finally:
-                end = tracer.clock()
+                end = time.perf_counter()
                 stack.pop()
                 tracer.spans.append((span_id, parent, name, start, end))
             if observe is not None:
@@ -157,9 +157,10 @@ class Tracer:
 
         return traced
 
-    def install(self, targets=TRACED):
-        """Swap every target at each binding; a target nvlab lacks is skipped and noted."""
-        for name, module_name, path in targets:
+    def install(self):
+        """Swap every target at each binding; a target nvlab lacks is skipped and noted
+        in ``missing``, which makes the traced run incorrect."""
+        for name, module_name, path in TRACED:
             module = importlib.import_module(f"nvlab.{module_name}")
             owner_name, _, attr = path.rpartition(".")
             owner = getattr(module, owner_name, None) if owner_name else module

@@ -11,50 +11,47 @@ builds the scripted stores in a process of its own, so that the measuring
 process's peak memory is that of the measured work alone.
 
 Every workload is closed-loop, from this one process and one client thread.
+CPU-bound timings of nvlab work, and ``import nvlab`` in a fresh
+interpreter, are scaled to a reference speed of the machine (``speed.py``);
+llm-stub's passes, which the stub's latency sets, and its stub start-ups are
+not.
 With ``--trace 1`` the first half of the time runs untraced passes and the
 second half traced ones; the metrics are then the per-layer ones.
 """
 
 from __future__ import annotations
 
+import argparse
+import importlib.metadata
+import json
 import os
+import resource
+import shutil
+import statistics
+import subprocess
 import sys
 import time
-
-# nvlab first, so that its import time is the one a fresh ``nvlab`` process pays
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-sys.path.insert(0, SRC)
-_import_start = time.perf_counter()
-import nvlab  # noqa: E402
-
-IMPORT_S = time.perf_counter() - _import_start
-
-import argparse  # noqa: E402
-import importlib.metadata  # noqa: E402
-import json  # noqa: E402
-import resource  # noqa: E402
-import shutil  # noqa: E402
-import statistics  # noqa: E402
-import subprocess  # noqa: E402
-import traceback  # noqa: E402
-import urllib.request  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-import checks  # noqa: E402
-import tracing  # noqa: E402
+import traceback
+import urllib.request
+from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
+
+import checks  # noqa: E402
+import nvlab  # noqa: E402
+import tracing  # noqa: E402
+from speed import Gauge  # noqa: E402
 
 MIN_PASSES = 3
-IMPORT_PROBE_INTERVAL_S = 2.0
-IMPORT_PROBE = (
-    "import time; start = time.perf_counter(); import nvlab; "
-    "print(time.perf_counter() - start)"
-)
+MIN_IMPORT_SAMPLES = 9
+IMPORT_ENV = dict(os.environ, PYTHONPATH=str(SRC))  # what a fresh nvlab process sees
+PROBE_INTERVAL_S = 2.0
 SETUP_REPEATS = 3
-SIM_SETUP_REPEATS = 100
-ANCHOR_WEIGHT = 0.5
+SIM_SETUP_BATCHES = 3
+SIM_SETUP_BATCH = 100
 CHASE_RATE = 1.0
 LLM_REPETITIONS = 4
 STUB_LATENCY_MS = 10.0
@@ -64,7 +61,7 @@ def scripted_agents():
     """The four scripted agents, as ``nvlab simulate`` builds them by default."""
     return [
         nvlab.AgentSpec("optimal"),
-        nvlab.AgentSpec("mean-anchor", anchor_weight=ANCHOR_WEIGHT),
+        nvlab.AgentSpec("mean-anchor", anchor_weight=checks.ANCHOR_WEIGHT),
         nvlab.AgentSpec("demand-chaser", chase_rate=CHASE_RATE),
         nvlab.AgentSpec("random"),
     ]
@@ -92,7 +89,7 @@ def check_grid_stores(plans, root) -> tuple[list[str], list[str]]:
         calls.append(("check_sim_store", {
             "kind": condition.agent.kind, "run_dir": str(Path(root) / plan.run_id()),
             "trajectories_expected": plan_trajectories(plan),
-            "rounds": condition.rounds_per_block, "anchor_weight": ANCHOR_WEIGHT}))
+            "rounds": condition.rounds_per_block}))
     calls += [("stripped_digest", {"run_dir": str(Path(root) / plan.run_id())})
               for plan in plans]
     results = checks.isolated(calls)
@@ -132,12 +129,19 @@ class Workload:
         self.failed = 0
         self.problems: list[str] = []
         self.requests = 0  # requests the chat endpoint received
+        self.gauge = Gauge()
 
     def setup(self) -> list[float]:
         raise NotImplementedError
 
+    def setup_probe(self) -> float | None:
+        """One more set-up sample, taken between passes; None where set-up is
+        too costly to repeat there."""
+        return None
+
     def run_pass(self) -> float:
-        """Run one pass, check it, and return the seconds of its timed part."""
+        """Run one pass, check it, and return the seconds of its timed part
+        (at the reference speed where the part is CPU-bound nvlab work)."""
         raise NotImplementedError
 
     def close(self):
@@ -165,22 +169,31 @@ class SimGrid(Workload):
         self.agent_times: list[list[float]] = []
 
     def setup(self):
-        times = []
-        for _ in range(SIM_SETUP_REPEATS):
-            start = time.perf_counter()
-            self.plans = grid_plans(self.seed)
-            times.append(time.perf_counter() - start)
+        times = [self.setup_probe() for _ in range(SIM_SETUP_BATCHES)]
         self.rounds_per_pass = self.attempted_per_pass = sum(map(plan_rounds, self.plans))
         return times
+
+    def setup_probe(self):
+        """Build the four plans: the mean of a batch of ``SIM_SETUP_BATCH``
+        builds, because one build (about 0.5 ms) is too short to time steadily."""
+        def batch():
+            for _ in range(SIM_SETUP_BATCH):
+                plans = grid_plans(self.seed)
+            return plans
+
+        self.plans, elapsed = self.gauge.time(batch)
+        return elapsed / SIM_SETUP_BATCH
 
     def run_pass(self):
         out = fresh(self.work / "pass")
         unresolved = 0
         times = []
         for plan in self.plans:
-            start = time.perf_counter()
-            unresolved += len(nvlab.run_plan(plan, out / plan.run_id()).failures)
-            times.append(time.perf_counter() - start)
+            # keep only the count: holding an outcome would add to the next run's peak memory
+            failures, elapsed = self.gauge.time(
+                lambda: len(nvlab.run_plan(plan, out / plan.run_id()).failures))
+            unresolved += failures
+            times.append(elapsed)
         self.agent_times.append(times)
         problems, digests = check_grid_stores(self.plans, out)
         if self.digests is None:
@@ -222,21 +235,31 @@ class StoreWorkload(Workload):
 
 def build_inputs(name: str, seed: int, work: Path) -> dict:
     """``--phase setup``: build the stores ``SETUP_REPEATS`` times, keep the last."""
-    times = []
-    removed = 0
-    for repeat in range(SETUP_REPEATS):
-        target = fresh(work.with_name(f"{work.name}-{repeat}"))
-        start = time.perf_counter()
-        plans = grid_plans(seed)
+    def build(target):
+        """Build the stores; return the plans, the rounds removed and the
+        seconds at the reference speed. Each store is timed on its own, so
+        that the reference is taken close to the work it gauges."""
+        plans, elapsed = gauge.time(grid_plans, seed)
         for plan in plans:
-            nvlab.run_plan(plan, target / "stores" / plan.run_id())
+            _, seconds = gauge.time(
+                lambda: nvlab.run_plan(plan, target / "stores" / plan.run_id()).complete)
+            elapsed += seconds
+        removed = 0
         if name == "resume-grid":
-            removed = sum(
+            removed, seconds = gauge.time(lambda: sum(
                 truncate_store(target / "stores" / plan.run_id(),
                                target / "truncated" / plan.run_id(),
                                plan.conditions[0].rounds_per_block)
-                for plan in plans)
-        times.append(time.perf_counter() - start)
+                for plan in plans))
+            elapsed += seconds
+        return plans, removed, elapsed
+
+    gauge = Gauge()
+    times = []
+    for repeat in range(SETUP_REPEATS):
+        target = fresh(work.with_name(f"{work.name}-{repeat}"))
+        plans, removed, elapsed = build(target)
+        times.append(elapsed)
     for repeat in range(SETUP_REPEATS - 1):
         shutil.rmtree(work.with_name(f"{work.name}-{repeat}"))
     fresh(work)
@@ -264,11 +287,10 @@ class ReportGrid(StoreWorkload):
 
     def run_pass(self):
         out = fresh(self.work / "bundle")
-        start = time.perf_counter()
-        nvlab.build_report(self.stores, out, compare_humans=True)
-        elapsed = time.perf_counter() - start
+        _, elapsed = self.gauge.time(
+            lambda: nvlab.build_report(self.stores, out, compare_humans=True))
         problems, digest = checks.isolated([
-            ("check_bundle", {"out_dir": str(out), "anchor_weight": ANCHOR_WEIGHT}),
+            ("check_bundle", {"out_dir": str(out)}),
             ("bundle_digest", {"out_dir": str(out)})])
         if self.digest is None:
             self.digest = digest
@@ -292,11 +314,8 @@ class ResumeGrid(StoreWorkload):
     def run_pass(self):
         out = fresh(self.work / "resumed")
         shutil.copytree(self.truncated, out)
-        unresolved = 0
-        start = time.perf_counter()
-        for run_id in self.plan_ids:
-            unresolved += len(nvlab.resume(out / run_id).failures)
-        elapsed = time.perf_counter() - start
+        unresolved, elapsed = self.gauge.time(
+            lambda: sum(len(nvlab.resume(out / run_id).failures) for run_id in self.plan_ids))
         digests = checks.isolated(
             [("stripped_digest", {"run_dir": str(out / run_id)}) for run_id in self.plan_ids])
         problems = [f"{run_id}: resumed store differs from the uninterrupted run"
@@ -339,22 +358,30 @@ class LlmStub(Workload):
         proc.stdout.close()
 
     def setup(self):
-        times = []
-        for _ in range(SETUP_REPEATS):
-            if self.stub is not None:
-                self._stop(self.stub)
-                self.stub = None
-            start = time.perf_counter()
-            self.stub, self.url = self._start_stub()
-            times.append(time.perf_counter() - start)
+        times = [self.setup_probe() for _ in range(SETUP_REPEATS - 1)]
+        start = time.perf_counter()
+        self.stub, self.url = self._start_stub()
+        times.append(time.perf_counter() - start)
         config = nvlab.RunConfig(
             endpoint=f"{self.url}/v1/chat/completions", models=("stub-model",),
             experiments=("E1",), distributions=("uniform",), order_conditions=("high-first",),
             repetitions=self.repetitions, base_seed=self.seed)
         self.plan = nvlab.build_plan(config, [nvlab.AgentSpec("llm", model_name="stub-model")])
-        self.bucket = nvlab.TokenBucket(1000.0)  # never binds; its cost is measured
+        # At most one request per millisecond, with no burst allowance: this
+        # closed loop (one request at a time, each lasting at least the stub's
+        # latency) never waits, so wait_ms reads 0; requests sent concurrently
+        # would wait and show there.
+        self.bucket = nvlab.TokenBucket(1000.0, capacity=1.0)
         self.rounds_per_pass = self.attempted_per_pass = plan_rounds(self.plan)
         return times
+
+    def setup_probe(self):
+        """Start a stub until it listens, then stop it again."""
+        start = time.perf_counter()
+        proc, _ = self._start_stub()
+        elapsed = time.perf_counter() - start
+        self._stop(proc)
+        return elapsed
 
     def client(self, spec):
         return nvlab.ChatClient(
@@ -403,25 +430,22 @@ WORKLOADS = {
 }
 
 
-def import_probe() -> float:
-    """``import nvlab`` in a fresh interpreter, timed inside it."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True,
-                          text=True, check=True, timeout=60)
-    return float(proc.stdout.strip())
-
-
 def timed_passes(workload: Workload, seconds: float, min_passes: int,
-                 imports: list[float] | None = None) -> list[float]:
-    """Passes for ``seconds``; with ``imports``, also an import probe between
-    passes every ``IMPORT_PROBE_INTERVAL_S``, so that both sample the same span
-    of the machine's varying speed."""
+                 probes: tuple[list, list] | None = None) -> list[float]:
+    """Passes for ``seconds``. With ``probes``, the lists of import and set-up
+    samples, also an import probe and a set-up probe between passes every
+    ``PROBE_INTERVAL_S``, so that they sample the same span of the machine's
+    varying speed as the passes."""
     times = []
     start = last_probe = time.perf_counter()
     while len(times) < min_passes or time.perf_counter() - start < seconds:
         times.append(workload.run_pass())
-        if imports is not None and time.perf_counter() - last_probe >= IMPORT_PROBE_INTERVAL_S:
-            imports.append(import_probe())
+        if probes is not None and time.perf_counter() - last_probe >= PROBE_INTERVAL_S:
+            imports, setups = probes
+            imports.append(workload.gauge.import_nvlab(IMPORT_ENV))
+            setup = workload.setup_probe()
+            if setup is not None:
+                setups.append(setup)
             last_probe = time.perf_counter()
     return times
 
@@ -442,7 +466,6 @@ def measure(args) -> dict:
     metrics: dict = {}
     try:
         setup_times = workload.setup()
-        samples["setup_s"] = len(setup_times)
         if args.trace:
             plain = timed_passes(workload, args.seconds / 2, 2)
             tracer = tracing.Tracer()
@@ -452,6 +475,9 @@ def measure(args) -> dict:
                 traced = timed_passes(workload, args.seconds / 2, 1)
             finally:
                 tracer.uninstall()
+            if tracer.missing:
+                workload.problems.append(
+                    "traced functions not found in nvlab: " + ", ".join(tracer.missing))
             metrics = tracing.layer_metrics(
                 tracer, len(traced), workload.rounds_per_pass * len(traced),
                 workload.requests - requests_before)
@@ -461,10 +487,12 @@ def measure(args) -> dict:
             spans.parent.mkdir(exist_ok=True)
             tracer.write(spans)
             samples.update(untraced_passes=len(plain), traced_passes=len(traced),
-                           spans=len(tracer.spans), missing_targets=tracer.missing)
+                           spans=len(tracer.spans))
         else:
-            imports = [IMPORT_S]
-            times = timed_passes(workload, args.seconds, MIN_PASSES, imports)
+            imports = []
+            times = timed_passes(workload, args.seconds, MIN_PASSES, (imports, setup_times))
+            imports += [workload.gauge.import_nvlab(IMPORT_ENV)
+                        for _ in range(MIN_IMPORT_SAMPLES - len(imports))]
             rate, samples["rounds_per_s"] = workload.rounds_per_s(times)
             metrics = {
                 "setup_s": statistics.median(setup_times),
@@ -473,6 +501,7 @@ def measure(args) -> dict:
                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             }
             samples["import_s"] = len(imports)
+        samples["setup_s"] = len(setup_times)
     except Exception:
         traceback.print_exc()
         workload.problems.append("exception: " + traceback.format_exc().splitlines()[-1])
@@ -488,6 +517,7 @@ def measure(args) -> dict:
         "metrics": metrics,
         "samples": samples,
         "info": {"rounds_per_pass": workload.rounds_per_pass, **machine(),
+                 **workload.gauge.summary(),
                  **workload.extra_info()},
     }
 
@@ -496,11 +526,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Run one perfbench workload.")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--seconds", type=float, help="required to measure")
+    parser.add_argument("--trace", type=int, choices=(0, 1), help="required to measure")
     parser.add_argument("--work", required=True)
     parser.add_argument("--phase", choices=("measure", "setup"), default="measure")
     args = parser.parse_args(argv)
+    if args.phase == "measure" and (args.seconds is None or args.trace is None):
+        parser.error("--seconds and --trace are required to measure")
     if args.phase == "setup":
         print(json.dumps(build_inputs(args.workload, args.seed, Path(args.work))))
     else:
