@@ -59,10 +59,8 @@ from .metrics import (
     AnchorStats,
     BiasStats,
     LearningStats,
-    MetricsReport,
     bias_stats,
     classify_adjustments,
-    condition_report,
     direction_shares,
     learning_stats,
     mas,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .model import ScenarioConfig, anchor, optimal_quantity
 from .prompts import RoundContext
@@ -151,6 +151,41 @@ class AgentSpec:
                 )
             return f"demand-chaser(alpha={self.chase_rate:g})"
         return self.kind
+
+    def to_dict(self) -> dict:
+        """Manifest form: the kind plus the fields that kind uses."""
+        data = {"kind": self.kind}
+        if self.kind == LLM:
+            data.update(model_name=self.model_name, temperature=self.temperature)
+            if self.parse_policy is not None:
+                data["parse_policy"] = {
+                    "patterns": list(self.parse_policy.patterns),
+                    "plausible_range": list(self.parse_policy.plausible_range),
+                    "max_retries": self.parse_policy.max_retries,
+                }
+        if self.anchor_weight is not None:
+            data["anchor_weight"] = self.anchor_weight
+        if self.chase_rate is not None:
+            data.update(chase_rate=self.chase_rate, chase_rate_before=self.chase_rate_before)
+            if self.switch_round is not None:
+                data["switch_round"] = self.switch_round
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "AgentSpec":
+        """Inverse of `to_dict`; absent optional fields take the dataclass defaults.
+
+        Raises ValueError when the kind is missing or a key is not a field.
+        """
+        if "kind" not in data or not set(data) <= {f.name for f in fields(cls)}:
+            raise ValueError(f"agent needs a kind and only AgentSpec fields, got {sorted(data)}")
+        data = dict(data)
+        if "parse_policy" in data:
+            raw = data["parse_policy"]
+            data["parse_policy"] = ParsePolicy(
+                tuple(raw["patterns"]), tuple(raw["plausible_range"]), raw["max_retries"]
+            )
+        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import HIGH, ScenarioConfig, anchor, expected_profit, optimal_quantity
+from .model import ScenarioConfig, anchor, expected_profit, optimal_quantity
 from .store import Trajectory
 
 TOWARD = "toward"
@@ -154,8 +154,7 @@ class AdjustmentEvent:
     quartile: str | None = None
 
 
-def classify_adjustments(trajectory: Trajectory,
-                         thresholds: tuple[float, float, float] | None = None) -> list[AdjustmentEvent]:
+def classify_adjustments(trajectory: Trajectory) -> list[AdjustmentEvent]:
     """One event per round t >= 2, classified by sign(delta * prior_error)."""
     orders, demands = trajectory.orders, trajectory.demands
     if len(orders) < 2:
@@ -171,8 +170,6 @@ def classify_adjustments(trajectory: Trajectory,
         else:
             direction = AWAY
         events.append(AdjustmentEvent(t + 1, delta, error, direction, abs(delta)))
-    if thresholds is not None:
-        events = assign_quartiles(events, thresholds)
     return events
 
 
@@ -302,15 +299,8 @@ def learning_stats(trajectory: Trajectory, split_round: int = EARLY_LATE_SPLIT_R
     )
 
 
-def average_learning_stats(trajectories: list[Trajectory], pooled: bool = False) -> dict:
-    """Learning summary for a set of repetitions of one condition.
-
-    Default: per-trajectory statistics averaged across repetitions. With
-    ``pooled`` the rounds of all repetitions enter one regression per
-    statistic instead.
-    """
-    if pooled:
-        return _pooled_learning_stats(trajectories)
+def average_learning_stats(trajectories: list[Trajectory]) -> dict:
+    """Per-trajectory learning statistics averaged across the repetitions of one condition."""
     stats = [learning_stats(t) for t in trajectories]
     efficiency = [s.efficiency_slope for s in stats if s.efficiency_slope is not None]
     return {
@@ -319,80 +309,6 @@ def average_learning_stats(trajectories: list[Trajectory], pooled: bool = False)
         "delta_r2": float(np.mean([s.delta_r2 for s in stats])),
         "n_trajectories": len(stats),
     }
-
-
-def _pooled_learning_stats(trajectories: list[Trajectory],
-                           split_round: int = EARLY_LATE_SPLIT_ROUND) -> dict:
-    sc = _check_same_scenario(trajectories)
-    q_star = optimal_quantity(sc)
-    conv_t, conv_y, pe_t, pe_y = [], [], [], []
-    stage = {"early": ([], []), "late": ([], [])}
-    for trajectory in trajectories:
-        orders, demands = trajectory.orders, trajectory.demands
-        for t, order in enumerate(orders, start=1):
-            conv_t.append(t)
-            conv_y.append(abs(order - q_star))
-            pe = profit_efficiency(order, sc)
-            if pe is not None:
-                pe_t.append(t)
-                pe_y.append(pe)
-        for t in range(2, len(orders) + 1):
-            which = "early" if t < split_round else "late"
-            stage[which][0].append(demands[t - 2] - orders[t - 2])
-            stage[which][1].append(orders[t - 1] - orders[t - 2])
-    convergence, _, _, _ = ols_line(conv_t, conv_y)
-    efficiency = ols_line(pe_t, pe_y)[0] if len(pe_t) >= 2 else None
-    _, _, early_r2, _ = ols_line(*stage["early"])
-    _, _, late_r2, _ = ols_line(*stage["late"])
-    return {
-        "convergence_slope": convergence,
-        "efficiency_slope": efficiency,
-        "delta_r2": late_r2 - early_r2,
-        "n_trajectories": len(trajectories),
-    }
-
-
-# ---------------------------------------------------------------------------
-# per-condition aggregate
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Everything measured for one scenario block of one condition."""
-
-    bias: BiasStats
-    anchor: AnchorStats
-    profit_efficiency: float | None
-    learning: dict
-    shares_by_quartile: dict[str, dict[str, float]]
-
-
-def condition_report(trajectories: list[Trajectory],
-                     thresholds: tuple[float, float, float] | None = None) -> MetricsReport:
-    """Aggregate one same-scenario trajectory set.
-
-    Quartile cuts default to this set's own pooled |prior error|; pass
-    ``thresholds`` to pool at a wider scope (the report tables pool per
-    (agent, distribution, order condition, experiment) across both margin
-    blocks).
-    """
-    _check_same_scenario(trajectories)
-    events = [e for t in trajectories for e in classify_adjustments(t)]
-    if thresholds is None:
-        thresholds = quartile_thresholds([abs(e.prior_error) for e in events])
-    tagged = assign_quartiles(events, thresholds)
-    shares = {}
-    for quartile in QUARTILES:
-        bucket = [e for e in tagged if e.quartile == quartile]
-        if bucket:
-            shares[quartile] = direction_shares(bucket)
-    return MetricsReport(
-        bias=bias_stats(trajectories),
-        anchor=anchor_stats(trajectories),
-        profit_efficiency=mean_order_profit_efficiency(trajectories),
-        learning=average_learning_stats(trajectories),
-        shares_by_quartile=shares,
-    )
 
 
 # ---------------------------------------------------------------------------

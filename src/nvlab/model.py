@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 UNIFORM = "uniform"
 TRUNCATED_NORMAL = "truncated-normal"
@@ -48,6 +48,21 @@ COST_LOW_MARGIN = 9
 BASE_RANGE = (1, 300)
 RISK_NEUTRAL_RANGE = (901, 1200)
 DEFAULT_ROUNDS = 15
+
+
+def ndtr(z):
+    """Standard normal CDF, elementwise. erfc keeps its precision deep in the lower tail."""
+    return 0.5 * _elementwise(math.erfc, -np.asarray(z, dtype=float) / math.sqrt(2.0))
+
+
+def ndtri(p):
+    """Inverse of `ndtr`, elementwise."""
+    return _elementwise(NormalDist().inv_cdf, p)
+
+
+def _elementwise(fn, x):
+    x = np.asarray(x, dtype=float)
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 class InvalidScenarioError(ValueError):
@@ -298,6 +313,7 @@ def anchor(sc: ScenarioConfig) -> float:
     return sc.demand.midpoint
 
 
+@lru_cache(maxsize=64)
 def optimal_quantity(sc: ScenarioConfig) -> int:
     """Integer order quantity maximizing expected profit.
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import humans, metrics, model
-from .runner import ExperimentPlan, _scenario_lookup
-from .store import RunStore, Trajectory, group_trajectories
+from .runner import load_plan, plan_trajectories
+from .store import RunStore, Trajectory
 
 DIST_ORDER = {model.UNIFORM: 0, model.TRUNCATED_NORMAL: 1, model.LOGNORMAL: 2}
 PE_LABEL = "pe_optimal_over_actual_pct"
@@ -54,13 +54,7 @@ def load_trajectories(run_dirs, include_incomplete: bool = False) -> list[Trajec
     out: list[Trajectory] = []
     for run_dir in run_dirs:
         store = RunStore(run_dir)
-        manifest = store.manifest()
-        plan = ExperimentPlan.from_dict(manifest["plan"])
-        rounds = {c.rounds_per_block for c in plan.conditions}
-        trajectories = group_trajectories(
-            store.records(), _scenario_lookup(plan), expected_rounds=max(rounds)
-        )
-        for trajectory in trajectories:
+        for trajectory in plan_trajectories(load_plan(store), store.records()):
             if trajectory.complete or include_incomplete:
                 out.append(trajectory)
     if not out:
@@ -78,16 +72,26 @@ def _fmt(value, digits) -> str:
     return f"{value:.{digits}f}"
 
 
-def _group(trajectories, key_fn) -> dict:
+def _group(trajectories, key_fn) -> list[tuple]:
+    """(key, trajectories) pairs in key order; each group keeps the input order."""
     groups: dict = {}
     for t in trajectories:
         groups.setdefault(key_fn(t), []).append(t)
-    return groups
+    return sorted(groups.items())
 
 
 def _condition_key(t: Trajectory):
     sc = t.scenario
     return (sc.experiment, _dist_rank(sc.demand.kind), sc.demand.kind, t.agent)
+
+
+def _margin_key(t: Trajectory):
+    """Condition key plus the margin, high before low."""
+    return (*_condition_key(t), 0 if t.scenario.margin == model.HIGH else 1, t.scenario.margin)
+
+
+def _block_key(t: Trajectory):
+    return (*_condition_key(t), t.order_condition, t.block_index)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
@@ -111,9 +115,7 @@ def bias_rows(trajectories, compare_humans=False) -> tuple[list[str], list[list]
     ]
     rows = []
     seen_human = set()
-    for key in sorted(_group(trajectories, _condition_key)):
-        experiment, _, dist, agent = key
-        group = [t for t in trajectories if _condition_key(t) == key]
+    for (experiment, _, dist, agent), group in _group(trajectories, _condition_key):
         cells: dict[str, list[str]] = {}
         for margin in (model.HIGH, model.LOW):
             subset = [t for t in group if t.scenario.margin == margin]
@@ -157,10 +159,8 @@ def mas_rows(trajectories, compare_humans=False) -> tuple[list[str], list[list]]
     ]
     rows = []
     seen_human = set()
-    key_fn = lambda t: (t.order_condition, *_condition_key(t))
-    for key in sorted(_group(trajectories, key_fn)):
-        order_condition, experiment, _, dist, agent = key
-        group = [t for t in trajectories if key_fn(t) == key]
+    groups = _group(trajectories, lambda t: (t.order_condition, *_condition_key(t)))
+    for (order_condition, experiment, _, dist, agent), group in groups:
         cells = {}
         anchor_value = ""
         for margin in (model.HIGH, model.LOW):
@@ -193,12 +193,7 @@ def risk_neutral_rows(trajectories) -> tuple[list[str], list[list]]:
     ]
     rows = []
     subset = [t for t in trajectories if t.scenario.experiment == model.E3]
-    key_fn = lambda t: (_dist_rank(t.scenario.demand.kind), t.scenario.demand.kind,
-                        t.agent, 0 if t.scenario.margin == model.HIGH else 1,
-                        t.scenario.margin)
-    for key in sorted(_group(subset, key_fn)):
-        _, dist, agent, _, margin = key
-        group = [t for t in subset if key_fn(t) == key]
+    for (_, _, dist, agent, _, margin), group in _group(subset, _margin_key):
         stats = metrics.bias_stats(group)
         rows.append([
             dist, agent, margin, _fmt(stats.mean_order, 2), str(stats.optimal),
@@ -213,11 +208,7 @@ def learning_rows(trajectories) -> tuple[list[str], list[list]]:
         "convergence_slope", "efficiency_slope", "delta_r2", "n_trajectories",
     ]
     rows = []
-    key_fn = lambda t: (*_condition_key(t), 0 if t.scenario.margin == model.HIGH else 1,
-                        t.scenario.margin)
-    for key in sorted(_group(trajectories, key_fn)):
-        experiment, _, dist, agent, _, margin = key
-        group = [t for t in trajectories if key_fn(t) == key]
+    for (experiment, _, dist, agent, _, margin), group in _group(trajectories, _margin_key):
         try:
             stats = metrics.average_learning_stats(group)
         except metrics.MetricsError:
@@ -232,20 +223,16 @@ def learning_rows(trajectories) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _pooled_events(trajectories) -> dict[tuple, list]:
-    """Quartile-tagged adjustment events pooled per (experiment, dist, agent, order)."""
-    pools: dict[tuple, list] = {}
-    for t in trajectories:
-        key = (t.scenario.experiment, _dist_rank(t.scenario.demand.kind),
-               t.scenario.demand.kind, t.agent, t.order_condition)
-        pools.setdefault(key, []).extend(metrics.classify_adjustments(t))
-    out = {}
-    for key, events in pools.items():
+def _pooled_events(trajectories) -> list[tuple]:
+    """Quartile-tagged adjustment events per (experiment, dist, agent, order), in key order."""
+    out = []
+    for key, group in _group(trajectories, lambda t: (*_condition_key(t), t.order_condition)):
+        events = [e for t in group for e in metrics.classify_adjustments(t)]
         try:
             cuts = metrics.quartile_thresholds([abs(e.prior_error) for e in events])
         except metrics.MetricsError:
             continue  # pool too small to cut into quartiles
-        out[key] = metrics.assign_quartiles(events, cuts)
+        out.append((key, metrics.assign_quartiles(events, cuts)))
     return out
 
 
@@ -256,10 +243,7 @@ def quartile_rows(trajectories, compare_humans=False) -> tuple[list[str], list[l
     ]
     rows = []
     seen_human = set()
-    pools = _pooled_events(trajectories)
-    for key in sorted(pools):
-        experiment, _, dist, agent, order_condition = key
-        events = pools[key]
+    for (experiment, _, dist, agent, order_condition), events in _pooled_events(trajectories):
         for quartile in metrics.QUARTILES:
             bucket = [e for e in events if e.quartile == quartile]
             if not bucket:
@@ -295,10 +279,8 @@ def round_trajectory_rows(trajectories) -> tuple[list[str], list[list]]:
         "margin", "round", "mean_order", "optimal", "anchor", "n_repetitions",
     ]
     rows = []
-    key_fn = lambda t: (*_condition_key(t), t.order_condition, t.block_index)
-    for key in sorted(_group(trajectories, key_fn)):
-        experiment, _, dist, agent, order_condition, block_index = key
-        group = [t for t in trajectories if key_fn(t) == key]
+    groups = _group(trajectories, _block_key)
+    for (experiment, _, dist, agent, order_condition, block_index), group in groups:
         sc = group[0].scenario
         q_star = model.optimal_quantity(sc)
         anchor_value = model.anchor(sc)
@@ -319,10 +301,8 @@ def adjustment_share_rows(trajectories) -> tuple[list[str], list[list]]:
         "margin", "round", "no_change_pct", "toward_pct", "away_pct", "n_repetitions",
     ]
     rows = []
-    key_fn = lambda t: (*_condition_key(t), t.order_condition, t.block_index)
-    for key in sorted(_group(trajectories, key_fn)):
-        experiment, _, dist, agent, order_condition, block_index = key
-        group = [t for t in trajectories if key_fn(t) == key]
+    groups = _group(trajectories, _block_key)
+    for (experiment, _, dist, agent, order_condition, block_index), group in groups:
         margin = group[0].scenario.margin
         by_round: dict[int, list] = {}
         for t in group:

@@ -39,7 +39,6 @@ from .agents import (
     RANDOM,
     AgentSpec,
     AmbiguousDecisionError,
-    ParsePolicy,
     decide,
 )
 from .llm import TransportError
@@ -100,27 +99,10 @@ class PlanCondition:
         return self.scenario_for_margin(self.margin_for_block(block_index))
 
     def to_dict(self) -> dict:
-        spec = self.agent
-        agent = {"kind": spec.kind}
-        if spec.kind == LLM:
-            agent.update(model_name=spec.model_name, temperature=spec.temperature)
-            if spec.parse_policy is not None:
-                agent["parse_policy"] = {
-                    "patterns": list(spec.parse_policy.patterns),
-                    "plausible_range": list(spec.parse_policy.plausible_range),
-                    "max_retries": spec.parse_policy.max_retries,
-                }
-        if spec.anchor_weight is not None:
-            agent["anchor_weight"] = spec.anchor_weight
-        if spec.chase_rate is not None:
-            agent["chase_rate"] = spec.chase_rate
-            agent["chase_rate_before"] = spec.chase_rate_before
-            if spec.switch_round is not None:
-                agent["switch_round"] = spec.switch_round
         return {
             "experiment": self.experiment,
             "dist": self.dist_kind,
-            "agent": agent,
+            "agent": self.agent.to_dict(),
             "order_condition": self.order_condition,
             "repetitions": self.repetitions,
             "rounds_per_block": self.rounds_per_block,
@@ -129,27 +111,10 @@ class PlanCondition:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlanCondition":
-        agent = data["agent"]
-        policy = None
-        if "parse_policy" in agent:
-            raw = agent["parse_policy"]
-            policy = ParsePolicy(
-                tuple(raw["patterns"]), tuple(raw["plausible_range"]), raw["max_retries"]
-            )
-        spec = AgentSpec(
-            kind=agent["kind"],
-            model_name=agent.get("model_name"),
-            temperature=agent.get("temperature", 1.0),
-            anchor_weight=agent.get("anchor_weight"),
-            chase_rate=agent.get("chase_rate"),
-            chase_rate_before=agent.get("chase_rate_before", 0.0),
-            switch_round=agent.get("switch_round"),
-            parse_policy=policy,
-        )
         return cls(
             experiment=data["experiment"],
             dist_kind=data["dist"],
-            agent=spec,
+            agent=AgentSpec.from_dict(data["agent"]),
             order_condition=data["order_condition"],
             repetitions=data["repetitions"],
             rounds_per_block=data["rounds_per_block"],
@@ -217,12 +182,42 @@ def build_manifest(plan: ExperimentPlan, templates: PromptTemplateSet) -> dict:
     }
 
 
-def _scenario_lookup(plan: ExperimentPlan):
-    def scenario_for(record: RoundRecord) -> model.ScenarioConfig:
-        condition = plan.conditions[record.condition_index]
-        return condition.scenario_for_margin(record.margin)
+def load_plan(store: RunStore) -> ExperimentPlan:
+    """The plan in a store's manifest, checked against the stored plan hash."""
+    manifest = store.manifest()
+    try:
+        plan = ExperimentPlan.from_dict(manifest["plan"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(f"malformed plan in {store.manifest_path}: {exc!r}") from exc
+    if plan.plan_hash() != manifest.get("plan_hash"):
+        raise IntegrityError(
+            f"plan hash mismatch in {store.manifest_path}: stored "
+            f"{manifest.get('plan_hash')!r} vs recomputed {plan.plan_hash()!r}"
+        )
+    return plan
 
-    return scenario_for
+
+def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord]) -> list[Trajectory]:
+    """Validated trajectories of ``records``, each under its condition's scenario."""
+    return group_trajectories(
+        records,
+        lambda record: plan.conditions[record.condition_index].scenario_for_margin(record.margin),
+    )
+
+
+def round_context(scenario: model.ScenarioConfig, round_index: int,
+                  last_record: RoundRecord | None) -> RoundContext:
+    """Prompt context of one round; after round 1 it reports ``last_record``'s outcome."""
+    if round_index == 1:
+        return RoundContext(scenario, 1)
+    return RoundContext(
+        scenario,
+        round_index,
+        last_order=last_record.order,
+        last_demand=last_record.demand,
+        last_profit=last_record.profit,
+        cumulative_profit=last_record.cumulative_profit,
+    )
 
 
 class _BlockRunner:
@@ -249,24 +244,12 @@ class _BlockRunner:
             derive_seed(condition.base_seed, repetition, block_index, salt="agent")
         )
 
-    def _context(self, round_index, prior: list[RoundRecord]) -> RoundContext:
-        if round_index == 1:
-            return RoundContext(self.scenario, 1)
-        last = prior[-1]
-        return RoundContext(
-            self.scenario,
-            round_index,
-            last_order=last.order,
-            last_demand=last.demand,
-            last_profit=last.profit,
-            cumulative_profit=last.cumulative_profit,
-        )
-
     def replay(self, stored: list[RoundRecord]):
         """Re-render stored rounds: verify prompt hashes, rebuild transcript/rng."""
+        last = None
         for record in stored:
-            ctx = self._context(record.round_index, stored[: record.round_index - 1])
-            prompt = render_prompt(ctx, self.templates)
+            prompt = render_prompt(round_context(self.scenario, record.round_index, last),
+                                   self.templates)
             if sha256_text(prompt) != record.prompt_sha256:
                 raise IntegrityError(
                     f"record (condition={record.condition_index}, rep={record.repetition}, "
@@ -284,13 +267,14 @@ class _BlockRunner:
                 self.agent_rng.integers(self.scenario.demand.lower, self.scenario.demand.upper + 1)
             self.transcript.append({"role": "user", "content": prompt})
             self.transcript.append({"role": "assistant", "content": record.raw_response})
+            last = record
 
     def run(self, existing: list[RoundRecord]) -> tuple[list[RoundRecord], RoundFailure | None]:
         """Run rounds after ``existing`` up to the block length; persist each."""
         records = list(existing)
         cumulative = records[-1].cumulative_profit if records else 0
         for round_index in range(len(records) + 1, self.condition.rounds_per_block + 1):
-            ctx = self._context(round_index, records)
+            ctx = round_context(self.scenario, round_index, records[-1] if records else None)
             prompt = render_prompt(ctx, self.templates)
             ts_start = time.time()
             try:
@@ -354,13 +338,10 @@ class _BlockRunner:
         )
 
 
-def _execute(plan, store, templates, client_factory, existing_records, progress) -> RunOutcome:
-    """Shared driver for fresh runs (empty store) and resumes."""
-    by_identity: dict[tuple, list[RoundRecord]] = {}
-    for record in existing_records:
-        by_identity.setdefault(record.identity(), []).append(record)
-    for rows in by_identity.values():
-        rows.sort(key=lambda r: r.round_index)
+def _execute(plan, store, templates, client_factory, existing: list[Trajectory],
+             progress) -> RunOutcome:
+    """Shared driver for fresh runs (no trajectories) and resumes."""
+    by_identity = {t.records[0].identity(): t.records for t in existing}
 
     failures: list[RoundFailure] = []
     for condition_index, condition in enumerate(plan.conditions):
@@ -404,16 +385,7 @@ def _execute(plan, store, templates, client_factory, existing_records, progress)
                     if plan.transcript_continuity:
                         abort_repetition = True
 
-    records = store.records()
-    trajectories = group_trajectories(
-        records, _scenario_lookup(plan), expected_rounds=_expected_rounds(plan)
-    )
-    return RunOutcome(plan.run_id(), store, trajectories, failures)
-
-
-def _expected_rounds(plan: ExperimentPlan) -> int:
-    lengths = {c.rounds_per_block for c in plan.conditions}
-    return max(lengths) if lengths else model.DEFAULT_ROUNDS
+    return RunOutcome(plan.run_id(), store, plan_trajectories(plan, store.records()), failures)
 
 
 def run_plan(
@@ -439,52 +411,24 @@ def resume(run_dir, client_factory=None, templates: PromptTemplateSet | None = N
     """
     templates = templates or default_templates()
     store = RunStore(run_dir)
-    manifest = store.manifest()
-    plan = ExperimentPlan.from_dict(manifest["plan"])
-    if plan.plan_hash() != manifest.get("plan_hash"):
-        raise IntegrityError(
-            f"plan hash mismatch in {store.manifest_path}: stored "
-            f"{manifest.get('plan_hash')!r} vs recomputed {plan.plan_hash()!r}"
-        )
-    existing = store.records()
+    plan = load_plan(store)
     # surfaces corrupted rounds before any new work
-    group_trajectories(existing, _scenario_lookup(plan), _expected_rounds(plan))
+    existing = plan_trajectories(plan, store.records())
     return _execute(plan, store, templates, client_factory, existing, progress)
 
 
 def verify_prompt_hashes(run_dir, templates: PromptTemplateSet | None = None) -> int:
-    """Re-render every stored round's prompt and check it against its hash.
+    """Re-render every stored round's prompt and check it and its demand draw.
 
-    Returns the number of rounds verified; raises IntegrityError on the first
-    mismatch.
+    Replays each stored block the way `resume` does. Returns the number of
+    rounds verified; raises IntegrityError on the first mismatch.
     """
     templates = templates or default_templates()
     store = RunStore(run_dir)
-    manifest = store.manifest()
-    plan = ExperimentPlan.from_dict(manifest["plan"])
-    trajectories = group_trajectories(
-        store.records(), _scenario_lookup(plan), _expected_rounds(plan)
-    )
-    checked = 0
-    for trajectory in trajectories:
-        sc = trajectory.scenario
-        prior = []
-        for record in trajectory.records:
-            if record.round_index == 1:
-                ctx = RoundContext(sc, 1)
-            else:
-                last = prior[-1]
-                ctx = RoundContext(
-                    sc, record.round_index,
-                    last_order=last.order, last_demand=last.demand,
-                    last_profit=last.profit, cumulative_profit=last.cumulative_profit,
-                )
-            if sha256_text(render_prompt(ctx, templates)) != record.prompt_sha256:
-                raise IntegrityError(
-                    f"prompt hash mismatch at condition={record.condition_index} "
-                    f"rep={record.repetition} block={record.block_index} "
-                    f"round={record.round_index}"
-                )
-            prior.append(record)
-            checked += 1
-    return checked
+    plan = load_plan(store)
+    trajectories = plan_trajectories(plan, store.records())
+    for t in trajectories:
+        condition = plan.conditions[t.condition_index]
+        _BlockRunner(plan, t.condition_index, condition, t.repetition, t.block_index,
+                     store, templates, None, []).replay(t.records)
+    return sum(len(t.records) for t in trajectories)

@@ -115,7 +115,10 @@ class RoundRecord:
 
 @dataclass
 class Trajectory:
-    """All rounds of one (condition, repetition, block), in round order."""
+    """All rounds of one (condition, repetition, block), in round order.
+
+    Complete once it holds every round of its scenario (``scenario.rounds``).
+    """
 
     run_id: str
     condition_index: int
@@ -125,11 +128,10 @@ class Trajectory:
     block_index: int
     scenario: ScenarioConfig
     records: list[RoundRecord] = field(default_factory=list)
-    expected_rounds: int = 15
 
     @property
     def complete(self) -> bool:
-        return len(self.records) == self.expected_rounds
+        return len(self.records) == self.scenario.rounds
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -195,11 +197,7 @@ class RunStore:
         return out
 
 
-def group_trajectories(
-    records: list[RoundRecord],
-    scenario_for: "callable",
-    expected_rounds: int,
-) -> list[Trajectory]:
+def group_trajectories(records: list[RoundRecord], scenario_for: "callable") -> list[Trajectory]:
     """Group records by trajectory identity and validate per-round invariants.
 
     ``scenario_for(record)`` must return the ScenarioConfig governing that
@@ -244,7 +242,6 @@ def group_trajectories(
                 block_index=first.block_index,
                 scenario=sc,
                 records=rows,
-                expected_rounds=expected_rounds,
             )
         )
     return trajectories

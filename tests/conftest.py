@@ -15,8 +15,8 @@ def pytest_runtest_logreport(report):
 
 from nvlab.agents import AgentSpec
 from nvlab.model import ScenarioConfig, profit, scenario
-from nvlab.prompts import RoundContext, default_templates, render_prompt
-from nvlab.runner import ExperimentPlan, PlanCondition, build_manifest
+from nvlab.prompts import default_templates, render_prompt
+from nvlab.runner import ExperimentPlan, PlanCondition, build_manifest, round_context
 from nvlab.store import RoundRecord, RunStore, Trajectory, sha256_text
 
 
@@ -132,7 +132,6 @@ def make_trajectory(sc: ScenarioConfig, orders, demands, agent="test-agent",
         block_index=block_index,
         scenario=sc,
         records=records,
-        expected_rounds=len(records),
     )
 
 
@@ -174,12 +173,7 @@ def write_replay_store(run_dir, rows, reps=10, rounds=10):
                     demand = order
                     pi = profit(order, demand, sc.cost)
                     cumulative += pi
-                    if round_index == 1:
-                        ctx = RoundContext(sc, 1)
-                    else:
-                        ctx = RoundContext(sc, round_index, last_order=last.order,
-                                           last_demand=last.demand, last_profit=last.profit,
-                                           cumulative_profit=last.cumulative_profit)
+                    ctx = round_context(sc, round_index, last)
                     record = RoundRecord(
                         run_id=plan.run_id(),
                         condition_index=condition_index,

@@ -161,6 +161,24 @@ def test_agent_spec_validation():
         AgentSpec("unknown-kind")
 
 
+def test_agent_spec_dict_round_trip():
+    specs = [
+        AgentSpec("optimal"),
+        AgentSpec("mean-anchor", anchor_weight=0.25),
+        AgentSpec("demand-chaser", chase_rate=0.5, chase_rate_before=0.1, switch_round=4),
+        AgentSpec("llm", model_name="m", parse_policy=ParsePolicy((r"x(\d+)",), (0, 10), 1)),
+    ]
+    for spec in specs:
+        assert AgentSpec.from_dict(spec.to_dict()) == spec
+    assert AgentSpec("optimal").to_dict() == {"kind": "optimal"}
+    assert AgentSpec("llm", model_name="m").to_dict() == {
+        "kind": "llm", "model_name": "m", "temperature": 1.0}
+    with pytest.raises(ValueError, match="colour"):
+        AgentSpec.from_dict({"kind": "optimal", "colour": "red"})
+    with pytest.raises(ValueError):
+        AgentSpec.from_dict({"anchor_weight": 0.5})
+
+
 # --- llm decide path (fake client) -------------------------------------------
 
 class FakeClient:

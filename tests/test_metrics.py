@@ -258,33 +258,6 @@ def test_learning_needs_three_rounds():
         learning_stats(make_trajectory(SC_HIGH, [1, 2], [1, 2]))
 
 
-def test_condition_report_aggregates_everything(tmp_path):
-    agent = AgentSpec("demand-chaser", chase_rate=1.0)
-    plan = ExperimentPlan((
-        PlanCondition("E1-baseline", "uniform", agent, "high-first",
-                      repetitions=3, base_seed=2),
-    ))
-    outcome = run_plan(plan, tmp_path / "run")
-    high = [t for t in outcome.trajectories if t.scenario.margin == "high"]
-    report = metrics.condition_report(high)
-    assert report.bias.optimal == 225
-    assert report.anchor.anchor == 150.5
-    assert report.profit_efficiency is not None and report.profit_efficiency >= 100.0
-    assert set(report.shares_by_quartile) <= {"Q1", "Q2", "Q3", "Q4"}
-    for shares in report.shares_by_quartile.values():
-        assert sum(shares.values()) == pytest.approx(100.0)
-    assert report.learning["n_trajectories"] == 3
-
-
-def test_pooled_learning_matches_per_trajectory_on_identical_reps():
-    orders = [225 - (100 - 2 * t) for t in range(1, 16)]
-    trajs = [make_trajectory(SC_HIGH, orders, [150] * 15, repetition=r) for r in range(3)]
-    averaged = metrics.average_learning_stats(trajs)
-    pooled = metrics.average_learning_stats(trajs, pooled=True)
-    assert pooled["convergence_slope"] == pytest.approx(averaged["convergence_slope"])
-    assert pooled["n_trajectories"] == 3
-
-
 # --- word frequencies ---------------------------------------------------------
 
 def test_word_frequencies_counts_and_ranks():

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nvlab
 from nvlab import model
 from nvlab.model import (
     CostStructure,
@@ -294,3 +299,13 @@ def test_sample_sequence_mean_tracks_pmf_mean():
         support, pmf = support_pmf(dist)
         seq = sample_sequence(dist, 100_000, 17)
         assert np.mean(seq.draws) == pytest.approx(float(support.dot(pmf)), rel=0.01)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, nvlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(nvlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

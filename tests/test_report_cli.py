@@ -7,7 +7,9 @@ import pytest
 from conftest import write_replay_store
 from nvlab.cli import main
 from nvlab.config import ConfigError, RunConfig, build_plan
+from nvlab.agents import AgentSpec
 from nvlab.report import ReportError, build_report, load_trajectories
+from nvlab.runner import ExperimentPlan, PlanCondition, run_plan
 from nvlab.store import strip_timestamps
 
 
@@ -303,3 +305,34 @@ def test_report_requires_complete_trajectories(tmp_path):
     (run_dir / "rounds.jsonl").write_text("\n".join(lines[:3]) + "\n")
     with pytest.raises(ReportError):
         build_report([run_dir], tmp_path / "report")
+
+
+def test_conditions_of_different_lengths_are_complete_and_reported(tmp_path):
+    chaser = AgentSpec("demand-chaser", chase_rate=0.5)
+    plan = ExperimentPlan((
+        PlanCondition("E1-baseline", "uniform", chaser, "high-first",
+                      repetitions=2, rounds_per_block=3, base_seed=7),
+        PlanCondition("E1-baseline", "truncated-normal", chaser, "high-first",
+                      repetitions=2, rounds_per_block=5, base_seed=7),
+    ))
+    outcome = run_plan(plan, tmp_path / "run")
+    assert outcome.complete
+    bundle = build_report([tmp_path / "run"], tmp_path / "report")
+    rows = read_csv(bundle.files["bias_table.csv"])
+    assert [r["distribution"] for r in rows] == ["uniform", "truncated-normal"]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda agent: agent.update(colour="red"),
+    lambda agent: agent.pop("kind"),
+], ids=["unknown-key", "missing-kind"])
+def test_malformed_agent_in_manifest_is_an_integrity_error(tmp_path, capsys, edit):
+    run_dir = simulate(tmp_path, "sim")
+    manifest_path = run_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest["plan"]["conditions"][0]["agent"])
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["simulate", "--resume", str(run_dir)]) == 5
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 5
+    assert capsys.readouterr().err.count("integrity error") == 2
