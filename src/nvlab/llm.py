@@ -6,15 +6,17 @@ Targets any endpoint speaking the standard chat wire format: POST a JSON body
 endpoint URL, model name and credential come from configuration and the
 environment, never from code.
 
-Transient failures (HTTP 429/5xx, connection errors, timeouts) are retried
-with exponential backoff; auth and request-shape errors (4xx) surface
-immediately. A token bucket smooths bursts and an optional per-run request
-budget hard-stops runaway spend. Every request is logged with timestamps,
-retry count and token usage.
+Transient failures (HTTP 429/5xx, connection errors, timeouts, and a 200
+whose body is truncated, not UTF-8 or not JSON) are retried with exponential
+backoff; auth and request-shape errors (4xx) surface immediately. A token
+bucket smooths bursts and an optional per-run request budget hard-stops
+runaway spend. Every request is logged with timestamps, retry count and token
+usage.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import threading
@@ -93,7 +95,6 @@ class ChatClient:
         rate_limiter: TokenBucket | None = None,
         request_budget: int | None = None,
         sleeper=time.sleep,
-        opener=None,
     ):
         self.endpoint = endpoint
         self.model = model
@@ -106,7 +107,6 @@ class ChatClient:
         self._budget = request_budget
         self._budget_lock = threading.Lock()
         self._sleeper = sleeper
-        self._opener = opener or urllib.request.urlopen
         self.requests_sent = 0
 
     def _spend_budget(self):
@@ -122,7 +122,7 @@ class ChatClient:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         request = urllib.request.Request(self.endpoint, data=body, headers=headers, method="POST")
-        return self._opener(request, timeout=self.timeout)
+        return urllib.request.urlopen(request, timeout=self.timeout)
 
     def chat(self, messages: list[dict]) -> ChatResult:
         """Send one completion request; retry transient failures with backoff."""
@@ -154,6 +154,9 @@ class ChatClient:
                 raise TransportError(detail) from exc
             except (urllib.error.URLError, TimeoutError, ConnectionError) as exc:
                 last_error = f"connection failure: {exc}"
+                continue
+            except (http.client.HTTPException, UnicodeDecodeError, json.JSONDecodeError) as exc:
+                last_error = f"unreadable response body: {exc!r}"
                 continue
 
             try:

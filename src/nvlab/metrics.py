@@ -249,7 +249,7 @@ class LearningStats:
     late_degenerate: bool
 
 
-def learning_stats(trajectory: Trajectory, split_round: int = EARLY_LATE_SPLIT_ROUND) -> LearningStats:
+def learning_stats(trajectory: Trajectory) -> LearningStats:
     """Per-trajectory learning summary.
 
     The convergence slope regresses |q_t - q*| on t and the efficiency slope
@@ -277,7 +277,7 @@ def learning_stats(trajectory: Trajectory, split_round: int = EARLY_LATE_SPLIT_R
     deltas = np.diff(orders)                      # delta for rounds 2..n
     errors = np.array(demands[:-1]) - np.array(orders[:-1])
     t_index = np.arange(2, len(orders) + 1)
-    early = t_index < split_round
+    early = t_index < EARLY_LATE_SPLIT_ROUND
     late = ~early
 
     def stage_r2(mask):

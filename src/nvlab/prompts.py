@@ -95,8 +95,8 @@ class PromptTemplateSet:
         return out
 
 
-def load_templates(root: Path | None = None) -> PromptTemplateSet:
-    root = Path(root) if root is not None else _asset_root() / "templates"
+def load_templates() -> PromptTemplateSet:
+    root = _asset_root() / "templates"
 
     def read(name: str) -> str:
         path = root / name
@@ -228,15 +228,14 @@ def render_prompt(ctx: RoundContext, templates: PromptTemplateSet | None = None)
     )
 
 
-def render_feedback(last, templates: PromptTemplateSet | None = None) -> str:
+def render_feedback(last) -> str:
     """Feedback text for a completed round, in the history-block format.
 
     ``last`` is anything with order, demand, profit and cumulative_profit
     attributes (a stored round record qualifies).
     """
-    templates = templates or default_templates()
     return _fill(
-        templates.history_block,
+        default_templates().history_block,
         {
             "last_order": fmt_int(last.order),
             "last_demand": fmt_int(last.demand),
@@ -282,12 +281,9 @@ def golden_contexts() -> list[tuple[str, str, RoundContext]]:
     ]
 
 
-def validate_golden(
-    templates: PromptTemplateSet | None = None, golden_root: Path | None = None
-) -> list[GoldenCheck]:
+def validate_golden() -> list[GoldenCheck]:
     """Render the pinned contexts and diff byte-for-byte against the goldens."""
-    templates = templates or default_templates()
-    golden_root = Path(golden_root) if golden_root is not None else _asset_root() / "golden"
+    golden_root = _asset_root() / "golden"
     checks = []
     for name, filename, ctx in golden_contexts():
         path = golden_root / filename
@@ -295,7 +291,7 @@ def validate_golden(
             checks.append(GoldenCheck(name, filename, False, f"missing golden file {path}"))
             continue
         expected = path.read_text(encoding="utf-8")
-        actual = render_prompt(ctx, templates)
+        actual = render_prompt(ctx)
         if actual == expected:
             checks.append(GoldenCheck(name, filename, True, ""))
         else:

@@ -49,14 +49,12 @@ class ReportBundle:
     files: dict[str, Path]
 
 
-def load_trajectories(run_dirs, include_incomplete: bool = False) -> list[Trajectory]:
-    """Validated trajectories from one or more run stores."""
+def load_trajectories(run_dirs) -> list[Trajectory]:
+    """Validated complete trajectories from one or more run stores."""
     out: list[Trajectory] = []
     for run_dir in run_dirs:
         store = RunStore(run_dir)
-        for trajectory in plan_trajectories(load_plan(store), store.records()):
-            if trajectory.complete or include_incomplete:
-                out.append(trajectory)
+        out += [t for t in plan_trajectories(load_plan(store), store.records()) if t.complete]
     if not out:
         raise ReportError("no complete trajectories in the given run directories")
     return out

@@ -17,11 +17,14 @@ the model experiences the margin switch inside a single interaction. Scripted
 agents ignore transcripts. Set ``transcript_continuity=False`` to isolate
 blocks instead.
 
-Every round is persisted to the run store before the next one starts; an
-unresolved round (transport or parse failure after retries) marks its
-trajectory incomplete, and `resume` restarts incomplete blocks from their
-first missing round using the stored transcript and the original demand
-sequence.
+One loop, `_run_block`, walks the rounds of a block for fresh runs, `resume`
+and `verify_prompt_hashes` alike. It first replays the rounds already in the
+store: each one's prompt is re-rendered and its hash checked, its demand is
+checked against the seeded draw, and the transcript and agent rng advance as
+if it had just been decided. It then decides the remaining rounds, appending
+each to the store before the next one starts. An unresolved round (transport
+or parse failure after retries) stops the block and leaves its trajectory
+incomplete for `resume`.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .agents import (
     decide,
 )
 from .llm import TransportError
-from .prompts import PromptTemplateSet, RoundContext, default_templates, render_prompt
+from .prompts import RoundContext, default_templates, render_prompt
 from .store import (
     IntegrityError,
     RoundRecord,
@@ -170,14 +173,14 @@ class RunOutcome:
         return not self.failures and all(t.complete for t in self.trajectories)
 
 
-def build_manifest(plan: ExperimentPlan, templates: PromptTemplateSet) -> dict:
+def build_manifest(plan: ExperimentPlan) -> dict:
     return {
         "format": "nvlab-run/1",
         "run_id": plan.run_id(),
         "plan": plan.to_dict(),
         "plan_hash": plan.plan_hash(),
         "template_digests": {
-            name: sha256_text(text) for name, text in templates.digest_inputs().items()
+            name: sha256_text(text) for name, text in default_templates().digest_inputs().items()
         },
     }
 
@@ -220,129 +223,92 @@ def round_context(scenario: model.ScenarioConfig, round_index: int,
     )
 
 
-class _BlockRunner:
-    """Executes (or resumes) the rounds of a single scenario block."""
+def _run_block(plan, condition_index, repetition, block_index, stored, transcript, rounds,
+               run_id=None, store=None, client=None) -> RoundFailure | None:
+    """Replay the ``stored`` rounds of one block, then decide the rest up to ``rounds``.
 
-    def __init__(self, plan, condition_index, condition, repetition, block_index,
-                 store, templates, client, transcript):
-        self.plan = plan
-        self.condition_index = condition_index
-        self.condition = condition
-        self.repetition = repetition
-        self.block_index = block_index
-        self.store = store
-        self.templates = templates
-        self.client = client
-        self.transcript = transcript
-        self.scenario = condition.scenario_for_block(block_index)
-        self.sequence = model.sample_sequence(
-            self.scenario.demand,
-            condition.rounds_per_block,
-            derive_seed(condition.base_seed, repetition, block_index),
-        )
-        self.agent_rng = np.random.default_rng(
-            derive_seed(condition.base_seed, repetition, block_index, salt="agent")
-        )
-
-    def replay(self, stored: list[RoundRecord]):
-        """Re-render stored rounds: verify prompt hashes, rebuild transcript/rng."""
-        last = None
-        for record in stored:
-            prompt = render_prompt(round_context(self.scenario, record.round_index, last),
-                                   self.templates)
-            if sha256_text(prompt) != record.prompt_sha256:
+    A stored round is checked (re-rendered prompt hash, then seeded demand
+    draw) and advances the agent rng and transcript as deciding it did; a
+    later round is decided, recorded under ``run_id`` in ``store`` and added
+    to the transcript. Returns the failure that stopped the block, if any.
+    """
+    condition = plan.conditions[condition_index]
+    scenario = condition.scenario_for_block(block_index)
+    draws = model.sample_sequence(
+        scenario.demand, condition.rounds_per_block,
+        derive_seed(condition.base_seed, repetition, block_index),
+    ).draws
+    agent_rng = np.random.default_rng(
+        derive_seed(condition.base_seed, repetition, block_index, salt="agent")
+    )
+    last = None
+    for round_index in range(1, rounds + 1):
+        ctx = round_context(scenario, round_index, last)
+        prompt = render_prompt(ctx)
+        prompt_sha256 = sha256_text(prompt)
+        demand = draws[round_index - 1]
+        if round_index <= len(stored):
+            record = stored[round_index - 1]
+            problem = None
+            if prompt_sha256 != record.prompt_sha256:
+                problem = "stored prompt hash does not match the re-rendered prompt"
+            elif demand != record.demand:
+                problem = f"stored demand {record.demand} does not match the seeded draw {demand}"
+            if problem:
                 raise IntegrityError(
-                    f"record (condition={record.condition_index}, rep={record.repetition}, "
-                    f"block={record.block_index}, round={record.round_index}): "
-                    "stored prompt hash does not match the re-rendered prompt"
+                    f"record (condition={condition_index}, rep={repetition}, "
+                    f"block={block_index}, round={round_index}): {problem}"
                 )
-            draw = self.sequence.draws[record.round_index - 1]
-            if draw != record.demand:
-                raise IntegrityError(
-                    f"record (condition={record.condition_index}, rep={record.repetition}, "
-                    f"block={record.block_index}, round={record.round_index}): "
-                    f"stored demand {record.demand} does not match the seeded draw {draw}"
-                )
-            if self.condition.agent.kind == RANDOM:
-                self.agent_rng.integers(self.scenario.demand.lower, self.scenario.demand.upper + 1)
-            self.transcript.append({"role": "user", "content": prompt})
-            self.transcript.append({"role": "assistant", "content": record.raw_response})
-            last = record
-
-    def run(self, existing: list[RoundRecord]) -> tuple[list[RoundRecord], RoundFailure | None]:
-        """Run rounds after ``existing`` up to the block length; persist each."""
-        records = list(existing)
-        cumulative = records[-1].cumulative_profit if records else 0
-        for round_index in range(len(records) + 1, self.condition.rounds_per_block + 1):
-            ctx = round_context(self.scenario, round_index, records[-1] if records else None)
-            prompt = render_prompt(ctx, self.templates)
+            if condition.agent.kind == RANDOM:
+                agent_rng.integers(scenario.demand.lower, scenario.demand.upper + 1)
+        else:
             ts_start = time.time()
             try:
-                decision = decide(
-                    self.condition.agent,
-                    prompt,
-                    ctx,
-                    rng=self.agent_rng,
-                    client=self.client,
-                    transcript=self.transcript,
+                decision = decide(condition.agent, prompt, ctx, rng=agent_rng, client=client,
+                                  transcript=transcript)
+            except (AmbiguousDecisionError, TransportError) as exc:
+                kind = "parse" if isinstance(exc, AmbiguousDecisionError) else "transport"
+                log.warning(
+                    "unresolved round: condition=%d rep=%d block=%d round=%d (%s): %s",
+                    condition_index, repetition, block_index, round_index, kind, exc,
                 )
-            except AmbiguousDecisionError as exc:
-                return records, self._failure(round_index, "parse", str(exc))
-            except TransportError as exc:
-                return records, self._failure(round_index, "transport", str(exc))
-            demand = self.sequence.draws[round_index - 1]
-            round_profit = model.profit(decision.order, demand, self.scenario.cost)
-            cumulative += round_profit
+                return RoundFailure(condition_index, condition.order_condition, repetition,
+                                    block_index, round_index, kind, str(exc))
+            round_profit = model.profit(decision.order, demand, scenario.cost)
             record = RoundRecord(
-                run_id=self.plan.run_id(),
-                condition_index=self.condition_index,
-                agent=self.condition.agent.label,
-                experiment=self.condition.experiment,
-                dist=self.condition.dist_kind,
-                order_condition=self.condition.order_condition,
-                repetition=self.repetition,
-                block_index=self.block_index,
-                margin=self.condition.margin_for_block(self.block_index),
+                run_id=run_id,
+                condition_index=condition_index,
+                agent=condition.agent.label,
+                experiment=condition.experiment,
+                dist=condition.dist_kind,
+                order_condition=condition.order_condition,
+                repetition=repetition,
+                block_index=block_index,
+                margin=scenario.margin,
                 round_index=round_index,
                 order=decision.order,
                 demand=demand,
                 profit=round_profit,
-                cumulative_profit=cumulative,
+                cumulative_profit=(last.cumulative_profit if last else 0) + round_profit,
                 parse_confidence=decision.parse_confidence,
-                prompt_sha256=sha256_text(prompt),
+                prompt_sha256=prompt_sha256,
                 raw_response=decision.raw_response,
                 retries=decision.retries,
                 token_usage=decision.token_usage,
                 ts_start=ts_start,
                 ts_end=time.time(),
             )
-            self.store.append(record)
-            records.append(record)
-            self.transcript.append({"role": "user", "content": prompt})
-            self.transcript.append({"role": "assistant", "content": decision.raw_response})
-        return records, None
-
-    def _failure(self, round_index, kind, message) -> RoundFailure:
-        log.warning(
-            "unresolved round: condition=%d rep=%d block=%d round=%d (%s): %s",
-            self.condition_index, self.repetition, self.block_index, round_index, kind, message,
-        )
-        return RoundFailure(
-            self.condition_index,
-            self.condition.order_condition,
-            self.repetition,
-            self.block_index,
-            round_index,
-            kind,
-            message,
-        )
+            store.append(record)
+        transcript.append({"role": "user", "content": prompt})
+        transcript.append({"role": "assistant", "content": record.raw_response})
+        last = record
+    return None
 
 
-def _execute(plan, store, templates, client_factory, existing: list[Trajectory],
-             progress) -> RunOutcome:
+def _execute(plan, store, client_factory, existing: list[Trajectory], progress) -> RunOutcome:
     """Shared driver for fresh runs (no trajectories) and resumes."""
     by_identity = {t.records[0].identity(): t.records for t in existing}
-
+    run_id = plan.run_id()
     failures: list[RoundFailure] = []
     for condition_index, condition in enumerate(plan.conditions):
         client = None
@@ -354,81 +320,62 @@ def _execute(plan, store, templates, client_factory, existing: list[Trajectory],
             client = client_factory(condition.agent)
         for repetition in range(condition.repetitions):
             transcript: list[dict] = []
-            abort_repetition = False
             for block_index in (1, 2):
-                if abort_repetition:
-                    break
                 if not plan.transcript_continuity:
                     transcript = []
                 identity = (condition_index, condition.order_condition, repetition, block_index)
                 stored = by_identity.get(identity, [])
-                runner = _BlockRunner(
-                    plan, condition_index, condition, repetition, block_index,
-                    store, templates, client, transcript,
-                )
-                done = len(stored) >= condition.rounds_per_block
-                runner.replay(stored)
-                if done:
-                    continue
-                if progress:
+                if progress and len(stored) < condition.rounds_per_block:
                     progress(
                         f"condition {condition_index} ({condition.agent.label}, "
                         f"{condition.experiment}, {condition.dist_kind}, "
                         f"{condition.order_condition}) rep {repetition + 1}/"
                         f"{condition.repetitions} block {block_index}"
                     )
-                _, failure = runner.run(stored)
+                failure = _run_block(plan, condition_index, repetition, block_index, stored,
+                                     transcript, condition.rounds_per_block,
+                                     run_id, store, client)
                 if failure is not None:
                     failures.append(failure)
                     # without block 1's full transcript, block 2 would see a
                     # different history than a completed run; leave it for resume
                     if plan.transcript_continuity:
-                        abort_repetition = True
+                        break
 
-    return RunOutcome(plan.run_id(), store, plan_trajectories(plan, store.records()), failures)
+    return RunOutcome(run_id, store, plan_trajectories(plan, store.records()), failures)
 
 
-def run_plan(
-    plan: ExperimentPlan,
-    run_dir,
-    client_factory=None,
-    templates: PromptTemplateSet | None = None,
-    progress=None,
-) -> RunOutcome:
+def run_plan(plan: ExperimentPlan, run_dir, client_factory=None, progress=None) -> RunOutcome:
     """Execute a plan into a fresh run directory and persist every round."""
-    templates = templates or default_templates()
     store = RunStore(run_dir)
-    store.create(build_manifest(plan, templates))
-    return _execute(plan, store, templates, client_factory, [], progress)
+    store.create(build_manifest(plan))
+    return _execute(plan, store, client_factory, [], progress)
 
 
-def resume(run_dir, client_factory=None, templates: PromptTemplateSet | None = None,
-           progress=None) -> RunOutcome:
+def resume(run_dir, client_factory=None, progress=None) -> RunOutcome:
     """Finish incomplete blocks of a stored run; completed blocks are untouched.
 
     Verifies the manifest's plan hash and every stored round's prompt hash and
     seeded demand draw before continuing; a completed run is a no-op.
     """
-    templates = templates or default_templates()
     store = RunStore(run_dir)
     plan = load_plan(store)
     # surfaces corrupted rounds before any new work
     existing = plan_trajectories(plan, store.records())
-    return _execute(plan, store, templates, client_factory, existing, progress)
+    return _execute(plan, store, client_factory, existing, progress)
 
 
-def verify_prompt_hashes(run_dir, templates: PromptTemplateSet | None = None) -> int:
+def verify_prompt_hashes(run_dir) -> int:
     """Re-render every stored round's prompt and check it and its demand draw.
 
-    Replays each stored block the way `resume` does. Returns the number of
+    Replays each stored block through the loop `resume` uses, stopping at its
+    last stored round, so nothing is decided or written. Returns the number of
     rounds verified; raises IntegrityError on the first mismatch.
     """
-    templates = templates or default_templates()
     store = RunStore(run_dir)
     plan = load_plan(store)
     trajectories = plan_trajectories(plan, store.records())
     for t in trajectories:
-        condition = plan.conditions[t.condition_index]
-        _BlockRunner(plan, t.condition_index, condition, t.repetition, t.block_index,
-                     store, templates, None, []).replay(t.records)
+        _run_block(plan, t.condition_index, t.repetition, t.block_index, t.records, [],
+                   len(t.records))
     return sum(len(t.records) for t in trajectories)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .model import ScenarioConfig, profit
@@ -25,32 +25,6 @@ from .model import ScenarioConfig, profit
 MANIFEST_NAME = "manifest.json"
 ROUNDS_NAME = "rounds.jsonl"
 STORE_FORMAT = "nvlab-run/1"
-
-# serialization order for one record line; timestamps last so diffs that
-# exclude them are trivial
-_RECORD_FIELDS = (
-    "run_id",
-    "condition_index",
-    "agent",
-    "experiment",
-    "dist",
-    "order_condition",
-    "repetition",
-    "block_index",
-    "margin",
-    "round_index",
-    "order",
-    "demand",
-    "profit",
-    "cumulative_profit",
-    "parse_confidence",
-    "prompt_sha256",
-    "raw_response",
-    "retries",
-    "token_usage",
-    "ts_start",
-    "ts_end",
-)
 
 TIMESTAMP_FIELDS = ("ts_start", "ts_end")
 
@@ -69,7 +43,11 @@ def canonical_json(obj) -> str:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One persisted round of one trajectory."""
+    """One persisted round of one trajectory.
+
+    The fields are declared in their serialization order; timestamps come
+    last so diffs that exclude them are trivial.
+    """
 
     run_id: str
     condition_index: int
@@ -94,9 +72,8 @@ class RoundRecord:
     ts_end: float = 0.0
 
     def to_line(self) -> str:
-        data = asdict(self)
-        ordered = {key: data[key] for key in _RECORD_FIELDS}
-        return json.dumps(ordered, separators=(",", ":"))
+        return json.dumps({key: getattr(self, key) for key in _RECORD_FIELDS},
+                          separators=(",", ":"))
 
     @classmethod
     def from_line(cls, line: str, lineno: int) -> "RoundRecord":
@@ -111,6 +88,9 @@ class RoundRecord:
 
     def identity(self) -> tuple:
         return (self.condition_index, self.order_condition, self.repetition, self.block_index)
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(RoundRecord))
 
 
 @dataclass

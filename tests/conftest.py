@@ -15,7 +15,7 @@ def pytest_runtest_logreport(report):
 
 from nvlab.agents import AgentSpec
 from nvlab.model import ScenarioConfig, profit, scenario
-from nvlab.prompts import default_templates, render_prompt
+from nvlab.prompts import render_prompt
 from nvlab.runner import ExperimentPlan, PlanCondition, build_manifest, round_context
 from nvlab.store import RoundRecord, RunStore, Trajectory, sha256_text
 
@@ -29,6 +29,8 @@ class StubChatServer(ThreadingHTTPServer):
                        logical request when the client retries once
       "always-429"  -- rate-limit every request
       "unauthorized"-- reject every request with 401
+      "garbage"     -- answer 200 with an unreadable body, cycling through
+                       not JSON, not UTF-8, and cut short of its Content-Length
     """
 
     daemon_threads = True
@@ -61,6 +63,15 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         if mode == "always-429" or (mode == "flaky" and count % 2 == 1):
             self._send_status(429)
+            return
+        if mode == "garbage":
+            kind = (count - 1) % 3
+            payload = (b"<html>bad gateway</html>", b'{"text": "\xff"}', b'{"choices": [')[kind]
+            self.send_response(200)
+            # the last kind promises more bytes than it sends before the close
+            self.send_header("Content-Length", str(len(payload) + (64 if kind == 2 else 0)))
+            self.end_headers()
+            self.wfile.write(payload)
             return
         text = self.server.reply_fn(body)
         payload = json.dumps(
@@ -157,7 +168,7 @@ def write_replay_store(run_dir, rows, reps=10, rounds=10):
     )
     plan = ExperimentPlan(conditions)
     store = RunStore(run_dir)
-    store.create(build_manifest(plan, default_templates()))
+    store.create(build_manifest(plan))
     for condition_index, (dist, label, mean_high, mean_low) in enumerate(rows):
         for block_index, mean in ((1, mean_high), (2, mean_low)):
             margin = "high" if block_index == 1 else "low"

@@ -14,7 +14,6 @@ import pytest
 from nvlab.agents import AgentSpec, ParsePolicy
 from nvlab.config import RunConfig, build_plan
 from nvlab.model import DIST_KINDS
-from nvlab.prompts import default_templates
 from nvlab.report import build_report
 from nvlab.runner import (
     ExperimentPlan,
@@ -88,7 +87,7 @@ def test_golden_manifest_of_llm_plan():
     agent = AgentSpec("llm", model_name="m", temperature=0.7, parse_policy=policy)
     plan = ExperimentPlan((PlanCondition("E2-formula", "lognormal", agent, "low-first",
                                          repetitions=3, rounds_per_block=5, base_seed=4),))
-    manifest = json.dumps(build_manifest(plan, default_templates()), indent=2, sort_keys=True)
+    manifest = json.dumps(build_manifest(plan), indent=2, sort_keys=True)
     assert _sha(manifest.encode("utf-8")) == GOLDEN_LLM_MANIFEST
 
 

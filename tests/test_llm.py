@@ -128,3 +128,12 @@ def test_shared_bucket_rate_limits_real_requests(stub_server):
         client.chat(MESSAGES)
     elapsed = time.monotonic() - started
     assert elapsed >= 0.009  # two spaced requests at 5 ms each
+
+
+def test_unreadable_200_bodies_are_retried_then_raise_transport_error(stub_server):
+    # one request each: not JSON, not UTF-8, truncated
+    stub_server.mode = "garbage"
+    client = make_client(stub_server, max_retries=2)
+    with pytest.raises(TransportError, match="exhausted 2 retries"):
+        client.chat(MESSAGES)
+    assert len(stub_server.requests) == 3

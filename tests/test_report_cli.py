@@ -9,8 +9,8 @@ from nvlab.cli import main
 from nvlab.config import ConfigError, RunConfig, build_plan
 from nvlab.agents import AgentSpec
 from nvlab.report import ReportError, build_report, load_trajectories
-from nvlab.runner import ExperimentPlan, PlanCondition, run_plan
-from nvlab.store import strip_timestamps
+from nvlab.runner import ExperimentPlan, PlanCondition, load_plan, plan_trajectories, run_plan
+from nvlab.store import RunStore, strip_timestamps
 
 
 def read_csv(path):
@@ -294,8 +294,8 @@ def test_load_trajectories_excludes_incomplete(tmp_path):
     (run_dir / "rounds.jsonl").write_text("\n".join(lines[:-3]) + "\n")
     complete = load_trajectories([run_dir])
     assert len(complete) == 3
-    everything = load_trajectories([run_dir], include_incomplete=True)
-    assert len(everything) == 4
+    store = RunStore(run_dir)
+    assert len(plan_trajectories(load_plan(store), store.records())) == 4
 
 
 def test_report_requires_complete_trajectories(tmp_path):

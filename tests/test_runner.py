@@ -221,3 +221,42 @@ def test_store_refuses_double_create(tmp_path):
     run_plan(plan, tmp_path / "run")
     with pytest.raises(IntegrityError):
         run_plan(plan, tmp_path / "run")
+
+
+def test_unreadable_response_is_a_transport_failure(tmp_path, stub_server):
+    stub_server.mode = "garbage"
+    agent = AgentSpec("llm", model_name="test-model")
+    plan = small_plan(agent=agent, orders=("high-first",), reps=1, rounds=3)
+
+    def factory(spec):
+        return ChatClient(stub_server.url, spec.model_name, api_key="k",
+                          max_retries=2, backoff_base=0.001)
+
+    outcome = run_plan(plan, tmp_path / "run", client_factory=factory)
+    assert [(f.block_index, f.round_index, f.kind) for f in outcome.failures] == [
+        (1, 1, "transport")]
+    assert RunStore(tmp_path / "run").records() == []
+
+
+def test_resume_of_truncated_random_run_matches_uninterrupted_run(tmp_path):
+    # the random agent's rng must advance over the replayed rounds
+    plan = small_plan(agent=AgentSpec("random"), reps=2, rounds=6)
+    run_plan(plan, tmp_path / "full")
+    full = stripped_lines(tmp_path / "full")
+    run_plan(plan, tmp_path / "cut")
+    rounds_path = tmp_path / "cut" / "rounds.jsonl"
+    lines = rounds_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rounds_path.write_text("".join(lines[:9]), encoding="utf-8")  # mid block 2 of rep 0
+
+    assert resume(tmp_path / "cut").complete
+    assert sorted(stripped_lines(tmp_path / "cut")) == sorted(full)
+
+
+def test_verify_prompt_hashes_of_incomplete_store_writes_nothing(tmp_path):
+    run_plan(small_plan(agent=CHASER, reps=1, rounds=5), tmp_path / "run")
+    rounds_path = tmp_path / "run" / "rounds.jsonl"
+    lines = rounds_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rounds_path.write_text("".join(lines[:7]), encoding="utf-8")
+    before = rounds_path.read_bytes()
+    assert verify_prompt_hashes(tmp_path / "run") == 7
+    assert rounds_path.read_bytes() == before
