@@ -21,10 +21,8 @@ from nvlab.metrics import (
     mean_order_profit_efficiency,
 )
 
-workdir = Path(tempfile.mkdtemp(prefix="nvlab-demo-"))
 
-
-def run_agent(agent, reps=3, seed=11):
+def run_agent(workdir, agent, reps=3, seed=11):
     plan = ExperimentPlan(tuple(
         PlanCondition("E1-baseline", "uniform", agent, order, repetitions=reps, base_seed=seed)
         for order in ("high-first", "low-first")
@@ -36,39 +34,41 @@ def pool(trajectories, margin):
     return [t for t in trajectories if t.scenario.margin == margin]
 
 
-# --- the optimal agent is the all-zeros baseline ------------------------------
-outcome = run_agent(AgentSpec("optimal"))
-high = pool(outcome.trajectories, "high")
-print("optimal agent, high-margin blocks:")
-print("  order bias:", bias_stats(high).order_bias)
-print("  profit efficiency:", mean_order_profit_efficiency(high), "%")
-print("  adjustment shares:", direction_shares(
-    [e for t in high for e in classify_adjustments(t)]))
-print()
+# the run stores live in a temporary directory removed at the end
+with tempfile.TemporaryDirectory(prefix="nvlab-demo-") as tmp:
+    workdir = Path(tmp)
 
-# --- the mean-anchor agent's w is recovered as the adjustment score -----------
-print("mean-anchor agents: measured adjustment score vs configured w")
-for w in (0.0, 0.25, 0.5, 0.75, 1.0):
-    outcome = run_agent(AgentSpec("mean-anchor", anchor_weight=w))
-    measured_high = anchor_stats(pool(outcome.trajectories, "high")).mas
-    measured_low = anchor_stats(pool(outcome.trajectories, "low")).mas
-    print(f"  w={w:<5} recovered high={measured_high:+.3f} low={measured_low:+.3f}")
-print()
+    # --- the optimal agent is the all-zeros baseline --------------------------
+    outcome = run_agent(workdir, AgentSpec("optimal"))
+    high = pool(outcome.trajectories, "high")
+    print("optimal agent, high-margin blocks:")
+    print("  order bias:", bias_stats(high).order_bias)
+    print("  profit efficiency:", mean_order_profit_efficiency(high), "%")
+    print("  adjustment shares:", direction_shares(
+        [e for t in high for e in classify_adjustments(t)]))
+    print()
 
-# --- the demand-chaser is pure demand-chasing ---------------------------------
-outcome = run_agent(AgentSpec("demand-chaser", chase_rate=1.0))
-events = [e for t in outcome.trajectories for e in classify_adjustments(t)]
-moved = [e for e in events if e.prior_error != 0]
-toward = sum(e.direction == "toward" for e in moved) / len(moved) * 100
-print(f"demand-chaser (alpha=1): {toward:.1f}% of nonzero-error rounds move toward demand")
-print()
+    # --- the mean-anchor agent's w is recovered as the adjustment score -------
+    print("mean-anchor agents: measured adjustment score vs configured w")
+    for w in (0.0, 0.25, 0.5, 0.75, 1.0):
+        outcome = run_agent(workdir, AgentSpec("mean-anchor", anchor_weight=w))
+        measured_high = anchor_stats(pool(outcome.trajectories, "high")).mas
+        measured_low = anchor_stats(pool(outcome.trajectories, "low")).mas
+        print(f"  w={w:<5} recovered high={measured_high:+.3f} low={measured_low:+.3f}")
+    print()
 
-# --- a chase-rate switch shows up as a jump in error responsiveness -----------
-outcome = run_agent(AgentSpec("demand-chaser", chase_rate=1.0, switch_round=8))
-sample = outcome.trajectories[0]
-stats = learning_stats(sample)
-print("chase switch at round 8, one trajectory:")
-print(f"  early-stage R^2 = {stats.early_r2:.2f}, late-stage R^2 = {stats.late_r2:.2f}, "
-      f"delta = {stats.delta_r2:+.2f}")
-print()
-print("run stores written under", workdir)
+    # --- the demand-chaser is pure demand-chasing -----------------------------
+    outcome = run_agent(workdir, AgentSpec("demand-chaser", chase_rate=1.0))
+    events = [e for t in outcome.trajectories for e in classify_adjustments(t)]
+    moved = [e for e in events if e.prior_error != 0]
+    toward = sum(e.direction == "toward" for e in moved) / len(moved) * 100
+    print(f"demand-chaser (alpha=1): {toward:.1f}% of nonzero-error rounds move toward demand")
+    print()
+
+    # --- a chase-rate switch shows up as a jump in error responsiveness -------
+    outcome = run_agent(workdir, AgentSpec("demand-chaser", chase_rate=1.0, switch_round=8))
+    sample = outcome.trajectories[0]
+    stats = learning_stats(sample)
+    print("chase switch at round 8, one trajectory:")
+    print(f"  early-stage R^2 = {stats.early_r2:.2f}, late-stage R^2 = {stats.late_r2:.2f}, "
+          f"delta = {stats.delta_r2:+.2f}")

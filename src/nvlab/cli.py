@@ -9,6 +9,10 @@ Subcommands::
     nvlab validate-prompts render the pinned contexts and diff against the
                            golden prompt files
 
+``-v`` (or ``--log-level INFO``) before the subcommand logs one line per
+chat request and every unresolved round to stderr, tagged with the thread
+that made it.
+
 Exit codes: 0 success, 2 configuration error, 3 transport failure,
 4 parse-ambiguity failure, 5 store-integrity failure.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from pathlib import Path
@@ -36,6 +41,7 @@ EXIT_PARSE = 4
 EXIT_INTEGRITY = 5
 
 AGENT_CHOICES = ("llm",) + SCRIPTED_KINDS
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
 def _build_agents(args, config: RunConfig) -> list[AgentSpec]:
@@ -97,7 +103,8 @@ def _client_factory(config: RunConfig, api_key: str):
 def _execute_plans(config: RunConfig, agents, client_factory, resume_dir) -> int:
     if resume_dir is not None:
         outcomes = [runner_mod.resume(resume_dir, client_factory=client_factory,
-                                      progress=lambda msg: print(msg, flush=True))]
+                                      progress=lambda msg: print(msg, flush=True),
+                                      workers=config.concurrency)]
     else:
         outcomes = []
         for agent in agents:
@@ -106,7 +113,7 @@ def _execute_plans(config: RunConfig, agents, client_factory, resume_dir) -> int
             print(f"running {agent.label} -> {run_dir}", flush=True)
             outcome = runner_mod.run_plan(
                 plan, run_dir, client_factory=client_factory,
-                progress=lambda msg: print(msg, flush=True),
+                progress=lambda msg: print(msg, flush=True), workers=config.concurrency,
             )
             outcomes.append(outcome)
 
@@ -221,6 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nvlab",
         description="Dynamic newsvendor ordering experiments and bias metrics.",
     )
+    parser.add_argument("--log-level", choices=LOG_LEVELS, default="WARNING",
+                        help="log to stderr from this level up (default: WARNING)")
+    parser.add_argument("-v", dest="log_level", action="store_const", const="INFO",
+                        help="same as --log-level INFO: one line per chat request")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="execute a plan (LLM or scripted agents)")
@@ -247,6 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the thread name tells concurrent repetitions' request lines apart
+    logging.basicConfig(level=args.log_level,
+                        format="%(asctime)s %(levelname)s %(threadName)s %(name)s: %(message)s")
     if getattr(args, "agent", None) is None and hasattr(args, "default_agents"):
         args.agent = list(args.default_agents)
     try:

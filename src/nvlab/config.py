@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import model
 from .agents import AgentSpec
-from .runner import ORDER_CONDITIONS, ExperimentPlan, PlanCondition
+from .runner import LLM_WORKERS, ORDER_CONDITIONS, ExperimentPlan, PlanCondition
 
 EXPERIMENT_ALIASES = {
     "E1": model.E1, "E2": model.E2, "E3": model.E3,
@@ -55,6 +55,8 @@ class RunConfig:
     backoff_base: float = 0.5
     request_budget: int | None = None
     rate_limit_per_minute: float | None = None
+    # repetitions decided at once; providers cap concurrent requests per key
+    concurrency: int = LLM_WORKERS
 
     def __post_init__(self):
         self.models = tuple(self.models)
@@ -87,6 +89,8 @@ class RunConfig:
             raise ConfigError(f"temperature: must be >= 0, got {self.temperature}")
         if self.max_retries < 0:
             raise ConfigError(f"max_retries: must be >= 0, got {self.max_retries}")
+        if self.concurrency < 1:
+            raise ConfigError(f"concurrency: must be >= 1, got {self.concurrency}")
         if self.request_budget is not None and self.request_budget < 1:
             raise ConfigError(f"request_budget: must be >= 1, got {self.request_budget}")
         if not self.endpoint:

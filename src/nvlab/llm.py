@@ -8,10 +8,11 @@ environment, never from code.
 
 Transient failures (HTTP 429/5xx, connection errors, timeouts, and a 200
 whose body is truncated, not UTF-8 or not JSON) are retried with exponential
-backoff; auth and request-shape errors (4xx) surface immediately. A token
-bucket smooths bursts and an optional per-run request budget hard-stops
-runaway spend. Every request is logged with timestamps, retry count and token
-usage.
+backoff, waiting longer when a 429 or 503 carries a ``Retry-After`` delay in
+seconds (at most the request timeout); auth and request-shape errors (4xx)
+surface immediately. A token bucket smooths bursts and an optional per-run
+request budget hard-stops runaway spend. Every request is logged with
+timestamps, retry count and token usage.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import math
 import threading
 import time
 import urllib.error
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 log = logging.getLogger(__name__)
 
 RETRYABLE_STATUS = (429, 500, 502, 503, 504)
+RETRY_AFTER_STATUS = (429, 503)
 
 
 class TransportError(RuntimeError):
@@ -131,9 +134,13 @@ class ChatClient:
         ).encode("utf-8")
 
         last_error = None
+        retry_after = None
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
                 delay = self.backoff_base * (2 ** (attempt - 1))
+                if retry_after is not None:
+                    delay = max(delay, min(retry_after, self.timeout))
+                    retry_after = None
                 log.info("retrying in %.2fs (attempt %d/%d): %s",
                          delay, attempt, self.max_retries, last_error)
                 self._sleeper(delay)
@@ -150,6 +157,8 @@ class ChatClient:
                     raise AuthError(f"credential rejected: {detail}") from exc
                 if exc.code in RETRYABLE_STATUS:
                     last_error = detail
+                    if exc.code in RETRY_AFTER_STATUS:
+                        retry_after = _retry_after_seconds(exc.headers)
                     continue
                 raise TransportError(detail) from exc
             except (urllib.error.URLError, TimeoutError, ConnectionError) as exc:
@@ -173,3 +182,12 @@ class ChatClient:
             return ChatResult(text=text, usage=usage, retries=attempt)
 
         raise TransportError(f"exhausted {self.max_retries} retries: {last_error}")
+
+
+def _retry_after_seconds(headers) -> float | None:
+    """The delta-seconds of a ``Retry-After`` header; None if absent or not a number."""
+    try:
+        seconds = float(headers.get("Retry-After"))
+    except (AttributeError, TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None

@@ -17,20 +17,33 @@ the model experiences the margin switch inside a single interaction. Scripted
 agents ignore transcripts. Set ``transcript_continuity=False`` to isolate
 blocks instead.
 
-One loop, `_run_block`, walks the rounds of a block for fresh runs, `resume`
-and `verify_prompt_hashes` alike. It first replays the rounds already in the
-store: each one's prompt is re-rendered and its hash checked, its demand is
-checked against the seeded draw, and the transcript and agent rng advance as
-if it had just been decided. It then decides the remaining rounds, appending
-each to the store before the next one starts. An unresolved round (transport
-or parse failure after retries) stops the block and leaves its trajectory
-incomplete for `resume`.
+Each (condition, repetition) is one unit of work: its blocks 1 and 2 run in
+order, each through `_Block.walk`, the one round loop that fresh runs,
+`resume` and `verify_prompt_hashes` share. A walk checks a stored round (its
+prompt is re-rendered and its hash compared, its demand compared with the
+seeded draw) and advances the transcript and agent rng as if it had just been
+decided; later rounds are decided and appended to the store one at a time.
+`resume` walks every stored round of the plan before it decides any, so a
+corrupt store is refused before anything is appended. An unresolved round
+(transport or parse failure after retries) stops its block and leaves the
+trajectory incomplete for `resume`.
+
+Plans with an LLM condition run their units on one pool of up to ``workers``
+threads (`LLM_WORKERS` by default), since each repetition is its own
+conversation and its rounds mostly wait on the endpoint; the store then
+interleaves repetitions, and nothing downstream depends on line order. Any
+exception other than an unresolved round, in a unit or in the caller (such
+as KeyboardInterrupt), stops the run: no unit decides another round,
+pending units are dropped, and the exception is re-raised once the rounds in
+flight are stored. Scripted plans are CPU-bound and run their units in order
+on the calling thread, so their store bytes are reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -61,6 +74,7 @@ log = logging.getLogger(__name__)
 HIGH_FIRST = "high-first"
 LOW_FIRST = "low-first"
 ORDER_CONDITIONS = (HIGH_FIRST, LOW_FIRST)
+LLM_WORKERS = 8  # units an LLM run decides at once unless told otherwise
 
 
 def derive_seed(base_seed: int, repetition: int, block_index: int, salt: str = "demand") -> int:
@@ -223,93 +237,126 @@ def round_context(scenario: model.ScenarioConfig, round_index: int,
     )
 
 
-def _run_block(plan, condition_index, repetition, block_index, stored, transcript, rounds,
-               run_id=None, store=None, client=None) -> RoundFailure | None:
-    """Replay the ``stored`` rounds of one block, then decide the rest up to ``rounds``.
+class _Block:
+    """One (condition, repetition, block): its seeded demand draws, agent rng and progress.
 
-    A stored round is checked (re-rendered prompt hash, then seeded demand
-    draw) and advances the agent rng and transcript as deciding it did; a
-    later round is decided, recorded under ``run_id`` in ``store`` and added
-    to the transcript. Returns the failure that stopped the block, if any.
+    `walk` advances it round by round and can be called again to go further,
+    so a block's stored rounds can be replayed long before its first new
+    round is decided. ``messages`` holds the block's conversation turns for
+    an LLM agent; scripted agents ignore transcripts, so theirs is None.
     """
-    condition = plan.conditions[condition_index]
-    scenario = condition.scenario_for_block(block_index)
-    draws = model.sample_sequence(
-        scenario.demand, condition.rounds_per_block,
-        derive_seed(condition.base_seed, repetition, block_index),
-    ).draws
-    agent_rng = np.random.default_rng(
-        derive_seed(condition.base_seed, repetition, block_index, salt="agent")
-    )
-    last = None
-    for round_index in range(1, rounds + 1):
-        ctx = round_context(scenario, round_index, last)
-        prompt = render_prompt(ctx)
-        prompt_sha256 = sha256_text(prompt)
-        demand = draws[round_index - 1]
-        if round_index <= len(stored):
-            record = stored[round_index - 1]
-            problem = None
-            if prompt_sha256 != record.prompt_sha256:
-                problem = "stored prompt hash does not match the re-rendered prompt"
-            elif demand != record.demand:
-                problem = f"stored demand {record.demand} does not match the seeded draw {demand}"
-            if problem:
-                raise IntegrityError(
-                    f"record (condition={condition_index}, rep={repetition}, "
-                    f"block={block_index}, round={round_index}): {problem}"
-                )
-            if condition.agent.kind == RANDOM:
-                agent_rng.integers(scenario.demand.lower, scenario.demand.upper + 1)
-        else:
-            ts_start = time.time()
-            try:
-                decision = decide(condition.agent, prompt, ctx, rng=agent_rng, client=client,
-                                  transcript=transcript)
-            except (AmbiguousDecisionError, TransportError) as exc:
-                kind = "parse" if isinstance(exc, AmbiguousDecisionError) else "transport"
-                log.warning(
-                    "unresolved round: condition=%d rep=%d block=%d round=%d (%s): %s",
-                    condition_index, repetition, block_index, round_index, kind, exc,
-                )
-                return RoundFailure(condition_index, condition.order_condition, repetition,
-                                    block_index, round_index, kind, str(exc))
-            round_profit = model.profit(decision.order, demand, scenario.cost)
-            record = RoundRecord(
-                run_id=run_id,
-                condition_index=condition_index,
-                agent=condition.agent.label,
-                experiment=condition.experiment,
-                dist=condition.dist_kind,
-                order_condition=condition.order_condition,
-                repetition=repetition,
-                block_index=block_index,
-                margin=scenario.margin,
-                round_index=round_index,
-                order=decision.order,
-                demand=demand,
-                profit=round_profit,
-                cumulative_profit=(last.cumulative_profit if last else 0) + round_profit,
-                parse_confidence=decision.parse_confidence,
-                prompt_sha256=prompt_sha256,
-                raw_response=decision.raw_response,
-                retries=decision.retries,
-                token_usage=decision.token_usage,
-                ts_start=ts_start,
-                ts_end=time.time(),
+
+    def __init__(self, plan, condition_index, repetition, block_index, stored=()):
+        self.condition_index = condition_index
+        self.repetition = repetition
+        self.block_index = block_index
+        self.condition = condition = plan.conditions[condition_index]
+        self.scenario = condition.scenario_for_block(block_index)
+        self.stored = stored
+        self.draws = model.sample_sequence(
+            self.scenario.demand, condition.rounds_per_block,
+            derive_seed(condition.base_seed, repetition, block_index),
+        ).draws
+        # only the random agent draws from it; a resume holds every stored block at once
+        self.agent_rng = None
+        if condition.agent.kind == RANDOM:
+            self.agent_rng = np.random.default_rng(
+                derive_seed(condition.base_seed, repetition, block_index, salt="agent")
             )
-            store.append(record)
-        transcript.append({"role": "user", "content": prompt})
-        transcript.append({"role": "assistant", "content": record.raw_response})
-        last = record
-    return None
+        self.messages = [] if condition.agent.kind == LLM else None
+        self.last = None
+        self.walked = 0
+
+    def walk(self, rounds, earlier=(), run_id=None, store=None, client=None,
+             stop=None) -> RoundFailure | None:
+        """Walk on to round ``rounds``: check the stored rounds, decide the later ones.
+
+        A stored round is checked (re-rendered prompt hash, then seeded demand
+        draw) and advances the agent rng as deciding it did. A later round is
+        decided with the ``earlier`` conversation turns before this block's,
+        and recorded under ``run_id`` in ``store``; no round is decided once
+        ``stop`` is set. Returns the failure that stopped the block, if any.
+        """
+        condition, scenario = self.condition, self.scenario
+        while self.walked < rounds:
+            round_index = self.walked + 1
+            ctx = round_context(scenario, round_index, self.last)
+            prompt = render_prompt(ctx)
+            prompt_sha256 = sha256_text(prompt)
+            demand = self.draws[round_index - 1]
+            if round_index <= len(self.stored):
+                record = self.stored[round_index - 1]
+                problem = None
+                if prompt_sha256 != record.prompt_sha256:
+                    problem = "stored prompt hash does not match the re-rendered prompt"
+                elif demand != record.demand:
+                    problem = (f"stored demand {record.demand} does not match "
+                               f"the seeded draw {demand}")
+                if problem:
+                    raise IntegrityError(
+                        f"record (condition={self.condition_index}, rep={self.repetition}, "
+                        f"block={self.block_index}, round={round_index}): {problem}"
+                    )
+                if condition.agent.kind == RANDOM:
+                    self.agent_rng.integers(scenario.demand.lower, scenario.demand.upper + 1)
+            else:
+                if stop.is_set():
+                    return None
+                transcript = None if self.messages is None else [*earlier, *self.messages]
+                ts_start = time.time()
+                try:
+                    decision = decide(condition.agent, prompt, ctx, rng=self.agent_rng,
+                                      client=client, transcript=transcript)
+                except (AmbiguousDecisionError, TransportError) as exc:
+                    kind = "parse" if isinstance(exc, AmbiguousDecisionError) else "transport"
+                    log.warning(
+                        "unresolved round: condition=%d rep=%d block=%d round=%d (%s): %s",
+                        self.condition_index, self.repetition, self.block_index, round_index,
+                        kind, exc,
+                    )
+                    return RoundFailure(self.condition_index, condition.order_condition,
+                                        self.repetition, self.block_index, round_index, kind,
+                                        str(exc))
+                round_profit = model.profit(decision.order, demand, scenario.cost)
+                record = RoundRecord(
+                    run_id=run_id,
+                    condition_index=self.condition_index,
+                    agent=condition.agent.label,
+                    experiment=condition.experiment,
+                    dist=condition.dist_kind,
+                    order_condition=condition.order_condition,
+                    repetition=self.repetition,
+                    block_index=self.block_index,
+                    margin=scenario.margin,
+                    round_index=round_index,
+                    order=decision.order,
+                    demand=demand,
+                    profit=round_profit,
+                    cumulative_profit=(self.last.cumulative_profit if self.last else 0)
+                    + round_profit,
+                    parse_confidence=decision.parse_confidence,
+                    prompt_sha256=prompt_sha256,
+                    raw_response=decision.raw_response,
+                    retries=decision.retries,
+                    token_usage=decision.token_usage,
+                    ts_start=ts_start,
+                    ts_end=time.time(),
+                )
+                store.append(record)
+            if self.messages is not None:
+                self.messages += ({"role": "user", "content": prompt},
+                                  {"role": "assistant", "content": record.raw_response})
+            self.last = record
+            self.walked = round_index
+        return None
 
 
-def _execute(plan, store, client_factory, existing: list[Trajectory], progress) -> RunOutcome:
+def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
+             workers) -> RunOutcome:
     """Shared driver for fresh runs (no trajectories) and resumes."""
-    by_identity = {t.records[0].identity(): t.records for t in existing}
-    run_id = plan.run_id()
-    failures: list[RoundFailure] = []
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    clients = []
     for condition_index, condition in enumerate(plan.conditions):
         client = None
         if condition.agent.kind == LLM:
@@ -318,51 +365,102 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress) 
                     f"condition {condition_index} needs a chat client; pass client_factory"
                 )
             client = client_factory(condition.agent)
-        for repetition in range(condition.repetitions):
-            transcript: list[dict] = []
+        clients.append(client)
+    # every stored round is checked before the first decide, so a corrupt
+    # store is refused before anything is appended or paid for
+    replayed = {}
+    for t in existing:
+        block = _Block(plan, t.condition_index, t.repetition, t.block_index, t.records)
+        block.walk(len(t.records))
+        replayed[t.records[0].identity()] = block
+
+    run_id = plan.run_id()
+    stop = threading.Event()
+    progress_lock = threading.Lock()
+
+    def run_unit(condition_index, repetition) -> list[RoundFailure]:
+        """Blocks 1 then 2 of one repetition; sets ``stop`` if anything but a round fails."""
+        condition = plan.conditions[condition_index]
+        rounds = condition.rounds_per_block
+        failures = []
+        earlier = []
+        try:
             for block_index in (1, 2):
-                if not plan.transcript_continuity:
-                    transcript = []
+                if stop.is_set():
+                    break
                 identity = (condition_index, condition.order_condition, repetition, block_index)
-                stored = by_identity.get(identity, [])
-                if progress and len(stored) < condition.rounds_per_block:
-                    progress(
-                        f"condition {condition_index} ({condition.agent.label}, "
-                        f"{condition.experiment}, {condition.dist_kind}, "
-                        f"{condition.order_condition}) rep {repetition + 1}/"
-                        f"{condition.repetitions} block {block_index}"
-                    )
-                failure = _run_block(plan, condition_index, repetition, block_index, stored,
-                                     transcript, condition.rounds_per_block,
-                                     run_id, store, client)
+                block = replayed.get(identity) or _Block(plan, condition_index, repetition,
+                                                         block_index)
+                if progress and block.walked < rounds:
+                    with progress_lock:
+                        progress(
+                            f"condition {condition_index} ({condition.agent.label}, "
+                            f"{condition.experiment}, {condition.dist_kind}, "
+                            f"{condition.order_condition}) rep {repetition + 1}/"
+                            f"{condition.repetitions} block {block_index}"
+                        )
+                failure = block.walk(rounds, earlier, run_id, store, clients[condition_index],
+                                     stop)
                 if failure is not None:
                     failures.append(failure)
                     # without block 1's full transcript, block 2 would see a
                     # different history than a completed run; leave it for resume
                     if plan.transcript_continuity:
                         break
+                if plan.transcript_continuity and block.messages:
+                    earlier = earlier + block.messages
+        except BaseException:
+            stop.set()
+            raise
+        return failures
 
+    units = [(condition_index, repetition)
+             for condition_index, condition in enumerate(plan.conditions)
+             for repetition in range(condition.repetitions)]
+    failures = []
+    if any(condition.agent.kind == LLM for condition in plan.conditions):
+        # imported here so that scripted runs and `import nvlab` do not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(min(workers, len(units)), "nvlab-unit") as pool:
+            try:
+                futures = [pool.submit(run_unit, *unit) for unit in units]
+                for future in futures:
+                    failures += future.result()
+            except BaseException:
+                stop.set()
+                pool.shutdown(cancel_futures=True)
+                raise
+    else:
+        for unit in units:
+            failures += run_unit(*unit)
+    failures.sort(key=lambda f: (f.condition_index, f.order_condition, f.repetition,
+                                 f.block_index, f.round_index))
     return RunOutcome(run_id, store, plan_trajectories(plan, store.records()), failures)
 
 
-def run_plan(plan: ExperimentPlan, run_dir, client_factory=None, progress=None) -> RunOutcome:
-    """Execute a plan into a fresh run directory and persist every round."""
+def run_plan(plan: ExperimentPlan, run_dir, client_factory=None, progress=None,
+             workers=LLM_WORKERS) -> RunOutcome:
+    """Execute a plan into a fresh run directory and persist every round.
+
+    An LLM plan decides up to ``workers`` repetitions at once.
+    """
     store = RunStore(run_dir)
     store.create(build_manifest(plan))
-    return _execute(plan, store, client_factory, [], progress)
+    return _execute(plan, store, client_factory, [], progress, workers)
 
 
-def resume(run_dir, client_factory=None, progress=None) -> RunOutcome:
+def resume(run_dir, client_factory=None, progress=None, workers=LLM_WORKERS) -> RunOutcome:
     """Finish incomplete blocks of a stored run; completed blocks are untouched.
 
     Verifies the manifest's plan hash and every stored round's prompt hash and
-    seeded demand draw before continuing; a completed run is a no-op.
+    seeded demand draw before deciding anything; a completed run is a no-op.
+    An LLM plan decides up to ``workers`` repetitions at once.
     """
     store = RunStore(run_dir)
     plan = load_plan(store)
-    # surfaces corrupted rounds before any new work
     existing = plan_trajectories(plan, store.records())
-    return _execute(plan, store, client_factory, existing, progress)
+    return _execute(plan, store, client_factory, existing, progress, workers)
 
 
 def verify_prompt_hashes(run_dir) -> int:
@@ -376,6 +474,6 @@ def verify_prompt_hashes(run_dir) -> int:
     plan = load_plan(store)
     trajectories = plan_trajectories(plan, store.records())
     for t in trajectories:
-        _run_block(plan, t.condition_index, t.repetition, t.block_index, t.records, [],
-                   len(t.records))
+        _Block(plan, t.condition_index, t.repetition, t.block_index, t.records).walk(
+            len(t.records))
     return sum(len(t.records) for t in trajectories)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -131,6 +132,7 @@ class RunStore:
 
     def __init__(self, run_dir: Path | str):
         self.run_dir = Path(run_dir)
+        self._append_lock = threading.Lock()
 
     @property
     def manifest_path(self) -> Path:
@@ -161,8 +163,10 @@ class RunStore:
             raise IntegrityError(f"manifest.json is malformed: {exc}") from exc
 
     def append(self, record: RoundRecord):
-        with self.rounds_path.open("a", encoding="utf-8") as handle:
-            handle.write(record.to_line() + "\n")
+        """Append one line; safe to call from several threads at once."""
+        line = record.to_line() + "\n"
+        with self._append_lock, self.rounds_path.open("a", encoding="utf-8") as handle:
+            handle.write(line)
 
     def records(self) -> list[RoundRecord]:
         if not self.rounds_path.exists():

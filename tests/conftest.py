@@ -28,6 +28,7 @@ class StubChatServer(ThreadingHTTPServer):
       "flaky"       -- alternate 429 / 200, i.e. one rate-limit failure per
                        logical request when the client retries once
       "always-429"  -- rate-limit every request
+      "retry-after" -- rate-limit every request with ``Retry-After: <retry_after>``
       "unauthorized"-- reject every request with 401
       "garbage"     -- answer 200 with an unreadable body, cycling through
                        not JSON, not UTF-8, and cut short of its Content-Length
@@ -39,6 +40,7 @@ class StubChatServer(ThreadingHTTPServer):
         super().__init__(("127.0.0.1", 0), _StubHandler)
         self.mode = "ok"
         self.reply_fn = lambda body: "After weighing the trade-off, I will order 150 wodgets."
+        self.retry_after = "1"
         self.requests = []
         self.counter = 0
         self.lock = threading.Lock()
@@ -64,6 +66,9 @@ class _StubHandler(BaseHTTPRequestHandler):
         if mode == "always-429" or (mode == "flaky" and count % 2 == 1):
             self._send_status(429)
             return
+        if mode == "retry-after":
+            self._send_status(429, {"Retry-After": self.server.retry_after})
+            return
         if mode == "garbage":
             kind = (count - 1) % 3
             payload = (b"<html>bad gateway</html>", b'{"text": "\xff"}', b'{"choices": [')[kind]
@@ -86,8 +91,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _send_status(self, code):
+    def _send_status(self, code, headers=None):
         self.send_response(code)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Length", "0")
         self.end_headers()
 

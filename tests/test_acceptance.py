@@ -234,7 +234,9 @@ def test_criterion_9_resilience_one_retry_per_injected_failure(tmp_path, stub_se
         return ChatClient(stub_server.url, spec.model_name, api_key="k",
                           max_retries=3, backoff_base=0.001)
 
-    outcome = run_plan(plan, tmp_path / "run", client_factory=factory)
+    # the stub alternates 429 / 200 over all requests, which is one failure
+    # per logical request only when requests are sent one at a time
+    outcome = run_plan(plan, tmp_path / "run", client_factory=factory, workers=1)
     assert outcome.complete
     records = RunStore(tmp_path / "run").records()
     assert len(records) == 300  # 10 repetitions x 2 blocks x 15 rounds

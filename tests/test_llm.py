@@ -87,6 +87,23 @@ def test_backoff_delays_grow_exponentially(stub_server):
     assert sleeps == [0.5, 1.0, 2.0]
 
 
+@pytest.mark.parametrize("retry_after, timeout, sleeps", [
+    ("1.5", 120.0, [1.5, 1.5, 2.0]),  # waits at least what the provider asks
+    ("600", 5.0, [5.0, 5.0, 5.0]),  # but never longer than the request timeout
+    ("Wed, 21 Oct 2015 07:28:00 GMT", 120.0, [0.5, 1.0, 2.0]),  # not delta-seconds
+    ("soon", 120.0, [0.5, 1.0, 2.0]),
+])
+def test_backoff_honours_retry_after_seconds(stub_server, retry_after, timeout, sleeps):
+    stub_server.mode = "retry-after"
+    stub_server.retry_after = retry_after
+    recorded = []
+    client = make_client(stub_server, max_retries=3, backoff_base=0.5, timeout=timeout,
+                         sleeper=recorded.append)
+    with pytest.raises(TransportError):
+        client.chat(MESSAGES)
+    assert recorded == sleeps
+
+
 class FakeClock:
     def __init__(self):
         self.now = 0.0

@@ -1,9 +1,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nvlab
 from conftest import write_replay_store
 from nvlab.cli import main
 from nvlab.config import ConfigError, RunConfig, build_plan
@@ -41,6 +45,8 @@ def test_config_errors_name_the_field():
         RunConfig(distributions=("triangular",))
     with pytest.raises(ConfigError, match="credential_env"):
         RunConfig(credential_env="")
+    with pytest.raises(ConfigError, match="concurrency"):
+        RunConfig(concurrency=0)
 
 
 def test_config_rejects_unknown_fields():
@@ -229,6 +235,21 @@ def test_run_against_stub_endpoint_completes(tmp_path, stub_server, monkeypatch,
     rows = read_csv(tmp_path / "report" / "bias_table.csv")
     assert rows[0]["agent"] == "test-model"
     assert rows[0]["mean_order_high"] == "150.00"  # the stub always orders 150
+
+
+def test_verbose_run_logs_each_chat_request_with_its_thread(tmp_path, stub_server, monkeypatch):
+    config_path = llm_config(tmp_path, stub_server, monkeypatch, concurrency=2)
+    env = dict(os.environ, PYTHONPATH=str(Path(nvlab.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nvlab.cli", "-v", "run", "--config", str(config_path),
+         "--experiment", "E1", "--dist", "uniform", "--order", "high-first", "--reps", "3",
+         "--rounds", "2", "--out", str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    chat_lines = [line for line in proc.stderr.splitlines() if "chat ok" in line]
+    assert len(chat_lines) == 12  # 3 repetitions x 2 blocks x 2 rounds
+    # the config's concurrency sizes the pool
+    assert {line.split()[3] for line in chat_lines} <= {"nvlab-unit_0", "nvlab-unit_1"}
 
 
 # --- report content ----------------------------------------------------------

@@ -1,11 +1,17 @@
 import json
+import os
+import signal
+import sys
+import threading
+import time
 
 import pytest
 
 from nvlab.agents import AgentSpec
 from nvlab.config import RunConfig, build_plan
-from nvlab.llm import ChatClient
+from nvlab.llm import ChatClient, ChatResult
 from nvlab.model import sample_sequence
+from nvlab.report import build_report
 from nvlab.runner import (
     ExperimentPlan,
     PlanCondition,
@@ -14,7 +20,7 @@ from nvlab.runner import (
     run_plan,
     verify_prompt_hashes,
 )
-from nvlab.store import IntegrityError, RunStore, strip_timestamps
+from nvlab.store import IntegrityError, RunStore, sha256_text, strip_timestamps
 
 OPTIMAL = AgentSpec("optimal")
 CHASER = AgentSpec("demand-chaser", chase_rate=0.5)
@@ -260,3 +266,172 @@ def test_verify_prompt_hashes_of_incomplete_store_writes_nothing(tmp_path):
     before = rounds_path.read_bytes()
     assert verify_prompt_hashes(tmp_path / "run") == 7
     assert rounds_path.read_bytes() == before
+
+
+def test_resume_refuses_a_corrupt_store_before_deciding_anything(tmp_path):
+    run_plan(small_plan(orders=("high-first",), reps=2, rounds=5), tmp_path / "run")
+    rounds_path = tmp_path / "run" / "rounds.jsonl"
+    records = [json.loads(line) for line in rounds_path.read_text(encoding="utf-8").splitlines()]
+    key = [(r["repetition"], r["block_index"], r["round_index"]) for r in records]
+    records[key.index((1, 1, 2))]["prompt_sha256"] = "0" * 64
+    del records[key.index((0, 2, 5))]  # rep 0 is left with a round to decide
+    rounds_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    with pytest.raises(IntegrityError, match=r"rep=1, block=1, round=2\b"):
+        resume(tmp_path / "run")
+    assert len(rounds_path.read_text(encoding="utf-8").splitlines()) == 19
+
+
+# --- LLM repetitions on a worker pool ----------------------------------------
+
+LLM_AGENT = AgentSpec("llm", model_name="test-model")
+
+
+def order_from_prompt(body):
+    """A reply that depends on the round prompt only, not on the transcript."""
+    prompt = body["messages"][-1]["content"]
+    return f"I will order {60 + int(sha256_text(prompt)[:8], 16) % 181} wodgets."
+
+
+def stub_factory(server, budget=None):
+    def factory(spec):
+        return ChatClient(server.url, spec.model_name, api_key="k", max_retries=0,
+                          backoff_base=0.001, request_budget=budget)
+    return factory
+
+
+def test_concurrent_llm_run_matches_a_serial_run(tmp_path, stub_server):
+    stub_server.reply_fn = order_from_prompt
+    plan = small_plan(agent=LLM_AGENT, reps=3, rounds=4)
+    for name, workers in (("serial", 1), ("pool", 4)):
+        outcome = run_plan(plan, tmp_path / name, client_factory=stub_factory(stub_server),
+                           workers=workers)
+        assert outcome.complete
+        build_report([tmp_path / name], tmp_path / f"{name}-report")
+    assert sorted(stripped_lines(tmp_path / "pool")) == sorted(stripped_lines(tmp_path / "serial"))
+    serial_report = {p.name: p.read_bytes() for p in (tmp_path / "serial-report").iterdir()}
+    pool_report = {p.name: p.read_bytes() for p in (tmp_path / "pool-report").iterdir()}
+    assert pool_report == serial_report
+
+
+def test_budget_exhausted_under_a_pool_stops_the_run_and_resume_completes_it(
+        tmp_path, stub_server):
+    stub_server.reply_fn = order_from_prompt
+    plan = small_plan(agent=LLM_AGENT, orders=("high-first",), reps=4, rounds=5)
+    interrupted = run_plan(plan, tmp_path / "run", client_factory=stub_factory(stub_server, 25),
+                           workers=4)
+    records = RunStore(tmp_path / "run").records()
+    assert len(records) == 25
+    # every repetition left unfinished stops at its first unpaid round
+    stored = {rep: sum(r.repetition == rep for r in records) for rep in range(4)}
+    assert [f.repetition for f in interrupted.failures] == [
+        rep for rep, count in stored.items() if count < 10]
+    assert [(f.block_index, f.round_index) for f in interrupted.failures] == [
+        (stored[f.repetition] // 5 + 1, stored[f.repetition] % 5 + 1)
+        for f in interrupted.failures]
+    assert {f.kind for f in interrupted.failures} == {"transport"}
+
+    assert resume(tmp_path / "run", client_factory=stub_factory(stub_server), workers=4).complete
+    run_plan(plan, tmp_path / "fresh", client_factory=stub_factory(stub_server), workers=1)
+    assert sorted(stripped_lines(tmp_path / "run")) == sorted(stripped_lines(tmp_path / "fresh"))
+
+
+class FailingClient:
+    """Answers after ``delay`` seconds; call number ``fail_at`` raises instead, or
+    with ``interrupt`` sends the process SIGINT and answers."""
+
+    def __init__(self, fail_at, interrupt=False, delay=0.02):
+        self.fail_at = fail_at
+        self.interrupt = interrupt
+        self.delay = delay
+        self.calls = 0
+        self.answered = 0
+        self.answered_before_failure = None
+        self.lock = threading.Lock()
+
+    def chat(self, messages):
+        with self.lock:
+            self.calls += 1
+            if self.calls == self.fail_at:
+                if self.interrupt:
+                    os.kill(os.getpid(), signal.SIGINT)
+                else:
+                    self.answered_before_failure = self.answered
+                    raise RuntimeError("endpoint client bug")
+        time.sleep(self.delay)
+        with self.lock:
+            self.answered += 1
+        return ChatResult("I will order 150 wodgets.", None, 0)
+
+
+def test_exception_in_one_unit_stops_the_pool_and_propagates(tmp_path):
+    workers = 4
+    client = FailingClient(fail_at=10)
+    plan = small_plan(agent=LLM_AGENT, reps=6, rounds=5)
+    threads_before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="endpoint client bug"):
+        run_plan(plan, tmp_path / "run", client_factory=lambda spec: client, workers=workers)
+    stored = len(RunStore(tmp_path / "run").records())
+    assert stored == client.answered
+    # only the rounds already in flight were finished and stored
+    assert stored - client.answered_before_failure <= workers - 1
+    assert client.calls == client.answered + 1
+    assert set(threading.enumerate()) <= threads_before
+
+
+def test_interrupt_in_the_caller_stops_the_pool_and_propagates(tmp_path):
+    workers = 4
+    client = FailingClient(fail_at=10, interrupt=True)
+    plan = small_plan(agent=LLM_AGENT, reps=6, rounds=5)
+
+    def interrupted(signum, frame):
+        # counted when the caller sees the interrupt, not when it was sent
+        client.answered_before_failure = client.answered
+        raise KeyboardInterrupt
+
+    threads_before = set(threading.enumerate())
+    previous = signal.signal(signal.SIGINT, interrupted)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_plan(plan, tmp_path / "run", client_factory=lambda spec: client,
+                     workers=workers)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    stored = len(RunStore(tmp_path / "run").records())
+    assert stored == client.answered == client.calls
+    # only the rounds in flight, the interrupting one among them, were stored
+    assert stored - client.answered_before_failure <= workers
+    assert set(threading.enumerate()) <= threads_before
+
+
+class InstantClient:
+    """Answers every request at once with an order derived from the round prompt."""
+
+    def chat(self, messages):
+        return ChatResult(order_from_prompt({"messages": messages}), None, 0)
+
+
+def test_pool_wider_than_the_cores_loses_no_round_or_progress_line(tmp_path):
+    plan = small_plan(agent=LLM_AGENT, reps=8, rounds=6)
+    run_plan(plan, tmp_path / "serial", client_factory=lambda spec: InstantClient(), workers=1)
+    blocks_seen = [0]
+
+    def progress(message):
+        seen = blocks_seen[0]  # a read-modify-write that interleaved calls would tear
+        time.sleep(0)
+        blocks_seen[0] = seen + 1
+
+    outcome = []
+    runner = threading.Thread(target=lambda: outcome.append(run_plan(
+        plan, tmp_path / "pool", client_factory=lambda spec: InstantClient(),
+        progress=progress, workers=16)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert outcome[0].complete
+    assert blocks_seen[0] == 2 * 2 * 8
+    assert sorted(stripped_lines(tmp_path / "pool")) == sorted(stripped_lines(tmp_path / "serial"))
