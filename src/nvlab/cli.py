@@ -85,17 +85,22 @@ def _client_factory(config: RunConfig, api_key: str):
     if config.rate_limit_per_minute:
         bucket = TokenBucket(config.rate_limit_per_minute / 60.0)
 
+    clients: dict[AgentSpec, ChatClient] = {}
+
     def factory(agent: AgentSpec) -> ChatClient:
-        return ChatClient(
-            endpoint=config.endpoint,
-            model=agent.model_name,
-            api_key=api_key,
-            temperature=agent.temperature,
-            max_retries=config.max_retries,
-            backoff_base=config.backoff_base,
-            rate_limiter=bucket,
-            request_budget=config.request_budget,
-        )
+        # one client per agent: every condition of an agent's run spends one budget
+        if agent not in clients:
+            clients[agent] = ChatClient(
+                endpoint=config.endpoint,
+                model=agent.model_name,
+                api_key=api_key,
+                temperature=agent.temperature,
+                max_retries=config.max_retries,
+                backoff_base=config.backoff_base,
+                rate_limiter=bucket,
+                request_budget=config.request_budget,
+            )
+        return clients[agent]
 
     return factory
 

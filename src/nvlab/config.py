@@ -53,7 +53,7 @@ class RunConfig:
     transcript_continuity: bool = True
     max_retries: int = 3
     backoff_base: float = 0.5
-    request_budget: int | None = None
+    request_budget: int | None = None  # chat requests per run directory, over all its conditions
     rate_limit_per_minute: float | None = None
     # repetitions decided at once; providers cap concurrent requests per key
     concurrency: int = LLM_WORKERS

@@ -23,6 +23,15 @@ Conventions worth knowing before reading the code:
   prior error) over the late rounds (8-15) minus the same over the early
   rounds (1-7). A zero-variance regressor or response pins R^2 to 0 and
   sets a flag.
+* Learning fits run row-wise per group: the trajectories that share a
+  scenario and a length are stacked into arrays, and each measure is one
+  row-wise OLS over them. ``ols_line`` is that fit on one row, and
+  ``learning_stats`` is the group path on one trajectory. Row-wise numpy
+  reductions give the same bits as the 1-D ones, so the report does not
+  change.
+* Per-round PE is memoised per (scenario, order), each entry the exact
+  ``profit_efficiency`` value, so a report computes each distinct order's
+  expected profit once.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +225,25 @@ def direction_shares(events: list[AdjustmentEvent]) -> dict[str, float]:
 # learning over rounds
 
 
+def _ols_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`ols_line` on each row of two C-contiguous float arrays of equal shape.
+
+    Row-wise reductions give the same bits as the 1-D calls on each row.
+    """
+    x_mean = x.mean(axis=1)
+    y_mean = y.mean(axis=1)
+    sxx = np.var(x, axis=1)
+    syy = np.var(y, axis=1)
+    sxy = np.mean((x - x_mean[:, None]) * (y - y_mean[:, None]), axis=1)
+    flat_x = sxx == 0.0
+    degenerate = flat_x | (syy == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(flat_x, 0.0, sxy / sxx)
+        r2 = np.where(degenerate, 0.0, np.minimum(sxy * sxy / (sxx * syy), 1.0))
+    intercept = np.where(flat_x, y_mean, y_mean - slope * x_mean)
+    return slope, intercept, r2, degenerate
+
+
 def ols_line(x, y) -> tuple[float, float, float, bool]:
     """Least-squares fit with intercept: (slope, intercept, r_squared, degenerate).
 
@@ -225,17 +254,8 @@ def ols_line(x, y) -> tuple[float, float, float, bool]:
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
         raise MetricsError("need two equal-length samples of size >= 2")
-    sxx = float(np.var(x))
-    syy = float(np.var(y))
-    if sxx == 0.0:
-        return 0.0, float(np.mean(y)), 0.0, True
-    sxy = float(np.mean((x - x.mean()) * (y - y.mean())))
-    slope = sxy / sxx
-    intercept = float(y.mean() - slope * x.mean())
-    if syy == 0.0:
-        return slope, intercept, 0.0, True
-    r2 = sxy * sxy / (sxx * syy)
-    return slope, intercept, float(min(r2, 1.0)), False
+    slope, intercept, r2, degenerate = _ols_rows(x.reshape(1, -1), y.reshape(1, -1))
+    return float(slope[0]), float(intercept[0]), float(r2[0]), bool(degenerate[0])
 
 
 @dataclass(frozen=True)
@@ -249,6 +269,74 @@ class LearningStats:
     late_degenerate: bool
 
 
+@lru_cache(maxsize=64)
+def _efficiency_memo(sc: ScenarioConfig) -> dict:
+    """order -> `profit_efficiency(order, sc)`, filled as orders are met.
+
+    Kept, like `optimal_quantity`, for the 64 scenarios used last; an entry
+    holds at most one value per integer order.
+    """
+    return {}
+
+
+def _learning_block(trajectories: list[Trajectory]) -> list[LearningStats]:
+    """`learning_stats` of trajectories that share a scenario and a length, row by row."""
+    sc = trajectories[0].scenario
+    n = len(trajectories[0].orders)
+    if n < 3:
+        raise MetricsError("need at least three rounds for learning statistics")
+    orders = np.array([t.orders for t in trajectories])
+    demands = np.array([t.demands for t in trajectories])
+    rounds = np.arange(1, n + 1, dtype=float)
+    every_row = np.tile(rounds, (len(trajectories), 1))
+    convergence = _ols_rows(every_row, np.abs(orders - optimal_quantity(sc)).astype(float))[0]
+
+    memo = _efficiency_memo(sc)
+    for q in {q for t in trajectories for q in t.orders} - memo.keys():
+        memo[q] = profit_efficiency(q, sc)
+    # an undefined PE (None) becomes nan; its round is left out of the row's fit
+    pe = np.array([[memo[q] for q in t.orders] for t in trajectories], dtype=float)
+    defined = ~np.isnan(pe)
+    full = defined.all(axis=1)
+    efficiency = [None] * len(trajectories)
+    slopes = _ols_rows(every_row[full], pe[full])[0]
+    for row, slope in zip(np.flatnonzero(full).tolist(), slopes.tolist()):
+        efficiency[row] = slope
+    for row in np.flatnonzero(~full).tolist():
+        if defined[row].sum() >= 2:
+            efficiency[row] = ols_line(rounds[defined[row]], pe[row, defined[row]])[0]
+
+    deltas = np.diff(orders, axis=1).astype(float)     # delta for rounds 2..n
+    errors = (demands[:, :-1] - orders[:, :-1]).astype(float)
+    early = np.arange(2, n + 1) < EARLY_LATE_SPLIT_ROUND
+    stages = []
+    for mask in (early, ~early):
+        if mask.sum() < 3:
+            raise MetricsError("need at least three rounds per stage for delta R^2")
+        _, _, r2, degenerate = _ols_rows(errors[:, mask], deltas[:, mask])
+        stages += [r2.tolist(), degenerate.tolist()]
+    early_r2, early_degenerate, late_r2, late_degenerate = stages
+    return [
+        LearningStats(convergence_slope, efficiency_slope, late - early, early, late,
+                      early_flat, late_flat)
+        for convergence_slope, efficiency_slope, early, late, early_flat, late_flat in zip(
+            convergence.tolist(), efficiency, early_r2, late_r2, early_degenerate, late_degenerate)
+    ]
+
+
+def _learning(trajectories: list[Trajectory]) -> list[LearningStats]:
+    """`learning_stats` of each trajectory, in input order, fitted block by block."""
+    blocks: dict = {}
+    for position, t in enumerate(trajectories):
+        blocks.setdefault((t.scenario, len(t.orders)), []).append(position)
+    out: list = [None] * len(trajectories)
+    for positions in blocks.values():
+        for position, stats in zip(positions,
+                                   _learning_block([trajectories[p] for p in positions])):
+            out[position] = stats
+    return out
+
+
 def learning_stats(trajectory: Trajectory) -> LearningStats:
     """Per-trajectory learning summary.
 
@@ -257,51 +345,12 @@ def learning_stats(trajectory: Trajectory) -> LearningStats:
     dropped; the slope is None when fewer than two remain). Delta R^2
     contrasts the error-responsiveness fits of the late and early stages.
     """
-    sc = trajectory.scenario
-    orders = trajectory.orders
-    if len(orders) < 3:
-        raise MetricsError("need at least three rounds for learning statistics")
-    demands = trajectory.demands
-    rounds = np.arange(1, len(orders) + 1)
-    q_star = optimal_quantity(sc)
-
-    convergence_slope, _, _, _ = ols_line(rounds, [abs(q - q_star) for q in orders])
-
-    pe_points = [(t, profit_efficiency(q, sc)) for t, q in zip(rounds, orders)]
-    pe_points = [(t, pe) for t, pe in pe_points if pe is not None]
-    if len(pe_points) >= 2:
-        efficiency_slope, _, _, _ = ols_line([t for t, _ in pe_points], [pe for _, pe in pe_points])
-    else:
-        efficiency_slope = None
-
-    deltas = np.diff(orders)                      # delta for rounds 2..n
-    errors = np.array(demands[:-1]) - np.array(orders[:-1])
-    t_index = np.arange(2, len(orders) + 1)
-    early = t_index < EARLY_LATE_SPLIT_ROUND
-    late = ~early
-
-    def stage_r2(mask):
-        if mask.sum() < 3:
-            raise MetricsError("need at least three rounds per stage for delta R^2")
-        _, _, r2, degenerate = ols_line(errors[mask], deltas[mask])
-        return r2, degenerate
-
-    early_r2, early_degenerate = stage_r2(early)
-    late_r2, late_degenerate = stage_r2(late)
-    return LearningStats(
-        convergence_slope=convergence_slope,
-        efficiency_slope=efficiency_slope,
-        delta_r2=late_r2 - early_r2,
-        early_r2=early_r2,
-        late_r2=late_r2,
-        early_degenerate=early_degenerate,
-        late_degenerate=late_degenerate,
-    )
+    return _learning([trajectory])[0]
 
 
 def average_learning_stats(trajectories: list[Trajectory]) -> dict:
     """Per-trajectory learning statistics averaged across the repetitions of one condition."""
-    stats = [learning_stats(t) for t in trajectories]
+    stats = _learning(trajectories)
     efficiency = [s.efficiency_slope for s in stats if s.efficiency_slope is not None]
     return {
         "convergence_slope": float(np.mean([s.convergence_slope for s in stats])),
@@ -328,8 +377,9 @@ def word_frequencies(texts, stopwords=None) -> list[tuple[str, int]]:
     if stopwords is None:
         stopwords = default_stopwords()
     counts: Counter = Counter()
-    for text in texts:
+    # runs repeat their rationales, so each distinct text is tokenised once
+    for text, repeats in Counter(texts).items():
         for token in _WORD.findall(text.lower()):
             if token not in stopwords:
-                counts[token] += 1
+                counts[token] += repeats
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))

@@ -242,8 +242,10 @@ def quartile_rows(trajectories, compare_humans=False) -> tuple[list[str], list[l
     rows = []
     seen_human = set()
     for (experiment, _, dist, agent, order_condition), events in _pooled_events(trajectories):
-        for quartile in metrics.QUARTILES:
-            bucket = [e for e in events if e.quartile == quartile]
+        buckets: dict[str, list] = {quartile: [] for quartile in metrics.QUARTILES}
+        for event in events:
+            buckets[event.quartile].append(event)
+        for quartile, bucket in buckets.items():
             if not bucket:
                 rows.append([experiment, dist, agent, order_condition, quartile,
                              "", "", "", "0", "this run"])

@@ -60,6 +60,7 @@ from .agents import (
 from .llm import TransportError
 from .prompts import RoundContext, default_templates, render_prompt
 from .store import (
+    TORN_NAME,
     IntegrityError,
     RoundRecord,
     RunStore,
@@ -373,6 +374,11 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
         block = _Block(plan, t.condition_index, t.repetition, t.block_index, t.records)
         block.walk(len(t.records))
         replayed[t.records[0].identity()] = block
+    # a crash mid-append leaves a torn final line that the next append would extend
+    torn = store.set_aside_torn_line()
+    if torn is not None:
+        log.warning("moved the torn final line of %s to %s: %.80s",
+                    store.rounds_path, TORN_NAME, torn)
 
     run_id = plan.run_id()
     stop = threading.Event()
@@ -455,6 +461,8 @@ def resume(run_dir, client_factory=None, progress=None, workers=LLM_WORKERS) -> 
 
     Verifies the manifest's plan hash and every stored round's prompt hash and
     seeded demand draw before deciding anything; a completed run is a no-op.
+    A torn final line left by a crash mid-append is then moved to
+    ``rounds.jsonl.torn`` and its round decided again.
     An LLM plan decides up to ``workers`` repetitions at once.
     """
     store = RunStore(run_dir)

@@ -5,6 +5,8 @@ Layout of one run directory::
     <run_dir>/
       manifest.json   # serialized plan, plan hash, template digests
       rounds.jsonl    # one RoundRecord per line, append-only
+      rounds.jsonl.torn  # only after a crash mid-append: the torn final
+                         # lines that resume set aside
 
 Records carry their full trajectory identity (condition index, repetition,
 block, round) so concurrent trajectories can interleave safely. Profit is
@@ -19,12 +21,14 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 from .model import ScenarioConfig, profit
 
 MANIFEST_NAME = "manifest.json"
 ROUNDS_NAME = "rounds.jsonl"
+TORN_NAME = ROUNDS_NAME + ".torn"  # unterminated final lines that resume set aside
 STORE_FORMAT = "nvlab-run/1"
 
 TIMESTAMP_FIELDS = ("ts_start", "ts_end")
@@ -82,10 +86,13 @@ class RoundRecord:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise IntegrityError(f"rounds.jsonl line {lineno}: malformed JSON ({exc})") from exc
-        missing = [key for key in _RECORD_FIELDS if key not in data]
-        if missing:
-            raise IntegrityError(f"rounds.jsonl line {lineno}: missing fields {missing}")
-        return cls(**{key: data[key] for key in _RECORD_FIELDS})
+        try:
+            return cls(*map(data.__getitem__, _RECORD_FIELDS))
+        except (KeyError, TypeError, AttributeError):  # a field is missing, or not an object
+            if not isinstance(data, dict):
+                raise IntegrityError(f"rounds.jsonl line {lineno}: not a JSON object") from None
+            missing = [key for key in _RECORD_FIELDS if key not in data]
+            raise IntegrityError(f"rounds.jsonl line {lineno}: missing fields {missing}") from None
 
     def identity(self) -> tuple:
         return (self.condition_index, self.order_condition, self.repetition, self.block_index)
@@ -114,15 +121,17 @@ class Trajectory:
     def complete(self) -> bool:
         return len(self.records) == self.scenario.rounds
 
-    @property
+    # columns are built on first read; ``records`` is not changed after that
+
+    @cached_property
     def orders(self) -> tuple[int, ...]:
         return tuple(r.order for r in self.records)
 
-    @property
+    @cached_property
     def demands(self) -> tuple[int, ...]:
         return tuple(r.demand for r in self.records)
 
-    @property
+    @cached_property
     def rationales(self) -> tuple[str, ...]:
         return tuple(r.raw_response for r in self.records)
 
@@ -149,9 +158,11 @@ class RunStore:
         if self.exists():
             raise IntegrityError(f"run store already exists at {self.run_dir}")
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.manifest_path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        # written whole under another name and renamed, so a crash never
+        # leaves a half-written manifest behind
+        partial = self.run_dir / (MANIFEST_NAME + ".tmp")
+        partial.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        partial.replace(self.manifest_path)
         self.rounds_path.touch()
 
     def manifest(self) -> dict:
@@ -169,16 +180,61 @@ class RunStore:
             handle.write(line)
 
     def records(self) -> list[RoundRecord]:
+        """Every stored round in line order.
+
+        A final line without its newline is the torn tail of an append that
+        never finished; it is left out, whether or not it parses. Any other
+        malformed line raises IntegrityError.
+        """
         if not self.rounds_path.exists():
             return []
         out = []
+        line = "\n"
         with self.rounds_path.open("r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
+                text = line.strip()
+                if not text:
                     continue
-                out.append(RoundRecord.from_line(line, lineno))
+                try:
+                    out.append(RoundRecord.from_line(text, lineno))
+                except IntegrityError:
+                    # only the final line can lack its newline
+                    if line.endswith("\n"):
+                        raise
+                    return out
+        if not line.endswith("\n") and line.strip():
+            out.pop()
         return out
+
+    def set_aside_torn_line(self) -> str | None:
+        """Move an unterminated final line of rounds.jsonl to rounds.jsonl.torn.
+
+        Appending after such a line would glue the next record onto it, so
+        `resume` calls this before it appends anything. Returns the line set
+        aside, or None when the file ends cleanly.
+        """
+        if not self.rounds_path.exists():
+            return None
+        with self.rounds_path.open("rb+") as handle:
+            end = handle.seek(0, 2)
+            if end == 0:
+                return None
+            handle.seek(end - 1)
+            if handle.read(1) == b"\n":
+                return None
+            handle.seek(0)
+            start = handle.read().rfind(b"\n") + 1  # only ever read after a crash
+            handle.seek(start)
+            torn = handle.read()
+            with (self.run_dir / TORN_NAME).open("ab") as aside:
+                aside.write(torn + b"\n")
+            handle.truncate(start)
+        return torn.decode("utf-8", errors="replace")
+
+
+def _where(record: RoundRecord) -> str:
+    return (f"record (condition={record.condition_index}, order={record.order_condition}, "
+            f"rep={record.repetition}, block={record.block_index}, round={record.round_index})")
 
 
 def group_trajectories(records: list[RoundRecord], scenario_for: "callable") -> list[Trajectory]:
@@ -199,21 +255,18 @@ def group_trajectories(records: list[RoundRecord], scenario_for: "callable") -> 
         sc = scenario_for(first)
         cumulative = 0.0
         for position, record in enumerate(rows, start=1):
-            where = (
-                f"record (condition={record.condition_index}, order={record.order_condition}, "
-                f"rep={record.repetition}, block={record.block_index}, round={record.round_index})"
-            )
             if record.round_index != position:
-                raise IntegrityError(f"{where}: expected round {position}, rounds are not contiguous")
+                raise IntegrityError(
+                    f"{_where(record)}: expected round {position}, rounds are not contiguous")
             recomputed = profit(record.order, record.demand, sc.cost)
             if abs(recomputed - record.profit) > 1e-9:
                 raise IntegrityError(
-                    f"{where}: stored profit {record.profit} != recomputed {recomputed}"
+                    f"{_where(record)}: stored profit {record.profit} != recomputed {recomputed}"
                 )
             cumulative += recomputed
             if abs(cumulative - record.cumulative_profit) > 1e-9:
                 raise IntegrityError(
-                    f"{where}: stored cumulative profit {record.cumulative_profit} "
+                    f"{_where(record)}: stored cumulative profit {record.cumulative_profit} "
                     f"!= running sum {cumulative}"
                 )
         trajectories.append(

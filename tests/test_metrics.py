@@ -258,6 +258,113 @@ def test_learning_needs_three_rounds():
         learning_stats(make_trajectory(SC_HIGH, [1, 2], [1, 2]))
 
 
+def reference_ols_line(x, y):
+    """The one-sample fit written out with 1-D numpy calls."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    sxx = float(np.var(x))
+    syy = float(np.var(y))
+    if sxx == 0.0:
+        return 0.0, float(np.mean(y)), 0.0, True
+    sxy = float(np.mean((x - x.mean()) * (y - y.mean())))
+    slope = sxy / sxx
+    intercept = float(y.mean() - slope * x.mean())
+    if syy == 0.0:
+        return slope, intercept, 0.0, True
+    return slope, intercept, float(min(sxy * sxy / (sxx * syy), 1.0)), False
+
+
+def reference_learning_stats(trajectory):
+    """`learning_stats` of one trajectory, one 1-D fit and one PE call at a time."""
+    sc, orders, demands = trajectory.scenario, trajectory.orders, trajectory.demands
+    rounds = np.arange(1, len(orders) + 1)
+    q_star = optimal_quantity(sc)
+    convergence, _, _, _ = reference_ols_line(rounds, [abs(q - q_star) for q in orders])
+    points = [(t, profit_efficiency(q, sc)) for t, q in zip(rounds, orders)]
+    points = [(t, pe) for t, pe in points if pe is not None]
+    efficiency = (reference_ols_line([t for t, _ in points], [pe for _, pe in points])[0]
+                  if len(points) >= 2 else None)
+    deltas = np.diff(orders)
+    errors = np.array(demands[:-1]) - np.array(orders[:-1])
+    early = np.arange(2, len(orders) + 1) < metrics.EARLY_LATE_SPLIT_ROUND
+    _, _, early_r2, early_degenerate = reference_ols_line(errors[early], deltas[early])
+    _, _, late_r2, late_degenerate = reference_ols_line(errors[~early], deltas[~early])
+    return metrics.LearningStats(convergence, efficiency, late_r2 - early_r2, early_r2, late_r2,
+                                 early_degenerate, late_degenerate)
+
+
+def mixed_learning_group():
+    """Low-margin trajectories: one constant, two with PE-undefined rounds, three ordinary."""
+    rng = np.random.default_rng(7)
+    demands = [int(d) for d in rng.integers(1, 301, size=15)]
+    # orders near 300 have a nonpositive expected profit at c=9, so their PE is undefined
+    partly_undefined = [80, 300, 120, 290, 100, 300, 95, 60, 300, 110, 70, 295, 90, 85, 75]
+    one_defined = [300] * 14 + [100]
+    ordinary = [[int(q) for q in rng.integers(40, 200, size=15)] for _ in range(3)]
+    orders = [[150] * 15, partly_undefined, *ordinary[:2], one_defined, ordinary[2]]
+    return [make_trajectory(SC_LOW, o, demands, repetition=r) for r, o in enumerate(orders)]
+
+
+def test_learning_matches_the_one_dimensional_fits_bit_for_bit():
+    group = mixed_learning_group()
+    stats = [learning_stats(t) for t in group]
+    assert stats == [reference_learning_stats(t) for t in group]
+    assert stats[0].early_degenerate and stats[0].late_degenerate
+    assert stats[0].delta_r2 == 0.0
+    assert stats[4].efficiency_slope is None
+    assert profit_efficiency(300, SC_LOW) is None
+    assert stats[1].efficiency_slope is not None  # fitted on the defined rounds only
+    assert all(s.efficiency_slope is not None for s in (stats[2], stats[3], stats[5]))
+
+
+def mean_learning_stats(stats):
+    efficiency = [s.efficiency_slope for s in stats if s.efficiency_slope is not None]
+    return {
+        "convergence_slope": float(np.mean([s.convergence_slope for s in stats])),
+        "efficiency_slope": float(np.mean(efficiency)) if efficiency else None,
+        "delta_r2": float(np.mean([s.delta_r2 for s in stats])),
+        "n_trajectories": len(stats),
+    }
+
+
+def test_average_learning_stats_is_the_mean_of_the_per_trajectory_stats():
+    group = mixed_learning_group()
+    assert metrics.average_learning_stats(group) == mean_learning_stats(
+        [learning_stats(t) for t in group])
+
+
+def test_average_learning_stats_of_mixed_scenarios_and_lengths_keeps_input_order():
+    group = mixed_learning_group()
+    short = make_trajectory(SC_HIGH, [200, 210, 190, 225, 230, 220, 224, 226, 225, 225],
+                            [150, 260, 40, 210, 280, 120, 90, 250, 230, 200])
+    mixed = [group[1], short, group[0], group[2]]
+    reference = [reference_learning_stats(t) for t in mixed]
+    assert metrics._learning(mixed) == reference  # fitted in two blocks, returned in order
+    assert metrics.average_learning_stats(mixed) == mean_learning_stats(reference)
+
+
+def test_learning_group_with_a_short_trajectory_raises():
+    group = mixed_learning_group() + [make_trajectory(SC_LOW, [100] * 9, [100] * 9)]
+    with pytest.raises(MetricsError):  # nine rounds leave two in the late stage
+        metrics.average_learning_stats(group)
+
+
+def test_ols_line_degenerate_cases_are_unchanged():
+    assert ols_line([1, 1, 1], [1, 2, 3]) == (0.0, 2.0, 0.0, True)
+    assert ols_line([1, 2, 3], [4, 4, 4]) == (0.0, 4.0, 0.0, True)
+    assert ols_line([2, 2], [5, 5]) == (0.0, 5.0, 0.0, True)
+    assert ols_line([1, 2, 4], [3, 3, 3]) == (0.0, 3.0, 0.0, True)
+    for fit in (ols_line([1, 1, 1], [1, 2, 3]), ols_line([1, 2, 3], [1, 3, 2])):
+        assert [type(v) for v in fit] == [float, float, float, bool]
+    rng = np.random.default_rng(3)
+    for n in (2, 6, 8, 14, 15, 30):
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        assert ols_line(x, y) == reference_ols_line(x, y)
+    for x, y in (([1], [1]), ([1, 2], [1, 2, 3]), ([], [])):
+        with pytest.raises(MetricsError):
+            ols_line(x, y)
+
+
 # --- word frequencies ---------------------------------------------------------
 
 def test_word_frequencies_counts_and_ranks():
@@ -270,6 +377,22 @@ def test_word_frequencies_counts_and_ranks():
 def test_word_frequencies_empty_and_stopword_only():
     assert word_frequencies([]) == []
     assert word_frequencies(["the and of", "a an the"]) == []
+
+
+def test_word_frequencies_of_repeated_texts_match_a_per_text_count():
+    texts = ["Order 120, balance risk.", "balance profit", "Order 120, balance risk.",
+             "risk, risk", "profit balance", "Order 120, balance risk.", "zeta alpha", ""]
+    stopwords = frozenset({"order"})
+    naive: dict = {}
+    for text in texts:
+        for token in metrics._WORD.findall(text.lower()):
+            if token not in stopwords:
+                naive[token] = naive.get(token, 0) + 1
+    expected = sorted(naive.items(), key=lambda item: (-item[1], item[0]))
+    assert word_frequencies(texts, stopwords) == expected
+    assert expected[:2] == [("balance", 5), ("risk", 5)]  # a tie ranks by term
+    assert expected[-2:] == [("alpha", 1), ("zeta", 1)]
+    assert word_frequencies(iter(texts), stopwords) == expected
 
 
 def test_word_frequencies_case_folds_and_strips_punctuation():

@@ -237,6 +237,29 @@ def test_run_against_stub_endpoint_completes(tmp_path, stub_server, monkeypatch,
     assert rows[0]["mean_order_high"] == "150.00"  # the stub always orders 150
 
 
+def test_request_budget_caps_the_whole_run_not_each_condition(
+        tmp_path, stub_server, monkeypatch):
+    config_path = llm_config(tmp_path, stub_server, monkeypatch, request_budget=25)
+    code = main(["run", "--config", str(config_path), "--experiment", "E1",
+                 "--dist", "uniform", "--reps", "2", "--rounds", "10",
+                 "--out", str(tmp_path / "runs")])
+    assert code == 3  # the two conditions need 80 rounds
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    assert len(load_plan(RunStore(run_dir)).conditions) == 2
+    assert len(RunStore(run_dir).records()) == 25
+    assert len(stub_server.requests) == 25
+
+
+def test_simulate_resume_of_a_torn_store_exits_0(tmp_path, capsys):
+    run_dir = simulate(tmp_path, "sim")
+    full = stripped_lines(run_dir / "rounds.jsonl")
+    rounds_path = run_dir / "rounds.jsonl"
+    rounds_path.write_bytes(rounds_path.read_bytes()[:-25])
+    assert main(["simulate", "--resume", str(run_dir)]) == 0
+    assert stripped_lines(rounds_path) == full
+    assert (run_dir / "rounds.jsonl.torn").exists()
+
+
 def test_verbose_run_logs_each_chat_request_with_its_thread(tmp_path, stub_server, monkeypatch):
     config_path = llm_config(tmp_path, stub_server, monkeypatch, concurrency=2)
     env = dict(os.environ, PYTHONPATH=str(Path(nvlab.__file__).parents[1]))

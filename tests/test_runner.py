@@ -258,6 +258,97 @@ def test_resume_of_truncated_random_run_matches_uninterrupted_run(tmp_path):
     assert sorted(stripped_lines(tmp_path / "cut")) == sorted(full)
 
 
+# --- a torn final line after a crash mid-append -----------------------------
+
+def torn_store(tmp_path, cut=40, agent=CHASER):
+    """A 10-round store whose last append stopped ``cut`` bytes short of its newline."""
+    plan = small_plan(agent=agent, orders=("high-first",), reps=1, rounds=5)
+    run_plan(plan, tmp_path / "full")
+    run_plan(plan, tmp_path / "run")
+    rounds_path = tmp_path / "run" / "rounds.jsonl"
+    data = rounds_path.read_bytes()
+    rounds_path.write_bytes(data[:len(data) - 1 - cut])
+    return tmp_path / "run", data[data.rindex(b"\n", 0, len(data) - 1) + 1:len(data) - 1 - cut]
+
+
+@pytest.mark.parametrize("cut", [0, 1, 40])
+def test_records_leave_out_an_unterminated_final_line(tmp_path, cut):
+    run_dir, _ = torn_store(tmp_path, cut)
+    records = RunStore(run_dir).records()
+    assert [(r.block_index, r.round_index) for r in records] == [
+        (b, r) for b in (1, 2) for r in range(1, 6)][:9]
+
+
+@pytest.mark.parametrize("line", [b'{"run_id": "run-', b"null", b"5", b"[1, 2]", b'"text"',
+                                  b"{}"])
+def test_a_malformed_line_before_the_last_stays_fatal(tmp_path, line):
+    run_dir, _ = torn_store(tmp_path)
+    rounds_path = run_dir / "rounds.jsonl"
+    lines = rounds_path.read_bytes().split(b"\n")
+    lines[2] = line
+    rounds_path.write_bytes(b"\n".join(lines))
+    with pytest.raises(IntegrityError, match="line 3"):
+        RunStore(run_dir).records()
+
+
+def test_a_record_without_a_field_names_the_field(tmp_path):
+    run_dir, _ = torn_store(tmp_path)
+    rounds_path = run_dir / "rounds.jsonl"
+    lines = rounds_path.read_bytes().split(b"\n")
+    record = json.loads(lines[2])
+    del record["demand"]
+    lines[2] = json.dumps(record).encode()
+    rounds_path.write_bytes(b"\n".join(lines))
+    with pytest.raises(IntegrityError, match=r"line 3: missing fields \['demand'\]"):
+        RunStore(run_dir).records()
+
+
+def test_resume_sets_a_torn_final_line_aside_and_completes_the_run(tmp_path):
+    run_dir, torn = torn_store(tmp_path)
+    assert resume(run_dir).complete
+    assert stripped_lines(run_dir) == stripped_lines(tmp_path / "full")
+    assert (run_dir / "rounds.jsonl.torn").read_bytes() == torn + b"\n"
+
+
+def test_report_and_verify_leave_a_torn_store_as_it_is(tmp_path):
+    run_dir, _ = torn_store(tmp_path)
+    before = (run_dir / "rounds.jsonl").read_bytes()
+    assert verify_prompt_hashes(run_dir) == 9
+    build_report([run_dir], tmp_path / "report")
+    assert (run_dir / "rounds.jsonl").read_bytes() == before
+    assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "rounds.jsonl"]
+
+
+def test_resume_of_a_corrupt_torn_store_writes_nothing(tmp_path):
+    run_dir, _ = torn_store(tmp_path)
+    rounds_path = run_dir / "rounds.jsonl"
+    lines = rounds_path.read_bytes().split(b"\n")
+    record = json.loads(lines[1])
+    record["prompt_sha256"] = "0" * 64
+    lines[1] = json.dumps(record).encode()
+    rounds_path.write_bytes(b"\n".join(lines))
+    before = rounds_path.read_bytes()
+    with pytest.raises(IntegrityError, match="round=2"):
+        resume(run_dir)
+    assert rounds_path.read_bytes() == before
+    assert not (run_dir / "rounds.jsonl.torn").exists()
+
+
+def test_manifest_is_never_left_half_written(tmp_path, monkeypatch):
+    plan = small_plan(reps=1)
+    run_plan(plan, tmp_path / "run")
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "manifest.json", "rounds.jsonl"]
+
+    def crash(self, target):
+        raise OSError("crashed before the rename")
+
+    monkeypatch.setattr(type(tmp_path), "replace", crash)
+    with pytest.raises(OSError):
+        run_plan(plan, tmp_path / "crashed")
+    assert not RunStore(tmp_path / "crashed").exists()
+
+
 def test_verify_prompt_hashes_of_incomplete_store_writes_nothing(tmp_path):
     run_plan(small_plan(agent=CHASER, reps=1, rounds=5), tmp_path / "run")
     rounds_path = tmp_path / "run" / "rounds.jsonl"
