@@ -28,6 +28,11 @@ corrupt store is refused before anything is appended. An unresolved round
 (transport or parse failure after retries) stops its block and leaves the
 trajectory incomplete for `resume`.
 
+A run appends through one store handle, closed when the run returns or
+raises. Its outcome's trajectories are the validated rounds the call replayed
+or wrote -- the stored rounds it started from plus the rounds its units
+appended -- grouped by `plan_trajectories` without reading the file again.
+
 Plans with an LLM condition run their units on one pool of up to ``workers``
 threads (`LLM_WORKERS` by default), since each repetition is its own
 conversation and its rounds mostly wait on the endpoint; the store then
@@ -178,6 +183,13 @@ class RoundFailure:
 
 @dataclass
 class RunOutcome:
+    """What one `run_plan` or `resume` call left in its store.
+
+    ``trajectories`` are the validated rounds the call replayed or wrote, the
+    same trajectories a fresh read of the store gives; ``failures`` are the
+    rounds it left unresolved.
+    """
+
     run_id: str
     store: RunStore
     trajectories: list[Trajectory]
@@ -243,8 +255,9 @@ class _Block:
 
     `walk` advances it round by round and can be called again to go further,
     so a block's stored rounds can be replayed long before its first new
-    round is decided. ``messages`` holds the block's conversation turns for
-    an LLM agent; scripted agents ignore transcripts, so theirs is None.
+    round is decided. ``appended`` holds the rounds it wrote to the store.
+    ``messages`` holds the block's conversation turns for an LLM agent;
+    scripted agents ignore transcripts, so theirs is None.
     """
 
     def __init__(self, plan, condition_index, repetition, block_index, stored=()):
@@ -265,6 +278,7 @@ class _Block:
                 derive_seed(condition.base_seed, repetition, block_index, salt="agent")
             )
         self.messages = [] if condition.agent.kind == LLM else None
+        self.appended = []
         self.last = None
         self.walked = 0
 
@@ -344,6 +358,7 @@ class _Block:
                     ts_end=time.time(),
                 )
                 store.append(record)
+                self.appended.append(record)
             if self.messages is not None:
                 self.messages += ({"role": "user", "content": prompt},
                                   {"role": "assistant", "content": record.raw_response})
@@ -384,11 +399,15 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
     stop = threading.Event()
     progress_lock = threading.Lock()
 
-    def run_unit(condition_index, repetition) -> list[RoundFailure]:
-        """Blocks 1 then 2 of one repetition; sets ``stop`` if anything but a round fails."""
+    def run_unit(condition_index, repetition) -> tuple[list[RoundFailure], list[RoundRecord]]:
+        """Blocks 1 then 2 of one repetition: their unresolved rounds and appended rounds.
+
+        Sets ``stop`` if anything but a round fails.
+        """
         condition = plan.conditions[condition_index]
         rounds = condition.rounds_per_block
         failures = []
+        appended = []
         earlier = []
         try:
             for block_index in (1, 2):
@@ -407,6 +426,7 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
                         )
                 failure = block.walk(rounds, earlier, run_id, store, clients[condition_index],
                                      stop)
+                appended += block.appended
                 if failure is not None:
                     failures.append(failure)
                     # without block 1's full transcript, block 2 would see a
@@ -418,31 +438,34 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
         except BaseException:
             stop.set()
             raise
-        return failures
+        return failures, appended
 
     units = [(condition_index, repetition)
              for condition_index, condition in enumerate(plan.conditions)
              for repetition in range(condition.repetitions)]
-    failures = []
-    if any(condition.agent.kind == LLM for condition in plan.conditions):
-        # imported here so that scripted runs and `import nvlab` do not pay for it
-        from concurrent.futures import ThreadPoolExecutor
+    # the append handle is closed once every unit has stopped, returned or raised
+    with store:
+        if any(condition.agent.kind == LLM for condition in plan.conditions):
+            # imported here so that scripted runs and `import nvlab` do not pay for it
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(min(workers, len(units)), "nvlab-unit") as pool:
-            try:
-                futures = [pool.submit(run_unit, *unit) for unit in units]
-                for future in futures:
-                    failures += future.result()
-            except BaseException:
-                stop.set()
-                pool.shutdown(cancel_futures=True)
-                raise
-    else:
-        for unit in units:
-            failures += run_unit(*unit)
-    failures.sort(key=lambda f: (f.condition_index, f.order_condition, f.repetition,
-                                 f.block_index, f.round_index))
-    return RunOutcome(run_id, store, plan_trajectories(plan, store.records()), failures)
+            with ThreadPoolExecutor(min(workers, len(units)), "nvlab-unit") as pool:
+                try:
+                    futures = [pool.submit(run_unit, *unit) for unit in units]
+                    results = [future.result() for future in futures]
+                except BaseException:
+                    stop.set()
+                    pool.shutdown(cancel_futures=True)
+                    raise
+        else:
+            results = [run_unit(*unit) for unit in units]
+    failures = sorted((f for unit_failures, _ in results for f in unit_failures),
+                      key=lambda f: (f.condition_index, f.order_condition, f.repetition,
+                                     f.block_index, f.round_index))
+    # the rounds the store held when the call began, then the rounds it appended
+    records = [record for t in existing for record in t.records]
+    records += [record for _, appended in results for record in appended]
+    return RunOutcome(run_id, store, plan_trajectories(plan, records), failures)
 
 
 def run_plan(plan: ExperimentPlan, run_dir, client_factory=None, progress=None,

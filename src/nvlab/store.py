@@ -12,7 +12,12 @@ Records carry their full trajectory identity (condition index, repetition,
 block, round) so concurrent trajectories can interleave safely. Profit is
 recomputed from (order, demand, cost structure) on every read; any mismatch,
 malformed line, or hash conflict raises IntegrityError naming the offending
-record.
+record. A run's outcome holds the rounds it replayed or wrote, validated by
+the same `group_trajectories`, so the runner never reads the file back.
+
+Appends share one handle, opened by the first `append` and kept until
+`RunStore.close` (or the end of ``with RunStore(...)``); each line is written
+and flushed on its own, so a crash leaves at most one torn final line.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ MANIFEST_NAME = "manifest.json"
 ROUNDS_NAME = "rounds.jsonl"
 TORN_NAME = ROUNDS_NAME + ".torn"  # unterminated final lines that resume set aside
 STORE_FORMAT = "nvlab-run/1"
-
-TIMESTAMP_FIELDS = ("ts_start", "ts_end")
 
 
 class IntegrityError(RuntimeError):
@@ -142,6 +145,13 @@ class RunStore:
     def __init__(self, run_dir: Path | str):
         self.run_dir = Path(run_dir)
         self._append_lock = threading.Lock()
+        self._handle = None
+
+    def __enter__(self) -> "RunStore":
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
     @property
     def manifest_path(self) -> Path:
@@ -174,10 +184,23 @@ class RunStore:
             raise IntegrityError(f"manifest.json is malformed: {exc}") from exc
 
     def append(self, record: RoundRecord):
-        """Append one line; safe to call from several threads at once."""
+        """Append and flush one line; safe to call from several threads at once.
+
+        The first append opens rounds.jsonl; the handle stays open until `close`.
+        """
         line = record.to_line() + "\n"
-        with self._append_lock, self.rounds_path.open("a", encoding="utf-8") as handle:
-            handle.write(line)
+        with self._append_lock:
+            if self._handle is None:
+                self._handle = self.rounds_path.open("a", encoding="utf-8")
+            self._handle.write(line)
+            self._handle.flush()
+
+    def close(self):
+        """Close the append handle, if one is open; a later append opens it again."""
+        with self._append_lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
     def records(self) -> list[RoundRecord]:
         """Every stored round in line order.
@@ -283,10 +306,3 @@ def group_trajectories(records: list[RoundRecord], scenario_for: "callable") -> 
         )
     return trajectories
 
-
-def strip_timestamps(line: str) -> str:
-    """Round-record line with the timestamp fields zeroed, for comparisons."""
-    data = json.loads(line)
-    for key in TIMESTAMP_FIELDS:
-        data[key] = 0.0
-    return json.dumps(data, separators=(",", ":"))

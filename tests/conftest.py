@@ -112,6 +112,14 @@ def stub_server():
     server.server_close()
 
 
+def strip_timestamps(line: str) -> str:
+    """Round-record line with the timestamp fields zeroed, for comparisons."""
+    data = json.loads(line)
+    for key in ("ts_start", "ts_end"):
+        data[key] = 0.0
+    return json.dumps(data, separators=(",", ":"))
+
+
 def make_trajectory(sc: ScenarioConfig, orders, demands, agent="test-agent",
                     order_condition="high-first", repetition=0, block_index=1) -> Trajectory:
     """In-memory trajectory with consistent profit accounting, for metric tests."""
@@ -174,43 +182,43 @@ def write_replay_store(run_dir, rows, reps=10, rounds=10):
         for dist, _, _, _ in rows
     )
     plan = ExperimentPlan(conditions)
-    store = RunStore(run_dir)
-    store.create(build_manifest(plan))
-    for condition_index, (dist, label, mean_high, mean_low) in enumerate(rows):
-        for block_index, mean in ((1, mean_high), (2, mean_low)):
-            margin = "high" if block_index == 1 else "low"
-            sc = scenario("E1-baseline", margin, dist, rounds)
-            orders = integer_mix(mean, reps * rounds)
-            position = 0
-            for repetition in range(reps):
-                cumulative = 0
-                last = None
-                for round_index in range(1, rounds + 1):
-                    order = orders[position]
-                    position += 1
-                    demand = order
-                    pi = profit(order, demand, sc.cost)
-                    cumulative += pi
-                    ctx = round_context(sc, round_index, last)
-                    record = RoundRecord(
-                        run_id=plan.run_id(),
-                        condition_index=condition_index,
-                        agent=label,
-                        experiment="E1-baseline",
-                        dist=dist,
-                        order_condition="high-first",
-                        repetition=repetition,
-                        block_index=block_index,
-                        margin=margin,
-                        round_index=round_index,
-                        order=order,
-                        demand=demand,
-                        profit=pi,
-                        cumulative_profit=cumulative,
-                        parse_confidence="exact",
-                        prompt_sha256=sha256_text(render_prompt(ctx)),
-                        raw_response=f"replay fixture: constant order {order}",
-                    )
-                    store.append(record)
-                    last = record
+    with RunStore(run_dir) as store:
+        store.create(build_manifest(plan))
+        for condition_index, (dist, label, mean_high, mean_low) in enumerate(rows):
+            for block_index, mean in ((1, mean_high), (2, mean_low)):
+                margin = "high" if block_index == 1 else "low"
+                sc = scenario("E1-baseline", margin, dist, rounds)
+                orders = integer_mix(mean, reps * rounds)
+                position = 0
+                for repetition in range(reps):
+                    cumulative = 0
+                    last = None
+                    for round_index in range(1, rounds + 1):
+                        order = orders[position]
+                        position += 1
+                        demand = order
+                        pi = profit(order, demand, sc.cost)
+                        cumulative += pi
+                        ctx = round_context(sc, round_index, last)
+                        record = RoundRecord(
+                            run_id=plan.run_id(),
+                            condition_index=condition_index,
+                            agent=label,
+                            experiment="E1-baseline",
+                            dist=dist,
+                            order_condition="high-first",
+                            repetition=repetition,
+                            block_index=block_index,
+                            margin=margin,
+                            round_index=round_index,
+                            order=order,
+                            demand=demand,
+                            profit=pi,
+                            cumulative_profit=cumulative,
+                            parse_confidence="exact",
+                            prompt_sha256=sha256_text(render_prompt(ctx)),
+                            raw_response=f"replay fixture: constant order {order}",
+                        )
+                        store.append(record)
+                        last = record
     return plan

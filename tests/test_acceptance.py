@@ -18,7 +18,7 @@ import csv
 
 import pytest
 
-from conftest import write_replay_store
+from conftest import strip_timestamps, write_replay_store
 from test_model import oracle_expected_profit
 
 from nvlab import metrics, model
@@ -38,7 +38,7 @@ from nvlab.metrics import (
 from nvlab.model import expected_profit, optimal_quantity, profit, scenario, support_pmf
 from nvlab.report import build_report
 from nvlab.runner import ExperimentPlan, PlanCondition, run_plan
-from nvlab.store import RunStore, strip_timestamps
+from nvlab.store import RunStore
 
 TABLE_OPTIMA = [
     ("E1-baseline", "uniform", 225, 75),

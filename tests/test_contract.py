@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from conftest import strip_timestamps
 from nvlab.agents import AgentSpec, ParsePolicy
 from nvlab.config import RunConfig, build_plan
 from nvlab.model import DIST_KINDS
@@ -23,7 +24,7 @@ from nvlab.runner import (
     run_plan,
     verify_prompt_hashes,
 )
-from nvlab.store import IntegrityError, strip_timestamps
+from nvlab.store import IntegrityError
 
 SCRIPTED = (
     AgentSpec("optimal"),

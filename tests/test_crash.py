@@ -1,0 +1,99 @@
+"""Crash harness: kill a run mid-flight with SIGKILL, resume it, and compare.
+
+Each case starts the CLI in a child process, kills it after a given number of
+progress lines (wherever it is: between rounds, mid-append, or between run
+directories), finishes the run with ``--resume``, and requires the stored
+rounds to be those of an uninterrupted run.
+"""
+
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+import nvlab
+from conftest import strip_timestamps
+from nvlab.cli import main
+from nvlab.config import RunConfig
+from nvlab.store import RunStore, sha256_text
+from test_runner import order_from_prompt
+
+GRID = ["--reps", "2", "--rounds", "5"]  # 12 conditions x 2 reps x 2 blocks per agent
+
+
+def stripped_lines(run_dir):
+    with open(run_dir / "rounds.jsonl", encoding="utf-8") as handle:
+        return sorted(strip_timestamps(line) for line in handle if line.strip())
+
+
+def run_until_killed(args, lines):
+    """Run the CLI and SIGKILL it once it has printed ``lines`` progress lines."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nvlab.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "nvlab.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    try:
+        for _ in range(lines):
+            assert proc.stdout.readline(), "the run ended before it could be killed"
+        proc.kill()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stdout.close()
+    assert proc.returncode == -signal.SIGKILL
+
+
+@pytest.mark.parametrize("lines", [2, 60, 130, 175])
+def test_killed_simulate_resumes_to_the_uninterrupted_stores(tmp_path, lines):
+    assert main(["simulate", *GRID, "--out", str(tmp_path / "full")]) == 0
+    run_until_killed(["simulate", *GRID, "--out", str(tmp_path / "killed")], lines)
+
+    full_dirs = sorted((tmp_path / "full").iterdir())
+    assert len(full_dirs) == 4  # one per scripted agent
+    for full in full_dirs:
+        killed = tmp_path / "killed" / full.name
+        if RunStore(killed).exists():
+            assert main(["simulate", "--resume", str(killed)]) == 0
+        else:  # killed before this agent's manifest was in place
+            kind = RunStore(full).manifest()["plan"]["conditions"][0]["agent"]["kind"]
+            assert main(["simulate", *GRID, "--agent", kind,
+                         "--out", str(tmp_path / "killed")]) == 0
+        assert (killed / "manifest.json").read_bytes() == (full / "manifest.json").read_bytes()
+        assert stripped_lines(killed) == stripped_lines(full)
+
+
+def slow_order_from_prompt(body):
+    time.sleep(0.005)  # keeps several requests in flight when the kill lands
+    return order_from_prompt(body)
+
+
+@pytest.mark.parametrize("lines", [2, 6, 10])
+def test_killed_concurrent_llm_run_resumes_with_the_stated_orders(
+        tmp_path, stub_server, monkeypatch, lines):
+    stub_server.reply_fn = slow_order_from_prompt
+    monkeypatch.setenv("NVLAB_TEST_KEY", "sk-test")
+    config = RunConfig(endpoint=stub_server.url, credential_env="NVLAB_TEST_KEY",
+                       models=("test-model",), max_retries=0, backoff_base=0.001,
+                       concurrency=4)
+    config.to_file(tmp_path / "config.json")
+    args = ["run", "--config", str(tmp_path / "config.json"), "--experiment", "E1",
+            "--dist", "uniform", "--order", "high-first", "--reps", "6", "--rounds", "5"]
+    assert main([*args, "--out", str(tmp_path / "full")]) == 0
+    # line 1 names the run directory; later lines come after the store exists
+    run_until_killed([*args, "--out", str(tmp_path / "killed")], lines)
+
+    (full,) = (tmp_path / "full").iterdir()
+    killed = tmp_path / "killed" / full.name
+    assert main(["run", "--config", str(tmp_path / "config.json"),
+                 "--resume", str(killed)]) == 0
+    stated = {sha256_text(body["messages"][-1]["content"]): order_from_prompt(body)
+              for body in stub_server.requests}
+    records = RunStore(killed).records()
+    assert len(records) == 6 * 2 * 5
+    for record in records:
+        assert record.raw_response == stated[record.prompt_sha256]
+        assert f"order {record.order} wodgets" in record.raw_response
+    assert stripped_lines(killed) == stripped_lines(full)

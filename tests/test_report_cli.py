@@ -8,13 +8,13 @@ from pathlib import Path
 import pytest
 
 import nvlab
-from conftest import write_replay_store
+from conftest import strip_timestamps, write_replay_store
 from nvlab.cli import main
 from nvlab.config import ConfigError, RunConfig, build_plan
 from nvlab.agents import AgentSpec
 from nvlab.report import ReportError, build_report, load_trajectories
 from nvlab.runner import ExperimentPlan, PlanCondition, load_plan, plan_trajectories, run_plan
-from nvlab.store import RunStore, strip_timestamps
+from nvlab.store import RunStore
 
 
 def read_csv(path):

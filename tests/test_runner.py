@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from conftest import strip_timestamps
 from nvlab.agents import AgentSpec
 from nvlab.config import RunConfig, build_plan
 from nvlab.llm import ChatClient, ChatResult
@@ -16,11 +17,13 @@ from nvlab.runner import (
     ExperimentPlan,
     PlanCondition,
     derive_seed,
+    load_plan,
+    plan_trajectories,
     resume,
     run_plan,
     verify_prompt_hashes,
 )
-from nvlab.store import IntegrityError, RunStore, sha256_text, strip_timestamps
+from nvlab.store import IntegrityError, RunStore, sha256_text
 
 OPTIMAL = AgentSpec("optimal")
 CHASER = AgentSpec("demand-chaser", chase_rate=0.5)
@@ -526,3 +529,48 @@ def test_pool_wider_than_the_cores_loses_no_round_or_progress_line(tmp_path):
     assert outcome[0].complete
     assert blocks_seen[0] == 2 * 2 * 8
     assert sorted(stripped_lines(tmp_path / "pool")) == sorted(stripped_lines(tmp_path / "serial"))
+
+
+# --- the outcome is what the store holds ---------------------------------------
+
+def assert_outcome_matches_the_store(outcome):
+    """The in-memory trajectories equal a fresh read of the store, record for record."""
+    store = RunStore(outcome.store.run_dir)
+    assert outcome.trajectories == plan_trajectories(load_plan(store), store.records())
+
+
+def test_outcome_of_a_fresh_scripted_run_matches_the_store(tmp_path):
+    outcome = run_plan(small_plan(agent=AgentSpec("random"), reps=2, rounds=6), tmp_path / "run")
+    assert outcome.complete and len(outcome.trajectories) == 8
+    assert_outcome_matches_the_store(outcome)
+
+
+def test_outcome_of_an_llm_run_with_unresolved_rounds_matches_the_store(tmp_path, stub_server):
+    stub_server.reply_fn = order_from_prompt
+    plan = small_plan(agent=LLM_AGENT, orders=("high-first",), reps=3, rounds=4)
+    outcome = run_plan(plan, tmp_path / "run", client_factory=stub_factory(stub_server, 9),
+                       workers=2)
+    assert outcome.failures and not outcome.complete
+    assert_outcome_matches_the_store(outcome)
+    stub_server.mode = "garbage"
+    outcome = resume(tmp_path / "run", client_factory=stub_factory(stub_server), workers=2)
+    assert {f.kind for f in outcome.failures} == {"transport"}
+    assert sum(len(t.records) for t in outcome.trajectories) == 9
+    assert_outcome_matches_the_store(outcome)
+
+
+def test_outcome_of_a_resumed_torn_store_matches_the_store(tmp_path):
+    run_dir, _ = torn_store(tmp_path)
+    outcome = resume(run_dir)
+    assert outcome.complete
+    assert_outcome_matches_the_store(outcome)
+
+
+def test_each_append_is_on_disk_before_it_returns(tmp_path):
+    run_plan(small_plan(reps=1, rounds=2), tmp_path / "run")
+    records = RunStore(tmp_path / "run").records()
+    with RunStore(tmp_path / "copy") as store:
+        store.create(RunStore(tmp_path / "run").manifest())
+        for count, record in enumerate(records, start=1):
+            store.append(record)
+            assert RunStore(tmp_path / "copy").records() == records[:count]
