@@ -15,9 +15,11 @@ Conventions worth knowing before reading the code:
   mean the chosen order earns less than the optimum. PE is undefined
   (None) when the denominator is not positive.
 * A round-to-round adjustment is classified by sign(delta * prior_error):
-  toward demand when positive, away when negative. A zero delta -- and the
-  zero-prior-error case, which makes the product zero -- counts as
-  no-change, so the three shares always partition the rounds.
+  toward demand when positive, away when negative, no-change when either is
+  zero. A group's adjustments are classified at once (`adjustment_arrays`
+  masks out round 1 of each trajectory, so lengths may mix and a 1-round
+  trajectory adds none). An |prior error| equal to a quartile cut goes to
+  the lower quartile.
 * Learning is summarized by the OLS slope of |q_t - q*| on t, the OLS slope
   of PE_t on t, and the change in error responsiveness: R^2 of (delta_t on
   prior error) over the late rounds (8-15) minus the same over the early
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -66,7 +68,8 @@ def _check_same_scenario(trajectories: list[Trajectory]) -> ScenarioConfig:
         raise MetricsError("no trajectories given")
     sc = trajectories[0].scenario
     for t in trajectories[1:]:
-        if t.scenario != sc:
+        # trajectories of different lengths (runs with different rounds) pool
+        if t.scenario != sc and replace(t.scenario, rounds=sc.rounds) != sc:
             raise MetricsError("trajectories mix different scenarios")
     return sc
 
@@ -164,23 +167,27 @@ class AdjustmentEvent:
     quartile: str | None = None
 
 
+def adjustment_arrays(trajectories: list[Trajectory]) -> tuple[np.ndarray, ...]:
+    """(round index, delta, prior error, direction code) of each round t >= 2 of a group.
+
+    The code is sign(delta) * sign(prior error): 1 toward, -1 away, 0 no-change,
+    so ``DIRECTIONS[code]`` names it and ``code % 3`` is its place in ``DIRECTIONS``.
+    """
+    round_index = np.concatenate([np.arange(1, len(t.orders) + 1) for t in trajectories])
+    orders = np.array([q for t in trajectories for q in t.orders])
+    demands = np.array([d for t in trajectories for d in t.demands])
+    # round 1 of a trajectory has no prior round; the pair before it spans two trajectories
+    later = round_index[1:] > 1
+    delta = np.diff(orders)[later]
+    error = (demands[:-1] - orders[:-1])[later]
+    return round_index[1:][later], delta, error, (np.sign(delta) * np.sign(error)).astype(int)
+
+
 def classify_adjustments(trajectory: Trajectory) -> list[AdjustmentEvent]:
-    """One event per round t >= 2, classified by sign(delta * prior_error)."""
-    orders, demands = trajectory.orders, trajectory.demands
-    if len(orders) < 2:
-        raise MetricsError("need at least two rounds to classify adjustments")
-    events = []
-    for t in range(1, len(orders)):
-        delta = orders[t] - orders[t - 1]
-        error = demands[t - 1] - orders[t - 1]
-        if delta == 0 or error == 0:
-            direction = NO_CHANGE
-        elif delta * error > 0:
-            direction = TOWARD
-        else:
-            direction = AWAY
-        events.append(AdjustmentEvent(t + 1, delta, error, direction, abs(delta)))
-    return events
+    """One event per round t >= 2: the one-trajectory view of `adjustment_arrays`."""
+    columns = (column.tolist() for column in adjustment_arrays([trajectory]))
+    return [AdjustmentEvent(round_index, delta, error, DIRECTIONS[code], abs(delta))
+            for round_index, delta, error, code in zip(*columns)]
 
 
 def quartile_thresholds(abs_errors) -> tuple[float, float, float]:
@@ -192,24 +199,17 @@ def quartile_thresholds(abs_errors) -> tuple[float, float, float]:
     return float(c1), float(c2), float(c3)
 
 
+def quartile_buckets(abs_errors, thresholds: tuple[float, float, float]) -> np.ndarray:
+    """Quartile position (0 for Q1 .. 3 for Q4) of each |prior error|; ties go low."""
+    return np.searchsorted(np.asarray(thresholds, dtype=float), abs_errors, side="left")
+
+
 def assign_quartiles(events: list[AdjustmentEvent],
                      thresholds: tuple[float, float, float]) -> list[AdjustmentEvent]:
     """Bucket events by |prior error|; ties go to the lower quartile."""
-    c1, c2, c3 = thresholds
-    out = []
-    for event in events:
-        magnitude = abs(event.prior_error)
-        if magnitude <= c1:
-            quartile = "Q1"
-        elif magnitude <= c2:
-            quartile = "Q2"
-        elif magnitude <= c3:
-            quartile = "Q3"
-        else:
-            quartile = "Q4"
-        out.append(AdjustmentEvent(event.round_index, event.delta, event.prior_error,
-                                   event.direction, event.magnitude, quartile))
-    return out
+    buckets = quartile_buckets([abs(e.prior_error) for e in events], thresholds)
+    return [replace(event, quartile=QUARTILES[bucket])
+            for event, bucket in zip(events, buckets.tolist())]
 
 
 def direction_shares(events: list[AdjustmentEvent]) -> dict[str, float]:

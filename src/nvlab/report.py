@@ -30,6 +30,8 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import humans, metrics, model
 from .runner import load_plan, plan_trajectories
 from .store import RunStore, Trajectory
@@ -221,17 +223,10 @@ def learning_rows(trajectories) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _pooled_events(trajectories) -> list[tuple]:
-    """Quartile-tagged adjustment events per (experiment, dist, agent, order), in key order."""
-    out = []
-    for key, group in _group(trajectories, lambda t: (*_condition_key(t), t.order_condition)):
-        events = [e for t in group for e in metrics.classify_adjustments(t)]
-        try:
-            cuts = metrics.quartile_thresholds([abs(e.prior_error) for e in events])
-        except metrics.MetricsError:
-            continue  # pool too small to cut into quartiles
-        out.append((key, metrics.assign_quartiles(events, cuts)))
-    return out
+def _share_cells(counts: list[int]) -> list[str]:
+    """Percent cells of (no-change, toward, away) counts, then their total; blank when 0."""
+    total = sum(counts)
+    return [*(_fmt(count / total * 100.0 if total else None, 1) for count in counts), str(total)]
 
 
 def quartile_rows(trajectories, compare_humans=False) -> tuple[list[str], list[list]]:
@@ -241,21 +236,19 @@ def quartile_rows(trajectories, compare_humans=False) -> tuple[list[str], list[l
     ]
     rows = []
     seen_human = set()
-    for (experiment, _, dist, agent, order_condition), events in _pooled_events(trajectories):
-        buckets: dict[str, list] = {quartile: [] for quartile in metrics.QUARTILES}
-        for event in events:
-            buckets[event.quartile].append(event)
-        for quartile, bucket in buckets.items():
-            if not bucket:
-                rows.append([experiment, dist, agent, order_condition, quartile,
-                             "", "", "", "0", "this run"])
-                continue
-            shares = metrics.direction_shares(bucket)
-            rows.append([
-                experiment, dist, agent, order_condition, quartile,
-                _fmt(shares[metrics.NO_CHANGE], 1), _fmt(shares[metrics.TOWARD], 1),
-                _fmt(shares[metrics.AWAY], 1), str(len(bucket)), "this run",
-            ])
+    groups = _group(trajectories, lambda t: (*_condition_key(t), t.order_condition))
+    for (experiment, _, dist, agent, order_condition), group in groups:
+        _, _, errors, codes = metrics.adjustment_arrays(group)
+        abs_errors = np.abs(errors)
+        try:
+            cuts = metrics.quartile_thresholds(abs_errors)
+        except metrics.MetricsError:
+            continue  # pool too small to cut into quartiles
+        buckets = metrics.quartile_buckets(abs_errors, cuts)
+        counts = np.bincount(buckets * 3 + codes % 3, minlength=12).reshape(4, 3)
+        for quartile, row in zip(metrics.QUARTILES, counts.tolist()):
+            rows.append([experiment, dist, agent, order_condition, quartile,
+                         *_share_cells(row), "this run"])
         if compare_humans and experiment == model.E1 and (dist, order_condition) not in seen_human:
             seen_human.add((dist, order_condition))
             for quartile in ("Q1", "Q4"):
@@ -304,17 +297,14 @@ def adjustment_share_rows(trajectories) -> tuple[list[str], list[list]]:
     groups = _group(trajectories, _block_key)
     for (experiment, _, dist, agent, order_condition, block_index), group in groups:
         margin = group[0].scenario.margin
-        by_round: dict[int, list] = {}
-        for t in group:
-            for event in metrics.classify_adjustments(t):
-                by_round.setdefault(event.round_index, []).append(event)
-        for round_index in sorted(by_round):
-            shares = metrics.direction_shares(by_round[round_index])
+        rounds, _, _, codes = metrics.adjustment_arrays(group)
+        # every round from 2 to the longest trajectory's last has an adjustment
+        n_rounds = max(len(t.orders) for t in group)
+        counts = np.bincount((rounds - 2) * 3 + codes % 3, minlength=3 * (n_rounds - 1))
+        for round_index, row in enumerate(counts.reshape(-1, 3).tolist(), start=2):
             rows.append([
                 experiment, dist, agent, order_condition, str(block_index), margin,
-                str(round_index), _fmt(shares[metrics.NO_CHANGE], 1),
-                _fmt(shares[metrics.TOWARD], 1), _fmt(shares[metrics.AWAY], 1),
-                str(len(by_round[round_index])),
+                str(round_index), *_share_cells(row),
             ])
     return header, rows
 

@@ -73,6 +73,7 @@ from .store import (
     canonical_json,
     group_trajectories,
     sha256_text,
+    where,
 )
 
 log = logging.getLogger(__name__)
@@ -228,11 +229,22 @@ def load_plan(store: RunStore) -> ExperimentPlan:
 
 
 def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord]) -> list[Trajectory]:
-    """Validated trajectories of ``records``, each under its condition's scenario."""
-    return group_trajectories(
-        records,
-        lambda record: plan.conditions[record.condition_index].scenario_for_margin(record.margin),
-    )
+    """Validated trajectories of ``records``, each under its condition's scenario.
+
+    An identity the plan does not run (condition, order, repetition, block or
+    margin) raises IntegrityError.
+    """
+
+    def scenario_for(record: RoundRecord) -> model.ScenarioConfig:
+        index, block = record.condition_index, record.block_index
+        condition = plan.conditions[index] if index in range(len(plan.conditions)) else None
+        if (condition is None or record.order_condition != condition.order_condition
+                or record.repetition not in range(condition.repetitions) or block not in (1, 2)
+                or record.margin != condition.margin_for_block(block)):
+            raise IntegrityError(f"{where(record)} is outside the plan")
+        return condition.scenario_for_margin(record.margin)
+
+    return group_trajectories(records, scenario_for)
 
 
 def round_context(scenario: model.ScenarioConfig, round_index: int,
@@ -308,10 +320,7 @@ class _Block:
                     problem = (f"stored demand {record.demand} does not match "
                                f"the seeded draw {demand}")
                 if problem:
-                    raise IntegrityError(
-                        f"record (condition={self.condition_index}, rep={self.repetition}, "
-                        f"block={self.block_index}, round={round_index}): {problem}"
-                    )
+                    raise IntegrityError(f"{where(record)}: {problem}")
                 if condition.agent.kind == RANDOM:
                     self.agent_rng.integers(scenario.demand.lower, scenario.demand.upper + 1)
             else:

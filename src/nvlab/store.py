@@ -255,7 +255,7 @@ class RunStore:
         return torn.decode("utf-8", errors="replace")
 
 
-def _where(record: RoundRecord) -> str:
+def where(record: RoundRecord) -> str:
     return (f"record (condition={record.condition_index}, order={record.order_condition}, "
             f"rep={record.repetition}, block={record.block_index}, round={record.round_index})")
 
@@ -280,16 +280,16 @@ def group_trajectories(records: list[RoundRecord], scenario_for: "callable") -> 
         for position, record in enumerate(rows, start=1):
             if record.round_index != position:
                 raise IntegrityError(
-                    f"{_where(record)}: expected round {position}, rounds are not contiguous")
+                    f"{where(record)}: expected round {position}, rounds are not contiguous")
             recomputed = profit(record.order, record.demand, sc.cost)
             if abs(recomputed - record.profit) > 1e-9:
                 raise IntegrityError(
-                    f"{_where(record)}: stored profit {record.profit} != recomputed {recomputed}"
+                    f"{where(record)}: stored profit {record.profit} != recomputed {recomputed}"
                 )
             cumulative += recomputed
             if abs(cumulative - record.cumulative_profit) > 1e-9:
                 raise IntegrityError(
-                    f"{_where(record)}: stored cumulative profit {record.cumulative_profit} "
+                    f"{where(record)}: stored cumulative profit {record.cumulative_profit} "
                     f"!= running sum {cumulative}"
                 )
         trajectories.append(

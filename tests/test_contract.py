@@ -41,6 +41,11 @@ GOLDEN_STORES = {
     "random": "ad23cb54d75462aaa4cd2726c05ef2ac4672f20e739f3e7dc4125900a720517c",
 }
 GOLDEN_BUNDLE = "5833dd7e339c0ba0da24a5c360d6665af3f54e1a98b229fcb4c983ba76fea4bc"
+# the same grid with short blocks: empty learning cells and sparse quartiles
+GOLDEN_SHORT_BUNDLES = {
+    2: "34cfa4381aaf6c3e89f4b9605de96b1fd5c1c172313fd3f85f95bb464f03e425",
+    5: "45d7cc6cf67e80ea8afe3deece30466142326daa5c243ccffd2f05859f80ced0",
+}
 GOLDEN_LLM_MANIFEST = "c0bda02b0b119ec73242b8a3290a22b66d93d60174be9157cd90c7f7f3717dbb"
 
 
@@ -69,7 +74,23 @@ def test_golden_digests_of_scripted_grid(tmp_path):
     from numpy's ``Generator`` stream, so these digests also depend on that
     stream staying the same across numpy releases.
     """
-    config = RunConfig(distributions=DIST_KINDS, repetitions=2, base_seed=11)
+    digests = scripted_grid(tmp_path, rounds=15)
+    assert digests == GOLDEN_STORES
+    assert bundle_digest(tmp_path / "report") == GOLDEN_BUNDLE
+
+
+@pytest.mark.parametrize("rounds", sorted(GOLDEN_SHORT_BUNDLES))
+def test_golden_bundle_of_short_scripted_grid(tmp_path, rounds):
+    scripted_grid(tmp_path, rounds)
+    assert bundle_digest(tmp_path / "report") == GOLDEN_SHORT_BUNDLES[rounds]
+
+
+def scripted_grid(tmp_path, rounds) -> dict:
+    """Run the scripted grid into ``tmp_path/runs``, report it into ``tmp_path/report``.
+
+    Returns the store digest of each agent.
+    """
+    config = RunConfig(distributions=DIST_KINDS, repetitions=2, rounds=rounds, base_seed=11)
     stores, digests = [], {}
     for agent in SCRIPTED:
         plan = build_plan(config, [agent])
@@ -79,8 +100,7 @@ def test_golden_digests_of_scripted_grid(tmp_path):
         stores.append(outcome.store.run_dir)
         digests[agent.label] = store_digest(outcome.store.run_dir)
     build_report(stores, tmp_path / "report", compare_humans=True)
-    assert digests == GOLDEN_STORES
-    assert bundle_digest(tmp_path / "report") == GOLDEN_BUNDLE
+    return digests
 
 
 def test_golden_manifest_of_llm_plan():

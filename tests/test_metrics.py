@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import make_trajectory
-from nvlab import metrics
+from nvlab import metrics, report
 from nvlab.agents import AgentSpec
 from nvlab.metrics import (
     MetricsError,
@@ -66,6 +68,14 @@ def test_bias_requires_consistent_scenarios():
         bias_stats([constant_traj(SC_HIGH, 200), constant_traj(SC_LOW, 200)])
     with pytest.raises(MetricsError):
         bias_stats([])
+
+
+def test_bias_pools_scenarios_that_differ_only_in_length():
+    short = scenario("E1-baseline", "high", "uniform", 3)
+    stats = bias_stats([constant_traj(SC_HIGH, 200), constant_traj(short, 230, rounds=3)])
+    assert stats.mean_order == pytest.approx((15 * 200 + 3 * 230) / 18)
+    with pytest.raises(MetricsError):
+        bias_stats([constant_traj(SC_HIGH, 200), constant_traj(SC_LOW, 200, rounds=3)])
 
 
 # --- adjustment score --------------------------------------------------------
@@ -176,6 +186,100 @@ def test_quartile_ties_go_low():
 def test_quartile_thresholds_need_four_values():
     with pytest.raises(MetricsError):
         quartile_thresholds([1, 2, 3])
+
+
+def reference_events(trajectory):
+    """(round, |prior error|, direction) of each adjustment, by the rule written out."""
+    orders, demands = trajectory.orders, trajectory.demands
+    out = []
+    for t in range(1, len(orders)):
+        delta = orders[t] - orders[t - 1]
+        error = demands[t - 1] - orders[t - 1]
+        if delta == 0 or error == 0:
+            direction = "no-change"
+        elif delta * error > 0:
+            direction = "toward"
+        else:
+            direction = "away"
+        out.append((t + 1, abs(error), direction))
+    return out
+
+
+def reference_quartile(value, cuts):
+    c1, c2, c3 = cuts
+    return "Q1" if value <= c1 else "Q2" if value <= c2 else "Q3" if value <= c3 else "Q4"
+
+
+def random_group(seed):
+    """Trajectories of one report group: mixed lengths, few distinct values, many ties."""
+    rng = np.random.default_rng(seed)
+    group = []
+    for repetition in range(int(rng.integers(2, 7))):
+        n = int(rng.integers(1, 9))
+        orders = [int(q) for q in rng.integers(100, 104, size=n)]
+        demands = [int(d) for d in rng.integers(98, 106, size=n)]
+        group.append(make_trajectory(SC_HIGH, orders, demands, repetition=repetition))
+    return group
+
+
+def expected_cells(counts, key, total):
+    """Percent cells of one table row from reference counts keyed (key, direction)."""
+    return [f"{counts[key, d] / total * 100.0:.1f}" for d in ("no-change", "toward", "away")]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_array_path_counts_match_the_event_path(seed):
+    group = random_group(seed)
+    events = [e for t in group for e in reference_events(t)]
+    # the public one-trajectory view classifies as the rule does
+    public = [e for t in group if len(t.orders) > 1 for e in classify_adjustments(t)]
+    assert [(e.round_index, abs(e.prior_error), e.direction) for e in public] == events
+
+    rounds, _, errors, codes = metrics.adjustment_arrays(group)
+    directions = [metrics.DIRECTIONS[c] for c in codes.tolist()]
+    by_round = Counter((r, d) for r, _, d in events)
+    assert Counter(zip(rounds.tolist(), directions)) == by_round
+    round_totals = Counter(r for r, _, _ in events)
+    rows = report.adjustment_share_rows(group)[1]
+    assert [int(row[6]) for row in rows] == sorted(round_totals)
+    for row in rows:
+        total = round_totals[int(row[6])]
+        assert row[7:] == [*expected_cells(by_round, int(row[6]), total), str(total)]
+
+    if len(events) < 4:
+        with pytest.raises(MetricsError):
+            quartile_thresholds(np.abs(errors))
+        assert report.quartile_rows(group)[1] == []
+        return
+    cuts = quartile_thresholds(e for _, e, _ in events)
+    by_quartile = Counter((reference_quartile(e, cuts), d) for _, e, d in events)
+    tagged = metrics.assign_quartiles(public, cuts)
+    assert Counter((e.quartile, e.direction) for e in tagged) == by_quartile
+    buckets = metrics.quartile_buckets(np.abs(errors), quartile_thresholds(np.abs(errors)))
+    quartiles = [metrics.QUARTILES[b] for b in buckets.tolist()]
+    assert Counter(zip(quartiles, directions)) == by_quartile
+    quartile_totals = Counter(reference_quartile(e, cuts) for _, e, _ in events)
+    rows = report.quartile_rows(group)[1]
+    assert [row[4] for row in rows] == list(metrics.QUARTILES)
+    for row in rows:
+        total = quartile_totals[row[4]]
+        cells = expected_cells(by_quartile, row[4], total) if total else ["", "", ""]
+        assert row[5:9] == [*cells, str(total)]
+
+
+def test_random_groups_cover_the_edge_cases():
+    """The seeds above mix lengths, hit cuts exactly, and hold zero deltas and errors."""
+    mixed = ties = zero_delta = zero_error = 0
+    for seed in range(40):
+        group = random_group(seed)
+        mixed += len({len(t.orders) for t in group}) > 1
+        _, deltas, errors, _ = metrics.adjustment_arrays(group)
+        zero_delta += int((deltas == 0).sum())
+        zero_error += int((errors == 0).sum())
+        if errors.size >= 4:
+            cuts = quartile_thresholds(np.abs(errors))
+            ties += bool(np.isin(np.abs(errors), cuts).any())
+    assert mixed >= 30 and ties >= 20 and zero_delta and zero_error
 
 
 def test_chaser_simulation_is_all_toward_with_rising_share(tmp_path):

@@ -380,3 +380,67 @@ def test_malformed_agent_in_manifest_is_an_integrity_error(tmp_path, capsys, edi
     assert main(["simulate", "--resume", str(run_dir)]) == 5
     assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 5
     assert capsys.readouterr().err.count("integrity error") == 2
+
+
+def test_report_of_one_round_runs_writes_a_bundle(tmp_path, capsys):
+    """A 1-round trajectory has no adjustment: no quartile or per-round share rows."""
+    assert main(["simulate", "--reps", "2", "--rounds", "1", "--out", str(tmp_path / "runs")]) == 0
+    runs = sorted(str(p) for p in (tmp_path / "runs").iterdir())
+    assert len(runs) == 4
+    assert main(["report", *runs, "--out", str(tmp_path / "report"), "--compare-humans"]) == 0
+    assert "Complete trajectories: 192" in (tmp_path / "report" / "report.md").read_text()
+    assert [r for r in read_csv(tmp_path / "report" / "quartile_table.csv")
+            if r["source"] == "this run"] == []
+    assert read_csv(tmp_path / "report" / "adjustment_shares_by_round.csv") == []
+
+
+def test_one_round_runs_add_nothing_to_the_adjustment_tables(tmp_path, capsys):
+    """Stores of different lengths share report groups; the 1-round ones add no events."""
+    for rounds in ("1", "4"):
+        assert main(["simulate", "--agent", "demand-chaser", "--reps", "3", "--rounds", rounds,
+                     "--out", str(tmp_path / f"runs-{rounds}")]) == 0
+    [short], [long] = ([str(p) for p in (tmp_path / name).iterdir()]
+                       for name in ("runs-1", "runs-4"))
+    assert main(["report", short, long, "--out", str(tmp_path / "both")]) == 0
+    assert main(["report", long, "--out", str(tmp_path / "long")]) == 0
+    for name in ("quartile_table.csv", "adjustment_shares_by_round.csv"):
+        both = (tmp_path / "both" / name).read_text()
+        assert both == (tmp_path / "long" / name).read_text()
+        assert len(both.splitlines()) > 1
+
+
+def edit_block(run_dir, changes, copy=True):
+    """Apply ``changes`` to condition 0's repetition 0, block 1: to a copy, or in place."""
+    path = run_dir / "rounds.jsonl"
+    lines = []
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        if (record["condition_index"], record["repetition"], record["block_index"]) == (0, 0, 1):
+            edited = json.dumps({**record, **changes})
+            lines += [line, edited] if copy else [edited]
+        else:
+            lines.append(line)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("changes, copy", [
+    pytest.param({"condition_index": 3}, True, id="condition-past-the-plan"),
+    pytest.param({"condition_index": -1}, True, id="negative-condition"),
+    pytest.param({"repetition": 4}, True, id="repetition-past-the-plan"),
+    pytest.param({"repetition": -1}, True, id="negative-repetition"),
+    pytest.param({"block_index": 3}, True, id="block-3"),
+    pytest.param({"order_condition": "low-first"}, True, id="other-order"),
+    pytest.param({"margin": "low"}, False, id="other-margin"),
+])
+def test_identity_outside_the_plan_is_an_integrity_error(tmp_path, capsys, changes, copy):
+    run_dir = simulate(tmp_path, "sim")  # 2 conditions (one per order) x 2 repetitions
+    edit_block(run_dir, changes, copy)
+    stored = (run_dir / "rounds.jsonl").read_bytes()
+    capsys.readouterr()
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 5
+    assert main(["simulate", "--resume", str(run_dir)]) == 5
+    err = capsys.readouterr().err
+    assert err.count("is outside the plan") == 2
+    assert "round=1)" in err
+    assert not (tmp_path / "report").exists()
+    assert (run_dir / "rounds.jsonl").read_bytes() == stored
