@@ -5,6 +5,11 @@ Templates live as UTF-8 text assets (LF endings, one trailing newline) under
 golden prompts under ``assets/golden`` pin the rendered output byte-for-byte;
 `validate_golden` diffs the renderer against them.
 
+The base template is split at its one ``{history_block}`` slot. Both halves
+are filled once per scenario (cost, demand description, helpful info, formula
+block) and, for the default template set, cached. A round's prompt is the
+head, that round's history block (none in round 1) and the tail.
+
 Formatting rules the goldens rely on:
 
 * integers render plain, no thousands separators;
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .model import (
@@ -70,9 +76,9 @@ def fmt_francs(value) -> str:
     return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PromptTemplateSet:
-    """The full template bundle, loaded from text assets."""
+    """The full template bundle, loaded from text assets; equal and hashed by identity."""
 
     base: str
     history_block: str
@@ -129,14 +135,9 @@ def load_templates() -> PromptTemplateSet:
     )
 
 
-_DEFAULT_TEMPLATES: PromptTemplateSet | None = None
-
-
+@lru_cache(maxsize=1)
 def default_templates() -> PromptTemplateSet:
-    global _DEFAULT_TEMPLATES
-    if _DEFAULT_TEMPLATES is None:
-        _DEFAULT_TEMPLATES = load_templates()
-    return _DEFAULT_TEMPLATES
+    return load_templates()
 
 
 @dataclass(frozen=True)
@@ -177,55 +178,56 @@ def _fill(template: str, values: dict[str, str]) -> str:
         raise TemplateError(f"malformed template placeholder: {exc}") from exc
 
 
-def _demand_values(sc: ScenarioConfig) -> dict[str, str]:
+def _static_halves(sc: ScenarioConfig, templates: PromptTemplateSet) -> tuple[str, str]:
+    """The base template filled with ``sc``'s values, split at its one history slot."""
+    head, *tail = templates.base.split("{history_block}")
+    if len(tail) != 1:
+        raise TemplateError(
+            f"the base template needs one {{history_block}} slot, it has {len(tail)}")
     dist = sc.demand
-    return {
+    values = {
         "a": fmt_int(dist.lower),
         "b": fmt_int(dist.upper),
         "mean": fmt_number(dist.midpoint),
         "std": f"{dist.sd_normal:.1f}",
     }
+    description = _fill(templates.distribution_descriptions[dist.kind], values).strip()
+    formula = ""
+    if sc.experiment in templates.formula_blocks:
+        dist_formula = _fill(templates.distribution_formulas[dist.kind], values).strip()
+        formula = _fill(
+            templates.formula_blocks[sc.experiment], {"distribution_formula": dist_formula}
+        ).strip() + "\n\n"
+    values = {
+        "cost": fmt_int(sc.cost.cost),
+        "demand_description": description,
+        "helpful_info": templates.helpful_info[sc.experiment].strip(),
+        "formula_block": formula,
+    }
+    return _fill(head, values), _fill(tail[0], values)
+
+
+# keyed on the scenario and the template set's identity, so a reloaded set is filled anew
+_cached_halves = lru_cache(maxsize=64)(_static_halves)
+
+
+def _history(templates: PromptTemplateSet, order, demand, profit, cumulative_profit) -> str:
+    values = {"last_order": fmt_int(order), "last_demand": fmt_int(demand),
+              "last_profit": fmt_francs(profit), "cumulative_profit": fmt_francs(cumulative_profit)}
+    return _fill(templates.history_block, values).strip()
 
 
 def render_prompt(ctx: RoundContext, templates: PromptTemplateSet | None = None) -> str:
     """Render one round's prompt; deterministic and locale-independent."""
-    templates = templates or default_templates()
-    sc = ctx.scenario
-    values = _demand_values(sc)
-
-    description = _fill(templates.distribution_descriptions[sc.demand.kind], values).strip()
-
-    if ctx.round_index >= 2:
-        history = _fill(
-            templates.history_block,
-            {
-                "last_order": fmt_int(ctx.last_order),
-                "last_demand": fmt_int(ctx.last_demand),
-                "last_profit": fmt_francs(ctx.last_profit),
-                "cumulative_profit": fmt_francs(ctx.cumulative_profit),
-            },
-        ).strip() + "\n"
+    if templates is None:
+        templates = default_templates()
+        head, tail = _cached_halves(ctx.scenario, templates)
     else:
-        history = ""
-
-    if sc.experiment in templates.formula_blocks:
-        dist_formula = _fill(templates.distribution_formulas[sc.demand.kind], values).strip()
-        formula = _fill(
-            templates.formula_blocks[sc.experiment], {"distribution_formula": dist_formula}
-        ).strip() + "\n\n"
-    else:
-        formula = ""
-
-    return _fill(
-        templates.base,
-        {
-            "cost": fmt_int(sc.cost.cost),
-            "demand_description": description,
-            "history_block": history,
-            "helpful_info": templates.helpful_info[sc.experiment].strip(),
-            "formula_block": formula,
-        },
-    )
+        head, tail = _static_halves(ctx.scenario, templates)
+    if ctx.round_index == 1:
+        return head + tail
+    return head + _history(templates, ctx.last_order, ctx.last_demand, ctx.last_profit,
+                           ctx.cumulative_profit) + "\n" + tail
 
 
 def render_feedback(last) -> str:
@@ -234,15 +236,8 @@ def render_feedback(last) -> str:
     ``last`` is anything with order, demand, profit and cumulative_profit
     attributes (a stored round record qualifies).
     """
-    return _fill(
-        default_templates().history_block,
-        {
-            "last_order": fmt_int(last.order),
-            "last_demand": fmt_int(last.demand),
-            "last_profit": fmt_francs(last.profit),
-            "cumulative_profit": fmt_francs(last.cumulative_profit),
-        },
-    ).strip()
+    return _history(default_templates(), last.order, last.demand, last.profit,
+                    last.cumulative_profit)
 
 
 @dataclass(frozen=True)

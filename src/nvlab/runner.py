@@ -231,8 +231,9 @@ def load_plan(store: RunStore) -> ExperimentPlan:
 def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord]) -> list[Trajectory]:
     """Validated trajectories of ``records``, each under its condition's scenario.
 
-    An identity the plan does not run (condition, order, repetition, block or
-    margin) raises IntegrityError.
+    An identity the plan does not run (condition, order, repetition, block,
+    margin or agent label) raises IntegrityError; `group_trajectories` holds
+    every later round of a trajectory to its round 1's agent.
     """
 
     def scenario_for(record: RoundRecord) -> model.ScenarioConfig:
@@ -240,7 +241,8 @@ def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord]) -> list[
         condition = plan.conditions[index] if index in range(len(plan.conditions)) else None
         if (condition is None or record.order_condition != condition.order_condition
                 or record.repetition not in range(condition.repetitions) or block not in (1, 2)
-                or record.margin != condition.margin_for_block(block)):
+                or record.margin != condition.margin_for_block(block)
+                or record.agent != condition.agent.label):
             raise IntegrityError(f"{where(record)} is outside the plan")
         return condition.scenario_for_margin(record.margin)
 

@@ -264,8 +264,8 @@ def group_trajectories(records: list[RoundRecord], scenario_for: "callable") -> 
     """Group records by trajectory identity and validate per-round invariants.
 
     ``scenario_for(record)`` must return the ScenarioConfig governing that
-    record's block. Validates round contiguity, recomputed profit, and the
-    cumulative-profit running sum.
+    record's block. Validates round contiguity, one agent label per
+    trajectory, recomputed profit, and the cumulative-profit running sum.
     """
     by_identity: dict[tuple, list[RoundRecord]] = {}
     for record in records:
@@ -281,6 +281,8 @@ def group_trajectories(records: list[RoundRecord], scenario_for: "callable") -> 
             if record.round_index != position:
                 raise IntegrityError(
                     f"{where(record)}: expected round {position}, rounds are not contiguous")
+            if record.agent != first.agent:
+                raise IntegrityError(f"{where(record)}: agent {record.agent!r} is not round 1's")
             recomputed = profit(record.order, record.demand, sc.cost)
             if abs(recomputed - record.profit) > 1e-9:
                 raise IntegrityError(

@@ -172,14 +172,15 @@ def integer_mix(mean: float, n: int) -> list[int]:
 def write_replay_store(run_dir, rows, reps=10, rounds=10):
     """Synthesize a valid run store whose per-margin mean orders are pinned.
 
-    ``rows`` is a list of (dist_kind, agent_label, mean_high, mean_low); each
-    row becomes one condition with constant-demand rounds (demand == order,
-    so profits and prompt hashes stay honest).
+    ``rows`` is a list of (dist_kind, model_name, mean_high, mean_low); each
+    row becomes one condition of an LLM agent of that model, with
+    constant-demand rounds (demand == order, so profits and prompt hashes
+    stay honest).
     """
     conditions = tuple(
-        PlanCondition("E1-baseline", dist, AgentSpec("optimal"), "high-first",
+        PlanCondition("E1-baseline", dist, AgentSpec("llm", model_name=label), "high-first",
                       repetitions=reps, rounds_per_block=rounds, base_seed=0)
-        for dist, _, _, _ in rows
+        for dist, label, _, _ in rows
     )
     plan = ExperimentPlan(conditions)
     with RunStore(run_dir) as store:

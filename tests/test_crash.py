@@ -30,26 +30,33 @@ def stripped_lines(run_dir):
         return sorted(strip_timestamps(line) for line in handle if line.strip())
 
 
-def run_until_killed(args, lines):
-    """Run the CLI and SIGKILL it once it has printed ``lines`` progress lines."""
+def run_until_killed(args, lines, stderr_path):
+    """Run the CLI and SIGKILL it once it has printed ``lines`` progress lines.
+
+    The child's stderr goes to ``stderr_path``; returns its text.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(nvlab.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "nvlab.cli", *args], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    with open(stderr_path, "w", encoding="utf-8") as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "nvlab.cli", *args], env=env,
+                                stdout=subprocess.PIPE, stderr=stderr, text=True)
     try:
         for _ in range(lines):
-            assert proc.stdout.readline(), "the run ended before it could be killed"
+            assert proc.stdout.readline(), (
+                f"the run ended before it could be killed; its stderr:\n{stderr_path.read_text()}")
         proc.kill()
         proc.wait(timeout=60)
     finally:
         proc.kill()
         proc.stdout.close()
-    assert proc.returncode == -signal.SIGKILL
+    assert proc.returncode == -signal.SIGKILL, stderr_path.read_text()
+    return stderr_path.read_text()
 
 
 @pytest.mark.parametrize("lines", [2, 60, 130, 175])
 def test_killed_simulate_resumes_to_the_uninterrupted_stores(tmp_path, lines):
     assert main(["simulate", *GRID, "--out", str(tmp_path / "full")]) == 0
-    run_until_killed(["simulate", *GRID, "--out", str(tmp_path / "killed")], lines)
+    run_until_killed(["simulate", *GRID, "--out", str(tmp_path / "killed")], lines,
+                     tmp_path / "killed.stderr")
 
     full_dirs = sorted((tmp_path / "full").iterdir())
     assert len(full_dirs) == 4  # one per scripted agent
@@ -72,7 +79,7 @@ def slow_order_from_prompt(body):
 
 @pytest.mark.parametrize("lines", [2, 6, 10])
 def test_killed_concurrent_llm_run_resumes_with_the_stated_orders(
-        tmp_path, stub_server, monkeypatch, lines):
+        tmp_path, stub_server, monkeypatch, capsys, lines):
     stub_server.reply_fn = slow_order_from_prompt
     monkeypatch.setenv("NVLAB_TEST_KEY", "sk-test")
     config = RunConfig(endpoint=stub_server.url, credential_env="NVLAB_TEST_KEY",
@@ -83,17 +90,21 @@ def test_killed_concurrent_llm_run_resumes_with_the_stated_orders(
             "--dist", "uniform", "--order", "high-first", "--reps", "6", "--rounds", "5"]
     assert main([*args, "--out", str(tmp_path / "full")]) == 0
     # line 1 names the run directory; later lines come after the store exists
-    run_until_killed([*args, "--out", str(tmp_path / "killed")], lines)
+    killed_stderr = run_until_killed([*args, "--out", str(tmp_path / "killed")], lines,
+                                     tmp_path / "killed.stderr")
 
     (full,) = (tmp_path / "full").iterdir()
     killed = tmp_path / "killed" / full.name
-    assert main(["run", "--config", str(tmp_path / "config.json"),
-                 "--resume", str(killed)]) == 0
+    capsys.readouterr()
+    code = main(["run", "--config", str(tmp_path / "config.json"), "--resume", str(killed)])
+    diagnosis = (f"killed run's stderr:\n{killed_stderr}\n"
+                 f"resume exited {code}; its stderr:\n{capsys.readouterr().err}")
+    assert code == 0, diagnosis
     stated = {sha256_text(body["messages"][-1]["content"]): order_from_prompt(body)
               for body in stub_server.requests}
     records = RunStore(killed).records()
-    assert len(records) == 6 * 2 * 5
+    assert len(records) == 6 * 2 * 5, diagnosis
     for record in records:
-        assert record.raw_response == stated[record.prompt_sha256]
-        assert f"order {record.order} wodgets" in record.raw_response
-    assert stripped_lines(killed) == stripped_lines(full)
+        assert record.raw_response == stated[record.prompt_sha256], diagnosis
+        assert f"order {record.order} wodgets" in record.raw_response, diagnosis
+    assert stripped_lines(killed) == stripped_lines(full), diagnosis

@@ -4,12 +4,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from nvlab.model import scenario
+from nvlab.model import DIST_KINDS, E3, EXPERIMENTS, HIGH, LOGNORMAL, LOW, scenario
 from nvlab.prompts import (
     RoundContext,
     TemplateError,
     default_templates,
     fmt_francs,
+    fmt_int,
+    fmt_number,
     golden_contexts,
     render_feedback,
     render_prompt,
@@ -103,6 +105,82 @@ def test_missing_template_variable_is_named():
     ctx = RoundContext(scenario("E1-baseline", "high", "uniform"), 1)
     with pytest.raises(TemplateError, match="b_upper"):
         render_prompt(ctx, broken)
+
+
+def reference_prompt(ctx, templates):
+    """The whole base template filled in one call, history slot included."""
+    sc, dist = ctx.scenario, ctx.scenario.demand
+    demand = {"a": fmt_int(dist.lower), "b": fmt_int(dist.upper),
+              "mean": fmt_number(dist.midpoint), "std": f"{dist.sd_normal:.1f}"}
+    history = formula = ""
+    if ctx.round_index > 1:
+        history = templates.history_block.format(
+            last_order=fmt_int(ctx.last_order), last_demand=fmt_int(ctx.last_demand),
+            last_profit=fmt_francs(ctx.last_profit),
+            cumulative_profit=fmt_francs(ctx.cumulative_profit),
+        ).strip() + "\n"
+    if sc.experiment in templates.formula_blocks:
+        dist_formula = templates.distribution_formulas[dist.kind].format(**demand).strip()
+        formula = templates.formula_blocks[sc.experiment].format(
+            distribution_formula=dist_formula).strip() + "\n\n"
+    return templates.base.format(
+        cost=fmt_int(sc.cost.cost),
+        demand_description=templates.distribution_descriptions[dist.kind].format(**demand).strip(),
+        history_block=history,
+        helpful_info=templates.helpful_info[sc.experiment].strip(),
+        formula_block=formula,
+    )
+
+
+# the risk-neutral demand range has no lognormal calibration
+@pytest.mark.parametrize("exp, margin, kind", [
+    (exp, margin, kind) for exp in EXPERIMENTS for margin in (HIGH, LOW) for kind in DIST_KINDS
+    if (exp, kind) != (E3, LOGNORMAL)
+])
+def test_cached_halves_render_the_whole_template_fill(exp, margin, kind):
+    sc = scenario(exp, margin, kind)
+    contexts = [
+        RoundContext(sc, 1),
+        RoundContext(sc, 2, last_order=120, last_demand=85, last_profit=255,
+                     cumulative_profit=1450),
+        RoundContext(sc, 3, last_order=120, last_demand=85, last_profit=255.25,
+                     cumulative_profit=1705.25),
+        RoundContext(sc, 4, last_order=225, last_demand=40, last_profit=-195,
+                     cumulative_profit=-390.5),
+    ]
+    for ctx in contexts:
+        expected = reference_prompt(ctx, default_templates())
+        assert render_prompt(ctx) == expected
+        assert render_prompt(ctx) == expected  # served from the cache this time
+        assert render_prompt(ctx, default_templates()) == expected
+
+
+@pytest.mark.parametrize("base", [
+    "Cost {cost}.\n{helpful_info}\n{formula_block}",
+    "{history_block}Cost {cost}.\n{history_block}{helpful_info}\n{formula_block}",
+], ids=["no-history-slot", "two-history-slots"])
+def test_base_template_needs_exactly_one_history_slot(base):
+    broken = replace(default_templates(), base=base)
+    with pytest.raises(TemplateError, match=re.escape("needs one {history_block} slot")):
+        render_prompt(RoundContext(scenario("E1-baseline", "high", "uniform"), 1), broken)
+
+
+def test_explicit_templates_render_their_own_text():
+    sc = scenario("E2-formula", "low", "truncated-normal")
+    ctx = RoundContext(sc, 2, last_order=120, last_demand=85, last_profit=255,
+                       cumulative_profit=1450)
+    default = render_prompt(ctx)  # fills the default set's cache for this scenario
+    templates = default_templates()
+    edited = replace(
+        templates,
+        base=templates.base.replace("wodgets", "widgets"),
+        history_block=templates.history_block.replace("previous round", "last round"),
+    )
+    rendered = render_prompt(ctx, edited)
+    assert rendered == reference_prompt(ctx, edited)
+    assert '"widgets"' in rendered and '"wodgets"' not in rendered
+    assert "In the last round:" in rendered
+    assert render_prompt(ctx) == default
 
 
 def test_render_feedback_uses_history_format():

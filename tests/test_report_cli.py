@@ -167,7 +167,7 @@ def test_validate_prompts_fails_on_template_edit(tmp_path, capsys, monkeypatch):
     base = assets / "templates" / "base.txt"
     base.write_text(base.read_text().replace("wodgets", "widgets"), encoding="utf-8")
     monkeypatch.setattr(prompts, "_asset_root", lambda: assets)
-    monkeypatch.setattr(prompts, "_DEFAULT_TEMPLATES", None)
+    monkeypatch.setattr(prompts, "default_templates", prompts.load_templates)
     assert main(["validate-prompts"]) == 2
     out = capsys.readouterr().out
     assert "MISMATCH" in out and "widgets" in out
@@ -180,7 +180,7 @@ def test_validate_prompts_reports_missing_golden(tmp_path, capsys, monkeypatch):
     shutil.copytree(prompts._asset_root(), assets)
     (assets / "golden" / "e2_low_normal_round5.txt").unlink()
     monkeypatch.setattr(prompts, "_asset_root", lambda: assets)
-    monkeypatch.setattr(prompts, "_DEFAULT_TEMPLATES", None)
+    monkeypatch.setattr(prompts, "default_templates", prompts.load_templates)
     assert main(["validate-prompts"]) == 2
     assert "missing golden file" in capsys.readouterr().out
 
@@ -444,3 +444,29 @@ def test_identity_outside_the_plan_is_an_integrity_error(tmp_path, capsys, chang
     assert "round=1)" in err
     assert not (tmp_path / "report").exists()
     assert (run_dir / "rounds.jsonl").read_bytes() == stored
+
+
+@pytest.mark.parametrize("rounds", [None, {3}], ids=["whole-block", "one-later-round"])
+def test_agent_other_than_the_conditions_is_an_integrity_error(tmp_path, capsys, rounds):
+    """Relabelled rounds of an `optimal` store would report a phantom agent's row."""
+    run_dir = simulate(tmp_path, "sim")
+    path = run_dir / "rounds.jsonl"
+    lines = []
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        if ((record["condition_index"], record["repetition"], record["block_index"]) == (0, 1, 1)
+                and (rounds is None or record["round_index"] in rounds)):
+            line = json.dumps({**record, "agent": "mean-anchor(w=0.5)"})
+        lines.append(line)
+    path.write_text("\n".join(lines) + "\n")
+    stored = path.read_bytes()
+    capsys.readouterr()
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 5
+    assert main(["simulate", "--resume", str(run_dir)]) == 5
+    err = capsys.readouterr().err
+    if rounds is None:  # round 1 carries the label, so the identity is not the plan's
+        assert err.count("rep=1, block=1, round=1) is outside the plan") == 2
+    else:  # the trajectory is the plan's, but round 3 names another agent
+        assert err.count("rep=1, block=1, round=3): agent 'mean-anchor(w=0.5)' is not round 1's") == 2
+    assert not (tmp_path / "report").exists()
+    assert path.read_bytes() == stored
