@@ -14,7 +14,8 @@ chat request and every unresolved round to stderr, tagged with the thread
 that made it.
 
 Exit codes: 0 success, 2 configuration error, 3 transport failure,
-4 parse-ambiguity failure, 5 store-integrity failure.
+4 parse-ambiguity failure, 5 store-integrity failure. A run with unresolved
+rounds exits 3 if any of them failed on transport, else 4.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ def _execute_plans(config: RunConfig, agents, client_factory, resume_dir) -> int
                 f"({failure.kind}): {failure.message}",
                 file=sys.stderr,
             )
-            status = EXIT_PARSE if failure.kind == "parse" else EXIT_TRANSPORT
+            if status != EXIT_TRANSPORT:  # one transport failure decides, in any order
+                status = EXIT_PARSE if failure.kind == "parse" else EXIT_TRANSPORT
     return status
 
 

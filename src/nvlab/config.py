@@ -75,28 +75,16 @@ class RunConfig:
         for order in self.order_conditions:
             if order not in ORDER_CONDITIONS:
                 raise ConfigError(f"order_conditions: unknown order condition {order!r}")
-        if not self.experiments:
-            raise ConfigError("experiments: must not be empty")
-        if not self.distributions:
-            raise ConfigError("distributions: must not be empty")
-        if not self.order_conditions:
-            raise ConfigError("order_conditions: must not be empty")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions: must be >= 1, got {self.repetitions}")
-        if self.rounds < 1:
-            raise ConfigError(f"rounds: must be >= 1, got {self.rounds}")
-        if self.temperature < 0:
-            raise ConfigError(f"temperature: must be >= 0, got {self.temperature}")
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries: must be >= 0, got {self.max_retries}")
-        if self.concurrency < 1:
-            raise ConfigError(f"concurrency: must be >= 1, got {self.concurrency}")
+        for name in ("experiments", "distributions", "order_conditions", "endpoint",
+                     "credential_env"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name}: must not be empty")
+        for name, low in (("repetitions", 1), ("rounds", 1), ("temperature", 0),
+                          ("max_retries", 0), ("concurrency", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name}: must be >= {low}, got {getattr(self, name)}")
         if self.request_budget is not None and self.request_budget < 1:
             raise ConfigError(f"request_budget: must be >= 1, got {self.request_budget}")
-        if not self.endpoint:
-            raise ConfigError("endpoint: must not be empty")
-        if not self.credential_env:
-            raise ConfigError("credential_env: must not be empty")
 
     def to_dict(self) -> dict:
         data = asdict(self)

@@ -52,9 +52,14 @@ class ReportBundle:
 
 
 def load_trajectories(run_dirs) -> list[Trajectory]:
-    """Validated complete trajectories from one or more run stores."""
+    """Validated complete trajectories from one or more distinct run stores."""
     out: list[Trajectory] = []
+    given: dict[Path, object] = {}
     for run_dir in run_dirs:
+        if (resolved := Path(run_dir).resolve()) in given:
+            raise ReportError(f"run directory {run_dir} is given twice "
+                              f"(also as {given[resolved]})")
+        given[resolved] = run_dir
         store = RunStore(run_dir)
         out += [t for t in plan_trajectories(load_plan(store), store.records()) if t.complete]
     if not out:

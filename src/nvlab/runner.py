@@ -114,10 +114,8 @@ class PlanCondition:
         return model.scenario(self.experiment, margin, self.dist_kind, self.rounds_per_block)
 
     def margin_for_block(self, block_index: int) -> str:
-        first_high = self.order_condition == HIGH_FIRST
-        if block_index == 1:
-            return model.HIGH if first_high else model.LOW
-        return model.LOW if first_high else model.HIGH
+        high_first = self.order_condition == HIGH_FIRST
+        return model.HIGH if (block_index == 1) == high_first else model.LOW
 
     def scenario_for_block(self, block_index: int) -> model.ScenarioConfig:
         return self.scenario_for_margin(self.margin_for_block(block_index))

@@ -8,12 +8,14 @@ Layout of one run directory::
       rounds.jsonl.torn  # only after a crash mid-append: the torn final
                          # lines that resume set aside
 
-Records carry their full trajectory identity (condition index, repetition,
-block, round) so concurrent trajectories can interleave safely. Profit is
-recomputed from (order, demand, cost structure) on every read; any mismatch,
-malformed line, or hash conflict raises IntegrityError naming the offending
-record. A run's outcome holds the rounds it replayed or wrote, validated by
-the same `group_trajectories`, so the runner never reads the file back.
+Records are immutable named tuples; one shared compact JSON encoder writes
+each as a line of its fields in declaration order. Records carry their full
+trajectory identity (condition index, repetition, block, round) so
+concurrent trajectories can interleave safely. Profit is recomputed from
+(order, demand, cost structure) on every read; any mismatch, malformed line,
+or hash conflict raises IntegrityError naming the offending record. A run's
+outcome holds the rounds it replayed or wrote, validated by the same
+`group_trajectories`, so the runner never reads the file back.
 
 Appends share one handle, opened by the first `append` and kept until
 `RunStore.close` (or the end of ``with RunStore(...)``); each line is written
@@ -25,9 +27,10 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import ScenarioConfig, profit
 
@@ -49,8 +52,7 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """One persisted round of one trajectory.
 
     The fields are declared in their serialization order; timestamps come
@@ -80,8 +82,7 @@ class RoundRecord:
     ts_end: float = 0.0
 
     def to_line(self) -> str:
-        return json.dumps({key: getattr(self, key) for key in _RECORD_FIELDS},
-                          separators=(",", ":"))
+        return _LINE_ENCODER.encode(dict(zip(_RECORD_FIELDS, self)))
 
     @classmethod
     def from_line(cls, line: str, lineno: int) -> "RoundRecord":
@@ -90,7 +91,7 @@ class RoundRecord:
         except json.JSONDecodeError as exc:
             raise IntegrityError(f"rounds.jsonl line {lineno}: malformed JSON ({exc})") from exc
         try:
-            return cls(*map(data.__getitem__, _RECORD_FIELDS))
+            return cls._make(map(data.__getitem__, _RECORD_FIELDS))
         except (KeyError, TypeError, AttributeError):  # a field is missing, or not an object
             if not isinstance(data, dict):
                 raise IntegrityError(f"rounds.jsonl line {lineno}: not a JSON object") from None
@@ -101,7 +102,8 @@ class RoundRecord:
         return (self.condition_index, self.order_condition, self.repetition, self.block_index)
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(RoundRecord))
+_RECORD_FIELDS = RoundRecord._fields
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass

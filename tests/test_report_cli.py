@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ from nvlab.cli import main
 from nvlab.config import ConfigError, RunConfig, build_plan
 from nvlab.agents import AgentSpec
 from nvlab.report import ReportError, build_report, load_trajectories
-from nvlab.runner import ExperimentPlan, PlanCondition, load_plan, plan_trajectories, run_plan
+from nvlab import runner
+from nvlab.runner import (ExperimentPlan, PlanCondition, RoundFailure, RunOutcome, load_plan,
+                          plan_trajectories, run_plan)
 from nvlab.store import RunStore
 
 
@@ -192,6 +195,20 @@ def test_report_errors_on_empty_input(tmp_path, capsys):
     assert code == 5  # no manifest -> integrity error
 
 
+@pytest.mark.parametrize("again", ["{run}/", "{run}/../{name}"], ids=["slash", "dotdot"])
+def test_report_rejects_a_store_given_twice(tmp_path, capsys, again):
+    """Pooling a store with itself would count each of its trajectories twice."""
+    run_dir = simulate(tmp_path, "sim")
+    capsys.readouterr()
+    twice = again.format(run=run_dir, name=run_dir.name)
+    code = main(["report", str(run_dir), twice, "--out", str(tmp_path / "report")])
+    assert code == 2
+    assert f"run directory {Path(twice)} is given twice" in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
+    with pytest.raises(ReportError, match="given twice"):
+        load_trajectories([run_dir, run_dir])
+
+
 def llm_config(tmp_path, stub_server, monkeypatch, **overrides):
     monkeypatch.setenv("NVLAB_TEST_KEY", "sk-test")
     config = RunConfig(endpoint=stub_server.url, credential_env="NVLAB_TEST_KEY",
@@ -220,6 +237,21 @@ def test_run_exit_code_for_transport_failures(tmp_path, stub_server, monkeypatch
                  "--rounds", "2", "--out", str(tmp_path / "runs")])
     assert code == 3
     assert "transport" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kinds, code", [
+    (("parse", "transport"), 3),
+    (("transport", "parse"), 3),
+    (("parse", "parse"), 4),
+], ids=["parse-then-transport", "transport-then-parse", "parse-only"])
+def test_exit_code_does_not_depend_on_failure_order(tmp_path, monkeypatch, capsys, kinds, code):
+    """Any transport failure exits 3, wherever it sorts; only parse failures exit 4."""
+    failures = [RoundFailure(0, "high-first", rep, 1, 1, kind, f"{kind} failed")
+                for rep, kind in enumerate(kinds)]
+    monkeypatch.setattr(runner, "resume", lambda run_dir, **_: RunOutcome(
+        "run-x", RunStore(run_dir), [], failures))
+    assert main(["simulate", "--resume", str(tmp_path / "run")]) == code
+    assert re.findall(r"\((\w+)\): ", capsys.readouterr().err) == list(kinds)
 
 
 def test_run_against_stub_endpoint_completes(tmp_path, stub_server, monkeypatch, capsys):

@@ -1,0 +1,100 @@
+"""The round-record line codec: lossless, byte-stable and immutable."""
+
+import itertools
+import json
+
+import pytest
+
+from nvlab.agents import AgentSpec
+from nvlab.cli import main
+from nvlab.llm import ChatClient
+from nvlab.runner import ExperimentPlan, PlanCondition, run_plan
+from nvlab.store import IntegrityError, RoundRecord
+
+RECORD = RoundRecord(
+    run_id="run-0123456789ab", condition_index=1, agent="model-ü", experiment="E2",
+    dist="truncated-normal", order_condition="low-first", repetition=3, block_index=2,
+    margin="high", round_index=7, order=180, demand=95, profit=255.25,
+    cumulative_profit=-1234.5, parse_confidence="fallback", prompt_sha256="ab" * 32,
+    raw_response="Bestellung: 180 Stück — «sicher» ✓\nline two\t\"quoted\"", retries=2,
+    token_usage={"prompt_tokens": 42, "completion_tokens": 17, "total_tokens": 59},
+    ts_start=1700000000.125, ts_end=1700000001.5,
+)
+
+
+def assert_lines_round_trip(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines
+    for lineno, line in enumerate(lines, start=1):
+        assert RoundRecord.from_line(line, lineno).to_line() == line
+    return [RoundRecord.from_line(line, lineno) for lineno, line in enumerate(lines, start=1)]
+
+
+def test_scripted_grid_lines_round_trip(tmp_path):
+    assert main(["simulate", "--reps", "1", "--rounds", "3", "--out", str(tmp_path)]) == 0
+    run_dirs = sorted(tmp_path.iterdir())
+    assert len(run_dirs) == 4
+    for run_dir in run_dirs:
+        assert_lines_round_trip(run_dir / "rounds.jsonl")
+
+
+def test_llm_store_lines_round_trip(tmp_path, stub_server):
+    """Retried requests, token usage, fallback parses and non-ASCII replies survive."""
+    stub_server.mode = "flaky"  # one worker: each request is rate-limited once, then answered
+    replies = itertools.cycle([
+        "After weighing the trade-off, I will order 150 wodgets.",
+        "Demand averages 150, price 12. Decision: 140.",
+        "Je commande 160 unités, à peu près — ça ira ✓",
+    ])
+    stub_server.reply_fn = lambda body: next(replies)
+    agent = AgentSpec("llm", model_name="test-model")
+    plan = ExperimentPlan((PlanCondition("E1-baseline", "uniform", agent, "high-first",
+                                         repetitions=2, rounds_per_block=3, base_seed=7),))
+
+    def factory(spec):
+        return ChatClient(stub_server.url, spec.model_name, api_key="k",
+                          max_retries=1, backoff_base=0.001)
+
+    assert run_plan(plan, tmp_path / "run", client_factory=factory, workers=1).complete
+    records = assert_lines_round_trip(tmp_path / "run" / "rounds.jsonl")
+    assert len(records) == 12
+    assert all(r.retries > 0 and isinstance(r.token_usage, dict) for r in records)
+    assert any(r.parse_confidence == "fallback" for r in records)
+    assert any(not r.raw_response.isascii() for r in records)
+
+
+def test_hand_built_record_round_trips():
+    line = RECORD.to_line()
+    assert line.isascii()  # non-ASCII text is escaped, as json.dumps does by default
+    assert line == json.dumps(RECORD._asdict(), separators=(",", ":"))
+    assert list(json.loads(line)) == list(RoundRecord._fields)
+    assert RoundRecord.from_line(line, 1) == RECORD
+    assert RoundRecord.from_line(line, 1).to_line() == line
+
+
+def test_record_defaults():
+    record = RoundRecord(*RECORD[:17])
+    assert record[17:] == (0, None, 0.0, 0.0)  # retries, token_usage, ts_start, ts_end
+
+
+def test_record_fields_cannot_be_assigned():
+    with pytest.raises(AttributeError):
+        RECORD.order = 1
+    with pytest.raises(AttributeError):
+        RECORD.token_usage = None
+    assert RECORD._replace(order=1).order == 1 and RECORD.order == 180
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+def test_from_line_of_a_non_object(text):
+    with pytest.raises(IntegrityError, match="line 4: not a JSON object"):
+        RoundRecord.from_line(text, 4)
+
+
+def test_from_line_names_missing_fields():
+    data = json.loads(RECORD.to_line())
+    del data["demand"]
+    with pytest.raises(IntegrityError, match=r"line 2: missing fields \['demand'\]"):
+        RoundRecord.from_line(json.dumps(data), 2)
+    with pytest.raises(IntegrityError, match="line 3: malformed JSON"):
+        RoundRecord.from_line(RECORD.to_line()[:-1], 3)
