@@ -16,21 +16,16 @@ The package splits into:
 from .model import (
     CostStructure,
     DemandDistribution,
-    DemandSequence,
     InvalidScenarioError,
     ScenarioConfig,
     anchor,
     critical_fractile,
-    discretize_cdf,
     expected_profit,
-    lognormal_demand,
     optimal_quantity,
     profit,
     sample_sequence,
     scenario,
     support_pmf,
-    truncated_normal_demand,
-    uniform_demand,
 )
 from .prompts import (
     PromptTemplateSet,

@@ -34,7 +34,6 @@ SCRIPTED_KINDS = (OPTIMAL, MEAN_ANCHOR, DEMAND_CHASER, RANDOM)
 
 EXACT = "exact"
 FALLBACK = "fallback"
-AMBIGUOUS = "ambiguous"
 
 
 class AmbiguousDecisionError(ValueError):
@@ -190,10 +189,9 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class Decision:
-    """One round's decision: the order, the stated reasoning, and provenance."""
+    """One round's decision: the order, the raw reply (its stated reasoning), and provenance."""
 
     order: int
-    rationale: str
     raw_response: str
     parse_confidence: str
     retries: int = 0
@@ -268,7 +266,7 @@ def decide(
     """
     if agent.kind != LLM:
         order, rationale = _scripted_order(agent, ctx, rng)
-        return Decision(order, rationale, rationale, EXACT)
+        return Decision(order, rationale, EXACT)
 
     if client is None:
         raise ValueError("llm agent needs a chat client")
@@ -294,7 +292,6 @@ def decide(
             continue
         return Decision(
             order=order,
-            rationale=result.text,
             raw_response=result.text,
             parse_confidence=confidence,
             retries=retries,

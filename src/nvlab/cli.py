@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import runner as runner_mod
-from .agents import LLM, SCRIPTED_KINDS, AgentSpec
+from .agents import AGENT_KINDS, LLM, SCRIPTED_KINDS, AgentSpec
 from .config import ConfigError, RunConfig, build_plan
 from .llm import ChatClient, TokenBucket, TransportError
 from .prompts import validate_golden
@@ -41,7 +41,6 @@ EXIT_TRANSPORT = 3
 EXIT_PARSE = 4
 EXIT_INTEGRITY = 5
 
-AGENT_CHOICES = ("llm",) + SCRIPTED_KINDS
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
@@ -173,15 +172,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    config = _apply_overrides(config, args)
     if LLM in args.agent:
         raise ConfigError("agent: 'llm' needs the run command; simulate is offline-only")
-    agents = _build_agents(args, config)
-    if args.print_config:
-        _print_config(config, agents)
-        return EXIT_OK
-    return _execute_plans(config, agents, None, args.resume)
+    return cmd_run(args)
 
 
 def cmd_report(args) -> int:
@@ -215,7 +208,7 @@ def _add_grid_arguments(parser, scripted_only=False):
     parser.add_argument("--seed", type=int, help="base seed for demand sequences")
     parser.add_argument("--out", type=Path, help="output directory for run stores")
     default_agents = list(SCRIPTED_KINDS) if scripted_only else ["llm"]
-    parser.add_argument("--agent", action="append", choices=AGENT_CHOICES,
+    parser.add_argument("--agent", action="append", choices=AGENT_KINDS,
                         default=None, help=f"agent kind; repeatable (default: {default_agents})")
     parser.add_argument("--anchor-weight", type=float, default=0.5,
                         help="mean-anchor adjustment fraction w in [0, 1]")

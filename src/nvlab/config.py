@@ -11,26 +11,23 @@ only the name of the environment variable that holds it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import model
 from .agents import AgentSpec
 from .runner import LLM_WORKERS, ORDER_CONDITIONS, ExperimentPlan, PlanCondition
 
-EXPERIMENT_ALIASES = {
-    "E1": model.E1, "E2": model.E2, "E3": model.E3,
-    model.E1: model.E1, model.E2: model.E2, model.E3: model.E3,
-}
-DIST_ALIASES = {
-    "uniform": model.UNIFORM,
-    "normal": model.TRUNCATED_NORMAL,
-    "truncated-normal": model.TRUNCATED_NORMAL,
-    "lognormal": model.LOGNORMAL,
-}
+# short names; a full name (model.EXPERIMENTS, model.DIST_KINDS) stands for itself
+EXPERIMENT_ALIASES = {"E1": model.E1, "E2": model.E2, "E3": model.E3}
+DIST_ALIASES = {"normal": model.TRUNCATED_NORMAL}
 
-DEFAULT_EXPERIMENTS = (model.E1, model.E2, model.E3)
 DEFAULT_DISTRIBUTIONS = (model.UNIFORM, model.TRUNCATED_NORMAL)
+
+# the JSON value each field annotation takes; true and false are not numbers here
+_JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+               "float": ((int, float), "a number"), "bool": (bool, "true or false"),
+               "tuple[str, ...]": ((list, tuple), "a list of strings")}
 
 
 class ConfigError(ValueError):
@@ -42,7 +39,7 @@ class RunConfig:
     endpoint: str = "https://api.openai.com/v1/chat/completions"
     models: tuple[str, ...] = ("gpt-4",)
     credential_env: str = "OPENAI_API_KEY"
-    experiments: tuple[str, ...] = DEFAULT_EXPERIMENTS
+    experiments: tuple[str, ...] = model.EXPERIMENTS
     distributions: tuple[str, ...] = DEFAULT_DISTRIBUTIONS
     order_conditions: tuple[str, ...] = ORDER_CONDITIONS
     repetitions: int = 10
@@ -59,13 +56,19 @@ class RunConfig:
     concurrency: int = LLM_WORKERS
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            types, wanted = _JSON_TYPES[kind]
+            if value is None and kind != f.type:
+                continue
+            items = value if isinstance(value, (list, tuple)) else ()
+            if (not isinstance(value, types) or isinstance(value, bool) != (kind == "bool")
+                    or not all(isinstance(item, str) for item in items)):
+                raise ConfigError(f"{f.name}: must be {wanted}, got {value!r}")
         self.models = tuple(self.models)
         self.experiments = tuple(EXPERIMENT_ALIASES.get(e, e) for e in self.experiments)
         self.distributions = tuple(DIST_ALIASES.get(d, d) for d in self.distributions)
         self.order_conditions = tuple(self.order_conditions)
-        self.validate()
-
-    def validate(self):
         for exp in self.experiments:
             if exp not in model.EXPERIMENTS:
                 raise ConfigError(f"experiments: unknown experiment {exp!r}")
@@ -75,7 +78,7 @@ class RunConfig:
         for order in self.order_conditions:
             if order not in ORDER_CONDITIONS:
                 raise ConfigError(f"order_conditions: unknown order condition {order!r}")
-        for name in ("experiments", "distributions", "order_conditions", "endpoint",
+        for name in ("models", "experiments", "distributions", "order_conditions", "endpoint",
                      "credential_env"):
             if not getattr(self, name):
                 raise ConfigError(f"{name}: must not be empty")
@@ -94,6 +97,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"the config must be a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -117,11 +122,6 @@ class RunConfig:
         )
 
 
-def skip_condition(experiment: str, dist: str) -> bool:
-    """Conditions with no defined scenario (lognormal has no risk-neutral fit)."""
-    return experiment == model.E3 and dist == model.LOGNORMAL
-
-
 def build_plan(config: RunConfig, agents: list[AgentSpec]) -> ExperimentPlan:
     """Expand the config grid for the given agents into an executable plan."""
     if not agents:
@@ -130,7 +130,8 @@ def build_plan(config: RunConfig, agents: list[AgentSpec]) -> ExperimentPlan:
     for agent in agents:
         for experiment in config.experiments:
             for dist in config.distributions:
-                if skip_condition(experiment, dist):
+                # no defined scenario: lognormal has no risk-neutral calibration
+                if experiment == model.E3 and dist == model.LOGNORMAL:
                     continue
                 for order_condition in config.order_conditions:
                     conditions.append(

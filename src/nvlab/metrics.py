@@ -8,9 +8,9 @@ Conventions worth knowing before reading the code:
 * Order bias OB = q_bar - q*, normalized bias NB = OB / q* * 100.
 * The adjustment score is (q_bar - A) / (q* - A) with A the demand-mean
   anchor: 1 means the mean order fully traversed the anchor-to-optimum
-  distance, 0 means it never left the anchor. The reciprocal form
-  (q* - A) / (q_bar - A) is available behind ``reciprocal`` for
-  audits; it diverges as q_bar approaches A, so it is not the default.
+  distance, 0 means it never left the anchor. It is undefined when q*
+  equals A. (The reciprocal (q* - A) / (q_bar - A) diverges as q_bar
+  approaches A, so it is not offered.)
 * Profit efficiency PE = E[pi(q*)] / E[pi(q)] * 100, so values above 100
   mean the chosen order earns less than the optimum. PE is undefined
   (None) when the denominator is not positive.
@@ -18,8 +18,9 @@ Conventions worth knowing before reading the code:
   toward demand when positive, away when negative, no-change when either is
   zero. A group's adjustments are classified at once (`adjustment_arrays`
   masks out round 1 of each trajectory, so lengths may mix and a 1-round
-  trajectory adds none). An |prior error| equal to a quartile cut goes to
-  the lower quartile.
+  trajectory adds none). `quartile_buckets` places each |prior error|
+  among the `quartile_thresholds` cuts; one equal to a cut goes to the
+  lower quartile. `classify_adjustments` is the one-trajectory view.
 * Learning is summarized by the OLS slope of |q_t - q*| on t, the OLS slope
   of PE_t on t, and the change in error responsiveness: R^2 of (delta_t on
   prior error) over the late rounds (8-15) minus the same over the early
@@ -104,35 +105,23 @@ class AnchorStats:
     anchor: float
     mas: float | None
     undefined: bool
-    margin: str | None = None
 
 
-def mas(mean_order: float, anchor_value: float, optimal: float,
-        margin: str | None = None, reciprocal: bool = False) -> AnchorStats:
-    """Adjustment score from the anchor toward the optimum.
+def mas(mean_order: float, anchor_value: float, optimal: float) -> AnchorStats:
+    """Adjustment score (q_bar - A) / (q* - A) from the anchor toward the optimum.
 
-    Default orientation: (q_bar - A) / (q* - A); identical algebra covers
-    both margins (for low margin both numerator and denominator flip sign).
-    Undefined when q* equals A (or, for the reciprocal audit form, when
-    q_bar equals A).
+    Identical algebra covers both margins (for low margin both numerator and
+    denominator flip sign). Undefined when q* equals A.
     """
-    if reciprocal:
-        if mean_order == anchor_value:
-            return AnchorStats(anchor_value, None, True, margin)
-        return AnchorStats(
-            anchor_value, (optimal - anchor_value) / (mean_order - anchor_value), False, margin
-        )
     if optimal == anchor_value:
-        return AnchorStats(anchor_value, None, True, margin)
-    return AnchorStats(
-        anchor_value, (mean_order - anchor_value) / (optimal - anchor_value), False, margin
-    )
+        return AnchorStats(anchor_value, None, True)
+    return AnchorStats(anchor_value, (mean_order - anchor_value) / (optimal - anchor_value), False)
 
 
-def anchor_stats(trajectories: list[Trajectory], reciprocal: bool = False) -> AnchorStats:
+def anchor_stats(trajectories: list[Trajectory]) -> AnchorStats:
     sc = _check_same_scenario(trajectories)
     stats = bias_stats(trajectories)
-    return mas(stats.mean_order, anchor(sc), stats.optimal, sc.margin, reciprocal)
+    return mas(stats.mean_order, anchor(sc), stats.optimal)
 
 
 def profit_efficiency(order: float, sc: ScenarioConfig) -> float | None:
@@ -164,7 +153,6 @@ class AdjustmentEvent:
     prior_error: int
     direction: str
     magnitude: int
-    quartile: str | None = None
 
 
 def adjustment_arrays(trajectories: list[Trajectory]) -> tuple[np.ndarray, ...]:
@@ -202,14 +190,6 @@ def quartile_thresholds(abs_errors) -> tuple[float, float, float]:
 def quartile_buckets(abs_errors, thresholds: tuple[float, float, float]) -> np.ndarray:
     """Quartile position (0 for Q1 .. 3 for Q4) of each |prior error|; ties go low."""
     return np.searchsorted(np.asarray(thresholds, dtype=float), abs_errors, side="left")
-
-
-def assign_quartiles(events: list[AdjustmentEvent],
-                     thresholds: tuple[float, float, float]) -> list[AdjustmentEvent]:
-    """Bucket events by |prior error|; ties go to the lower quartile."""
-    buckets = quartile_buckets([abs(e.prior_error) for e in events], thresholds)
-    return [replace(event, quartile=QUARTILES[bucket])
-            for event, bucket in zip(events, buckets.tolist())]
 
 
 def direction_shares(events: list[AdjustmentEvent]) -> dict[str, float]:

@@ -11,10 +11,14 @@ Three demand families are supported on an integer range [a, b]:
 * truncated-normal -- normal with mean (a+b)/2 and sd (b-a)/6, renormalized
                   over [a, b], then discretized by rounding to the nearest
                   integer
-* lognormal    -- right-skewed; default log-space parameters are fitted so
-                  the 25th/75th percentiles land on 135 and 165 for the
-                  [1, 300] range (mean ~= 150.9), renormalized and
-                  discretized the same way
+* lognormal    -- right-skewed; log-space parameters are fixed so the
+                  25th/75th percentiles land on 135 and 165 (mean ~= 150.9).
+                  That calibration exists for the [1, 300] range only;
+                  renormalized and discretized the same way
+
+A distribution is named by its kind and range, ``DemandDistribution(kind,
+lower, upper)``, and a standard condition by `scenario`. `sample_sequence`
+returns a block's seeded demand draws as a tuple of ints.
 
 Everything here is pure and immutable; values are safe to share across
 threads.
@@ -75,7 +79,6 @@ class CostStructure:
 
     price: float
     cost: float
-    salvage: float = 0.0
 
     def __post_init__(self):
         if self.price <= 0:
@@ -84,8 +87,6 @@ class CostStructure:
             raise InvalidScenarioError(
                 f"cost must lie strictly between 0 and price, got cost={self.cost} price={self.price}"
             )
-        if self.salvage != 0:
-            raise InvalidScenarioError("salvage values other than zero are not supported")
 
 
 def critical_fractile(cs: CostStructure) -> float:
@@ -123,31 +124,22 @@ DEFAULT_LOGNORMAL_LOG_MEAN, DEFAULT_LOGNORMAL_LOG_SD = fit_lognormal_to_quantile
 class DemandDistribution:
     """Integer demand on [lower, upper] under one of the three families.
 
-    ``log_mean``/``log_sd`` apply to the lognormal kind only and describe the
-    underlying normal of ln-demand before truncation to [lower, upper].
+    The lognormal kind exists only on [1, 300], where ln-demand before
+    truncation is normal with ``DEFAULT_LOGNORMAL_LOG_MEAN``/``_SD``.
     """
 
     kind: str
     lower: int
     upper: int
-    log_mean: float | None = None
-    log_sd: float | None = None
 
     def __post_init__(self):
         if self.kind not in DIST_KINDS:
             raise InvalidScenarioError(f"unknown distribution kind {self.kind!r}")
         if not self.lower < self.upper:
             raise InvalidScenarioError(f"need lower < upper, got [{self.lower}, {self.upper}]")
-        if self.kind == LOGNORMAL:
-            if self.log_mean is None or self.log_sd is None or self.log_sd <= 0:
-                raise InvalidScenarioError("lognormal kind needs log_mean and positive log_sd")
-        elif self.log_mean is not None or self.log_sd is not None:
-            raise InvalidScenarioError("log-space parameters only apply to the lognormal kind")
-
-    @property
-    def mean_normal(self) -> float:
-        """Location (a + b) / 2 of the truncated-normal kind."""
-        return (self.lower + self.upper) / 2.0
+        if self.kind == LOGNORMAL and (self.lower, self.upper) != BASE_RANGE:
+            raise InvalidScenarioError(
+                f"no default lognormal calibration for [{self.lower}, {self.upper}]")
 
     @property
     def sd_normal(self) -> float:
@@ -156,6 +148,7 @@ class DemandDistribution:
 
     @property
     def midpoint(self) -> float:
+        """(a + b) / 2: the demand-mean anchor and the truncated-normal location."""
         return (self.lower + self.upper) / 2.0
 
     @property
@@ -165,10 +158,10 @@ class DemandDistribution:
     def _raw_cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == TRUNCATED_NORMAL:
-            return ndtr((x - self.mean_normal) / self.sd_normal)
+            return ndtr((x - self.midpoint) / self.sd_normal)
         if self.kind == LOGNORMAL:
             logx = np.where(x > 0, np.log(np.maximum(x, 1e-300)), -np.inf)
-            return ndtr((logx - self.log_mean) / self.log_sd)
+            return ndtr((logx - DEFAULT_LOGNORMAL_LOG_MEAN) / DEFAULT_LOGNORMAL_LOG_SD)
         raise InvalidScenarioError("uniform kind has no continuous CDF")
 
     def cdf(self, x) -> float | np.ndarray:
@@ -201,35 +194,11 @@ class DemandDistribution:
         target = lo + p * (hi - lo)
         z = ndtri(np.clip(target, 1e-300, 1 - 1e-16))
         if self.kind == TRUNCATED_NORMAL:
-            x = self.mean_normal + self.sd_normal * z
+            x = self.midpoint + self.sd_normal * z
         else:
-            x = np.exp(self.log_mean + self.log_sd * z)
+            x = np.exp(DEFAULT_LOGNORMAL_LOG_MEAN + DEFAULT_LOGNORMAL_LOG_SD * z)
         x = np.clip(x, self.lower, self.upper)
         return float(x) if x.ndim == 0 else x
-
-
-def uniform_demand(lower: int = 1, upper: int = 300) -> DemandDistribution:
-    return DemandDistribution(UNIFORM, lower, upper)
-
-
-def truncated_normal_demand(lower: int = 1, upper: int = 300) -> DemandDistribution:
-    return DemandDistribution(TRUNCATED_NORMAL, lower, upper)
-
-
-def lognormal_demand(
-    lower: int = 1,
-    upper: int = 300,
-    log_mean: float | None = None,
-    log_sd: float | None = None,
-) -> DemandDistribution:
-    """Lognormal demand. The default calibration only exists for [1, 300]."""
-    if log_mean is None or log_sd is None:
-        if (lower, upper) != BASE_RANGE:
-            raise InvalidScenarioError(
-                f"no default lognormal calibration for [{lower}, {upper}]; pass log_mean and log_sd"
-            )
-        log_mean, log_sd = DEFAULT_LOGNORMAL_LOG_MEAN, DEFAULT_LOGNORMAL_LOG_SD
-    return DemandDistribution(LOGNORMAL, lower, upper, log_mean, log_sd)
 
 
 @lru_cache(maxsize=64)
@@ -247,17 +216,6 @@ def support_pmf(dist: DemandDistribution) -> tuple[np.ndarray, np.ndarray]:
     lo = dist.cdf(support - 0.5)
     pmf = np.where(support == dist.lower, hi, np.where(support == dist.upper, 1.0 - lo, hi - lo))
     return support, pmf
-
-
-def discretize_cdf(dist: DemandDistribution, q: float) -> float:
-    """P(D <= q) under the integer-discretized distribution."""
-    if q < dist.lower:
-        return 0.0
-    if q >= dist.upper:
-        return 1.0
-    if dist.kind == UNIFORM:
-        return (math.floor(q) - dist.lower + 1) / dist.size
-    return float(dist.cdf(math.floor(q) + 0.5))
 
 
 @dataclass(frozen=True)
@@ -288,23 +246,12 @@ class ScenarioConfig:
         if self.rounds < 1:
             raise InvalidScenarioError("rounds must be >= 1")
 
-    @property
-    def fractile(self) -> float:
-        return critical_fractile(self.cost)
-
 
 def scenario(experiment: str, margin: str, dist_kind: str, rounds: int = DEFAULT_ROUNDS) -> ScenarioConfig:
     """Build a standard condition: p=12, c=3 (high) or 9 (low), range by variant."""
     cost = CostStructure(PRICE, COST_HIGH_MARGIN if margin == HIGH else COST_LOW_MARGIN)
     lower, upper = RISK_NEUTRAL_RANGE if experiment == E3 else BASE_RANGE
-    if dist_kind == UNIFORM:
-        demand = uniform_demand(lower, upper)
-    elif dist_kind == TRUNCATED_NORMAL:
-        demand = truncated_normal_demand(lower, upper)
-    elif dist_kind == LOGNORMAL:
-        demand = lognormal_demand(lower, upper)
-    else:
-        raise InvalidScenarioError(f"unknown distribution kind {dist_kind!r}")
+    demand = DemandDistribution(dist_kind, lower, upper)
     return ScenarioConfig(cost, demand, experiment, margin, rounds)
 
 
@@ -338,18 +285,7 @@ def expected_profit(order: float, sc: ScenarioConfig) -> float:
     return float(sc.cost.price * pmf.dot(sales) - sc.cost.cost * order)
 
 
-@dataclass(frozen=True)
-class DemandSequence:
-    """Reproducible integer demand draws for one scenario block."""
-
-    seed: int
-    draws: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.draws)
-
-
-def sample_sequence(dist: DemandDistribution, rounds: int, seed: int) -> DemandSequence:
+def sample_sequence(dist: DemandDistribution, rounds: int, seed: int) -> tuple[int, ...]:
     """Draw ``rounds`` integer demands, bit-identical for a fixed seed.
 
     Uniform draws come straight from the integer range. Continuous kinds use
@@ -364,4 +300,4 @@ def sample_sequence(dist: DemandDistribution, rounds: int, seed: int) -> DemandS
     else:
         u = rng.random(rounds)
         draws = np.clip(np.rint(dist.quantile(u)), dist.lower, dist.upper).astype(np.int64)
-    return DemandSequence(seed, tuple(int(d) for d in draws))
+    return tuple(int(d) for d in draws)

@@ -5,10 +5,11 @@ Templates live as UTF-8 text assets (LF endings, one trailing newline) under
 golden prompts under ``assets/golden`` pin the rendered output byte-for-byte;
 `validate_golden` diffs the renderer against them.
 
-The base template is split at its one ``{history_block}`` slot. Both halves
-are filled once per scenario (cost, demand description, helpful info, formula
-block) and, for the default template set, cached. A round's prompt is the
-head, that round's history block (none in round 1) and the tail.
+`render_prompt(ctx)` renders with `default_templates`. The base template is
+split at its one ``{history_block}`` slot, and both halves are filled once
+per scenario and template set (cost, demand description, helpful info,
+formula block) and cached. A round's prompt is the head, that round's
+history block (none in round 1) and the tail.
 
 Formatting rules the goldens rely on:
 
@@ -72,8 +73,7 @@ def fmt_francs(value) -> str:
     x = float(value)
     if x == int(x):
         return str(int(x))
-    text = f"{x:.2f}".rstrip("0").rstrip(".")
-    return text
+    return f"{x:.2f}".rstrip("0").rstrip(".")
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +178,8 @@ def _fill(template: str, values: dict[str, str]) -> str:
         raise TemplateError(f"malformed template placeholder: {exc}") from exc
 
 
+# keyed on the scenario and the template set's identity, so a reloaded set is filled anew
+@lru_cache(maxsize=64)
 def _static_halves(sc: ScenarioConfig, templates: PromptTemplateSet) -> tuple[str, str]:
     """The base template filled with ``sc``'s values, split at its one history slot."""
     head, *tail = templates.base.split("{history_block}")
@@ -207,23 +209,16 @@ def _static_halves(sc: ScenarioConfig, templates: PromptTemplateSet) -> tuple[st
     return _fill(head, values), _fill(tail[0], values)
 
 
-# keyed on the scenario and the template set's identity, so a reloaded set is filled anew
-_cached_halves = lru_cache(maxsize=64)(_static_halves)
-
-
 def _history(templates: PromptTemplateSet, order, demand, profit, cumulative_profit) -> str:
     values = {"last_order": fmt_int(order), "last_demand": fmt_int(demand),
               "last_profit": fmt_francs(profit), "cumulative_profit": fmt_francs(cumulative_profit)}
     return _fill(templates.history_block, values).strip()
 
 
-def render_prompt(ctx: RoundContext, templates: PromptTemplateSet | None = None) -> str:
+def render_prompt(ctx: RoundContext) -> str:
     """Render one round's prompt; deterministic and locale-independent."""
-    if templates is None:
-        templates = default_templates()
-        head, tail = _cached_halves(ctx.scenario, templates)
-    else:
-        head, tail = _static_halves(ctx.scenario, templates)
+    templates = default_templates()
+    head, tail = _static_halves(ctx.scenario, templates)
     if ctx.round_index == 1:
         return head + tail
     return head + _history(templates, ctx.last_order, ctx.last_demand, ctx.last_profit,

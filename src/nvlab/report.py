@@ -36,7 +36,6 @@ from . import humans, metrics, model
 from .runner import load_plan, plan_trajectories
 from .store import RunStore, Trajectory
 
-DIST_ORDER = {model.UNIFORM: 0, model.TRUNCATED_NORMAL: 1, model.LOGNORMAL: 2}
 PE_LABEL = "pe_optimal_over_actual_pct"
 TOP_WORDS = 50
 
@@ -47,7 +46,6 @@ class ReportError(ValueError):
 
 @dataclass(frozen=True)
 class ReportBundle:
-    output_dir: Path
     files: dict[str, Path]
 
 
@@ -67,10 +65,6 @@ def load_trajectories(run_dirs) -> list[Trajectory]:
     return out
 
 
-def _dist_rank(dist: str) -> int:
-    return DIST_ORDER.get(dist, len(DIST_ORDER))
-
-
 def _fmt(value, digits) -> str:
     if value is None:
         return ""
@@ -87,7 +81,7 @@ def _group(trajectories, key_fn) -> list[tuple]:
 
 def _condition_key(t: Trajectory):
     sc = t.scenario
-    return (sc.experiment, _dist_rank(sc.demand.kind), sc.demand.kind, t.agent)
+    return (sc.experiment, model.DIST_KINDS.index(sc.demand.kind), sc.demand.kind, t.agent)
 
 
 def _margin_key(t: Trajectory):
@@ -371,4 +365,4 @@ def build_report(run_dirs, output_dir, compare_humans: bool = False) -> ReportBu
     report_path = output_dir / "report.md"
     report_path.write_text("\n".join(md), encoding="utf-8")
     files["report.md"] = report_path
-    return ReportBundle(output_dir, files)
+    return ReportBundle(files)

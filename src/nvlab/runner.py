@@ -117,9 +117,6 @@ class PlanCondition:
         high_first = self.order_condition == HIGH_FIRST
         return model.HIGH if (block_index == 1) == high_first else model.LOW
 
-    def scenario_for_block(self, block_index: int) -> model.ScenarioConfig:
-        return self.scenario_for_margin(self.margin_for_block(block_index))
-
     def to_dict(self) -> dict:
         return {
             "experiment": self.experiment,
@@ -277,12 +274,12 @@ class _Block:
         self.repetition = repetition
         self.block_index = block_index
         self.condition = condition = plan.conditions[condition_index]
-        self.scenario = condition.scenario_for_block(block_index)
+        self.scenario = condition.scenario_for_margin(condition.margin_for_block(block_index))
         self.stored = stored
         self.draws = model.sample_sequence(
             self.scenario.demand, condition.rounds_per_block,
             derive_seed(condition.base_seed, repetition, block_index),
-        ).draws
+        )
         # only the random agent draws from it; a resume holds every stored block at once
         self.agent_rng = None
         if condition.agent.kind == RANDOM:

@@ -37,7 +37,6 @@ from .model import ScenarioConfig, profit
 MANIFEST_NAME = "manifest.json"
 ROUNDS_NAME = "rounds.jsonl"
 TORN_NAME = ROUNDS_NAME + ".torn"  # unterminated final lines that resume set aside
-STORE_FORMAT = "nvlab-run/1"
 
 
 class IntegrityError(RuntimeError):
@@ -104,6 +103,7 @@ class RoundRecord(NamedTuple):
 
 _RECORD_FIELDS = RoundRecord._fields
 _LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_INTEGER_FIELDS = ("condition_index", "repetition", "block_index", "round_index", "order", "demand")
 
 
 @dataclass
@@ -113,7 +113,6 @@ class Trajectory:
     Complete once it holds every round of its scenario (``scenario.rounds``).
     """
 
-    run_id: str
     condition_index: int
     agent: str
     order_condition: str
@@ -266,11 +265,18 @@ def group_trajectories(records: list[RoundRecord], scenario_for: "callable") -> 
     """Group records by trajectory identity and validate per-round invariants.
 
     ``scenario_for(record)`` must return the ScenarioConfig governing that
-    record's block. Validates round contiguity, one agent label per
-    trajectory, recomputed profit, and the cumulative-profit running sum.
+    record's block. Validates integer identity, order and demand fields, round
+    contiguity, one agent label per trajectory, recomputed profit, and the
+    cumulative-profit running sum.
     """
     by_identity: dict[tuple, list[RoundRecord]] = {}
     for record in records:
+        # a JSON string or float here would end in a TypeError far from the record
+        if not (type(record.condition_index) is type(record.repetition) is type(record.block_index)
+                is type(record.round_index) is type(record.order) is type(record.demand) is int):
+            name = next(n for n in _INTEGER_FIELDS if type(getattr(record, n)) is not int)
+            raise IntegrityError(
+                f"{where(record)}: field {name!r} is {getattr(record, name)!r}, not an integer")
         by_identity.setdefault(record.identity(), []).append(record)
 
     trajectories = []
@@ -298,7 +304,6 @@ def group_trajectories(records: list[RoundRecord], scenario_for: "callable") -> 
                 )
         trajectories.append(
             Trajectory(
-                run_id=first.run_id,
                 condition_index=first.condition_index,
                 agent=first.agent,
                 order_condition=first.order_condition,

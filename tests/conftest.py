@@ -25,8 +25,10 @@ class StubChatServer(ThreadingHTTPServer):
 
     mode:
       "ok"          -- always answer
-      "flaky"       -- alternate 429 / 200, i.e. one rate-limit failure per
-                       logical request when the client retries once
+      "flaky"       -- alternate 429 / 200 on one counter shared by every
+                       connection: one rate-limit failure per logical request
+                       when the client retries once and a single worker sends
+                       (concurrent workers can draw two 429s in a row)
       "always-429"  -- rate-limit every request
       "retry-after" -- rate-limit every request with ``Retry-After: <retry_after>``
       "unauthorized"-- reject every request with 401
@@ -150,7 +152,6 @@ def make_trajectory(sc: ScenarioConfig, orders, demands, agent="test-agent",
             )
         )
     return Trajectory(
-        run_id="test",
         condition_index=0,
         agent=agent,
         order_condition=order_condition,

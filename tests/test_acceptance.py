@@ -16,6 +16,7 @@ Tolerances are pinned here, not calibrated later:
 
 import csv
 
+import numpy as np
 import pytest
 
 from conftest import strip_timestamps, write_replay_store
@@ -137,23 +138,21 @@ def test_criterion_6b_demand_chaser_direction(tmp_path):
     agent = AgentSpec("demand-chaser", chase_rate=1.0)
     outcome = run_plan(grid_plan(agent), tmp_path / "chaser")
     assert outcome.complete
-    all_events = []
-    pools = {}
+    groups = {}
     for t in outcome.trajectories:
         sc = t.scenario
-        key = (sc.experiment, sc.demand.kind, t.agent, t.order_condition)
-        events = classify_adjustments(t)
-        pools.setdefault(key, []).extend(events)
-        all_events.extend(events)
-    nonzero = [e for e in all_events if e.prior_error != 0]
-    toward_share = sum(e.direction == "toward" for e in nonzero) / len(nonzero)
-    assert toward_share >= 0.99
-    for key, events in pools.items():
-        cuts = quartile_thresholds([abs(e.prior_error) for e in events])
-        tagged = metrics.assign_quartiles(events, cuts)
-        q1 = direction_shares([e for e in tagged if e.quartile == "Q1"])
-        q4 = direction_shares([e for e in tagged if e.quartile == "Q4"])
-        assert q4["toward"] >= q1["toward"], key
+        groups.setdefault((sc.experiment, sc.demand.kind, t.agent, t.order_condition), []).append(t)
+    toward = moved = 0
+    for key, group in groups.items():
+        # the calls report.quartile_rows makes for one table group
+        _, _, errors, codes = metrics.adjustment_arrays(group)
+        abs_errors = np.abs(errors)
+        buckets = metrics.quartile_buckets(abs_errors, quartile_thresholds(abs_errors))
+        toward += int((codes[errors != 0] == 1).sum())
+        moved += int((errors != 0).sum())
+        q1_toward, q4_toward = ((codes[buckets == b] == 1).mean() for b in (0, 3))
+        assert q4_toward >= q1_toward, key
+    assert toward / moved >= 0.99
 
 
 def test_criterion_6c_optimal_agent_exact_zeros(tmp_path):

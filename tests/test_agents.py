@@ -92,7 +92,7 @@ def test_optimal_agent_orders_the_optimum_every_round():
             decision = decide(agent, "", ctx_round(sc, t, 10, 20))
             assert decision.order == q_star
             assert decision.parse_confidence == "exact"
-            assert decision.rationale
+            assert decision.raw_response
 
 
 def test_mean_anchor_endpoints():

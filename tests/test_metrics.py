@@ -83,7 +83,7 @@ def test_bias_pools_scenarios_that_differ_only_in_length():
 def test_mas_full_and_no_adjustment():
     assert mas(225, 150.5, 225).mas == pytest.approx(1.0)
     assert mas(150.5, 150.5, 225).mas == pytest.approx(0.0)
-    assert mas(75, 150.5, 75, margin="low").mas == pytest.approx(1.0)
+    assert mas(75, 150.5, 75).mas == pytest.approx(1.0)
 
 
 def test_mas_recomputed_from_reported_means():
@@ -93,7 +93,7 @@ def test_mas_recomputed_from_reported_means():
 
 def test_mas_negative_when_adjusting_away():
     # low margin: optimum below the anchor, mean order above it
-    assert mas(160, 150.5, 75, margin="low").mas < 0
+    assert mas(160, 150.5, 75).mas < 0
 
 
 def test_mas_undefined_when_optimum_equals_anchor():
@@ -105,13 +105,6 @@ def test_mas_shift_invariance():
     base = mas(182.42, 150.5, 225).mas
     shifted = mas(182.42 + 900, 150.5 + 900, 225 + 900).mas
     assert shifted == pytest.approx(base)
-
-
-def test_mas_reciprocal_orientation_for_audits():
-    default = mas(182.42, 150.5, 225).mas
-    audit = mas(182.42, 150.5, 225, reciprocal=True).mas
-    assert audit == pytest.approx(1.0 / default)
-    assert mas(150.5, 150.5, 225, reciprocal=True).undefined
 
 
 def test_anchor_stats_from_trajectories():
@@ -173,14 +166,14 @@ def test_quartile_thresholds_textbook_values():
 
 def test_quartile_constant_pool_is_all_q1():
     events = classify_adjustments(make_trajectory(SC_HIGH, [100] * 5, [110] * 5))
-    tagged = metrics.assign_quartiles(events, quartile_thresholds([10, 10, 10, 10]))
-    assert all(e.quartile == "Q1" for e in tagged)
+    buckets = metrics.quartile_buckets([abs(e.prior_error) for e in events],
+                                       quartile_thresholds([10, 10, 10, 10]))
+    assert buckets.tolist() == [0] * 4
 
 
 def test_quartile_ties_go_low():
-    events = [metrics.AdjustmentEvent(2, 1, err, "toward", 1) for err in (5, 10, 15, 20)]
-    tagged = metrics.assign_quartiles(events, (10.0, 15.0, 18.0))
-    assert [e.quartile for e in tagged] == ["Q1", "Q1", "Q2", "Q4"]
+    buckets = metrics.quartile_buckets([5, 10, 15, 20], (10.0, 15.0, 18.0))
+    assert [metrics.QUARTILES[b] for b in buckets.tolist()] == ["Q1", "Q1", "Q2", "Q4"]
 
 
 def test_quartile_thresholds_need_four_values():
@@ -253,8 +246,6 @@ def test_array_path_counts_match_the_event_path(seed):
         return
     cuts = quartile_thresholds(e for _, e, _ in events)
     by_quartile = Counter((reference_quartile(e, cuts), d) for _, e, d in events)
-    tagged = metrics.assign_quartiles(public, cuts)
-    assert Counter((e.quartile, e.direction) for e in tagged) == by_quartile
     buckets = metrics.quartile_buckets(np.abs(errors), quartile_thresholds(np.abs(errors)))
     quartiles = [metrics.QUARTILES[b] for b in buckets.tolist()]
     assert Counter(zip(quartiles, directions)) == by_quartile
@@ -295,10 +286,10 @@ def test_chaser_simulation_is_all_toward_with_rising_share(tmp_path):
     nonzero = [e for e in events if e.prior_error != 0]
     assert nonzero
     assert all(e.direction == "toward" for e in nonzero)
-    cuts = quartile_thresholds([abs(e.prior_error) for e in events])
-    tagged = metrics.assign_quartiles(events, cuts)
-    q1 = direction_shares([e for e in tagged if e.quartile == "Q1"])
-    q4 = direction_shares([e for e in tagged if e.quartile == "Q4"])
+    abs_errors = [abs(e.prior_error) for e in events]
+    buckets = metrics.quartile_buckets(abs_errors, quartile_thresholds(abs_errors)).tolist()
+    q1 = direction_shares([e for e, b in zip(events, buckets) if b == 0])
+    q4 = direction_shares([e for e, b in zip(events, buckets) if b == 3])
     assert q4["toward"] >= q1["toward"]
 
 

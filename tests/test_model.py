@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,24 +11,26 @@ import pytest
 import nvlab
 from nvlab import model
 from nvlab.model import (
+    DEFAULT_LOGNORMAL_LOG_MEAN,
+    DEFAULT_LOGNORMAL_LOG_SD,
     CostStructure,
+    DemandDistribution,
     InvalidScenarioError,
     anchor,
     critical_fractile,
-    discretize_cdf,
     expected_profit,
-    lognormal_demand,
     optimal_quantity,
     profit,
     sample_sequence,
     scenario,
     support_pmf,
-    truncated_normal_demand,
-    uniform_demand,
 )
 
 HIGH_COST = CostStructure(12, 3)
 LOW_COST = CostStructure(12, 9)
+UNIFORM = DemandDistribution("uniform", 1, 300)
+NORMAL = DemandDistribution("truncated-normal", 1, 300)
+LOGNORMAL = DemandDistribution("lognormal", 1, 300)
 
 
 # --- independent oracles (math.erf only, no scipy, pure-python loops) -------
@@ -38,9 +41,10 @@ def phi(z):
 
 def oracle_truncated_cdf(dist, x):
     if dist.kind == "truncated-normal":
-        raw = lambda v: phi((v - dist.mean_normal) / dist.sd_normal)
+        raw = lambda v: phi((v - dist.midpoint) / dist.sd_normal)
     else:
-        raw = lambda v: phi((math.log(v) - dist.log_mean) / dist.log_sd) if v > 0 else 0.0
+        raw = lambda v: (phi((math.log(v) - DEFAULT_LOGNORMAL_LOG_MEAN) / DEFAULT_LOGNORMAL_LOG_SD)
+                         if v > 0 else 0.0)
     lo, hi = raw(dist.lower), raw(dist.upper)
     if x < dist.lower:
         return 0.0
@@ -115,8 +119,6 @@ def test_cost_structure_rejects_invalid():
         CostStructure(12, 0)
     with pytest.raises(InvalidScenarioError):
         CostStructure(0, 3)
-    with pytest.raises(InvalidScenarioError):
-        CostStructure(12, 3, salvage=1)
 
 
 # --- optimal quantities ------------------------------------------------------
@@ -144,24 +146,25 @@ def test_optimal_quantity_lognormal_from_fitted_quantiles():
 
 
 def test_lognormal_fit_mean_near_midpoint():
-    dist = lognormal_demand()
-    mean = math.exp(dist.log_mean + dist.log_sd**2 / 2)
+    mean = math.exp(DEFAULT_LOGNORMAL_LOG_MEAN + DEFAULT_LOGNORMAL_LOG_SD**2 / 2)
     assert mean == pytest.approx(150.9, abs=0.05)
 
 
 def test_lognormal_has_no_default_fit_outside_base_range():
-    with pytest.raises(InvalidScenarioError):
-        lognormal_demand(901, 1200)
+    with pytest.raises(InvalidScenarioError, match=re.escape("calibration for [901, 1200]")):
+        DemandDistribution("lognormal", 901, 1200)
+    with pytest.raises(InvalidScenarioError, match="calibration"):
+        scenario("E3-risk-neutral", "high", "lognormal")
 
 
 def test_scenario_rejects_margin_fractile_mismatch():
     with pytest.raises(InvalidScenarioError):
-        model.ScenarioConfig(HIGH_COST, uniform_demand(), "E1-baseline", "low")
+        model.ScenarioConfig(HIGH_COST, UNIFORM, "E1-baseline", "low")
 
 
 def test_scenario_risk_neutral_requires_shifted_range():
     with pytest.raises(InvalidScenarioError):
-        model.ScenarioConfig(HIGH_COST, uniform_demand(1, 300), "E3-risk-neutral", "high")
+        model.ScenarioConfig(HIGH_COST, UNIFORM, "E3-risk-neutral", "high")
 
 
 def test_anchor_is_range_midpoint():
@@ -199,7 +202,7 @@ def test_expected_profit_agrees_with_oracle_across_support():
 
 def test_expected_profit_monte_carlo_agreement():
     sc = scenario("E1-baseline", "high", "truncated-normal")
-    draws = np.array(sample_sequence(sc.demand, 200_000, 3).draws)
+    draws = np.array(sample_sequence(sc.demand, 200_000, 3))
     for q in (117, 184, 250):
         mc = float(np.mean(12 * np.minimum(q, draws) - 3 * q))
         assert expected_profit(q, sc) == pytest.approx(mc, rel=5e-3)
@@ -227,78 +230,81 @@ def test_optimal_attains_exhaustive_scan_max():
 
 
 # --- discretized CDF ---------------------------------------------------------
+# P(D <= q) of the integer-discretized distribution is the running sum of
+# `support_pmf`; for the continuous kinds it is the truncated CDF at q + 0.5.
+
+def discretized_cdf(dist, q):
+    _, pmf = support_pmf(dist)
+    return float(np.cumsum(pmf)[q - dist.lower])
+
 
 def test_discretize_cdf_uniform():
-    dist = uniform_demand()
-    assert discretize_cdf(dist, 225) == pytest.approx(0.75)
-    assert discretize_cdf(dist, 300) == 1.0
-    assert discretize_cdf(dist, 0) == 0.0
+    assert discretized_cdf(UNIFORM, 225) == pytest.approx(0.75)
+    assert discretized_cdf(UNIFORM, 300) == pytest.approx(1.0)
+    assert UNIFORM.cdf(225) == pytest.approx(0.75)
+    assert UNIFORM.cdf(0) == 0.0
 
 
 def test_discretize_cdf_truncated_normal_against_oracle():
-    dist = truncated_normal_demand()
-    # cumulative of the rounding-discretized pmf: mass up to 184 is the
-    # truncated CDF at 184.5 (oracle computed with math.erf)
-    want = oracle_truncated_cdf(dist, 184.5)
-    assert discretize_cdf(dist, 184) == pytest.approx(want, rel=1e-12)
-    assert discretize_cdf(dist, 184) == pytest.approx(0.7532, abs=5e-4)
+    # mass up to 184 is the truncated CDF at 184.5 (oracle computed with math.erf)
+    want = oracle_truncated_cdf(NORMAL, 184.5)
+    assert discretized_cdf(NORMAL, 184) == pytest.approx(want, rel=1e-12)
+    assert discretized_cdf(NORMAL, 184) == pytest.approx(0.7532, abs=5e-4)
 
 
 def test_discretize_cdf_hits_edges_and_is_monotone():
-    for dist in (uniform_demand(), truncated_normal_demand(), lognormal_demand()):
-        assert discretize_cdf(dist, dist.lower - 1) == 0.0
-        assert discretize_cdf(dist, dist.upper) == 1.0
-        values = [discretize_cdf(dist, q) for q in range(dist.lower, dist.upper + 1)]
-        assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-        assert values[-1] == 1.0
+    for dist in (UNIFORM, NORMAL, LOGNORMAL):
+        assert dist.cdf(dist.lower - 1) == 0.0
+        assert dist.cdf(dist.upper) == 1.0
+        values = dist.cdf(np.arange(dist.lower, dist.upper + 1) + 0.5)
+        assert np.all(np.diff(values) >= -1e-12)
+        _, pmf = support_pmf(dist)
+        assert np.all(pmf >= 0) and pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_discretize_cdf_matches_pmf_cumsum():
-    for dist in (truncated_normal_demand(), lognormal_demand()):
-        support, pmf = support_pmf(dist)
-        running = np.cumsum(pmf)
-        for idx in (0, 10, 150, 298, 299):
-            assert discretize_cdf(dist, int(support[idx])) == pytest.approx(float(running[idx]), abs=1e-12)
+    for dist in (NORMAL, LOGNORMAL):
+        for q in (1, 11, 151, 299):
+            want = oracle_truncated_cdf(dist, q + 0.5)
+            assert discretized_cdf(dist, q) == pytest.approx(float(dist.cdf(q + 0.5)), abs=1e-12)
+            assert discretized_cdf(dist, q) == pytest.approx(want, abs=1e-12)
 
 
 def test_quantile_inverts_cdf_within_one_step():
-    for dist in (uniform_demand(), truncated_normal_demand(), lognormal_demand()):
+    for dist in (UNIFORM, NORMAL, LOGNORMAL):
         for x in (5, 60, 150, 151, 222, 280):
-            assert abs(dist.quantile(discretize_cdf(dist, x)) - x) <= 1.0
+            assert abs(dist.quantile(discretized_cdf(dist, x)) - x) <= 1.0
 
 
 # --- sampling ----------------------------------------------------------------
 
 def test_sample_sequence_deterministic():
-    dist = uniform_demand()
-    assert sample_sequence(dist, 15, 123) == sample_sequence(dist, 15, 123)
-    assert sample_sequence(dist, 15, 123) != sample_sequence(dist, 15, 124)
+    assert sample_sequence(UNIFORM, 15, 123) == sample_sequence(UNIFORM, 15, 123)
+    assert sample_sequence(UNIFORM, 15, 123) != sample_sequence(UNIFORM, 15, 124)
 
 
 def test_sample_sequence_draws_in_range():
-    for dist in (uniform_demand(), truncated_normal_demand(), lognormal_demand()):
-        seq = sample_sequence(dist, 2000, 9)
-        assert all(dist.lower <= d <= dist.upper for d in seq.draws)
-        assert all(isinstance(d, int) for d in seq.draws)
+    for dist in (UNIFORM, NORMAL, LOGNORMAL):
+        draws = sample_sequence(dist, 2000, 9)
+        assert isinstance(draws, tuple) and len(draws) == 2000
+        assert all(dist.lower <= d <= dist.upper for d in draws)
+        assert all(isinstance(d, int) for d in draws)
 
 
 def test_sample_sequence_uniform_mean_within_one_percent():
-    seq = sample_sequence(uniform_demand(), 100_000, 5)
-    assert np.mean(seq.draws) == pytest.approx(150.5, rel=0.01)
+    assert np.mean(sample_sequence(UNIFORM, 100_000, 5)) == pytest.approx(150.5, rel=0.01)
 
 
 def test_sample_sequence_truncated_normal_boundary_mass():
-    seq = sample_sequence(truncated_normal_demand(), 100_000, 5)
-    draws = np.array(seq.draws)
+    draws = np.array(sample_sequence(NORMAL, 100_000, 5))
     boundary = np.mean((draws == 1) | (draws == 300))
     assert boundary <= 0.003
 
 
 def test_sample_sequence_mean_tracks_pmf_mean():
-    for dist in (truncated_normal_demand(), lognormal_demand()):
+    for dist in (NORMAL, LOGNORMAL):
         support, pmf = support_pmf(dist)
-        seq = sample_sequence(dist, 100_000, 17)
-        assert np.mean(seq.draws) == pytest.approx(float(support.dot(pmf)), rel=0.01)
+        assert np.mean(sample_sequence(dist, 100_000, 17)) == pytest.approx(float(support.dot(pmf)), rel=0.01)
 
 
 def test_import_loads_no_scipy():

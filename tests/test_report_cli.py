@@ -52,6 +52,40 @@ def test_config_errors_name_the_field():
         RunConfig(concurrency=0)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"models": "gpt-4o"}', "models: must be a list of strings, got 'gpt-4o'"),
+    ('{"models": []}', "models: must not be empty"),
+    ('{"distributions": ["uniform", 3]}', "distributions: must be a list of strings"),
+    ('{"repetitions": "3"}', "repetitions: must be an integer, got '3'"),
+    ('{"rounds": 2.5}', "rounds: must be an integer, got 2.5"),
+    ('{"temperature": true}', "temperature: must be a number, got True"),
+    ('{"request_budget": "10"}', "request_budget: must be an integer, got '10'"),
+    ('{"transcript_continuity": "yes"}', "transcript_continuity: must be true or false"),
+    ('{"output_dir": 7}', "output_dir: must be a string, got 7"),
+    ('[]', "the config must be a JSON object, got list"),
+], ids=["models-string", "models-empty", "distribution-number", "repetitions-string",
+        "rounds-float", "temperature-bool", "budget-string", "continuity-string",
+        "output-dir-number", "top-level-list"])
+def test_config_values_of_the_wrong_json_type_are_config_errors(
+        tmp_path, capsys, monkeypatch, text, message):
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--print-config"]) == 2
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "runs")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count(f"config error: {message}") == 2
+    assert not (tmp_path / "runs").exists()
+
+
+def test_config_takes_integral_numbers_and_null_where_the_field_allows():
+    config = RunConfig.from_dict({"temperature": 0, "backoff_base": 1, "request_budget": None,
+                                  "rate_limit_per_minute": 30, "models": ["m"]})
+    assert config.temperature == 0 and config.rate_limit_per_minute == 30
+    assert config.request_budget is None and config.models == ("m",)
+
+
 def test_config_rejects_unknown_fields():
     with pytest.raises(ConfigError, match="temprature"):
         RunConfig.from_dict({"temprature": 0.5})
@@ -476,6 +510,35 @@ def test_identity_outside_the_plan_is_an_integrity_error(tmp_path, capsys, chang
     assert "round=1)" in err
     assert not (tmp_path / "report").exists()
     assert (run_dir / "rounds.jsonl").read_bytes() == stored
+
+
+@pytest.mark.parametrize("command", ["report", "resume"])
+@pytest.mark.parametrize("field, retype", [
+    ("order", str), ("demand", float), ("repetition", str), ("round_index", str),
+    ("condition_index", float), ("block_index", bool),
+], ids=["order-string", "demand-float", "repetition-string", "round-string",
+        "condition-float", "block-bool"])
+def test_a_stored_field_of_the_wrong_json_type_is_an_integrity_error(
+        tmp_path, capsys, command, field, retype):
+    """A 3-round `optimal` store whose second line holds one field as another JSON type."""
+    run_dir = simulate(tmp_path, "sim", "--rounds", "3")
+    path = run_dir / "rounds.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    value = retype(record[field])
+    lines[1] = json.dumps({**record, field: value})
+    path.write_text("\n".join(lines) + "\n")
+    stored = path.read_bytes()
+    capsys.readouterr()
+    if command == "report":
+        assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 5
+    else:
+        assert main(["simulate", "--resume", str(run_dir)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("integrity error: record (condition=")
+    assert f"field {field!r} is {value!r}, not an integer" in err
+    assert not (tmp_path / "report").exists()
+    assert path.read_bytes() == stored
 
 
 @pytest.mark.parametrize("rounds", [None, {3}], ids=["whole-block", "one-later-round"])

@@ -114,8 +114,7 @@ def test_demand_sequences_match_derived_seeds(tmp_path):
     outcome = run_plan(plan, tmp_path / "run")
     for trajectory in outcome.trajectories:
         seed = derive_seed(99, trajectory.repetition, trajectory.block_index)
-        expected = sample_sequence(trajectory.scenario.demand, 15, seed)
-        assert trajectory.demands == expected.draws
+        assert trajectory.demands == sample_sequence(trajectory.scenario.demand, 15, seed)
 
 
 def test_prompt_hashes_re_render(tmp_path):
