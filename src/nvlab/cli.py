@@ -25,6 +25,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import runner as runner_mod
@@ -62,7 +63,7 @@ def _build_agents(args, config: RunConfig) -> list[AgentSpec]:
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    data = config.to_dict()
+    data = asdict(config)
     if args.experiment:
         data["experiments"] = args.experiment
     if args.dist:
@@ -142,7 +143,7 @@ def _execute_plans(config: RunConfig, agents, client_factory, resume_dir) -> int
 
 
 def _print_config(config: RunConfig, agents):
-    resolved = {"config": config.to_dict(), "plans": []}
+    resolved = {"config": asdict(config), "plans": []}
     for agent in agents:
         plan = build_plan(config, [agent])
         resolved["plans"].append({

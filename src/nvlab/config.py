@@ -11,23 +11,19 @@ only the name of the environment variable that holds it.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import model
 from .agents import AgentSpec
 from .runner import LLM_WORKERS, ORDER_CONDITIONS, ExperimentPlan, PlanCondition
+from .store import mistyped
 
 # short names; a full name (model.EXPERIMENTS, model.DIST_KINDS) stands for itself
 EXPERIMENT_ALIASES = {"E1": model.E1, "E2": model.E2, "E3": model.E3}
 DIST_ALIASES = {"normal": model.TRUNCATED_NORMAL}
 
 DEFAULT_DISTRIBUTIONS = (model.UNIFORM, model.TRUNCATED_NORMAL)
-
-# the JSON value each field annotation takes; true and false are not numbers here
-_JSON_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
-               "float": ((int, float), "a number"), "bool": (bool, "true or false"),
-               "tuple[str, ...]": ((list, tuple), "a list of strings")}
 
 
 class ConfigError(ValueError):
@@ -56,15 +52,8 @@ class RunConfig:
     concurrency: int = LLM_WORKERS
 
     def __post_init__(self):
-        for f in fields(self):
-            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
-            types, wanted = _JSON_TYPES[kind]
-            if value is None and kind != f.type:
-                continue
-            items = value if isinstance(value, (list, tuple)) else ()
-            if (not isinstance(value, types) or isinstance(value, bool) != (kind == "bool")
-                    or not all(isinstance(item, str) for item in items)):
-                raise ConfigError(f"{f.name}: must be {wanted}, got {value!r}")
+        if problem := mistyped(self):
+            raise ConfigError("{0}: must be {2}, got {1!r}".format(*problem))
         self.models = tuple(self.models)
         self.experiments = tuple(EXPERIMENT_ALIASES.get(e, e) for e in self.experiments)
         self.distributions = tuple(DIST_ALIASES.get(d, d) for d in self.distributions)
@@ -89,12 +78,6 @@ class RunConfig:
         if self.request_budget is not None and self.request_budget < 1:
             raise ConfigError(f"request_budget: must be >= 1, got {self.request_budget}")
 
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        for key in ("models", "experiments", "distributions", "order_conditions"):
-            data[key] = list(data[key])
-        return data
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
@@ -118,7 +101,7 @@ class RunConfig:
 
     def to_file(self, path: Path | str):
         Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 
 

@@ -175,6 +175,7 @@ class ChatClient:
             if not isinstance(text, str) or not text:
                 raise TransportError("empty completion text")
             usage = payload.get("usage")
+            usage = usage if isinstance(usage, dict) else None  # not an object: as if absent
             log.info(
                 "chat ok model=%s elapsed=%.3fs retries=%d usage=%s",
                 self.model, time.time() - started, attempt, usage,

@@ -51,6 +51,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -72,6 +73,7 @@ from .store import (
     Trajectory,
     canonical_json,
     group_trajectories,
+    mistyped,
     sha256_text,
     where,
 )
@@ -215,6 +217,11 @@ def load_plan(store: RunStore) -> ExperimentPlan:
         plan = ExperimentPlan.from_dict(manifest["plan"])
     except (KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(f"malformed plan in {store.manifest_path}: {exc!r}") from exc
+    # the constructors take any type, so the manifest's are checked here
+    parts = [plan, *plan.conditions, *(condition.agent for condition in plan.conditions)]
+    if problem := next(filter(None, map(mistyped, parts)), None):
+        raise IntegrityError("malformed plan in {}: field {!r} is {!r}, not {}".format(
+            store.manifest_path, *problem))
     if plan.plan_hash() != manifest.get("plan_hash"):
         raise IntegrityError(
             f"plan hash mismatch in {store.manifest_path}: stored "
@@ -226,19 +233,25 @@ def load_plan(store: RunStore) -> ExperimentPlan:
 def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord]) -> list[Trajectory]:
     """Validated trajectories of ``records``, each under its condition's scenario.
 
-    An identity the plan does not run (condition, order, repetition, block,
-    margin or agent label) raises IntegrityError; `group_trajectories` holds
-    every later round of a trajectory to its round 1's agent.
+    A round 1 outside the plan (its condition, repetition or block, or a label
+    other than the plan's) raises IntegrityError; `group_trajectories` holds
+    every later round of a trajectory to its round 1's labels.
     """
+    names = ("run_id", "experiment", "dist", "order_condition", "margin", "agent")
+    run_id, labels = plan.run_id(), attrgetter(*names)
+    planned = [[(run_id, c.experiment, c.dist_kind, c.order_condition, c.margin_for_block(block),
+                 c.agent.label) for block in (1, 2)] for c in plan.conditions]
 
     def scenario_for(record: RoundRecord) -> model.ScenarioConfig:
         index, block = record.condition_index, record.block_index
         condition = plan.conditions[index] if index in range(len(plan.conditions)) else None
-        if (condition is None or record.order_condition != condition.order_condition
-                or record.repetition not in range(condition.repetitions) or block not in (1, 2)
-                or record.margin != condition.margin_for_block(block)
-                or record.agent != condition.agent.label):
-            raise IntegrityError(f"{where(record)} is outside the plan")
+        want = (planned[index][block - 1] if condition and block in (1, 2)
+                and record.repetition in range(condition.repetitions) else ())
+        if labels(record) != want:
+            mismatch = next((f": {name} {value!r} is not the plan's {label!r}"
+                             for name, value, label in zip(names, labels(record), want)
+                             if value != label), "")
+            raise IntegrityError(f"{where(record)} is outside the plan{mismatch}")
         return condition.scenario_for_margin(record.margin)
 
     return group_trajectories(records, scenario_for)

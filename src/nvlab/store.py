@@ -10,11 +10,11 @@ Layout of one run directory::
 
 Records are immutable named tuples; one shared compact JSON encoder writes
 each as a line of its fields in declaration order. Records carry their full
-trajectory identity (condition index, repetition, block, round) so
-concurrent trajectories can interleave safely. Profit is recomputed from
-(order, demand, cost structure) on every read; any mismatch, malformed line,
-or hash conflict raises IntegrityError naming the offending record. A run's
-outcome holds the rounds it replayed or wrote, validated by the same
+trajectory identity (condition index, repetition, block, round) so concurrent
+trajectories can interleave safely. Each read checks every field's JSON type,
+label and value, and recomputes profit; any mismatch, malformed or non-UTF-8
+line, or hash conflict raises IntegrityError naming the offending record. A
+run's outcome holds the rounds it replayed or wrote, validated by the same
 `group_trajectories`, so the runner never reads the file back.
 
 Appends share one handle, opened by the first `append` and kept until
@@ -29,9 +29,11 @@ import json
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
+from .agents import EXACT, FALLBACK
 from .model import ScenarioConfig, profit
 
 MANIFEST_NAME = "manifest.json"
@@ -49,6 +51,30 @@ def sha256_text(text: str) -> str:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# the JSON types an annotation takes, and their name in a refusal; types match
+# exactly, so true and false are neither integers nor numbers
+_JSON_TYPES = {"str": ({str}, "a string"), "int": ({int}, "an integer"),
+               "float": ({int, float}, "a number"), "bool": ({bool}, "true or false"),
+               "dict": ({dict}, "an object"),
+               "tuple[str, ...]": ({list, tuple}, "a list of strings")}
+_JSON_TYPES |= {f"{kind} | None": (types | {type(None)}, wanted)
+                for kind, (types, wanted) in _JSON_TYPES.items()}
+
+
+def mistyped(obj) -> tuple | None:
+    """The first (field, value, JSON types named) of ``obj`` that its annotation refuses.
+
+    A field of an annotation the table lacks (a nested spec) is left to its own reader.
+    """
+    for name, kind in type(obj).__annotations__.items():
+        # a NamedTuple's annotations are ForwardRefs; the one list annotation holds strings
+        types, wanted = _JSON_TYPES.get(getattr(kind, "__forward_arg__", kind), ((), None))
+        value = getattr(obj, name)
+        if wanted and (type(value) not in types or type(value) in (list, tuple)
+                       and not all(isinstance(item, str) for item in value)):
+            return name, value, wanted
 
 
 class RoundRecord(NamedTuple):
@@ -84,10 +110,10 @@ class RoundRecord(NamedTuple):
         return _LINE_ENCODER.encode(dict(zip(_RECORD_FIELDS, self)))
 
     @classmethod
-    def from_line(cls, line: str, lineno: int) -> "RoundRecord":
+    def from_line(cls, line: str | bytes, lineno: int) -> "RoundRecord":
         try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
+            data = json.loads(line if isinstance(line, str) else line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise IntegrityError(f"rounds.jsonl line {lineno}: malformed JSON ({exc})") from exc
         try:
             return cls._make(map(data.__getitem__, _RECORD_FIELDS))
@@ -103,7 +129,10 @@ class RoundRecord(NamedTuple):
 
 _RECORD_FIELDS = RoundRecord._fields
 _LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
-_INTEGER_FIELDS = ("condition_index", "repetition", "block_index", "round_index", "order", "demand")
+_RECORD_TYPES = tuple(frozenset(_JSON_TYPES[kind.__forward_arg__][0])
+                      for kind in RoundRecord.__annotations__.values())
+_LABEL_NAMES = ("run_id", "experiment", "dist", "margin", "agent")  # equal on every round
+_labels = itemgetter(*map(_RECORD_FIELDS.index, _LABEL_NAMES))
 
 
 @dataclass
@@ -180,8 +209,8 @@ class RunStore:
         if not self.exists():
             raise IntegrityError(f"no run store at {self.run_dir}")
         try:
-            return json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            return json.loads(self.manifest_path.read_bytes().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise IntegrityError(f"manifest.json is malformed: {exc}") from exc
 
     def append(self, record: RoundRecord):
@@ -213,21 +242,10 @@ class RunStore:
         if not self.rounds_path.exists():
             return []
         out = []
-        line = "\n"
-        with self.rounds_path.open("r", encoding="utf-8") as handle:
+        with self.rounds_path.open("rb") as handle:  # bytes: a line not UTF-8 is malformed
             for lineno, line in enumerate(handle, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    out.append(RoundRecord.from_line(text, lineno))
-                except IntegrityError:
-                    # only the final line can lack its newline
-                    if line.endswith("\n"):
-                        raise
-                    return out
-        if not line.endswith("\n") and line.strip():
-            out.pop()
+                if line.endswith(b"\n") and line.strip():
+                    out.append(RoundRecord.from_line(line, lineno))
         return out
 
     def set_aside_torn_line(self) -> str | None:
@@ -265,18 +283,16 @@ def group_trajectories(records: list[RoundRecord], scenario_for: "callable") -> 
     """Group records by trajectory identity and validate per-round invariants.
 
     ``scenario_for(record)`` must return the ScenarioConfig governing that
-    record's block. Validates integer identity, order and demand fields, round
-    contiguity, one agent label per trajectory, recomputed profit, and the
-    cumulative-profit running sum.
+    record's block. Validates every field's JSON type, round contiguity, each
+    round's labels against round 1's, the parse confidence, order and retries
+    >= 0, demand in range, recomputed profit, and the cumulative-profit sum.
     """
     by_identity: dict[tuple, list[RoundRecord]] = {}
     for record in records:
         # a JSON string or float here would end in a TypeError far from the record
-        if not (type(record.condition_index) is type(record.repetition) is type(record.block_index)
-                is type(record.round_index) is type(record.order) is type(record.demand) is int):
-            name = next(n for n in _INTEGER_FIELDS if type(getattr(record, n)) is not int)
-            raise IntegrityError(
-                f"{where(record)}: field {name!r} is {getattr(record, name)!r}, not an integer")
+        if not all(map(frozenset.__contains__, _RECORD_TYPES, map(type, record))):
+            raise IntegrityError("{}: field {!r} is {!r}, not {}".format(where(record),
+                                                                         *mistyped(record)))
         by_identity.setdefault(record.identity(), []).append(record)
 
     trajectories = []
@@ -284,20 +300,31 @@ def group_trajectories(records: list[RoundRecord], scenario_for: "callable") -> 
         rows = sorted(by_identity[identity], key=lambda r: r.round_index)
         first = rows[0]
         sc = scenario_for(first)
+        labels, lower, upper = _labels(first), sc.demand.lower, sc.demand.upper
         cumulative = 0.0
         for position, record in enumerate(rows, start=1):
             if record.round_index != position:
                 raise IntegrityError(
                     f"{where(record)}: expected round {position}, rounds are not contiguous")
-            if record.agent != first.agent:
-                raise IntegrityError(f"{where(record)}: agent {record.agent!r} is not round 1's")
+            if _labels(record) != labels:
+                name, value = next((name, value) for name, value, label
+                                   in zip(_LABEL_NAMES, _labels(record), labels) if value != label)
+                raise IntegrityError(f"{where(record)}: {name} {value!r} is not round 1's")
+            if record.parse_confidence not in (EXACT, FALLBACK):
+                raise IntegrityError(f"{where(record)}: field 'parse_confidence' is unknown")
+            if record.order < 0 or record.retries < 0:
+                name = "order" if record.order < 0 else "retries"
+                raise IntegrityError(f"{where(record)}: field {name!r} is negative")
+            if not lower <= record.demand <= upper:
+                raise IntegrityError(f"{where(record)}: field 'demand' is {record.demand}, "
+                                     f"not in the demand range [{lower}, {upper}]")
             recomputed = profit(record.order, record.demand, sc.cost)
-            if abs(recomputed - record.profit) > 1e-9:
+            if not abs(recomputed - record.profit) <= 1e-9:  # a stored NaN fails too
                 raise IntegrityError(
                     f"{where(record)}: stored profit {record.profit} != recomputed {recomputed}"
                 )
             cumulative += recomputed
-            if abs(cumulative - record.cumulative_profit) > 1e-9:
+            if not abs(cumulative - record.cumulative_profit) <= 1e-9:
                 raise IntegrityError(
                     f"{where(record)}: stored cumulative profit {record.cumulative_profit} "
                     f"!= running sum {cumulative}"

@@ -34,6 +34,8 @@ class StubChatServer(ThreadingHTTPServer):
       "unauthorized"-- reject every request with 401
       "garbage"     -- answer 200 with an unreadable body, cycling through
                        not JSON, not UTF-8, and cut short of its Content-Length
+      "bad-usage"   -- answer, with a ``usage`` that alternates between a
+                       string and a number instead of an object
     """
 
     daemon_threads = True
@@ -81,11 +83,11 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.wfile.write(payload)
             return
         text = self.server.reply_fn(body)
+        usage = {"prompt_tokens": 42, "completion_tokens": 17, "total_tokens": 59}
+        if mode == "bad-usage":
+            usage = ("lots", 5)[(count - 1) % 2]
         payload = json.dumps(
-            {
-                "choices": [{"message": {"role": "assistant", "content": text}}],
-                "usage": {"prompt_tokens": 42, "completion_tokens": 17, "total_tokens": 59},
-            }
+            {"choices": [{"message": {"role": "assistant", "content": text}}], "usage": usage}
         ).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,7 @@ from nvlab.report import ReportError, build_report, load_trajectories
 from nvlab import runner
 from nvlab.runner import (ExperimentPlan, PlanCondition, RoundFailure, RunOutcome, load_plan,
                           plan_trajectories, run_plan)
-from nvlab.store import RunStore
+from nvlab.store import RoundRecord, RunStore
 
 
 def read_csv(path):
@@ -177,6 +179,22 @@ def test_run_with_scripted_agent_needs_no_credential(tmp_path, monkeypatch):
                  "--agent", "optimal", "--reps", "1",
                  "--out", str(tmp_path / "run")])
     assert code == 0
+
+
+def test_a_usage_that_is_not_an_object_is_dropped_and_the_run_completes(
+        tmp_path, stub_server, monkeypatch):
+    """The endpoint's ``usage`` is a string, then a number; neither stops the run."""
+    stub_server.mode = "bad-usage"
+    monkeypatch.setenv("NVLAB_TEST_KEY", "sk-test")
+    RunConfig(endpoint=stub_server.url, credential_env="NVLAB_TEST_KEY", models=("m",),
+              max_retries=0).to_file(tmp_path / "config.json")
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--experiment", "E1",
+                 "--dist", "uniform", "--order", "high-first", "--reps", "1", "--rounds", "2",
+                 "--out", str(tmp_path / "runs")]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    records = RunStore(run_dir).records()
+    assert len(records) == 4 and all(r.token_usage is None for r in records)
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 0
 
 
 def test_print_config_dumps_resolved_plan(tmp_path, capsys):
@@ -565,3 +583,125 @@ def test_agent_other_than_the_conditions_is_an_integrity_error(tmp_path, capsys,
         assert err.count("rep=1, block=1, round=3): agent 'mean-anchor(w=0.5)' is not round 1's") == 2
     assert not (tmp_path / "report").exists()
     assert path.read_bytes() == stored
+
+
+# --- every stored field checked on read --------------------------------------
+
+# the JSON types each stored field takes, written out here rather than read from nvlab
+STORED_TYPES = {
+    "run_id": (str,), "condition_index": (int,), "agent": (str,), "experiment": (str,),
+    "dist": (str,), "order_condition": (str,), "repetition": (int,), "block_index": (int,),
+    "margin": (str,), "round_index": (int,), "order": (int,), "demand": (int,),
+    "profit": (int, float), "cumulative_profit": (int, float), "parse_confidence": (str,),
+    "prompt_sha256": (str,), "raw_response": (str,), "retries": (int,),
+    "token_usage": (dict, type(None)), "ts_start": (int, float), "ts_end": (int, float),
+}
+WRONG_VALUES = {"string": "225", "float": 225.0, "null": None, "list": [225],
+                "object": {"value": 225}, "bool": True, "minus-one": -1, "huge": 10**30}
+# a label other than the stored one
+OTHER_LABELS = {"run_id": "run-000000000000", "experiment": "E2-formula",
+                "dist": "truncated-normal", "order_condition": "low-first", "margin": "low",
+                "agent": "random"}
+
+
+def _record_cases():
+    """(id, lines edited, field, value, expected message) of each edit of the small store."""
+    for field in RoundRecord._fields:
+        for kind, value in WRONG_VALUES.items():
+            if type(value) not in STORED_TYPES[field]:
+                yield f"{field}-{kind}", (1,), field, value, "field {field!r} is {value!r}, not "
+    for kind, field, value in [("negative", "order", -1), ("negative", "retries", -1),
+                               ("below-range", "demand", -1), ("above-range", "demand", 10**30),
+                               ("unknown", "parse_confidence", "maybe")]:
+        yield f"{field}-{kind}", (1,), field, value, "field {field!r} is "
+    for field in ("profit", "cumulative_profit"):
+        yield (f"{field}-nan", (1,), field, float("nan"),
+               "stored " + field.replace("_", " ") + " nan")
+    for field, value in OTHER_LABELS.items():
+        if field != "order_condition":  # part of the identity, so another trajectory
+            yield (f"{field}-round-2", (1,), field, value,
+                   "round=2): {field} {value!r} is not round 1's")
+        yield (f"{field}-whole-block", (0, 1, 2), field, value,
+               "round=1) is outside the plan: {field} {value!r} is not the plan's")
+
+
+@pytest.fixture(scope="module")
+def small_store(tmp_path_factory):
+    """A 3-round `optimal` store (E1, uniform, high-first, 1 repetition): 6 lines."""
+    out = tmp_path_factory.mktemp("small") / "runs"
+    assert main(["simulate", "--experiment", "E1", "--dist", "uniform", "--order", "high-first",
+                 "--agent", "optimal", "--reps", "1", "--rounds", "3", "--out", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    return run_dir
+
+
+def refused_by_both_commands(tmp_path, capsys, run_dir) -> str:
+    """`report` and `simulate --resume` exit 5 and leave the store as it was; their stderr."""
+    stored = {name: (run_dir / name).read_bytes() for name in ("manifest.json", "rounds.jsonl")}
+    capsys.readouterr()
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 5
+    assert main(["simulate", "--resume", str(run_dir)]) == 5
+    err = capsys.readouterr().err
+    assert err.count("integrity error: ") == 2
+    assert not (tmp_path / "report").exists()
+    assert {name: (run_dir / name).read_bytes() for name in stored} == stored
+    assert sorted(path.name for path in run_dir.iterdir()) == sorted(stored)
+    return err
+
+
+@pytest.mark.parametrize("lines, field, value, message",
+                         [pytest.param(*case[1:], id=case[0]) for case in _record_cases()])
+def test_every_stored_field_is_checked_on_read(tmp_path, capsys, small_store, lines, field,
+                                               value, message):
+    run_dir = shutil.copytree(small_store, tmp_path / "run")
+    path = run_dir / "rounds.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for index in lines:
+        records[index][field] = value
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    err = refused_by_both_commands(tmp_path, capsys, run_dir)
+    assert err.count("integrity error: record (") == 2
+    assert err.count(message.format(field=field, value=value)) == 2, err
+
+
+@pytest.mark.parametrize("key, value", [("repetitions", 1.0), ("rounds_per_block", 3.0),
+                                        ("base_seed", "0")])
+def test_a_manifest_plan_value_of_the_wrong_json_type_is_an_integrity_error(
+        tmp_path, capsys, small_store, key, value):
+    """The plan hash is recomputed, so only the type check can refuse the edit."""
+    run_dir = shutil.copytree(small_store, tmp_path / "run")
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["plan"]["conditions"][0][key] = value
+    manifest["plan_hash"] = hashlib.sha256(json.dumps(
+        manifest["plan"], sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    err = refused_by_both_commands(tmp_path, capsys, run_dir)
+    assert err.count(f"manifest.json: field {key!r} is {value!r}, not an integer") == 2, err
+
+
+@pytest.mark.parametrize("name, line, message", [
+    ("rounds.jsonl", 1, "rounds.jsonl line 2: malformed JSON ('utf-8' codec can't decode"),
+    ("manifest.json", 3, "manifest.json is malformed: 'utf-8' codec can't decode"),
+], ids=["rounds-middle-line", "manifest"])
+def test_bytes_that_are_not_utf8_are_an_integrity_error(tmp_path, capsys, small_store, name,
+                                                        line, message):
+    run_dir = shutil.copytree(small_store, tmp_path / "run")
+    path = run_dir / name
+    lines = path.read_bytes().split(b"\n")
+    lines[line] = lines[line][:12] + b"\xff" + lines[line][12:]
+    path.write_bytes(b"\n".join(lines))
+    err = refused_by_both_commands(tmp_path, capsys, run_dir)
+    assert err.count(message) == 2, err
+
+
+def test_a_torn_final_line_cut_inside_a_character_is_skipped_or_set_aside(
+        tmp_path, capsys, small_store):
+    run_dir = shutil.copytree(small_store, tmp_path / "run")
+    path = run_dir / "rounds.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    torn = lines[-1][:60] + "\u00e9".encode()[:1]  # the first of a character's two bytes
+    path.write_bytes(b"".join(lines[:-1]) + torn)
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 0
+    assert main(["simulate", "--resume", str(run_dir)]) == 0
+    assert (run_dir / "rounds.jsonl.torn").read_bytes() == torn + b"\n"
+    assert stripped_lines(path) == stripped_lines(small_store / "rounds.jsonl")
