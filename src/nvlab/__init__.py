@@ -41,9 +41,7 @@ from .agents import (
     AgentSpec,
     AmbiguousDecisionError,
     Decision,
-    ParsePolicy,
     decide,
-    default_parse_policy,
     extract_order,
 )
 from .llm import AuthError, BudgetExceededError, ChatClient, ChatResult, TokenBucket, TransportError

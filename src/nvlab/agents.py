@@ -48,44 +48,29 @@ def _round_away_from_zero(x: float) -> int:
     return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 
-@dataclass(frozen=True)
-class ParsePolicy:
-    """Ordered extraction rules; the first in-range match wins.
-
-    ``patterns`` are regexes with one capture group for the integer. If none
-    matches, the fallback takes the last integer within ``plausible_range``.
-    """
-
-    patterns: tuple[str, ...]
-    plausible_range: tuple[int, int]
-    max_retries: int = 2
-
-
-DEFAULT_PATTERNS = (
+# extraction rules, tried in order; each captures the integer in its one group
+ORDER_PATTERNS = (
     r"(?i)order\s+(?:about\s+|around\s+|approximately\s+)?(\d[\d,]*)\s+wodgets",
     r"(?i)order\s+quantity\s*(?:is|of|:|=)?\s*\**\s*(\d[\d,]*)",
     r"(?i)(?:\bwill order|\bi order|decide to order|ordering)\s*:?\s*\**\s*(\d[\d,]*)",
 )
-
-
-def default_parse_policy(sc: ScenarioConfig) -> ParsePolicy:
-    return ParsePolicy(DEFAULT_PATTERNS, (0, 2 * sc.demand.upper))
+MAX_REPROMPTS = 2  # clarification turns after a reply with no plausible order
 
 
 def _to_int(token: str) -> int:
     return int(token.replace(",", ""))
 
 
-def extract_order(raw: str, policy: ParsePolicy) -> tuple[int, str]:
-    """Pull an integer order out of free text.
+def extract_order(raw: str, sc: ScenarioConfig) -> tuple[int, str]:
+    """Pull an integer order in [0, 2 x the demand range's upper end] out of free text.
 
-    Pass 1 tries the explicit patterns in order, then the last standalone
-    integer on a line mentioning "order"; any in-range hit is tagged exact.
-    Pass 2 falls back to the last in-range integer anywhere. Pure and
-    idempotent; raises AmbiguousDecisionError when nothing qualifies.
+    Pass 1 tries `ORDER_PATTERNS` in order, then the last standalone integer
+    on a line mentioning "order"; any in-range hit is tagged exact. Pass 2
+    falls back to the last in-range integer anywhere. Pure and idempotent;
+    raises AmbiguousDecisionError when nothing qualifies.
     """
-    lo, hi = policy.plausible_range
-    for pattern in policy.patterns:
+    lo, hi = 0, 2 * sc.demand.upper
+    for pattern in ORDER_PATTERNS:
         for match in re.finditer(pattern, raw):
             value = _to_int(match.group(1))
             if lo <= value <= hi:
@@ -111,8 +96,8 @@ class AgentSpec:
 
     ``anchor_weight`` applies to mean-anchor, ``chase_rate`` (with the
     optional ``switch_round`` / ``chase_rate_before`` schedule) to the
-    demand-chaser, ``model_name`` / ``temperature`` / ``parse_policy`` to the
-    llm kind. Temperature defaults to 1.0.
+    demand-chaser, ``model_name`` / ``temperature`` to the llm kind.
+    Temperature defaults to 1.0.
     """
 
     kind: str
@@ -122,7 +107,6 @@ class AgentSpec:
     chase_rate: float | None = None
     chase_rate_before: float = 0.0
     switch_round: int | None = None
-    parse_policy: ParsePolicy | None = None
 
     def __post_init__(self):
         if self.kind not in AGENT_KINDS:
@@ -156,12 +140,6 @@ class AgentSpec:
         data = {"kind": self.kind}
         if self.kind == LLM:
             data.update(model_name=self.model_name, temperature=self.temperature)
-            if self.parse_policy is not None:
-                data["parse_policy"] = {
-                    "patterns": list(self.parse_policy.patterns),
-                    "plausible_range": list(self.parse_policy.plausible_range),
-                    "max_retries": self.parse_policy.max_retries,
-                }
         if self.anchor_weight is not None:
             data["anchor_weight"] = self.anchor_weight
         if self.chase_rate is not None:
@@ -178,12 +156,6 @@ class AgentSpec:
         """
         if "kind" not in data or not set(data) <= {f.name for f in fields(cls)}:
             raise ValueError(f"agent needs a kind and only AgentSpec fields, got {sorted(data)}")
-        data = dict(data)
-        if "parse_policy" in data:
-            raw = data["parse_policy"]
-            data["parse_policy"] = ParsePolicy(
-                tuple(raw["patterns"]), tuple(raw["plausible_range"]), raw["max_retries"]
-            )
         return cls(**data)
 
 
@@ -261,7 +233,7 @@ def decide(
     Scripted kinds are deterministic given (ctx, rng) and never error. The
     llm kind appends ``prompt`` to ``transcript`` (not mutated), sends one
     chat request via ``client`` and extracts the order; unparseable replies
-    are re-prompted up to the policy's max_retries with a clarification turn
+    are re-prompted up to `MAX_REPROMPTS` times with a clarification turn
     that stays out of the persistent transcript.
     """
     if agent.kind != LLM:
@@ -270,7 +242,6 @@ def decide(
 
     if client is None:
         raise ValueError("llm agent needs a chat client")
-    policy = agent.parse_policy or default_parse_policy(ctx.scenario)
     messages = list(transcript or []) + [{"role": "user", "content": prompt}]
     attempts = 0
     retries = 0
@@ -280,10 +251,10 @@ def decide(
         retries += result.retries
         usage = _merge_usage(usage, result.usage)
         try:
-            order, confidence = extract_order(result.text, policy)
+            order, confidence = extract_order(result.text, ctx.scenario)
         except AmbiguousDecisionError:
             attempts += 1
-            if attempts > policy.max_retries:
+            if attempts > MAX_REPROMPTS:
                 raise
             messages = messages + [
                 {"role": "assistant", "content": result.text},

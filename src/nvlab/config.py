@@ -52,7 +52,7 @@ class RunConfig:
     concurrency: int = LLM_WORKERS
 
     def __post_init__(self):
-        if problem := mistyped(self):
+        if problem := mistyped(RunConfig, vars(self)):
             raise ConfigError("{0}: must be {2}, got {1!r}".format(*problem))
         self.models = tuple(self.models)
         self.experiments = tuple(EXPERIMENT_ALIASES.get(e, e) for e in self.experiments)

@@ -29,9 +29,9 @@ corrupt store is refused before anything is appended. An unresolved round
 trajectory incomplete for `resume`.
 
 A run appends through one store handle, closed when the run returns or
-raises. Its outcome's trajectories are the validated rounds the call replayed
-or wrote -- the stored rounds it started from plus the rounds its units
-appended -- grouped by `plan_trajectories` without reading the file again.
+raises. Its outcome's trajectories are the rounds the call replayed or wrote,
+grouped without reading the file again by `plan_trajectories`, which holds
+each round to the plan's trajectory at its (condition, repetition, block).
 
 Plans with an LLM condition run their units on one pool of up to ``workers``
 threads (`LLM_WORKERS` by default), since each repetition is its own
@@ -51,7 +51,6 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -90,6 +89,13 @@ def derive_seed(base_seed: int, repetition: int, block_index: int, salt: str = "
     """Stable per-(repetition, block) seed: base_seed XOR a keyed hash."""
     digest = hashlib.sha256(f"{salt}|rep:{repetition}|block:{block_index}".encode()).digest()
     return (base_seed ^ int.from_bytes(digest[:8], "big")) & 0x7FFFFFFFFFFFFFFF
+
+
+def _typed(cls, values: dict) -> dict:
+    """``values`` once each has a JSON type ``cls`` annotates; the constructors take any."""
+    if problem := mistyped(cls, values):
+        raise TypeError("field {!r} is {!r}, not {}".format(*problem))
+    return values
 
 
 @dataclass(frozen=True)
@@ -132,15 +138,15 @@ class PlanCondition:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlanCondition":
-        return cls(
+        return cls(**_typed(cls, dict(
             experiment=data["experiment"],
             dist_kind=data["dist"],
-            agent=AgentSpec.from_dict(data["agent"]),
+            agent=AgentSpec.from_dict(_typed(AgentSpec, data["agent"])),
             order_condition=data["order_condition"],
             repetitions=data["repetitions"],
             rounds_per_block=data["rounds_per_block"],
             base_seed=data["base_seed"],
-        )
+        )))
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,7 @@ class ExperimentPlan:
     def from_dict(cls, data: dict) -> "ExperimentPlan":
         return cls(
             conditions=tuple(PlanCondition.from_dict(c) for c in data["conditions"]),
-            transcript_continuity=data.get("transcript_continuity", True),
+            transcript_continuity=_typed(cls, data).get("transcript_continuity", True),
         )
 
     def plan_hash(self) -> str:
@@ -215,13 +221,10 @@ def load_plan(store: RunStore) -> ExperimentPlan:
     manifest = store.manifest()
     try:
         plan = ExperimentPlan.from_dict(manifest["plan"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IntegrityError(f"malformed plan in {store.manifest_path}: {exc!r}") from exc
-    # the constructors take any type, so the manifest's are checked here
-    parts = [plan, *plan.conditions, *(condition.agent for condition in plan.conditions)]
-    if problem := next(filter(None, map(mistyped, parts)), None):
-        raise IntegrityError("malformed plan in {}: field {!r} is {!r}, not {}".format(
-            store.manifest_path, *problem))
+    except KeyError as exc:
+        raise IntegrityError(f"malformed plan in {store.manifest_path}: no {exc} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise IntegrityError(f"malformed plan in {store.manifest_path}: {exc}") from exc
     if plan.plan_hash() != manifest.get("plan_hash"):
         raise IntegrityError(
             f"plan hash mismatch in {store.manifest_path}: stored "
@@ -233,28 +236,19 @@ def load_plan(store: RunStore) -> ExperimentPlan:
 def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord]) -> list[Trajectory]:
     """Validated trajectories of ``records``, each under its condition's scenario.
 
-    A round 1 outside the plan (its condition, repetition or block, or a label
-    other than the plan's) raises IntegrityError; `group_trajectories` holds
-    every later round of a trajectory to its round 1's labels.
+    `group_trajectories` checks every round against the trajectory the plan
+    runs at its (condition, repetition, block); a round outside the plan (its
+    identity, a label or its round index) raises IntegrityError.
     """
-    names = ("run_id", "experiment", "dist", "order_condition", "margin", "agent")
-    run_id, labels = plan.run_id(), attrgetter(*names)
-    planned = [[(run_id, c.experiment, c.dist_kind, c.order_condition, c.margin_for_block(block),
-                 c.agent.label) for block in (1, 2)] for c in plan.conditions]
-
-    def scenario_for(record: RoundRecord) -> model.ScenarioConfig:
-        index, block = record.condition_index, record.block_index
-        condition = plan.conditions[index] if index in range(len(plan.conditions)) else None
-        want = (planned[index][block - 1] if condition and block in (1, 2)
-                and record.repetition in range(condition.repetitions) else ())
-        if labels(record) != want:
-            mismatch = next((f": {name} {value!r} is not the plan's {label!r}"
-                             for name, value, label in zip(names, labels(record), want)
-                             if value != label), "")
-            raise IntegrityError(f"{where(record)} is outside the plan{mismatch}")
-        return condition.scenario_for_margin(record.margin)
-
-    return group_trajectories(records, scenario_for)
+    run_id = plan.run_id()
+    planned = {}
+    for index, c in enumerate(plan.conditions):
+        for block in (1, 2):
+            margin = c.margin_for_block(block)
+            entry = ((run_id, c.experiment, c.dist_kind, c.order_condition, margin,
+                      c.agent.label), c.scenario_for_margin(margin))
+            planned |= {(index, repetition, block): entry for repetition in range(c.repetitions)}
+    return group_trajectories(records, planned)
 
 
 def round_context(scenario: model.ScenarioConfig, round_index: int,
@@ -432,9 +426,8 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
             for block_index in (1, 2):
                 if stop.is_set():
                     break
-                identity = (condition_index, condition.order_condition, repetition, block_index)
-                block = replayed.get(identity) or _Block(plan, condition_index, repetition,
-                                                         block_index)
+                block = (replayed.get((condition_index, repetition, block_index))
+                         or _Block(plan, condition_index, repetition, block_index))
                 if progress and block.walked < rounds:
                     with progress_lock:
                         progress(

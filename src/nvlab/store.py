@@ -11,11 +11,12 @@ Layout of one run directory::
 Records are immutable named tuples; one shared compact JSON encoder writes
 each as a line of its fields in declaration order. Records carry their full
 trajectory identity (condition index, repetition, block, round) so concurrent
-trajectories can interleave safely. Each read checks every field's JSON type,
-label and value, and recomputes profit; any mismatch, malformed or non-UTF-8
-line, or hash conflict raises IntegrityError naming the offending record. A
-run's outcome holds the rounds it replayed or wrote, validated by the same
-`group_trajectories`, so the runner never reads the file back.
+trajectories can interleave safely. Each read checks every field's JSON type
+and value, each round against the plan's table of trajectories, and profit;
+any mismatch, malformed or non-UTF-8 line, or hash conflict raises
+IntegrityError naming the offending record. A run's outcome holds the rounds
+it replayed or wrote, validated by the same `group_trajectories`, so the
+runner never reads the file back.
 
 Appends share one handle, opened by the first `append` and kept until
 `RunStore.close` (or the end of ``with RunStore(...)``); each line is written
@@ -63,17 +64,17 @@ _JSON_TYPES |= {f"{kind} | None": (types | {type(None)}, wanted)
                 for kind, (types, wanted) in _JSON_TYPES.items()}
 
 
-def mistyped(obj) -> tuple | None:
-    """The first (field, value, JSON types named) of ``obj`` that its annotation refuses.
+def mistyped(cls, values: dict) -> tuple | None:
+    """The first (field, value, JSON types named) of ``values`` that ``cls``'s annotation refuses.
 
-    A field of an annotation the table lacks (a nested spec) is left to its own reader.
+    A field absent from ``values``, or of an annotation the table lacks (a nested spec), passes.
     """
-    for name, kind in type(obj).__annotations__.items():
+    for name, kind in cls.__annotations__.items():
         # a NamedTuple's annotations are ForwardRefs; the one list annotation holds strings
         types, wanted = _JSON_TYPES.get(getattr(kind, "__forward_arg__", kind), ((), None))
-        value = getattr(obj, name)
-        if wanted and (type(value) not in types or type(value) in (list, tuple)
-                       and not all(isinstance(item, str) for item in value)):
+        if wanted and name in values and (
+                type(value := values[name]) not in types or type(value) in (list, tuple)
+                and not all(isinstance(item, str) for item in value)):
             return name, value, wanted
 
 
@@ -124,14 +125,14 @@ class RoundRecord(NamedTuple):
             raise IntegrityError(f"rounds.jsonl line {lineno}: missing fields {missing}") from None
 
     def identity(self) -> tuple:
-        return (self.condition_index, self.order_condition, self.repetition, self.block_index)
+        return (self.condition_index, self.repetition, self.block_index)
 
 
 _RECORD_FIELDS = RoundRecord._fields
 _LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _RECORD_TYPES = tuple(frozenset(_JSON_TYPES[kind.__forward_arg__][0])
                       for kind in RoundRecord.__annotations__.values())
-_LABEL_NAMES = ("run_id", "experiment", "dist", "margin", "agent")  # equal on every round
+_LABEL_NAMES = ("run_id", "experiment", "dist", "order_condition", "margin", "agent")  # planned
 _labels = itemgetter(*map(_RECORD_FIELDS.index, _LABEL_NAMES))
 
 
@@ -279,37 +280,41 @@ def where(record: RoundRecord) -> str:
             f"rep={record.repetition}, block={record.block_index}, round={record.round_index})")
 
 
-def group_trajectories(records: list[RoundRecord], scenario_for: "callable") -> list[Trajectory]:
+def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajectory]:
     """Group records by trajectory identity and validate per-round invariants.
 
-    ``scenario_for(record)`` must return the ScenarioConfig governing that
-    record's block. Validates every field's JSON type, round contiguity, each
-    round's labels against round 1's, the parse confidence, order and retries
-    >= 0, demand in range, recomputed profit, and the cumulative-profit sum.
+    ``planned`` maps each identity the plan runs to its labels (in `_LABEL_NAMES`
+    order) and ScenarioConfig. Validates every field's JSON type, each round's
+    identity, labels and round index against the plan's, round contiguity, the
+    parse confidence, order and retries >= 0, demand in range, recomputed
+    profit, and the cumulative-profit sum.
     """
     by_identity: dict[tuple, list[RoundRecord]] = {}
     for record in records:
         # a JSON string or float here would end in a TypeError far from the record
         if not all(map(frozenset.__contains__, _RECORD_TYPES, map(type, record))):
-            raise IntegrityError("{}: field {!r} is {!r}, not {}".format(where(record),
-                                                                         *mistyped(record)))
-        by_identity.setdefault(record.identity(), []).append(record)
+            raise IntegrityError("{}: field {!r} is {!r}, not {}".format(
+                where(record), *mistyped(RoundRecord, record._asdict())))
+        identity = record.identity()
+        labels, sc = planned.get(identity, ((), None))  # () matches no record's labels
+        if _labels(record) != labels or not 0 < record.round_index <= sc.rounds:
+            mismatch = next((f": {name} {value!r} is not the plan's {label!r}" for name, value,
+                             label in zip(_LABEL_NAMES, _labels(record), labels)
+                             if value != label), "")
+            raise IntegrityError(f"{where(record)} is outside the plan{mismatch}")
+        by_identity.setdefault(identity, []).append(record)
 
     trajectories = []
     for identity in sorted(by_identity):
         rows = sorted(by_identity[identity], key=lambda r: r.round_index)
         first = rows[0]
-        sc = scenario_for(first)
-        labels, lower, upper = _labels(first), sc.demand.lower, sc.demand.upper
+        sc = planned[identity][1]
+        lower, upper = sc.demand.lower, sc.demand.upper
         cumulative = 0.0
         for position, record in enumerate(rows, start=1):
             if record.round_index != position:
                 raise IntegrityError(
                     f"{where(record)}: expected round {position}, rounds are not contiguous")
-            if _labels(record) != labels:
-                name, value = next((name, value) for name, value, label
-                                   in zip(_LABEL_NAMES, _labels(record), labels) if value != label)
-                raise IntegrityError(f"{where(record)}: {name} {value!r} is not round 1's")
             if record.parse_confidence not in (EXACT, FALLBACK):
                 raise IntegrityError(f"{where(record)}: field 'parse_confidence' is unknown")
             if record.order < 0 or record.retries < 0:

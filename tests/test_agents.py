@@ -4,9 +4,7 @@ import pytest
 from nvlab.agents import (
     AgentSpec,
     AmbiguousDecisionError,
-    ParsePolicy,
     decide,
-    default_parse_policy,
     extract_order,
     round_half_up,
 )
@@ -16,63 +14,65 @@ from nvlab.prompts import RoundContext
 
 SC_HIGH = scenario("E1-baseline", "high", "uniform")
 SC_LOW = scenario("E1-baseline", "low", "uniform")
-POLICY = default_parse_policy(SC_HIGH)
 
 
 # --- order extraction --------------------------------------------------------
 
 def test_extract_order_explicit_pattern():
-    assert extract_order("After some thought, I will order 185 wodgets because...", POLICY) == (185, "exact")
+    text = "After some thought, I will order 185 wodgets because..."
+    assert extract_order(text, SC_HIGH) == (185, "exact")
 
 
 def test_extract_order_quantity_colon_pattern():
-    assert extract_order("Order quantity: 120", POLICY) == (120, "exact")
-    assert extract_order("My order quantity is 240 this round.", POLICY) == (240, "exact")
+    assert extract_order("Order quantity: 120", SC_HIGH) == (120, "exact")
+    assert extract_order("My order quantity is 240 this round.", SC_HIGH) == (240, "exact")
 
 
 def test_extract_order_last_integer_fallback():
     value, confidence = extract_order(
-        "Demand averages 150, price 12, cost 3. Decision: 225.", POLICY)
+        "Demand averages 150, price 12, cost 3. Decision: 225.", SC_HIGH)
     assert (value, confidence) == (225, "fallback")
 
 
 def test_extract_order_line_with_order_keyword():
     text = "Expected demand is 150.\nFinal order: 210"
-    assert extract_order(text, POLICY) == (210, "exact")
+    assert extract_order(text, SC_HIGH) == (210, "exact")
 
 
 def test_extract_order_ambiguous():
     with pytest.raises(AmbiguousDecisionError):
-        extract_order("I cannot decide.", POLICY)
+        extract_order("I cannot decide.", SC_HIGH)
 
 
 def test_extract_order_ignores_out_of_range():
     # 2 * upper = 600 is the sanity bound; 9999 is implausible but the
     # in-range integer on the same "order" line still counts as explicit
-    value, confidence = extract_order("I will order 9999 wodgets. Well, maybe 300.", POLICY)
+    value, confidence = extract_order("I will order 9999 wodgets. Well, maybe 300.", SC_HIGH)
     assert (value, confidence) == (300, "exact")
     with pytest.raises(AmbiguousDecisionError):
-        extract_order("I will order 9999 wodgets.", POLICY)
+        extract_order("I will order 9999 wodgets.", SC_HIGH)
 
 
 def test_extract_order_handles_grouped_digits():
-    policy = default_parse_policy(scenario("E3-risk-neutral", "high", "uniform"))
-    assert extract_order("I will order 1,125 wodgets.", policy) == (1125, "exact")
+    sc = scenario("E3-risk-neutral", "high", "uniform")
+    assert extract_order("I will order 1,125 wodgets.", sc) == (1125, "exact")
 
 
 def test_extract_order_skips_decimals():
-    value, confidence = extract_order("The mean is 150.5 so my order is 151", POLICY)
+    value, confidence = extract_order("The mean is 150.5 so my order is 151", SC_HIGH)
     assert (value, confidence) == (151, "exact")
 
 
 def test_extract_order_is_idempotent():
     text = "Balancing both risks, I will order 225 wodgets."
-    assert extract_order(text, POLICY) == extract_order(text, POLICY)
+    assert extract_order(text, SC_HIGH) == extract_order(text, SC_HIGH)
 
 
 def test_parse_policy_first_in_range_match_wins():
-    policy = ParsePolicy((r"first (\d+)", r"second (\d+)"), (0, 600))
-    assert extract_order("second 100 ... first 200", policy) == (200, "exact")
+    # "order quantity is" (the second pattern) is tried before "I will order" (the third),
+    # whatever their place in the text; an out-of-range match is passed over
+    text = "I will order 100. My order quantity is 9999, no: order quantity is 200."
+    assert extract_order(text, SC_HIGH) == (200, "exact")
 
 
 # --- scripted agents ---------------------------------------------------------
@@ -166,7 +166,6 @@ def test_agent_spec_dict_round_trip():
         AgentSpec("optimal"),
         AgentSpec("mean-anchor", anchor_weight=0.25),
         AgentSpec("demand-chaser", chase_rate=0.5, chase_rate_before=0.1, switch_round=4),
-        AgentSpec("llm", model_name="m", parse_policy=ParsePolicy((r"x(\d+)",), (0, 10), 1)),
     ]
     for spec in specs:
         assert AgentSpec.from_dict(spec.to_dict()) == spec
@@ -215,9 +214,8 @@ def test_llm_decide_reprompts_on_unparseable_reply():
 
 
 def test_llm_decide_gives_up_after_max_retries():
-    agent = AgentSpec("llm", model_name="test-model",
-                      parse_policy=ParsePolicy((), (0, 600), max_retries=1))
-    client = FakeClient(["no numbers here", "still no numbers"])
+    agent = AgentSpec("llm", model_name="test-model")
+    client = FakeClient(["no numbers here", "still no numbers", "none at all"])
     with pytest.raises(AmbiguousDecisionError):
         decide(agent, "the prompt", ctx_round(SC_HIGH, 1), client=client)
-    assert len(client.calls) == 2
+    assert len(client.calls) == 3

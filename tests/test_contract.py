@@ -12,7 +12,7 @@ import json
 import pytest
 
 from conftest import strip_timestamps
-from nvlab.agents import AgentSpec, ParsePolicy
+from nvlab.agents import AgentSpec
 from nvlab.config import RunConfig, build_plan
 from nvlab.model import DIST_KINDS
 from nvlab.report import build_report
@@ -104,7 +104,7 @@ GOLDEN_SHORT_BUNDLES = {
             "7590c15cb7d03d03d856a2f6e2e6c3ab4f2488705ce045861db95e782fc9bc02",
     },
 }
-GOLDEN_LLM_MANIFEST = "c0bda02b0b119ec73242b8a3290a22b66d93d60174be9157cd90c7f7f3717dbb"
+GOLDEN_LLM_MANIFEST = "1bce92ca35a1394e1ac4d49bf5f53cad49e4da3cbc24d6e80a040d573173631f"
 
 
 def _sha(data: bytes) -> str:
@@ -159,8 +159,7 @@ def scripted_grid(tmp_path, rounds) -> dict:
 
 
 def test_golden_manifest_of_llm_plan():
-    policy = ParsePolicy((r"order (\d+)",), (0, 600), max_retries=1)
-    agent = AgentSpec("llm", model_name="m", temperature=0.7, parse_policy=policy)
+    agent = AgentSpec("llm", model_name="m", temperature=0.7)
     plan = ExperimentPlan((PlanCondition("E2-formula", "lognormal", agent, "low-first",
                                          repetitions=3, rounds_per_block=5, base_seed=4),))
     manifest = json.dumps(build_manifest(plan), indent=2, sort_keys=True)

@@ -507,25 +507,42 @@ def edit_block(run_dir, changes, copy=True):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("changes, copy", [
-    pytest.param({"condition_index": 3}, True, id="condition-past-the-plan"),
-    pytest.param({"condition_index": -1}, True, id="negative-condition"),
-    pytest.param({"repetition": 4}, True, id="repetition-past-the-plan"),
-    pytest.param({"repetition": -1}, True, id="negative-repetition"),
-    pytest.param({"block_index": 3}, True, id="block-3"),
-    pytest.param({"order_condition": "low-first"}, True, id="other-order"),
-    pytest.param({"margin": "low"}, False, id="other-margin"),
+def append_round_past_the_block(run_dir):
+    """Append a round 16 to condition 0's repetition 0, block 1, consistent with its round 15."""
+    path = run_dir / "rounds.jsonl"
+    last = next(record for record in map(json.loads, path.read_text().splitlines())
+                if (record["condition_index"], record["repetition"], record["block_index"],
+                    record["round_index"]) == (0, 0, 1, 15))
+    past = {**last, "round_index": 16,
+            "cumulative_profit": last["cumulative_profit"] + last["profit"]}
+    with path.open("a") as handle:
+        handle.write(json.dumps(past) + "\n")
+
+
+@pytest.mark.parametrize("changes, copy, round_index", [
+    pytest.param({"condition_index": 3}, True, 1, id="condition-past-the-plan"),
+    pytest.param({"condition_index": -1}, True, 1, id="negative-condition"),
+    pytest.param({"repetition": 4}, True, 1, id="repetition-past-the-plan"),
+    pytest.param({"repetition": -1}, True, 1, id="negative-repetition"),
+    pytest.param({"block_index": 3}, True, 1, id="block-3"),
+    pytest.param({"order_condition": "low-first"}, True, 1, id="other-order"),
+    pytest.param({"margin": "low"}, False, 1, id="other-margin"),
+    pytest.param(None, None, 16, id="round-past-the-block"),
 ])
-def test_identity_outside_the_plan_is_an_integrity_error(tmp_path, capsys, changes, copy):
+def test_identity_outside_the_plan_is_an_integrity_error(tmp_path, capsys, changes, copy,
+                                                         round_index):
     run_dir = simulate(tmp_path, "sim")  # 2 conditions (one per order) x 2 repetitions
-    edit_block(run_dir, changes, copy)
+    if changes is None:
+        append_round_past_the_block(run_dir)
+    else:
+        edit_block(run_dir, changes, copy)
     stored = (run_dir / "rounds.jsonl").read_bytes()
     capsys.readouterr()
     assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 5
     assert main(["simulate", "--resume", str(run_dir)]) == 5
     err = capsys.readouterr().err
     assert err.count("is outside the plan") == 2
-    assert "round=1)" in err
+    assert f"round={round_index}) is outside the plan" in err
     assert not (tmp_path / "report").exists()
     assert (run_dir / "rounds.jsonl").read_bytes() == stored
 
@@ -577,10 +594,11 @@ def test_agent_other_than_the_conditions_is_an_integrity_error(tmp_path, capsys,
     assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 5
     assert main(["simulate", "--resume", str(run_dir)]) == 5
     err = capsys.readouterr().err
-    if rounds is None:  # round 1 carries the label, so the identity is not the plan's
+    if rounds is None:  # every round names another agent; round 1 is refused first
         assert err.count("rep=1, block=1, round=1) is outside the plan") == 2
     else:  # the trajectory is the plan's, but round 3 names another agent
-        assert err.count("rep=1, block=1, round=3): agent 'mean-anchor(w=0.5)' is not round 1's") == 2
+        assert err.count("rep=1, block=1, round=3) is outside the plan: agent "
+                         "'mean-anchor(w=0.5)' is not the plan's 'optimal'") == 2
     assert not (tmp_path / "report").exists()
     assert path.read_bytes() == stored
 
@@ -618,9 +636,8 @@ def _record_cases():
         yield (f"{field}-nan", (1,), field, float("nan"),
                "stored " + field.replace("_", " ") + " nan")
     for field, value in OTHER_LABELS.items():
-        if field != "order_condition":  # part of the identity, so another trajectory
-            yield (f"{field}-round-2", (1,), field, value,
-                   "round=2): {field} {value!r} is not round 1's")
+        yield (f"{field}-round-2", (1,), field, value,
+               "round=2) is outside the plan: {field} {value!r} is not the plan's")
         yield (f"{field}-whole-block", (0, 1, 2), field, value,
                "round=1) is outside the plan: {field} {value!r} is not the plan's")
 
@@ -664,19 +681,34 @@ def test_every_stored_field_is_checked_on_read(tmp_path, capsys, small_store, li
     assert err.count(message.format(field=field, value=value)) == 2, err
 
 
-@pytest.mark.parametrize("key, value", [("repetitions", 1.0), ("rounds_per_block", 3.0),
-                                        ("base_seed", "0")])
+@pytest.mark.parametrize("key, value, agent, wanted", [
+    pytest.param(key, value, agent, wanted, id=f"{key}-{value}") for key, value, agent, wanted in [
+        ("repetitions", 1.0, "optimal", "an integer"),
+        ("rounds_per_block", 3.0, "optimal", "an integer"),
+        ("base_seed", "0", "optimal", "an integer"),
+        # values the plan's constructors compare, so they must be refused before
+        ("repetitions", "3", "optimal", "an integer"),
+        ("anchor_weight", "0.5", "mean-anchor", "a number"),
+        ("chase_rate", "1", "demand-chaser", "a number"),
+    ]])
 def test_a_manifest_plan_value_of_the_wrong_json_type_is_an_integrity_error(
-        tmp_path, capsys, small_store, key, value):
+        tmp_path, capsys, small_store, key, value, agent, wanted):
     """The plan hash is recomputed, so only the type check can refuse the edit."""
-    run_dir = shutil.copytree(small_store, tmp_path / "run")
+    if agent == "optimal":
+        run_dir = shutil.copytree(small_store, tmp_path / "run")
+    else:  # a store like `small_store`, of another agent
+        assert main(["simulate", "--experiment", "E1", "--dist", "uniform", "--order",
+                     "high-first", "--agent", agent, "--reps", "1", "--rounds", "3",
+                     "--out", str(tmp_path / "runs")]) == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    manifest["plan"]["conditions"][0][key] = value
+    condition = manifest["plan"]["conditions"][0]
+    (condition["agent"] if key in condition["agent"] else condition)[key] = value
     manifest["plan_hash"] = hashlib.sha256(json.dumps(
         manifest["plan"], sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     err = refused_by_both_commands(tmp_path, capsys, run_dir)
-    assert err.count(f"manifest.json: field {key!r} is {value!r}, not an integer") == 2, err
+    assert err.count(f"manifest.json: field {key!r} is {value!r}, not {wanted}") == 2, err
 
 
 @pytest.mark.parametrize("name, line, message", [
