@@ -12,19 +12,20 @@ backoff, waiting longer when a 429 or 503 carries a ``Retry-After`` delay in
 seconds (at most the request timeout); auth and request-shape errors (4xx)
 surface immediately. A token bucket smooths bursts and an optional per-run
 request budget hard-stops runaway spend. Every request is logged with
-timestamps, retry count and token usage.
+its elapsed time, retry count and token usage.
+
+``http.client``, ``urllib.error`` and ``urllib.request`` (and with them
+``email`` and ``ssl``) are imported by the first request, not by this module,
+so offline use of nvlab never loads an HTTP stack.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import math
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
@@ -84,7 +85,7 @@ class TokenBucket:
 
 
 class ChatClient:
-    """One configured connection to a chat-completions endpoint."""
+    """A configured chat-completions endpoint; each request opens its own connection."""
 
     def __init__(
         self,
@@ -121,6 +122,8 @@ class ChatClient:
             self.requests_sent += 1
 
     def _post(self, body: bytes):
+        import urllib.request
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -129,6 +132,9 @@ class ChatClient:
 
     def chat(self, messages: list[dict]) -> ChatResult:
         """Send one completion request; retry transient failures with backoff."""
+        import http.client
+        import urllib.error
+
         body = json.dumps(
             {"model": self.model, "messages": messages, "temperature": self.temperature}
         ).encode("utf-8")
@@ -147,7 +153,7 @@ class ChatClient:
             self._spend_budget()
             if self.rate_limiter is not None:
                 self.rate_limiter.acquire()
-            started = time.time()
+            started = time.monotonic()
             try:
                 with self._post(body) as response:
                     payload = json.loads(response.read().decode("utf-8"))
@@ -178,7 +184,7 @@ class ChatClient:
             usage = usage if isinstance(usage, dict) else None  # not an object: as if absent
             log.info(
                 "chat ok model=%s elapsed=%.3fs retries=%d usage=%s",
-                self.model, time.time() - started, attempt, usage,
+                self.model, time.monotonic() - started, attempt, usage,
             )
             return ChatResult(text=text, usage=usage, retries=attempt)
 

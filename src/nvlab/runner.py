@@ -368,7 +368,7 @@ class _Block:
                     retries=decision.retries,
                     token_usage=decision.token_usage,
                     ts_start=ts_start,
-                    ts_end=time.time(),
+                    ts_end=max(time.time(), ts_start),  # a clock stepped back stores no inversion
                 )
                 store.append(record)
                 self.appended.append(record)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -286,8 +287,9 @@ def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajec
     ``planned`` maps each identity the plan runs to its labels (in `_LABEL_NAMES`
     order) and ScenarioConfig. Validates every field's JSON type, each round's
     identity, labels and round index against the plan's, round contiguity, the
-    parse confidence, order and retries >= 0, demand in range, recomputed
-    profit, and the cumulative-profit sum.
+    parse confidence, order and retries >= 0, finite timestamps with
+    0 <= ts_start <= ts_end, demand in range, recomputed profit, and the
+    cumulative-profit sum.
     """
     by_identity: dict[tuple, list[RoundRecord]] = {}
     for record in records:
@@ -320,6 +322,10 @@ def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajec
             if record.order < 0 or record.retries < 0:
                 name = "order" if record.order < 0 else "retries"
                 raise IntegrityError(f"{where(record)}: field {name!r} is negative")
+            if not 0.0 <= record.ts_start <= record.ts_end < math.inf:  # a NaN fails too
+                raise IntegrityError(
+                    f"{where(record)}: timestamps ts_start {record.ts_start!r} and ts_end "
+                    f"{record.ts_end!r} are not 0 <= ts_start <= ts_end < inf")
             if not lower <= record.demand <= upper:
                 raise IntegrityError(f"{where(record)}: field 'demand' is {record.demand}, "
                                      f"not in the demand range [{lower}, {upper}]")

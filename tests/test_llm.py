@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import nvlab
 from nvlab.llm import AuthError, BudgetExceededError, ChatClient, TokenBucket, TransportError
 
 MESSAGES = [{"role": "user", "content": "How many wodgets will you order?"}]
@@ -154,3 +160,67 @@ def test_unreadable_200_bodies_are_retried_then_raise_transport_error(stub_serve
     with pytest.raises(TransportError, match="exhausted 2 retries"):
         client.chat(MESSAGES)
     assert len(stub_server.requests) == 3
+
+
+# --- the HTTP stack loads on the first request, not on import ------------------
+
+HTTP_MODULES = ("http.client", "urllib.request", "urllib.error", "ssl", "email")
+
+LOADED = f"sorted(m for m in {HTTP_MODULES!r} if m in sys.modules)"
+
+# one high-first condition of 2-round blocks, given its agent and repetitions
+PLAN = ("ExperimentPlan((PlanCondition('E1-baseline', 'uniform', AgentSpec({}), 'high-first', "
+        "repetitions={}, rounds_per_block=2),))")
+IMPORTS = ("from nvlab.agents import AgentSpec; "
+           "from nvlab.runner import ExperimentPlan, PlanCondition, run_plan")
+
+
+def fresh_interpreter(code: str, *args: str) -> list[str]:
+    """The stdout lines of ``code`` run by a new interpreter that imports nvlab from here."""
+    src = str(Path(nvlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
+                            env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+def test_offline_use_loads_no_http_stack(tmp_path):
+    lines = fresh_interpreter(f"""
+        import sys
+        import nvlab
+        print({LOADED})
+        import nvlab.cli
+        print({LOADED})
+        {IMPORTS}
+        from nvlab.report import build_report
+        assert run_plan({PLAN.format("'optimal'", 1)}, sys.argv[1] + "/run").complete
+        print({LOADED})
+        build_report([sys.argv[1] + "/run"], sys.argv[1] + "/report")
+        print({LOADED})
+    """, str(tmp_path))
+    assert lines == ["[]"] * 4
+
+
+def test_first_requests_from_pool_threads_load_the_http_stack(stub_server, tmp_path):
+    lines = fresh_interpreter(f"""
+        import sys, threading
+        {IMPORTS}
+        from nvlab.llm import ChatClient
+        print({LOADED})
+        callers = set()
+
+        class Client(ChatClient):
+            def chat(self, messages):
+                callers.add(threading.current_thread().name.split("_")[0])
+                return super().chat(messages)
+
+        factory = lambda spec: Client(sys.argv[1], spec.model_name, max_retries=0)
+        outcome = run_plan({PLAN.format("'llm', model_name='m'", 4)}, sys.argv[2] + "/run",
+                           client_factory=factory, workers=4)
+        print(outcome.complete, sorted(callers))
+        print({LOADED})
+    """, stub_server.url, str(tmp_path))
+    assert lines == ["[]", "True ['nvlab-unit']", str(sorted(HTTP_MODULES))]
+    assert len(stub_server.requests) == 4 * 2 * 2  # repetitions x blocks x rounds

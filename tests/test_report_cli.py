@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -635,6 +636,14 @@ def _record_cases():
     for field in ("profit", "cumulative_profit"):
         yield (f"{field}-nan", (1,), field, float("nan"),
                "stored " + field.replace("_", " ") + " nan")
+    timestamps = {"ts_start": "timestamps ts_start {value!r} and ts_end ",
+                  "ts_end": " and ts_end {value!r} are not 0 <= ts_start <= ts_end < inf"}
+    for field, message in timestamps.items():
+        for kind, value in [("nan", float("nan")), ("inf", math.inf), ("minus-one", -1.0)]:
+            yield f"{field}-{kind}", (1,), field, value, message
+    # each a time in range, but ending before the round started
+    yield "ts_start-after-ts_end", (1,), "ts_start", 1e30, timestamps["ts_start"]
+    yield "ts_end-before-ts_start", (1,), "ts_end", 1.0, timestamps["ts_end"]
     for field, value in OTHER_LABELS.items():
         yield (f"{field}-round-2", (1,), field, value,
                "round=2) is outside the plan: {field} {value!r} is not the plan's")

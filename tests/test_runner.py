@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import signal
@@ -120,6 +121,18 @@ def test_demand_sequences_match_derived_seeds(tmp_path):
 def test_prompt_hashes_re_render(tmp_path):
     run_plan(small_plan(agent=CHASER, reps=1), tmp_path / "run")
     assert verify_prompt_hashes(tmp_path / "run") == 60
+
+
+def test_a_clock_stepped_back_mid_round_stores_no_inverted_timestamps(tmp_path, monkeypatch):
+    # each round starts at 100.0 and would end at 40.0
+    readings = itertools.cycle([100.0, 40.0])
+    monkeypatch.setattr(time, "time", lambda: next(readings))
+    outcome = run_plan(small_plan(reps=1), tmp_path / "run")
+    monkeypatch.undo()
+    assert outcome.complete
+    assert {(r.ts_start, r.ts_end) for r in RunStore(tmp_path / "run").records()} == {
+        (100.0, 100.0)}
+    assert resume(tmp_path / "run").complete
 
 
 def test_resume_of_completed_run_is_noop(tmp_path):
