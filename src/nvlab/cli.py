@@ -34,7 +34,7 @@ from .config import ConfigError, RunConfig, build_plan
 from .llm import ChatClient, TokenBucket, TransportError
 from .prompts import validate_golden
 from .report import ReportError, build_report
-from .store import IntegrityError
+from .store import IntegrityError, RunStore
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,15 +142,13 @@ def _execute_plans(config: RunConfig, agents, client_factory, resume_dir) -> int
     return status
 
 
-def _print_config(config: RunConfig, agents):
-    resolved = {"config": asdict(config), "plans": []}
-    for agent in agents:
-        plan = build_plan(config, [agent])
-        resolved["plans"].append({
-            "agent": agent.label,
-            "run_id": plan.run_id(),
-            "plan": plan.to_dict(),
-        })
+def _print_config(config: RunConfig, agents, resume_dir):
+    """Print the config and the plans it runs; with ``resume_dir``, the plan stored there."""
+    plans = ([runner_mod.load_plan(RunStore(resume_dir))] if resume_dir is not None
+             else [build_plan(config, [agent]) for agent in agents])
+    resolved = {"config": asdict(config), "plans": [
+        {"agent": ", ".join(dict.fromkeys(c.agent.label for c in plan.conditions)),
+         "run_id": plan.run_id(), "plan": plan.to_dict()} for plan in plans]}
     print(json.dumps(resolved, indent=2, sort_keys=True))
 
 
@@ -159,7 +157,7 @@ def cmd_run(args) -> int:
     config = _apply_overrides(config, args)
     agents = _build_agents(args, config)
     if args.print_config:
-        _print_config(config, agents)
+        _print_config(config, agents, args.resume)
         return EXIT_OK
     client_factory = None
     if any(a.kind == LLM for a in agents):

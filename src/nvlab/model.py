@@ -18,7 +18,7 @@ Three demand families are supported on an integer range [a, b]:
 
 A distribution is named by its kind and range, ``DemandDistribution(kind,
 lower, upper)``, and a standard condition by `scenario`. `sample_sequence`
-returns a block's seeded demand draws as a tuple of ints.
+returns a block's seeded demand draws as a tuple of ints, drawn once per process.
 
 Everything here is pure and immutable; values are safe to share across
 threads.
@@ -285,12 +285,15 @@ def expected_profit(order: float, sc: ScenarioConfig) -> float:
     return float(sc.cost.price * pmf.dot(sales) - sc.cost.cost * order)
 
 
+@lru_cache(maxsize=4096)
 def sample_sequence(dist: DemandDistribution, rounds: int, seed: int) -> tuple[int, ...]:
     """Draw ``rounds`` integer demands, bit-identical for a fixed seed.
 
     Uniform draws come straight from the integer range. Continuous kinds use
     the inverse-CDF transform of the truncated distribution, rounded to the
     nearest integer and clipped to [a, b], so samples and `support_pmf` agree.
+    A process draws each stream once (the default grid has 80); a plan cycling
+    through more than 4096 distinct streams gets no cache hits.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")

@@ -9,7 +9,8 @@ rounds each, with feedback embedded in the next round's prompt.
 Demand sequences are drawn up front from seeds derived per (repetition,
 block): ``seed = base_seed XOR sha256("rep:<r>|block:<b>")[:8]``. The agent
 never influences the demand stream, so different agents given the same base
-seed face identical demands and can be compared pairwise.
+seed face identical demands and can be compared pairwise, and a process
+draws each stream once (`model.sample_sequence` keeps it).
 
 For LLM agents one conversation transcript spans both blocks of a repetition
 (the second block's first prompt is appended to the running transcript), so
@@ -18,11 +19,11 @@ agents ignore transcripts. Set ``transcript_continuity=False`` to isolate
 blocks instead.
 
 Each (condition, repetition) is one unit of work: its blocks 1 and 2 run in
-order, each through `_Block.walk`, the one round loop that fresh runs,
-`resume` and `verify_prompt_hashes` share. A walk checks a stored round (its
-prompt is re-rendered and its hash compared, its demand compared with the
-seeded draw) and advances the transcript and agent rng as if it had just been
-decided; later rounds are decided and appended to the store one at a time.
+order, each through `_Block.walk`, the one round loop that fresh runs and
+`resume` share. A walk checks a stored round (its prompt is re-rendered and
+its hash compared, its demand compared with the seeded draw) and advances the
+transcript and agent rng as if it had just been decided; later rounds are
+decided and appended to the store one at a time.
 `resume` walks every stored round of the plan before it decides any, so a
 corrupt store is refused before anything is appended. An unresolved round
 (transport or parse failure after retries) stops its block and leaves the
@@ -31,7 +32,9 @@ trajectory incomplete for `resume`.
 A run appends through one store handle, closed when the run returns or
 raises. Its outcome's trajectories are the rounds the call replayed or wrote,
 grouped without reading the file again by `plan_trajectories`, which holds
-each round to the plan's trajectory at its (condition, repetition, block).
+each round to the plan's trajectory at its (condition, repetition, block);
+the rounds it appended are checked as the continuation of those it read, so
+a call checks each stored round once.
 
 Plans with an LLM condition run their units on one pool of up to ``workers``
 threads (`LLM_WORKERS` by default), since each repetition is its own
@@ -190,8 +193,8 @@ class RunOutcome:
     """What one `run_plan` or `resume` call left in its store.
 
     ``trajectories`` are the validated rounds the call replayed or wrote, the
-    same trajectories a fresh read of the store gives; ``failures`` are the
-    rounds it left unresolved.
+    same trajectories a fresh read of the store gives, though each stored round
+    was checked once; ``failures`` are the rounds it left unresolved.
     """
 
     run_id: str
@@ -233,12 +236,14 @@ def load_plan(store: RunStore) -> ExperimentPlan:
     return plan
 
 
-def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord]) -> list[Trajectory]:
+def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord],
+                      prior: list[Trajectory] = ()) -> list[Trajectory]:
     """Validated trajectories of ``records``, each under its condition's scenario.
 
     `group_trajectories` checks every round against the trajectory the plan
     runs at its (condition, repetition, block); a round outside the plan (its
-    identity, a label or its round index) raises IntegrityError.
+    identity, a label or its round index) raises IntegrityError. ``records``
+    continue the ``prior`` trajectories, validated by an earlier call.
     """
     run_id = plan.run_id()
     planned = {}
@@ -248,7 +253,7 @@ def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord]) -> list[
             entry = ((run_id, c.experiment, c.dist_kind, c.order_condition, margin,
                       c.agent.label), c.scenario_for_margin(margin))
             planned |= {(index, repetition, block): entry for repetition in range(c.repetitions)}
-    return group_trajectories(records, planned)
+    return group_trajectories(records, planned, prior)
 
 
 def round_context(scenario: model.ScenarioConfig, round_index: int,
@@ -317,14 +322,12 @@ class _Block:
             demand = self.draws[round_index - 1]
             if round_index <= len(self.stored):
                 record = self.stored[round_index - 1]
-                problem = None
                 if prompt_sha256 != record.prompt_sha256:
-                    problem = "stored prompt hash does not match the re-rendered prompt"
-                elif demand != record.demand:
-                    problem = (f"stored demand {record.demand} does not match "
-                               f"the seeded draw {demand}")
-                if problem:
-                    raise IntegrityError(f"{where(record)}: {problem}")
+                    raise IntegrityError(f"{where(record)}: stored prompt hash does not match "
+                                         "the re-rendered prompt")
+                if demand != record.demand:
+                    raise IntegrityError(f"{where(record)}: stored demand {record.demand} does "
+                                         f"not match the seeded draw {demand}")
                 if condition.agent.kind == RANDOM:
                     self.agent_rng.integers(scenario.demand.lower, scenario.demand.upper + 1)
             else:
@@ -474,10 +477,9 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
     failures = sorted((f for unit_failures, _ in results for f in unit_failures),
                       key=lambda f: (f.condition_index, f.order_condition, f.repetition,
                                      f.block_index, f.round_index))
-    # the rounds the store held when the call began, then the rounds it appended
-    records = [record for t in existing for record in t.records]
-    records += [record for _, appended in results for record in appended]
-    return RunOutcome(run_id, store, plan_trajectories(plan, records), failures)
+    # the rounds it appended continue the trajectories the store held, checked already
+    appended = [record for _, unit_appended in results for record in unit_appended]
+    return RunOutcome(run_id, store, plan_trajectories(plan, appended, existing), failures)
 
 
 def run_plan(plan: ExperimentPlan, run_dir, client_factory=None, progress=None,
@@ -505,18 +507,3 @@ def resume(run_dir, client_factory=None, progress=None, workers=LLM_WORKERS) -> 
     existing = plan_trajectories(plan, store.records())
     return _execute(plan, store, client_factory, existing, progress, workers)
 
-
-def verify_prompt_hashes(run_dir) -> int:
-    """Re-render every stored round's prompt and check it and its demand draw.
-
-    Replays each stored block through the loop `resume` uses, stopping at its
-    last stored round, so nothing is decided or written. Returns the number of
-    rounds verified; raises IntegrityError on the first mismatch.
-    """
-    store = RunStore(run_dir)
-    plan = load_plan(store)
-    trajectories = plan_trajectories(plan, store.records())
-    for t in trajectories:
-        _Block(plan, t.condition_index, t.repetition, t.block_index, t.records).walk(
-            len(t.records))
-    return sum(len(t.records) for t in trajectories)

@@ -15,8 +15,8 @@ trajectories can interleave safely. Each read checks every field's JSON type
 and value, each round against the plan's table of trajectories, and profit;
 any mismatch, malformed or non-UTF-8 line, or hash conflict raises
 IntegrityError naming the offending record. A run's outcome holds the rounds
-it replayed or wrote, validated by the same `group_trajectories`, so the
-runner never reads the file back.
+it read and those it appended, grouped by the same `group_trajectories` with
+each round checked once, so the runner never reads the file back.
 
 Appends share one handle, opened by the first `append` and kept until
 `RunStore.close` (or the end of ``with RunStore(...)``); each line is written
@@ -114,12 +114,18 @@ class RoundRecord(NamedTuple):
     @classmethod
     def from_line(cls, line: str | bytes, lineno: int) -> "RoundRecord":
         try:
-            data = json.loads(line if isinstance(line, str) else line.decode("utf-8"))
+            text = line if isinstance(line, str) else line.decode("utf-8")
+            try:  # one scan for a line that is one JSON value and its newline
+                data, end = _scan_once(text, 0)
+            except StopIteration:  # no value at the start: json.loads words the refusal
+                end = len(text)
+            if text[end:] != "\n":
+                data = json.loads(text)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise IntegrityError(f"rounds.jsonl line {lineno}: malformed JSON ({exc})") from exc
         try:
-            return cls._make(map(data.__getitem__, _RECORD_FIELDS))
-        except (KeyError, TypeError, AttributeError):  # a field is missing, or not an object
+            return cls._make(_record_values(data))
+        except (KeyError, TypeError):  # a field is missing, or not an object
             if not isinstance(data, dict):
                 raise IntegrityError(f"rounds.jsonl line {lineno}: not a JSON object") from None
             missing = [key for key in _RECORD_FIELDS if key not in data]
@@ -130,11 +136,14 @@ class RoundRecord(NamedTuple):
 
 
 _RECORD_FIELDS = RoundRecord._fields
+_record_values = itemgetter(*_RECORD_FIELDS)
+_scan_once = json.JSONDecoder().scan_once  # the value at an index, as json.loads decodes it
 _LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _RECORD_TYPES = tuple(frozenset(_JSON_TYPES[kind.__forward_arg__][0])
                       for kind in RoundRecord.__annotations__.values())
 _LABEL_NAMES = ("run_id", "experiment", "dist", "order_condition", "margin", "agent")  # planned
 _labels = itemgetter(*map(_RECORD_FIELDS.index, _LABEL_NAMES))
+_round_index = itemgetter(_RECORD_FIELDS.index("round_index"))
 
 
 @dataclass
@@ -243,12 +252,9 @@ class RunStore:
         """
         if not self.rounds_path.exists():
             return []
-        out = []
         with self.rounds_path.open("rb") as handle:  # bytes: a line not UTF-8 is malformed
-            for lineno, line in enumerate(handle, start=1):
-                if line.endswith(b"\n") and line.strip():
-                    out.append(RoundRecord.from_line(line, lineno))
-        return out
+            return [RoundRecord.from_line(line, lineno) for lineno, line in enumerate(handle, 1)
+                    if line.endswith(b"\n") and line.strip()]
 
     def set_aside_torn_line(self) -> str | None:
         """Move an unterminated final line of rounds.jsonl to rounds.jsonl.torn.
@@ -281,7 +287,8 @@ def where(record: RoundRecord) -> str:
             f"rep={record.repetition}, block={record.block_index}, round={record.round_index})")
 
 
-def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajectory]:
+def group_trajectories(records: list[RoundRecord], planned: dict,
+                       prior: list[Trajectory] = ()) -> list[Trajectory]:
     """Group records by trajectory identity and validate per-round invariants.
 
     ``planned`` maps each identity the plan runs to its labels (in `_LABEL_NAMES`
@@ -290,6 +297,9 @@ def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajec
     parse confidence, order and retries >= 0, finite timestamps with
     0 <= ts_start <= ts_end, demand in range, recomputed profit, and the
     cumulative-profit sum.
+
+    ``records`` continue the validated ``prior`` trajectories, which are not checked
+    again: the result, or refusal, is that of grouping both rounds together.
     """
     by_identity: dict[tuple, list[RoundRecord]] = {}
     for record in records:
@@ -306,14 +316,24 @@ def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajec
             raise IntegrityError(f"{where(record)} is outside the plan{mismatch}")
         by_identity.setdefault(identity, []).append(record)
 
+    validated = {(t.condition_index, t.repetition, t.block_index): t for t in prior}
     trajectories = []
-    for identity in sorted(by_identity):
-        rows = sorted(by_identity[identity], key=lambda r: r.round_index)
+    for identity in sorted(by_identity.keys() | validated.keys()):
+        if identity not in by_identity:
+            trajectories.append(validated[identity])
+            continue
+        added = by_identity[identity]
+        stored = validated[identity].records if identity in validated else []
+        rows = sorted(stored + added, key=_round_index)
+        # the prior rounds that sort before every added one are valid as they are
+        checked = min(len(stored), *map(_round_index, added))
         first = rows[0]
         sc = planned[identity][1]
         lower, upper = sc.demand.lower, sc.demand.upper
         cumulative = 0.0
-        for position, record in enumerate(rows, start=1):
+        for record in rows[:checked]:
+            cumulative += profit(record.order, record.demand, sc.cost)
+        for position, record in enumerate(rows[checked:], start=checked + 1):
             if record.round_index != position:
                 raise IntegrityError(
                     f"{where(record)}: expected round {position}, rounds are not contiguous")
@@ -340,16 +360,7 @@ def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajec
                     f"{where(record)}: stored cumulative profit {record.cumulative_profit} "
                     f"!= running sum {cumulative}"
                 )
-        trajectories.append(
-            Trajectory(
-                condition_index=first.condition_index,
-                agent=first.agent,
-                order_condition=first.order_condition,
-                repetition=first.repetition,
-                block_index=first.block_index,
-                scenario=sc,
-                records=rows,
-            )
-        )
+        trajectories.append(Trajectory(first.condition_index, first.agent, first.order_condition,
+                                       first.repetition, first.block_index, sc, rows))
     return trajectories
 

@@ -22,7 +22,6 @@ from nvlab.runner import (
     build_manifest,
     resume,
     run_plan,
-    verify_prompt_hashes,
 )
 from nvlab.store import IntegrityError
 
@@ -176,7 +175,7 @@ def _tamper_prompt_hash(run_dir, line_index):
     return record["round_index"]
 
 
-@pytest.mark.parametrize("check", [resume, verify_prompt_hashes])
+@pytest.mark.parametrize("check", [resume])
 def test_tampered_prompt_hash_is_named(tmp_path, check):
     plan = ExperimentPlan((PlanCondition("E1-baseline", "uniform", SCRIPTED[2], "high-first",
                                          repetitions=1, rounds_per_block=6, base_seed=3),))

@@ -209,6 +209,23 @@ def test_print_config_dumps_resolved_plan(tmp_path, capsys):
     assert not (tmp_path / "x").exists()  # print-only, nothing executed
 
 
+def test_print_config_of_a_resume_prints_the_stored_plan_and_writes_nothing(tmp_path, capsys):
+    assert main(["simulate", "--experiment", "E1", "--dist", "uniform", "--agent", "optimal",
+                 "--reps", "1", "--rounds", "2", "--out", str(tmp_path / "runs")]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    assert main(["simulate", "--resume", str(run_dir), "--print-config"]) == 0
+    resolved = json.loads(capsys.readouterr().out)
+    assert resolved["plans"] == [
+        {"agent": "optimal", "run_id": manifest["run_id"], "plan": manifest["plan"]}]
+    (run_dir / "manifest.json").write_text("{", encoding="utf-8")
+    before["manifest.json"] = b"{"
+    assert main(["simulate", "--resume", str(run_dir), "--print-config"]) == 5
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
 def test_validate_prompts_cli_passes(capsys):
     assert main(["validate-prompts"]) == 0
     out = capsys.readouterr().out

@@ -22,7 +22,6 @@ from nvlab.runner import (
     plan_trajectories,
     resume,
     run_plan,
-    verify_prompt_hashes,
 )
 from nvlab.store import IntegrityError, RunStore, sha256_text
 
@@ -120,7 +119,10 @@ def test_demand_sequences_match_derived_seeds(tmp_path):
 
 def test_prompt_hashes_re_render(tmp_path):
     run_plan(small_plan(agent=CHASER, reps=1), tmp_path / "run")
-    assert verify_prompt_hashes(tmp_path / "run") == 60
+    before = (tmp_path / "run" / "rounds.jsonl").read_bytes()
+    outcome = resume(tmp_path / "run")  # re-renders every stored prompt, decides nothing
+    assert outcome.complete and sum(len(t.records) for t in outcome.trajectories) == 60
+    assert (tmp_path / "run" / "rounds.jsonl").read_bytes() == before
 
 
 def test_a_clock_stepped_back_mid_round_stores_no_inverted_timestamps(tmp_path, monkeypatch):
@@ -328,7 +330,8 @@ def test_resume_sets_a_torn_final_line_aside_and_completes_the_run(tmp_path):
 def test_report_and_verify_leave_a_torn_store_as_it_is(tmp_path):
     run_dir, _ = torn_store(tmp_path)
     before = (run_dir / "rounds.jsonl").read_bytes()
-    assert verify_prompt_hashes(run_dir) == 9
+    store = RunStore(run_dir)
+    assert sum(len(t.records) for t in plan_trajectories(load_plan(store), store.records())) == 9
     build_report([run_dir], tmp_path / "report")
     assert (run_dir / "rounds.jsonl").read_bytes() == before
     assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "rounds.jsonl"]
@@ -362,16 +365,6 @@ def test_manifest_is_never_left_half_written(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         run_plan(plan, tmp_path / "crashed")
     assert not RunStore(tmp_path / "crashed").exists()
-
-
-def test_verify_prompt_hashes_of_incomplete_store_writes_nothing(tmp_path):
-    run_plan(small_plan(agent=CHASER, reps=1, rounds=5), tmp_path / "run")
-    rounds_path = tmp_path / "run" / "rounds.jsonl"
-    lines = rounds_path.read_text(encoding="utf-8").splitlines(keepends=True)
-    rounds_path.write_text("".join(lines[:7]), encoding="utf-8")
-    before = rounds_path.read_bytes()
-    assert verify_prompt_hashes(tmp_path / "run") == 7
-    assert rounds_path.read_bytes() == before
 
 
 def test_resume_refuses_a_corrupt_store_before_deciding_anything(tmp_path):
@@ -586,3 +579,52 @@ def test_each_append_is_on_disk_before_it_returns(tmp_path):
         for count, record in enumerate(records, start=1):
             store.append(record)
             assert RunStore(tmp_path / "copy").records() == records[:count]
+
+
+def drop_lines(run_dir, dropped):
+    """Rewrite rounds.jsonl without the records for which ``dropped`` is true."""
+    rounds_path = run_dir / "rounds.jsonl"
+    kept = [line for line in rounds_path.read_text(encoding="utf-8").splitlines(keepends=True)
+            if not dropped(json.loads(line))]
+    rounds_path.write_text("".join(kept), encoding="utf-8")
+
+
+@pytest.mark.parametrize("dropped", [
+    lambda r: r["round_index"] == 4,  # every block's final round
+    lambda r: r["repetition"] == 1 or (r["order_condition"], r["block_index"]) == ("low-first", 2),
+], ids=["final-rounds", "whole-blocks"])
+def test_outcome_of_a_resumed_store_matches_the_store(tmp_path, dropped):
+    plan = small_plan(agent=AgentSpec("random"), reps=2, rounds=4)
+    run_plan(plan, tmp_path / "full")
+    run_plan(plan, tmp_path / "run")
+    drop_lines(tmp_path / "run", dropped)
+    outcome = resume(tmp_path / "run")
+    assert outcome.complete
+    assert_outcome_matches_the_store(outcome)
+    assert sorted(stripped_lines(tmp_path / "run")) == sorted(stripped_lines(tmp_path / "full"))
+
+
+@pytest.mark.parametrize("kept, continuation, refusal", [
+    (4, lambda rounds: [rounds[3]], r"round=4\): expected round 5,"),
+    (3, lambda rounds: [rounds[4]], r"round=5\): expected round 4,"),
+    (4, lambda rounds: [rounds[4]._replace(cumulative_profit=rounds[4].cumulative_profit + 1)],
+     r"round=5\): stored cumulative profit .* != running sum"),
+    (4, lambda rounds: [rounds[1]], r"round=2\): expected round 3,"),
+], ids=["repeats-the-last-stored-round", "skips-a-round", "cumulative-profit-off-by-1",
+        "goes-back-to-an-earlier-round"])
+def test_a_continuation_is_refused_as_a_fresh_read_of_the_store_refuses_it(
+        tmp_path, kept, continuation, refusal):
+    plan = small_plan(agent=CHASER, orders=("high-first",), reps=1, rounds=5)
+    run_plan(plan, tmp_path / "run")
+    records = RunStore(tmp_path / "run").records()
+    block_1 = [r for r in records if r.block_index == 1]
+    stored = block_1[:kept] + [r for r in records if r.block_index == 2]
+    appended = continuation(block_1)
+    with pytest.raises(IntegrityError, match=refusal) as fresh:
+        plan_trajectories(plan, stored + appended)
+    prior = plan_trajectories(plan, stored)
+    with pytest.raises(IntegrityError) as continued:
+        plan_trajectories(plan, appended, prior)
+    assert str(continued.value) == str(fresh.value)
+    # the stored rounds' own continuation is accepted, as a fresh read accepts them
+    assert plan_trajectories(plan, block_1[kept:], prior) == plan_trajectories(plan, records)

@@ -9,7 +9,7 @@ from nvlab.agents import AgentSpec
 from nvlab.cli import main
 from nvlab.llm import ChatClient
 from nvlab.runner import ExperimentPlan, PlanCondition, run_plan
-from nvlab.store import IntegrityError, RoundRecord
+from nvlab.store import IntegrityError, RoundRecord, RunStore
 
 RECORD = RoundRecord(
     run_id="run-0123456789ab", condition_index=1, agent="model-ü", experiment="E2",
@@ -98,3 +98,38 @@ def test_from_line_names_missing_fields():
         RoundRecord.from_line(json.dumps(data), 2)
     with pytest.raises(IntegrityError, match="line 3: malformed JSON"):
         RoundRecord.from_line(RECORD.to_line()[:-1], 3)
+
+
+def write_lines(tmp_path, lines: list[bytes]):
+    """A run directory whose rounds.jsonl holds ``lines``, each ended by a newline."""
+    (tmp_path / "rounds.jsonl").write_bytes(b"".join(line + b"\n" for line in lines))
+    return RunStore(tmp_path)
+
+
+def test_lines_with_spaces_a_crlf_or_an_extra_key_read_as_json_loads_reads_them(tmp_path):
+    records = [RECORD._replace(round_index=index) for index in range(1, 6)]
+    line = [record.to_line().encode() for record in records]
+    store = write_lines(tmp_path, [
+        line[0],
+        b"  " + line[1],  # leading spaces
+        line[2] + b" \t",  # trailing spaces
+        line[3] + b"\r",  # CRLF
+        line[4][:-1] + b',"note":"an extra key"}',
+    ])
+    assert store.records() == records
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda line: line + line, "malformed JSON (Extra data: line 1 column 626 (char 625))"),
+    (lambda line: b"[" + line + b"]", "not a JSON object"),
+    (lambda line: line.replace(b'"demand":95,', b""), "missing fields ['demand']"),
+    (lambda line: line.replace(b"run-0123", b"run-\xff123"),
+     "malformed JSON ('utf-8' codec can't decode byte 0xff in position 15: invalid start byte)"),
+], ids=["two-objects", "array", "missing-field", "non-utf-8"])
+def test_a_malformed_line_is_refused_with_its_number(tmp_path, bad, message):
+    line = RECORD.to_line().encode()
+    assert len(line) == 625 and line.index(b"0123") == 15  # the positions the messages name
+    store = write_lines(tmp_path, [line, bad(line), line])
+    with pytest.raises(IntegrityError) as refused:
+        store.records()
+    assert str(refused.value) == f"rounds.jsonl line 2: {message}"
