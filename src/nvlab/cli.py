@@ -9,6 +9,10 @@ Subcommands::
     nvlab validate-prompts render the pinned contexts and diff against the
                            golden prompt files
 
+With ``--resume RUN_DIR`` both commands run the plan stored in RUN_DIR, not
+the one their grid flags describe: ``run`` reads the credential only if that
+plan has an LLM condition, and ``simulate`` refuses such a plan.
+
 ``-v`` (or ``--log-level INFO``) before the subcommand logs one line per
 chat request and every unresolved round to stderr, tagged with the thread
 that made it.
@@ -81,7 +85,17 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
-def _client_factory(config: RunConfig, api_key: str):
+def _api_key(config: RunConfig) -> str:
+    api_key = os.environ.get(config.credential_env)
+    if not api_key:
+        raise ConfigError(
+            f"credential_env: environment variable {config.credential_env!r} is not set"
+        )
+    return api_key
+
+
+def _client_factory(config: RunConfig):
+    """Chat clients for a plan's LLM conditions; the credential is read for the first one."""
     bucket = None
     if config.rate_limit_per_minute:
         bucket = TokenBucket(config.rate_limit_per_minute / 60.0)
@@ -94,7 +108,7 @@ def _client_factory(config: RunConfig, api_key: str):
             clients[agent] = ChatClient(
                 endpoint=config.endpoint,
                 model=agent.model_name,
-                api_key=api_key,
+                api_key=_api_key(config),
                 temperature=agent.temperature,
                 max_retries=config.max_retries,
                 backoff_base=config.backoff_base,
@@ -152,28 +166,31 @@ def _print_config(config: RunConfig, agents, resume_dir):
     print(json.dumps(resolved, indent=2, sort_keys=True))
 
 
-def cmd_run(args) -> int:
+def _offline(agent: AgentSpec):
+    """The client factory of `simulate`, which a stored plan's LLM condition asks in vain."""
+    raise ConfigError(f"agent: the stored plan's {agent.label!r} is an LLM agent, which needs "
+                      "the run command; simulate is offline-only")
+
+
+def cmd_run(args, offline=False) -> int:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
     config = _apply_overrides(config, args)
     agents = _build_agents(args, config)
     if args.print_config:
         _print_config(config, agents, args.resume)
         return EXIT_OK
-    client_factory = None
-    if any(a.kind == LLM for a in agents):
-        api_key = os.environ.get(config.credential_env)
-        if not api_key:
-            raise ConfigError(
-                f"credential_env: environment variable {config.credential_env!r} is not set"
-            )
-        client_factory = _client_factory(config, api_key)
+    # a resume runs the stored plan, whatever --agent says: the runner asks the
+    # factory for a client per LLM condition before it writes or decides anything
+    if args.resume is None and any(a.kind == LLM for a in agents):
+        _api_key(config)  # before any store is made
+    client_factory = _offline if offline else _client_factory(config)
     return _execute_plans(config, agents, client_factory, args.resume)
 
 
 def cmd_simulate(args) -> int:
-    if LLM in args.agent:
+    if args.resume is None and LLM in args.agent:
         raise ConfigError("agent: 'llm' needs the run command; simulate is offline-only")
-    return cmd_run(args)
+    return cmd_run(args, offline=True)
 
 
 def cmd_report(args) -> int:

@@ -5,15 +5,19 @@ Templates live as UTF-8 text assets (LF endings, one trailing newline) under
 golden prompts under ``assets/golden`` pin the rendered output byte-for-byte;
 `validate_golden` diffs the renderer against them.
 
-`render_prompt(ctx)` renders with `default_templates`. The base template is
-split at its one ``{history_block}`` slot, and both halves are filled once
-per scenario and template set (cost, demand description, helpful info,
-formula block) and cached. A round's prompt is the head, that round's
-history block (none in round 1) and the tail.
+`render_prompt(ctx)` renders with `default_templates` through the
+`ScenarioPrompts` that the runner looks up once per block: the base template
+split at its one ``{history_block}`` slot, both halves filled once per
+scenario and template set (cost, demand description, helpful info, formula
+block) and cached. Its `render` joins a round's prompt: the head, that round's
+history block (none in round 1) and the tail. So the goldens pin the bytes
+the runner hashes, sends, and re-checks for every stored round on resume.
 
 Formatting rules the goldens rely on:
 
-* integers render plain, no thousands separators;
+* integers render plain, no thousands separators; a Python ``int`` renders
+  exactly, even past 2**53, while a bool, a numpy integer or a float is
+  formatted through a float;
 * the truncated-normal standard deviation renders to one decimal ("49.8")
   even though the internal value is 49.8333...;
 * the advertised demand mean is the range midpoint ("150.5" / "1050.5");
@@ -54,6 +58,8 @@ def _asset_root() -> Path:
 
 
 def fmt_int(value) -> str:
+    if type(value) is int:  # exact; a float round trip loses digits past 2**53
+        return str(value)
     n = int(round(float(value)))
     if n != value:
         raise TemplateError(f"expected an integer value, got {value!r}")
@@ -70,6 +76,8 @@ def fmt_number(value) -> str:
 
 def fmt_francs(value) -> str:
     """Integral francs render as integers, otherwise up to two decimals."""
+    if type(value) is int:
+        return str(value)
     x = float(value)
     if x == int(x):
         return str(int(x))
@@ -215,14 +223,34 @@ def _history(templates: PromptTemplateSet, order, demand, profit, cumulative_pro
     return _fill(templates.history_block, values).strip()
 
 
+@dataclass(frozen=True)
+class ScenarioPrompts:
+    """One scenario's round prompts: its filled template halves and their template set."""
+
+    head: str
+    tail: str
+    templates: PromptTemplateSet
+
+    def render(self, last_order=None, last_demand=None, last_profit=None,
+               cumulative_profit=None) -> str:
+        """Round 1's prompt without ``last_order``, else one reporting the last round as given."""
+        if last_order is None:
+            return self.head + self.tail
+        return self.head + _history(self.templates, last_order, last_demand, last_profit,
+                                    cumulative_profit) + "\n" + self.tail
+
+
+def scenario_prompts(sc: ScenarioConfig) -> ScenarioPrompts:
+    """``sc``'s round prompts under `default_templates`."""
+    templates = default_templates()
+    return ScenarioPrompts(*_static_halves(sc, templates), templates)
+
+
 def render_prompt(ctx: RoundContext) -> str:
     """Render one round's prompt; deterministic and locale-independent."""
-    templates = default_templates()
-    head, tail = _static_halves(ctx.scenario, templates)
-    if ctx.round_index == 1:
-        return head + tail
-    return head + _history(templates, ctx.last_order, ctx.last_demand, ctx.last_profit,
-                           ctx.cumulative_profit) + "\n" + tail
+    # a round-1 context carries no last_order, a later one carries all four values
+    return scenario_prompts(ctx.scenario).render(ctx.last_order, ctx.last_demand,
+                                                 ctx.last_profit, ctx.cumulative_profit)
 
 
 def render_feedback(last) -> str:

@@ -20,10 +20,15 @@ blocks instead.
 
 Each (condition, repetition) is one unit of work: its blocks 1 and 2 run in
 order, each through `_Block.walk`, the one round loop that fresh runs and
-`resume` share. A walk checks a stored round (its prompt is re-rendered and
-its hash compared, its demand compared with the seeded draw) and advances the
+`resume` share. A block looks up its scenario's `ScenarioPrompts` once, and
+its walk renders each round's prompt from the previous round's order, demand,
+profit and cumulative profit: the bytes `render_prompt` gives for that round.
+A walk checks every stored round (its prompt is re-rendered and its hash
+compared, its demand compared with the seeded draw) and advances the
 transcript and agent rng as if it had just been decided; later rounds are
-decided and appended to the store one at a time.
+decided and appended to the store one at a time. Only a decided round gets
+a `RoundContext` (from `round_context`), which the agent reads; a replayed
+round needs none, and skips no check for it.
 `resume` walks every stored round of the plan before it decides any, so a
 corrupt store is refused before anything is appended. An unresolved round
 (transport or parse failure after retries) stops its block and leaves the
@@ -66,7 +71,7 @@ from .agents import (
     decide,
 )
 from .llm import TransportError
-from .prompts import RoundContext, default_templates, render_prompt
+from .prompts import RoundContext, default_templates, scenario_prompts
 from .store import (
     TORN_NAME,
     IntegrityError,
@@ -287,6 +292,7 @@ class _Block:
         self.block_index = block_index
         self.condition = condition = plan.conditions[condition_index]
         self.scenario = condition.scenario_for_margin(condition.margin_for_block(block_index))
+        self.prompts = scenario_prompts(self.scenario)
         self.stored = stored
         self.draws = model.sample_sequence(
             self.scenario.demand, condition.rounds_per_block,
@@ -313,11 +319,12 @@ class _Block:
         and recorded under ``run_id`` in ``store``; no round is decided once
         ``stop`` is set. Returns the failure that stopped the block, if any.
         """
-        condition, scenario = self.condition, self.scenario
+        condition, scenario, prompts = self.condition, self.scenario, self.prompts
         while self.walked < rounds:
             round_index = self.walked + 1
-            ctx = round_context(scenario, round_index, self.last)
-            prompt = render_prompt(ctx)
+            last = self.last
+            prompt = prompts.render() if last is None else prompts.render(
+                last.order, last.demand, last.profit, last.cumulative_profit)
             prompt_sha256 = sha256_text(prompt)
             demand = self.draws[round_index - 1]
             if round_index <= len(self.stored):
@@ -334,6 +341,7 @@ class _Block:
                 if stop.is_set():
                     return None
                 transcript = None if self.messages is None else [*earlier, *self.messages]
+                ctx = round_context(scenario, round_index, last)
                 ts_start = time.time()
                 try:
                     decision = decide(condition.agent, prompt, ctx, rng=self.agent_rng,
@@ -363,8 +371,7 @@ class _Block:
                     order=decision.order,
                     demand=demand,
                     profit=round_profit,
-                    cumulative_profit=(self.last.cumulative_profit if self.last else 0)
-                    + round_profit,
+                    cumulative_profit=(last.cumulative_profit if last else 0) + round_profit,
                     parse_confidence=decision.parse_confidence,
                     prompt_sha256=prompt_sha256,
                     raw_response=decision.raw_response,

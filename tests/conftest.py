@@ -58,7 +58,10 @@ class StubChatServer(ThreadingHTTPServer):
 class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length) or b"{}")
+        raw = self.rfile.read(length)
+        if len(raw) < length:  # the client went away mid-request, as a killed run can
+            return
+        body = json.loads(raw or b"{}")
         with self.server.lock:
             self.server.requests.append(body)
             self.server.counter += 1

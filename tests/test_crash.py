@@ -8,6 +8,7 @@ rounds to be those of an uninterrupted run.
 
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -70,6 +71,16 @@ def test_killed_simulate_resumes_to_the_uninterrupted_stores(tmp_path, lines):
                          "--out", str(tmp_path / "killed")]) == 0
         assert (killed / "manifest.json").read_bytes() == (full / "manifest.json").read_bytes()
         assert stripped_lines(killed) == stripped_lines(full)
+
+
+def test_the_stub_records_no_request_cut_off_before_its_body(stub_server):
+    """A run killed between a request's headers and its body leaves no request behind."""
+    with socket.create_connection(stub_server.server_address) as sock:
+        sock.sendall(b"POST /v1/chat/completions HTTP/1.1\r\nHost: stub\r\n"
+                     b"Content-Length: 64\r\n\r\n")
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(1024) == b""  # closed without an answer
+    assert stub_server.requests == []
 
 
 def slow_order_from_prompt(body):

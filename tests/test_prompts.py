@@ -2,6 +2,7 @@ import re
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from nvlab import prompts
@@ -200,3 +201,41 @@ def test_francs_formatting():
     assert fmt_francs(255.25) == "255.25"
     assert fmt_francs(255.333) == "255.33"
     assert fmt_francs(-60) == "-60"
+
+
+BIG = 2**53 + 1  # the first integer a float cannot hold
+
+
+@pytest.mark.parametrize("fmt, value, expected", [
+    (fmt_int, 150, "150"),
+    (fmt_int, -60, "-60"),
+    (fmt_int, True, "1"),
+    (fmt_int, np.int64(150), "150"),
+    (fmt_int, 150.0, "150"),
+    (fmt_int, BIG, "9007199254740993"),
+    (fmt_francs, 1665, "1665"),
+    (fmt_francs, True, "1"),
+    (fmt_francs, np.int64(-60), "-60"),
+    (fmt_francs, 1665.0, "1665"),
+    (fmt_francs, 255.25, "255.25"),
+    (fmt_francs, 255.333, "255.33"),
+    (fmt_francs, BIG, "9007199254740993"),
+    # only an int is formatted exactly; any other type goes through a float as before
+    (fmt_francs, float(BIG), "9007199254740992"),
+    (fmt_francs, np.int64(BIG), "9007199254740992"),
+], ids=lambda v: repr(v) if not callable(v) else v.__name__)
+def test_formatters_render_each_type_as_pinned(fmt, value, expected):
+    assert fmt(value) == expected
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (150.5, TemplateError, "expected an integer value, got 150.5"),
+    (255.25, TemplateError, "expected an integer value, got 255.25"),
+    (np.int64(BIG), TemplateError, f"expected an integer value, got {np.int64(BIG)!r}"),
+    (float("nan"), ValueError, "cannot convert float NaN to integer"),
+    (float("inf"), OverflowError, "cannot convert float infinity to integer"),
+], ids=repr)
+def test_fmt_int_refuses_what_it_cannot_render_exactly(value, error, message):
+    with pytest.raises(error, match=re.escape(message)) as refused:
+        fmt_int(value)
+    assert type(refused.value) is error

@@ -362,6 +362,112 @@ def test_simulate_resume_of_a_torn_store_exits_0(tmp_path, capsys):
     assert (run_dir / "rounds.jsonl.torn").exists()
 
 
+@pytest.mark.parametrize("round_3", ["dropped", "kept"])
+def test_a_stored_order_past_2_to_the_53_is_rendered_exactly(tmp_path, capsys, round_3):
+    """An order a float cannot hold passes every read check and is rendered digit for digit.
+
+    Round 3's prompt reports it: a resume decides that round from it, or
+    refuses the stored round 3, whose hash is of the prompt of the order before.
+    """
+    assert main(["simulate", "--experiment", "E1", "--dist", "uniform", "--order", "high-first",
+                 "--agent", "optimal", "--reps", "1", "--rounds", "3",
+                 "--out", str(tmp_path / "runs")]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    path = run_dir / "rounds.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rounds = [json.loads(line) for line in lines[:3]]
+    sc = nvlab.scenario("E1-baseline", rounds[0]["margin"], "uniform", 3)
+    cumulative = 0.0  # a sum past 2**53 is a float, as the reader's running sum is
+    for record, order in zip(rounds, (rounds[0]["order"], 2**53 + 1, rounds[2]["order"])):
+        record["order"] = order
+        record["profit"] = nvlab.profit(order, record["demand"], sc.cost)
+        cumulative += record["profit"]
+        record["cumulative_profit"] = cumulative
+    lines[:3] = [json.dumps(record) for record in rounds[:3 if round_3 == "kept" else 2]]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    before = path.read_bytes()
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 0
+    capsys.readouterr()
+
+    code = main(["simulate", "--resume", str(run_dir)])
+    if round_3 == "kept":
+        assert code == 5
+        assert "round=3): stored prompt hash does not match" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        return
+    assert code == 0
+    decided = RunStore(run_dir).records()[-1]
+    assert (decided.block_index, decided.round_index) == (1, 3)
+    prompt = nvlab.render_prompt(runner.round_context(
+        sc, 3, RoundRecord.from_line(lines[1], 2)))
+    assert "- Your order quantity: 9007199254740993 wodgets" in prompt
+    assert decided.prompt_sha256 == hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+
+
+def llm_store(tmp_path, stub_server, monkeypatch):
+    """An LLM run of 2 blocks of 2 rounds against the stub, minus its final round."""
+    config_path = llm_config(tmp_path, stub_server, monkeypatch)
+    assert main(["run", "--config", str(config_path), "--experiment", "E1", "--dist", "uniform",
+                 "--order", "high-first", "--reps", "1", "--rounds", "2",
+                 "--out", str(tmp_path / "runs")]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    path = run_dir / "rounds.jsonl"
+    full = path.read_bytes()
+    path.write_bytes(full[:full.rindex(b"\n", 0, -1) + 1])
+    return config_path, run_dir, full
+
+
+def test_run_resume_decides_with_the_stored_plans_agents(tmp_path, stub_server, monkeypatch):
+    config_path, run_dir, full = llm_store(tmp_path, stub_server, monkeypatch)
+    requests = len(stub_server.requests)
+    args = ["run", "--config", str(config_path), "--agent", "optimal", "--resume", str(run_dir)]
+    assert main(args) == 0
+    assert len(stub_server.requests) == requests + 1  # the one round the store lacked
+    assert stripped_lines(run_dir / "rounds.jsonl") == [
+        strip_timestamps(line) for line in full.decode("utf-8").splitlines()]
+    assert main(args) == 0  # complete: a no-op that sends nothing
+    assert len(stub_server.requests) == requests + 1
+
+
+def test_run_resume_of_an_llm_store_without_its_credential_exits_2(
+        tmp_path, stub_server, monkeypatch, capsys):
+    config_path, run_dir, _ = llm_store(tmp_path, stub_server, monkeypatch)
+    monkeypatch.delenv("NVLAB_TEST_KEY")
+    path = run_dir / "rounds.jsonl"
+    path.write_bytes(path.read_bytes() + b'{"torn')
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--agent", "optimal",
+                 "--resume", str(run_dir)]) == 2
+    assert "NVLAB_TEST_KEY" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+def test_simulate_refuses_to_resume_an_llm_store_and_writes_nothing(
+        tmp_path, stub_server, monkeypatch, capsys):
+    _, run_dir, _ = llm_store(tmp_path, stub_server, monkeypatch)
+    path = run_dir / "rounds.jsonl"
+    path.write_bytes(path.read_bytes() + b'{"torn')
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    requests = len(stub_server.requests)
+    capsys.readouterr()
+    assert main(["simulate", "--resume", str(run_dir)]) == 2
+    assert "simulate is offline-only" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    assert len(stub_server.requests) == requests
+
+
+def test_run_resume_of_a_scripted_store_needs_no_credential(tmp_path, monkeypatch):
+    run_dir = simulate(tmp_path, "sim")
+    path = run_dir / "rounds.jsonl"
+    full = path.read_bytes()
+    path.write_bytes(full[:full.rindex(b"\n", 0, -1) + 1])
+    monkeypatch.delenv(RunConfig().credential_env, raising=False)
+    assert main(["run", "--resume", str(run_dir)]) == 0  # --agent defaults to llm for run
+    assert stripped_lines(path) == [
+        strip_timestamps(line) for line in full.decode("utf-8").splitlines()]
+
+
 def test_verbose_run_logs_each_chat_request_with_its_thread(tmp_path, stub_server, monkeypatch):
     config_path = llm_config(tmp_path, stub_server, monkeypatch, concurrency=2)
     env = dict(os.environ, PYTHONPATH=str(Path(nvlab.__file__).parents[1]))

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 import os
 import signal
 import sys
@@ -12,7 +13,8 @@ from conftest import strip_timestamps
 from nvlab.agents import AgentSpec
 from nvlab.config import RunConfig, build_plan
 from nvlab.llm import ChatClient, ChatResult
-from nvlab.model import sample_sequence
+from nvlab.model import DIST_KINDS, E3, EXPERIMENTS, LOGNORMAL, ScenarioConfig, sample_sequence
+from nvlab.prompts import render_prompt
 from nvlab.report import build_report
 from nvlab.runner import (
     ExperimentPlan,
@@ -21,6 +23,7 @@ from nvlab.runner import (
     load_plan,
     plan_trajectories,
     resume,
+    round_context,
     run_plan,
 )
 from nvlab.store import IntegrityError, RunStore, sha256_text
@@ -123,6 +126,89 @@ def test_prompt_hashes_re_render(tmp_path):
     outcome = resume(tmp_path / "run")  # re-renders every stored prompt, decides nothing
     assert outcome.complete and sum(len(t.records) for t in outcome.trajectories) == 60
     assert (tmp_path / "run" / "rounds.jsonl").read_bytes() == before
+
+
+def test_a_resume_pays_for_scenario_lookups_per_block_not_per_round(tmp_path, monkeypatch):
+    counts = Counter()
+    scenario_hash, scenario_eq = ScenarioConfig.__hash__, ScenarioConfig.__eq__
+
+    def counted_hash(self):
+        counts["hash"] += 1
+        return scenario_hash(self)
+
+    def counted_eq(self, other):
+        counts["eq"] += 1
+        return scenario_eq(self, other)
+
+    per_rounds = {}
+    for rounds in (3, 12):
+        run_dir = tmp_path / f"rounds-{rounds}"
+        run_plan(small_plan(agent=CHASER, reps=2, rounds=rounds), run_dir)
+        counts.clear()
+        monkeypatch.setattr(ScenarioConfig, "__hash__", counted_hash)
+        monkeypatch.setattr(ScenarioConfig, "__eq__", counted_eq)
+        assert resume(run_dir).complete  # re-renders every stored round, decides none
+        monkeypatch.undo()
+        per_rounds[rounds] = dict(counts)
+    blocks = 2 * 2 * 2  # conditions x repetitions x blocks
+    assert 0 < per_rounds[3]["hash"] <= blocks and per_rounds[3]["eq"] <= blocks
+    assert per_rounds[12] == per_rounds[3]
+
+
+# the risk-neutral demand range has no lognormal calibration
+EVERY_SCENARIO = [(exp, kind) for exp in EXPERIMENTS for kind in DIST_KINDS
+                  if (exp, kind) != (E3, LOGNORMAL)]
+
+
+def public_prompts(plan, records):
+    """Each record's prompt rendered by the public API: identity -> prompt."""
+    last = {}
+    prompts = {}
+    for record in sorted(records, key=lambda r: (r.identity(), r.round_index)):
+        block = record.identity()[:2] + (record.block_index,)
+        condition = plan.conditions[record.condition_index]
+        sc = condition.scenario_for_margin(record.margin)
+        previous = last.get(block) if record.round_index > 1 else None
+        prompts[record.identity() + (record.round_index,)] = render_prompt(
+            round_context(sc, record.round_index, previous))
+        last[block] = record
+    return prompts
+
+
+def every_scenario_plan(agent, rounds):
+    return ExperimentPlan(tuple(
+        PlanCondition(exp, kind, agent, order, repetitions=1, rounds_per_block=rounds,
+                      base_seed=3)
+        for exp, kind in EVERY_SCENARIO for order in ("high-first", "low-first")))
+
+
+def test_a_scripted_run_stores_the_hashes_of_the_public_prompts(tmp_path):
+    plan = every_scenario_plan(AgentSpec("random"), rounds=4)
+    outcome = run_plan(plan, tmp_path / "run")
+    assert outcome.complete
+    records = RunStore(tmp_path / "run").records()
+    assert {(r.experiment, r.dist, r.margin) for r in records} == {
+        (exp, kind, margin) for exp, kind in EVERY_SCENARIO for margin in ("high", "low")}
+    prompts = public_prompts(plan, records)
+    assert len(prompts) == len(records) == len(plan.conditions) * 2 * 4
+    for record in records:
+        expected = prompts[record.identity() + (record.round_index,)]
+        assert record.prompt_sha256 == sha256_text(expected), record
+
+
+def test_an_llm_run_sends_the_public_prompts(tmp_path, stub_server):
+    stub_server.reply_fn = order_from_prompt
+    plan = every_scenario_plan(AgentSpec("llm", model_name="m"), rounds=3)
+    outcome = run_plan(plan, tmp_path / "run", client_factory=stub_factory(stub_server))
+    assert outcome.complete
+    records = RunStore(tmp_path / "run").records()
+    prompts = public_prompts(plan, records)
+    assert len(stub_server.requests) == len(records) == len(prompts)
+    sent = [m["content"] for body in stub_server.requests for m in body["messages"]
+            if m["role"] == "user"]
+    assert set(sent) == set(prompts.values())
+    last_sent = {sha256_text(body["messages"][-1]["content"]) for body in stub_server.requests}
+    assert last_sent == {sha256_text(p) for p in prompts.values()}
 
 
 def test_a_clock_stepped_back_mid_round_stores_no_inverted_timestamps(tmp_path, monkeypatch):
