@@ -11,8 +11,9 @@ known ground truth the metrics must recover:
                    move must classify as "toward demand"
 * random        -- uniform order on the demand range, for null baselines
 
-Scripted kinds ignore the prompt text and decide from the round context; the
-llm kind sends one chat request and extracts an integer order from the reply.
+Scripted kinds ignore the prompt text and decide by a rule built once per
+scenario (`scripted_rule`); the llm kind sends one chat request and extracts an
+integer order from the reply.
 """
 
 from __future__ import annotations
@@ -180,44 +181,52 @@ RETRY_NUDGE = (
 )
 
 
-def _scripted_order(agent: AgentSpec, ctx: RoundContext, rng) -> tuple[int, str]:
-    sc = ctx.scenario
-    q_star = optimal_quantity(sc)
-    mean = anchor(sc)
+def scripted_rule(agent: AgentSpec, scenario: ScenarioConfig, rng=None):
+    """A scripted ``agent``'s ``rule(round_index, last_order, last_demand) -> (order, rationale)``.
+
+    What is fixed on ``scenario`` (optimum, anchor, bounds, fixed rationales) is worked out once.
+    """
+    q_star = optimal_quantity(scenario)
+    mean = anchor(scenario)
     if agent.kind == OPTIMAL:
-        return q_star, f"Scripted rule: always order the critical-fractile optimum {q_star}."
-    if agent.kind == MEAN_ANCHOR:
+        decision = q_star, f"Scripted rule: always order the critical-fractile optimum {q_star}."
+    elif agent.kind == MEAN_ANCHOR:
         w = agent.anchor_weight
-        order = round_half_up(mean + w * (q_star - mean))
-        return order, (
+        decision = round_half_up(mean + w * (q_star - mean)), (
             f"Scripted rule: anchor on the demand mean {mean:g} and adjust a fraction "
             f"w={w:g} of the way toward the optimum {q_star}."
         )
-    if agent.kind == DEMAND_CHASER:
-        alpha = agent.chase_rate
-        if agent.switch_round is not None and ctx.round_index < agent.switch_round:
-            alpha = agent.chase_rate_before
-        if ctx.round_index == 1 or ctx.last_order is None:
-            return round_half_up(mean), (
-                f"Scripted rule: start at the demand mean {mean:g}, then chase the previous "
-                f"demand with rate alpha={agent.chase_rate:g}."
-            )
-        error = ctx.last_demand - ctx.last_order
-        step = _round_away_from_zero(alpha * error)
-        if alpha > 0 and error != 0 and step == 0:
-            # always move at least one unit toward the observed demand
-            step = 1 if error > 0 else -1
-        order = max(0, min(ctx.last_order + step, 2 * sc.demand.upper))
-        return order, (
-            f"Scripted rule: previous error {error:+d}, chasing with alpha={alpha:g} "
-            f"moves the order by {step:+d}."
+    elif agent.kind == DEMAND_CHASER:
+        rate, rate_before, switch = agent.chase_rate, agent.chase_rate_before, agent.switch_round
+        ceiling = 2 * scenario.demand.upper
+        opening = round_half_up(mean), (
+            f"Scripted rule: start at the demand mean {mean:g}, then chase the previous "
+            f"demand with rate alpha={rate:g}."
         )
-    if agent.kind == RANDOM:
+
+        def chase(round_index, last_order, last_demand):
+            if round_index == 1 or last_order is None:
+                return opening
+            alpha = rate_before if switch is not None and round_index < switch else rate
+            error = last_demand - last_order
+            step = _round_away_from_zero(alpha * error)
+            if alpha > 0 and error != 0 and step == 0:
+                # always move at least one unit toward the observed demand
+                step = 1 if error > 0 else -1
+            return max(0, min(last_order + step, ceiling)), (
+                f"Scripted rule: previous error {error:+d}, chasing with alpha={alpha:g} "
+                f"moves the order by {step:+d}."
+            )
+        return chase
+    elif agent.kind == RANDOM:
         if rng is None:
             raise ValueError("random agent needs an rng")
-        order = int(rng.integers(sc.demand.lower, sc.demand.upper + 1))
-        return order, "Scripted rule: order uniformly at random over the demand range."
-    raise ValueError(f"not a scripted kind: {agent.kind}")
+        low, high = scenario.demand.lower, scenario.demand.upper + 1
+        return lambda *_: (int(rng.integers(low, high)),
+                           "Scripted rule: order uniformly at random over the demand range.")
+    else:
+        raise ValueError(f"not a scripted kind: {agent.kind}")
+    return lambda *_: decision
 
 
 def decide(
@@ -237,8 +246,8 @@ def decide(
     that stays out of the persistent transcript.
     """
     if agent.kind != LLM:
-        order, rationale = _scripted_order(agent, ctx, rng)
-        return Decision(order, rationale, EXACT)
+        rule = scripted_rule(agent, ctx.scenario, rng)
+        return Decision(*rule(ctx.round_index, ctx.last_order, ctx.last_demand), EXACT)
 
     if client is None:
         raise ValueError("llm agent needs a chat client")

@@ -26,9 +26,9 @@ profit and cumulative profit: the bytes `render_prompt` gives for that round.
 A walk checks every stored round (its prompt is re-rendered and its hash
 compared, its demand compared with the seeded draw) and advances the
 transcript and agent rng as if it had just been decided; later rounds are
-decided and appended to the store one at a time. Only a decided round gets
-a `RoundContext` (from `round_context`), which the agent reads; a replayed
-round needs none, and skips no check for it.
+decided and appended to the store one at a time. Only an LLM round gets a
+`RoundContext` (from `round_context`), and a scripted block builds its rule
+(`scripted_rule`) once; a replayed round needs neither, and skips no check.
 `resume` walks every stored round of the plan before it decides any, so a
 corrupt store is refused before anything is appended. An unresolved round
 (transport or parse failure after retries) stops its block and leaves the
@@ -63,13 +63,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .agents import (
-    LLM,
-    RANDOM,
-    AgentSpec,
-    AmbiguousDecisionError,
-    decide,
-)
+from .agents import (EXACT, LLM, RANDOM, AgentSpec, AmbiguousDecisionError, Decision, decide,
+                     scripted_rule)
 from .llm import TransportError
 from .prompts import RoundContext, default_templates, scenario_prompts
 from .store import (
@@ -305,6 +300,8 @@ class _Block:
                 derive_seed(condition.base_seed, repetition, block_index, salt="agent")
             )
         self.messages = [] if condition.agent.kind == LLM else None
+        self.label = condition.agent.label
+        self.rule = None  # built for the first decided round: a replayed block looks up no optimum
         self.appended = []
         self.last = None
         self.walked = 0
@@ -340,27 +337,32 @@ class _Block:
             else:
                 if stop.is_set():
                     return None
-                transcript = None if self.messages is None else [*earlier, *self.messages]
-                ctx = round_context(scenario, round_index, last)
                 ts_start = time.time()
-                try:
-                    decision = decide(condition.agent, prompt, ctx, rng=self.agent_rng,
-                                      client=client, transcript=transcript)
-                except (AmbiguousDecisionError, TransportError) as exc:
-                    kind = "parse" if isinstance(exc, AmbiguousDecisionError) else "transport"
-                    log.warning(
-                        "unresolved round: condition=%d rep=%d block=%d round=%d (%s): %s",
-                        self.condition_index, self.repetition, self.block_index, round_index,
-                        kind, exc,
-                    )
-                    return RoundFailure(self.condition_index, condition.order_condition,
-                                        self.repetition, self.block_index, round_index, kind,
-                                        str(exc))
+                if self.messages is None:  # a scripted agent needs no RoundContext
+                    if self.rule is None:
+                        self.rule = scripted_rule(condition.agent, scenario, self.agent_rng)
+                    decision = Decision(
+                        *self.rule(round_index, last and last.order, last and last.demand), EXACT)
+                else:
+                    try:
+                        decision = decide(condition.agent, prompt,
+                                          round_context(scenario, round_index, last),
+                                          client=client, transcript=[*earlier, *self.messages])
+                    except (AmbiguousDecisionError, TransportError) as exc:
+                        kind = "parse" if isinstance(exc, AmbiguousDecisionError) else "transport"
+                        log.warning(
+                            "unresolved round: condition=%d rep=%d block=%d round=%d (%s): %s",
+                            self.condition_index, self.repetition, self.block_index,
+                            round_index, kind, exc,
+                        )
+                        return RoundFailure(self.condition_index, condition.order_condition,
+                                            self.repetition, self.block_index, round_index,
+                                            kind, str(exc))
                 round_profit = model.profit(decision.order, demand, scenario.cost)
                 record = RoundRecord(
                     run_id=run_id,
                     condition_index=self.condition_index,
-                    agent=condition.agent.label,
+                    agent=self.label,
                     experiment=condition.experiment,
                     dist=condition.dist_kind,
                     order_condition=condition.order_condition,

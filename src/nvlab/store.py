@@ -121,7 +121,7 @@ class RoundRecord(NamedTuple):
                 end = len(text)
             if text[end:] != "\n":
                 data = json.loads(text)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad bytes, too deep or too many digits
             raise IntegrityError(f"rounds.jsonl line {lineno}: malformed JSON ({exc})") from exc
         try:
             return cls._make(_record_values(data))
@@ -221,7 +221,7 @@ class RunStore:
             raise IntegrityError(f"no run store at {self.run_dir}")
         try:
             return json.loads(self.manifest_path.read_bytes().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # as in `RoundRecord.from_line`
             raise IntegrityError(f"manifest.json is malformed: {exc}") from exc
 
     def append(self, record: RoundRecord):
@@ -349,17 +349,20 @@ def group_trajectories(records: list[RoundRecord], planned: dict,
             if not lower <= record.demand <= upper:
                 raise IntegrityError(f"{where(record)}: field 'demand' is {record.demand}, "
                                      f"not in the demand range [{lower}, {upper}]")
-            recomputed = profit(record.order, record.demand, sc.cost)
-            if not abs(recomputed - record.profit) <= 1e-9:  # a stored NaN fails too
-                raise IntegrityError(
-                    f"{where(record)}: stored profit {record.profit} != recomputed {recomputed}"
-                )
-            cumulative += recomputed
-            if not abs(cumulative - record.cumulative_profit) <= 1e-9:
-                raise IntegrityError(
-                    f"{where(record)}: stored cumulative profit {record.cumulative_profit} "
-                    f"!= running sum {cumulative}"
-                )
+            try:  # an int past the float range overflows the float arithmetic here
+                recomputed = profit(record.order, record.demand, sc.cost)
+                if not abs(recomputed - record.profit) <= 1e-9:  # a stored NaN fails too
+                    raise IntegrityError(
+                        f"{where(record)}: stored profit {record.profit} != recomputed {recomputed}"
+                    )
+                cumulative += recomputed
+                if not abs(cumulative - record.cumulative_profit) <= 1e-9:
+                    raise IntegrityError(
+                        f"{where(record)}: stored cumulative profit {record.cumulative_profit} "
+                        f"!= running sum {cumulative}"
+                    )
+            except OverflowError:
+                raise IntegrityError(f"{where(record)}: a profit is past the float range") from None
         trajectories.append(Trajectory(first.condition_index, first.agent, first.order_condition,
                                        first.repetition, first.block_index, sc, rows))
     return trajectories

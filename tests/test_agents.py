@@ -7,6 +7,7 @@ from nvlab.agents import (
     decide,
     extract_order,
     round_half_up,
+    scripted_rule,
 )
 from nvlab.llm import ChatResult
 from nvlab.model import anchor, optimal_quantity, scenario
@@ -134,6 +135,40 @@ def test_demand_chaser_switch_round():
     after = decide(agent, "", ctx_round(SC_HIGH, 8, last_order=151, last_demand=290))
     assert before.order == 151
     assert after.order == 290
+
+
+SCRIPTED_AGENTS = [
+    AgentSpec("optimal"),
+    AgentSpec("mean-anchor", anchor_weight=0.3),
+    AgentSpec("demand-chaser", chase_rate=0.25),
+    AgentSpec("demand-chaser", chase_rate=1.0, chase_rate_before=0.1, switch_round=4),
+    AgentSpec("random"),
+]
+# (round, last order, last demand, round of the context decide gets): rounds before and
+# after the switch, each direction of error, the order ceiling, and no previous order
+RULE_CASES = [(1, None, None, 1), (2, 140, 200, 2), (3, 200, 120, 3), (4, 150, 151, 4),
+              (5, 151, 150, 5), (9, 600, 2, 9), (12, 1, 1200, 12), (6, None, None, 1)]
+
+
+@pytest.mark.parametrize(
+    "sc", [SC_HIGH, SC_LOW, scenario("E3-risk-neutral", "high", "truncated-normal")],
+    ids=["high", "low", "risk-neutral"])
+@pytest.mark.parametrize("agent", SCRIPTED_AGENTS, ids=lambda agent: agent.label)
+def test_a_scripted_rule_decides_as_decide_does(agent, sc):
+    rule = scripted_rule(agent, sc, np.random.default_rng(11))
+    rng = np.random.default_rng(11)  # the same stream for decide's random draws
+    for round_index, last_order, last_demand, ctx_index in RULE_CASES:
+        decision = decide(agent, "", ctx_round(sc, ctx_index, last_order, last_demand), rng=rng)
+        assert decision.parse_confidence == "exact"
+        assert rule(round_index, last_order, last_demand) == (
+            decision.order, decision.raw_response), (round_index, last_order, last_demand)
+
+
+def test_a_scripted_rule_refuses_what_decide_refuses():
+    with pytest.raises(ValueError, match="random agent needs an rng"):
+        scripted_rule(AgentSpec("random"), SC_HIGH)
+    with pytest.raises(ValueError, match="not a scripted kind: llm"):
+        scripted_rule(AgentSpec("llm", model_name="m"), SC_HIGH)
 
 
 def test_random_agent_deterministic_given_rng_seed():

@@ -759,6 +759,9 @@ def _record_cases():
     for field in ("profit", "cumulative_profit"):
         yield (f"{field}-nan", (1,), field, float("nan"),
                "stored " + field.replace("_", " ") + " nan")
+    # an integer no float holds, against the reader's float running sum
+    yield ("cumulative_profit-past-float-range", (1,), "cumulative_profit", 10**309,
+           "round=2): a profit is past the float range")
     timestamps = {"ts_start": "timestamps ts_start {value!r} and ts_end ",
                   "ts_end": " and ts_end {value!r} are not 0 <= ts_start <= ts_end < inf"}
     for field, message in timestamps.items():
@@ -856,6 +859,42 @@ def test_bytes_that_are_not_utf8_are_an_integrity_error(tmp_path, capsys, small_
     path.write_bytes(b"\n".join(lines))
     err = refused_by_both_commands(tmp_path, capsys, run_dir)
     assert err.count(message) == 2, err
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("rounds.jsonl", "[" * 100_000, "rounds.jsonl line 2: malformed JSON (maximum recursion"),
+    ("manifest.json", "[" * 100_000, "manifest.json is malformed: maximum recursion"),
+    ("rounds.jsonl", '{"order": ' + "1" * 5000 + "}",
+     "rounds.jsonl line 2: malformed JSON (Exceeds the limit"),
+    ("manifest.json", '{"plan": ' + "1" * 5000 + "}",
+     "manifest.json is malformed: Exceeds the limit"),
+], ids=["rounds-deep-nesting", "manifest-deep-nesting", "rounds-too-many-digits",
+        "manifest-too-many-digits"])
+def test_json_the_decoder_cannot_hold_is_an_integrity_error(tmp_path, capsys, small_store, name,
+                                                             text, message):
+    """Nesting past the interpreter's stack, or an integer past its digit limit, is malformed."""
+    run_dir = shutil.copytree(small_store, tmp_path / "run")
+    path = run_dir / name
+    lines = path.read_text().splitlines(keepends=True) if name == "rounds.jsonl" else []
+    path.write_text("".join(lines[:1]) + text + "\n" + "".join(lines[1:]))
+    err = refused_by_both_commands(tmp_path, capsys, run_dir)
+    assert err.count(message) == 2, err
+
+
+def test_an_order_whose_profit_no_float_holds_is_an_integrity_error(tmp_path, capsys,
+                                                                    small_store):
+    """Round 2's order, profit and cumulative profit agree as integers; the float sum overflows."""
+    run_dir = shutil.copytree(small_store, tmp_path / "run")
+    path = run_dir / "rounds.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    sc = nvlab.scenario("E1-baseline", records[0]["margin"], "uniform", 3)
+    records[1]["order"] = 10**400
+    records[1]["profit"] = nvlab.profit(10**400, records[1]["demand"], sc.cost)
+    for previous, record in zip(records[:2], records[1:3]):
+        record["cumulative_profit"] = previous["cumulative_profit"] + record["profit"]
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    err = refused_by_both_commands(tmp_path, capsys, run_dir)
+    assert err.count("round=2): a profit is past the float range") == 2, err
 
 
 def test_a_torn_final_line_cut_inside_a_character_is_skipped_or_set_aside(

@@ -10,11 +10,12 @@ import time
 import pytest
 
 from conftest import strip_timestamps
+from nvlab import agents
 from nvlab.agents import AgentSpec
 from nvlab.config import RunConfig, build_plan
 from nvlab.llm import ChatClient, ChatResult
 from nvlab.model import DIST_KINDS, E3, EXPERIMENTS, LOGNORMAL, ScenarioConfig, sample_sequence
-from nvlab.prompts import render_prompt
+from nvlab.prompts import RoundContext, render_prompt
 from nvlab.report import build_report
 from nvlab.runner import (
     ExperimentPlan,
@@ -153,6 +154,32 @@ def test_a_resume_pays_for_scenario_lookups_per_block_not_per_round(tmp_path, mo
     blocks = 2 * 2 * 2  # conditions x repetitions x blocks
     assert 0 < per_rounds[3]["hash"] <= blocks and per_rounds[3]["eq"] <= blocks
     assert per_rounds[12] == per_rounds[3]
+
+
+def test_a_fresh_scripted_run_builds_no_round_context_and_one_optimum_per_block(
+        tmp_path, monkeypatch):
+    counts = Counter()
+    context_checks, optimal_quantity = RoundContext.__post_init__, agents.optimal_quantity
+
+    def counted_context_checks(self):
+        counts["context"] += 1
+        context_checks(self)
+
+    def counted_optimal_quantity(sc):
+        counts["optimum"] += 1
+        return optimal_quantity(sc)
+
+    plan = ExperimentPlan(tuple(
+        PlanCondition("E1-baseline", "uniform", agent, "high-first", repetitions=2,
+                      rounds_per_block=6, base_seed=5)
+        for agent in (OPTIMAL, AgentSpec("mean-anchor", anchor_weight=0.5), CHASER,
+                      AgentSpec("random"))))
+    monkeypatch.setattr(RoundContext, "__post_init__", counted_context_checks)
+    monkeypatch.setattr(agents, "optimal_quantity", counted_optimal_quantity)
+    assert run_plan(plan, tmp_path / "run").complete
+    blocks = 4 * 2 * 2  # conditions x repetitions x blocks
+    assert counts["context"] == 0
+    assert 0 < counts["optimum"] <= blocks
 
 
 # the risk-neutral demand range has no lognormal calibration
