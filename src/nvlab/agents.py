@@ -232,22 +232,28 @@ def scripted_rule(agent: AgentSpec, scenario: ScenarioConfig, rng=None):
 def decide(
     agent: AgentSpec,
     prompt: str,
-    ctx: RoundContext,
+    ctx: RoundContext | tuple,
     rng=None,
     client=None,
     transcript: list[dict] | None = None,
+    rule=None,
 ) -> Decision:
     """Produce one round's decision.
 
-    Scripted kinds are deterministic given (ctx, rng) and never error. The
+    Scripted kinds are deterministic given (ctx, rng) and never error. A
+    caller deciding many rounds of one scenario passes the agent's
+    `scripted_rule` as ``rule`` and, as ``ctx``, the rule's arguments
+    ``(round_index, last_order, last_demand)``. The
     llm kind appends ``prompt`` to ``transcript`` (not mutated), sends one
     chat request via ``client`` and extracts the order; unparseable replies
     are re-prompted up to `MAX_REPROMPTS` times with a clarification turn
     that stays out of the persistent transcript.
     """
     if agent.kind != LLM:
-        rule = scripted_rule(agent, ctx.scenario, rng)
-        return Decision(*rule(ctx.round_index, ctx.last_order, ctx.last_demand), EXACT)
+        if rule is None:
+            rule = scripted_rule(agent, ctx.scenario, rng)
+            ctx = ctx.round_index, ctx.last_order, ctx.last_demand
+        return Decision(*rule(*ctx), EXACT)
 
     if client is None:
         raise ValueError("llm agent needs a chat client")

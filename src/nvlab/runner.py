@@ -63,8 +63,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .agents import (EXACT, LLM, RANDOM, AgentSpec, AmbiguousDecisionError, Decision, decide,
-                     scripted_rule)
+from .agents import (
+    LLM,
+    RANDOM,
+    AgentSpec,
+    AmbiguousDecisionError,
+    decide,
+    scripted_rule,
+)
 from .llm import TransportError
 from .prompts import RoundContext, default_templates, scenario_prompts
 from .store import (
@@ -337,27 +343,27 @@ class _Block:
             else:
                 if stop.is_set():
                     return None
-                ts_start = time.time()
-                if self.messages is None:  # a scripted agent needs no RoundContext
+                transcript = None if self.messages is None else [*earlier, *self.messages]
+                if self.messages is None:  # a scripted round needs no RoundContext
                     if self.rule is None:
                         self.rule = scripted_rule(condition.agent, scenario, self.agent_rng)
-                    decision = Decision(
-                        *self.rule(round_index, last and last.order, last and last.demand), EXACT)
+                    ctx = round_index, last and last.order, last and last.demand
                 else:
-                    try:
-                        decision = decide(condition.agent, prompt,
-                                          round_context(scenario, round_index, last),
-                                          client=client, transcript=[*earlier, *self.messages])
-                    except (AmbiguousDecisionError, TransportError) as exc:
-                        kind = "parse" if isinstance(exc, AmbiguousDecisionError) else "transport"
-                        log.warning(
-                            "unresolved round: condition=%d rep=%d block=%d round=%d (%s): %s",
-                            self.condition_index, self.repetition, self.block_index,
-                            round_index, kind, exc,
-                        )
-                        return RoundFailure(self.condition_index, condition.order_condition,
-                                            self.repetition, self.block_index, round_index,
-                                            kind, str(exc))
+                    ctx = round_context(scenario, round_index, last)
+                ts_start = time.time()
+                try:
+                    decision = decide(condition.agent, prompt, ctx, rng=self.agent_rng,
+                                      client=client, transcript=transcript, rule=self.rule)
+                except (AmbiguousDecisionError, TransportError) as exc:
+                    kind = "parse" if isinstance(exc, AmbiguousDecisionError) else "transport"
+                    log.warning(
+                        "unresolved round: condition=%d rep=%d block=%d round=%d (%s): %s",
+                        self.condition_index, self.repetition, self.block_index, round_index,
+                        kind, exc,
+                    )
+                    return RoundFailure(self.condition_index, condition.order_condition,
+                                        self.repetition, self.block_index, round_index, kind,
+                                        str(exc))
                 round_profit = model.profit(decision.order, demand, scenario.cost)
                 record = RoundRecord(
                     run_id=run_id,

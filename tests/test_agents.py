@@ -156,12 +156,14 @@ RULE_CASES = [(1, None, None, 1), (2, 140, 200, 2), (3, 200, 120, 3), (4, 150, 1
 @pytest.mark.parametrize("agent", SCRIPTED_AGENTS, ids=lambda agent: agent.label)
 def test_a_scripted_rule_decides_as_decide_does(agent, sc):
     rule = scripted_rule(agent, sc, np.random.default_rng(11))
+    held = scripted_rule(agent, sc, np.random.default_rng(11))  # passed to decide, as a block does
     rng = np.random.default_rng(11)  # the same stream for decide's random draws
     for round_index, last_order, last_demand, ctx_index in RULE_CASES:
         decision = decide(agent, "", ctx_round(sc, ctx_index, last_order, last_demand), rng=rng)
         assert decision.parse_confidence == "exact"
         assert rule(round_index, last_order, last_demand) == (
             decision.order, decision.raw_response), (round_index, last_order, last_demand)
+        assert decide(agent, "", (round_index, last_order, last_demand), rule=held) == decision
 
 
 def test_a_scripted_rule_refuses_what_decide_refuses():
