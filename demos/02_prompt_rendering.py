@@ -3,8 +3,7 @@
 Run:  python demos/02_prompt_rendering.py
 """
 
-from nvlab import RoundContext, render_feedback, render_prompt, scenario, validate_golden
-from nvlab.store import RoundRecord
+from nvlab import RoundContext, render_prompt, scenario, validate_golden
 
 # Round 1: context and instructions only, no feedback, no formula.
 round_one = RoundContext(scenario("E1-baseline", "high", "uniform"), round_index=1)
@@ -27,20 +26,6 @@ print("=" * 72)
 print("ROUND 5 PROMPT (formula variant, low margin, normal demand)")
 print("=" * 72)
 print(render_prompt(round_five))
-
-# The feedback text alone, as it would follow a completed round.
-last = RoundRecord(
-    run_id="demo", condition_index=0, agent="demo", experiment="E1-baseline",
-    dist="uniform", order_condition="high-first", repetition=0, block_index=1,
-    margin="high", round_index=1, order=185, demand=210, profit=1665,
-    cumulative_profit=1665, parse_confidence="exact", prompt_sha256="",
-    raw_response="",
-)
-print("=" * 72)
-print("FEEDBACK TEXT")
-print("=" * 72)
-print(render_feedback(last))
-print()
 
 # Byte-for-byte fidelity against the three stored golden prompts.
 print("golden-file checks:")

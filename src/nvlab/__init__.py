@@ -33,7 +33,6 @@ from .prompts import (
     TemplateError,
     default_templates,
     load_templates,
-    render_feedback,
     render_prompt,
     validate_golden,
 )

@@ -11,6 +11,7 @@ known ground truth the metrics must recover:
                    move must classify as "toward demand"
 * random        -- uniform order on the demand range, for null baselines
 
+`decide` is the one way to decide a round, given its prompt and scenario.
 Scripted kinds ignore the prompt text and decide by a rule built once per
 scenario (`scripted_rule`); the llm kind sends one chat request and extracts an
 integer order from the reply.
@@ -23,7 +24,6 @@ import re
 from dataclasses import dataclass, fields
 
 from .model import ScenarioConfig, anchor, optimal_quantity
-from .prompts import RoundContext
 
 LLM = "llm"
 OPTIMAL = "optimal"
@@ -232,28 +232,28 @@ def scripted_rule(agent: AgentSpec, scenario: ScenarioConfig, rng=None):
 def decide(
     agent: AgentSpec,
     prompt: str,
-    ctx: RoundContext | tuple,
+    scenario: ScenarioConfig,
+    round_index: int = 1,
+    last_order: int | None = None,
+    last_demand: int | None = None,
     rng=None,
     client=None,
     transcript: list[dict] | None = None,
     rule=None,
 ) -> Decision:
-    """Produce one round's decision.
+    """Produce round ``round_index``'s decision in ``scenario``.
 
-    Scripted kinds are deterministic given (ctx, rng) and never error. A
-    caller deciding many rounds of one scenario passes the agent's
-    `scripted_rule` as ``rule`` and, as ``ctx``, the rule's arguments
-    ``(round_index, last_order, last_demand)``. The
-    llm kind appends ``prompt`` to ``transcript`` (not mutated), sends one
-    chat request via ``client`` and extracts the order; unparseable replies
-    are re-prompted up to `MAX_REPROMPTS` times with a clarification turn
-    that stays out of the persistent transcript.
+    Scripted kinds are deterministic given the round, the previous order and
+    demand, and ``rng``, and never error; a caller deciding many rounds of one
+    scenario passes the agent's `scripted_rule` as ``rule``. The llm kind
+    appends ``prompt`` to ``transcript`` (not mutated), sends one chat request
+    via ``client`` and extracts the order; unparseable replies are re-prompted
+    up to `MAX_REPROMPTS` times with a clarification turn that stays out of
+    the persistent transcript.
     """
     if agent.kind != LLM:
-        if rule is None:
-            rule = scripted_rule(agent, ctx.scenario, rng)
-            ctx = ctx.round_index, ctx.last_order, ctx.last_demand
-        return Decision(*rule(*ctx), EXACT)
+        return Decision(*(rule or scripted_rule(agent, scenario, rng))(
+            round_index, last_order, last_demand), EXACT)
 
     if client is None:
         raise ValueError("llm agent needs a chat client")
@@ -266,7 +266,7 @@ def decide(
         retries += result.retries
         usage = _merge_usage(usage, result.usage)
         try:
-            order, confidence = extract_order(result.text, ctx.scenario)
+            order, confidence = extract_order(result.text, scenario)
         except AmbiguousDecisionError:
             attempts += 1
             if attempts > MAX_REPROMPTS:

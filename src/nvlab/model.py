@@ -103,21 +103,10 @@ def profit(order: float, demand: float, cs: CostStructure) -> float:
     return cs.price * min(order, demand) - cs.cost * order
 
 
-def fit_lognormal_to_quantiles(q_low: float, q_high: float, eta: float = 0.75) -> tuple[float, float]:
-    """Solve log-space (mean, sd) so the eta and 1-eta quantiles hit q_high and q_low.
-
-    ln(q_high) = mu + z_eta * sd and ln(q_low) = mu - z_eta * sd.
-    """
-    if not 0 < q_low < q_high:
-        raise ValueError("need 0 < q_low < q_high")
-    z = ndtri(eta)
-    mu = (math.log(q_high) + math.log(q_low)) / 2.0
-    sd = (math.log(q_high) - math.log(q_low)) / (2.0 * z)
-    return mu, sd
-
-
-# Default lognormal calibration for the [1, 300] range: quartiles at 135/165.
-DEFAULT_LOGNORMAL_LOG_MEAN, DEFAULT_LOGNORMAL_LOG_SD = fit_lognormal_to_quantiles(135.0, 165.0)
+# Default lognormal calibration for the [1, 300] range: the log-space mean and sd
+# that put the quartiles at 135 and 165, ln(165) = mu + z * sd and ln(135) = mu - z * sd.
+DEFAULT_LOGNORMAL_LOG_MEAN = (math.log(165.0) + math.log(135.0)) / 2.0
+DEFAULT_LOGNORMAL_LOG_SD = (math.log(165.0) - math.log(135.0)) / (2.0 * ndtri(0.75))
 
 
 @dataclass(frozen=True)

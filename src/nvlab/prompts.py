@@ -9,9 +9,10 @@ golden prompts under ``assets/golden`` pin the rendered output byte-for-byte;
 `ScenarioPrompts` that the runner looks up once per block: the base template
 split at its one ``{history_block}`` slot, both halves filled once per
 scenario and template set (cost, demand description, helpful info, formula
-block) and cached. Its `render` joins a round's prompt: the head, that round's
-history block (none in round 1) and the tail. So the goldens pin the bytes
-the runner hashes, sends, and re-checks for every stored round on resume.
+block) and cached. Its `render`, the one spelling of the feedback text, joins a
+round's prompt: the head, that round's history block (none in round 1) and the
+tail. So the goldens pin the bytes the runner hashes, sends, and re-checks for
+every stored round on resume.
 
 Formatting rules the goldens rely on:
 
@@ -251,16 +252,6 @@ def render_prompt(ctx: RoundContext) -> str:
     # a round-1 context carries no last_order, a later one carries all four values
     return scenario_prompts(ctx.scenario).render(ctx.last_order, ctx.last_demand,
                                                  ctx.last_profit, ctx.cumulative_profit)
-
-
-def render_feedback(last) -> str:
-    """Feedback text for a completed round, in the history-block format.
-
-    ``last`` is anything with order, demand, profit and cumulative_profit
-    attributes (a stored round record qualifies).
-    """
-    return _history(default_templates(), last.order, last.demand, last.profit,
-                    last.cumulative_profit)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,10 @@ profit and cumulative profit: the bytes `render_prompt` gives for that round.
 A walk checks every stored round (its prompt is re-rendered and its hash
 compared, its demand compared with the seeded draw) and advances the
 transcript and agent rng as if it had just been decided; later rounds are
-decided and appended to the store one at a time. Only an LLM round gets a
-`RoundContext` (from `round_context`), and a scripted block builds its rule
-(`scripted_rule`) once; a replayed round needs neither, and skips no check.
+decided and appended to the store one at a time, each by one `agents.decide`
+call with the block's scenario and the previous round's order and demand. A
+scripted block builds its rule (`scripted_rule`) once, for its first decided
+round; a replayed round needs none, and skips no check.
 `resume` walks every stored round of the plan before it decides any, so a
 corrupt store is refused before anything is appended. An unresolved round
 (transport or parse failure after retries) stops its block and leaves the
@@ -72,7 +73,7 @@ from .agents import (
     scripted_rule,
 )
 from .llm import TransportError
-from .prompts import RoundContext, default_templates, scenario_prompts
+from .prompts import default_templates, scenario_prompts
 from .store import (
     TORN_NAME,
     IntegrityError,
@@ -262,21 +263,6 @@ def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord],
     return group_trajectories(records, planned, prior)
 
 
-def round_context(scenario: model.ScenarioConfig, round_index: int,
-                  last_record: RoundRecord | None) -> RoundContext:
-    """Prompt context of one round; after round 1 it reports ``last_record``'s outcome."""
-    if round_index == 1:
-        return RoundContext(scenario, 1)
-    return RoundContext(
-        scenario,
-        round_index,
-        last_order=last_record.order,
-        last_demand=last_record.demand,
-        last_profit=last_record.profit,
-        cumulative_profit=last_record.cumulative_profit,
-    )
-
-
 class _Block:
     """One (condition, repetition, block): its seeded demand draws, agent rng and progress.
 
@@ -344,16 +330,14 @@ class _Block:
                 if stop.is_set():
                     return None
                 transcript = None if self.messages is None else [*earlier, *self.messages]
-                if self.messages is None:  # a scripted round needs no RoundContext
-                    if self.rule is None:
-                        self.rule = scripted_rule(condition.agent, scenario, self.agent_rng)
-                    ctx = round_index, last and last.order, last and last.demand
-                else:
-                    ctx = round_context(scenario, round_index, last)
+                if self.messages is None and self.rule is None:
+                    self.rule = scripted_rule(condition.agent, scenario, self.agent_rng)
                 ts_start = time.time()
                 try:
-                    decision = decide(condition.agent, prompt, ctx, rng=self.agent_rng,
-                                      client=client, transcript=transcript, rule=self.rule)
+                    decision = decide(condition.agent, prompt, scenario, round_index,
+                                      last and last.order, last and last.demand,
+                                      rng=self.agent_rng, client=client, transcript=transcript,
+                                      rule=self.rule)
                 except (AmbiguousDecisionError, TransportError) as exc:
                     kind = "parse" if isinstance(exc, AmbiguousDecisionError) else "transport"
                     log.warning(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -294,7 +294,7 @@ def group_trajectories(records: list[RoundRecord], planned: dict,
     ``planned`` maps each identity the plan runs to its labels (in `_LABEL_NAMES`
     order) and ScenarioConfig. Validates every field's JSON type, each round's
     identity, labels and round index against the plan's, round contiguity, the
-    parse confidence, order and retries >= 0, finite timestamps with
+    parse confidence, order and retries >= 0, timestamps in float range with
     0 <= ts_start <= ts_end, demand in range, recomputed profit, and the
     cumulative-profit sum.
 
@@ -342,10 +342,11 @@ def group_trajectories(records: list[RoundRecord], planned: dict,
             if record.order < 0 or record.retries < 0:
                 name = "order" if record.order < 0 else "retries"
                 raise IntegrityError(f"{where(record)}: field {name!r} is negative")
-            if not 0.0 <= record.ts_start <= record.ts_end < math.inf:  # a NaN fails too
+            # a NaN fails too, and so does an int past the float range (10**400 < inf)
+            if not 0.0 <= record.ts_start <= record.ts_end <= sys.float_info.max:
                 raise IntegrityError(
                     f"{where(record)}: timestamps ts_start {record.ts_start!r} and ts_end "
-                    f"{record.ts_end!r} are not 0 <= ts_start <= ts_end < inf")
+                    f"{record.ts_end!r} are not 0 <= ts_start <= ts_end <= {sys.float_info.max}")
             if not lower <= record.demand <= upper:
                 raise IntegrityError(f"{where(record)}: field 'demand' is {record.demand}, "
                                      f"not in the demand range [{lower}, {upper}]")

@@ -15,8 +15,8 @@ def pytest_runtest_logreport(report):
 
 from nvlab.agents import AgentSpec
 from nvlab.model import ScenarioConfig, profit, scenario
-from nvlab.prompts import render_prompt
-from nvlab.runner import ExperimentPlan, PlanCondition, build_manifest, round_context
+from nvlab.prompts import RoundContext, render_prompt
+from nvlab.runner import ExperimentPlan, PlanCondition, build_manifest
 from nvlab.store import RoundRecord, RunStore, Trajectory, sha256_text
 
 
@@ -206,7 +206,9 @@ def write_replay_store(run_dir, rows, reps=10, rounds=10):
                         demand = order
                         pi = profit(order, demand, sc.cost)
                         cumulative += pi
-                        ctx = round_context(sc, round_index, last)
+                        ctx = RoundContext(sc, 1) if round_index == 1 else RoundContext(
+                            sc, round_index, last.order, last.demand, last.profit,
+                            last.cumulative_profit)
                         record = RoundRecord(
                             run_id=plan.run_id(),
                             condition_index=condition_index,

@@ -11,7 +11,6 @@ from nvlab.agents import (
 )
 from nvlab.llm import ChatResult
 from nvlab.model import anchor, optimal_quantity, scenario
-from nvlab.prompts import RoundContext
 
 SC_HIGH = scenario("E1-baseline", "high", "uniform")
 SC_LOW = scenario("E1-baseline", "low", "uniform")
@@ -78,19 +77,12 @@ def test_parse_policy_first_in_range_match_wins():
 
 # --- scripted agents ---------------------------------------------------------
 
-def ctx_round(sc, t, last_order=None, last_demand=None):
-    if t == 1:
-        return RoundContext(sc, 1)
-    return RoundContext(sc, t, last_order=last_order, last_demand=last_demand,
-                        last_profit=0, cumulative_profit=0)
-
-
 def test_optimal_agent_orders_the_optimum_every_round():
     agent = AgentSpec("optimal")
     for sc in (SC_HIGH, SC_LOW):
         q_star = optimal_quantity(sc)
         for t in (1, 2, 9):
-            decision = decide(agent, "", ctx_round(sc, t, 10, 20))
+            decision = decide(agent, "", sc, t, 10, 20)
             assert decision.order == q_star
             assert decision.parse_confidence == "exact"
             assert decision.raw_response
@@ -98,41 +90,41 @@ def test_optimal_agent_orders_the_optimum_every_round():
 
 def test_mean_anchor_endpoints():
     # w = 0 stays on the anchor (round-half-up -> 151); w = 1 reaches q*
-    no_adjust = decide(AgentSpec("mean-anchor", anchor_weight=0.0), "", ctx_round(SC_HIGH, 1))
+    no_adjust = decide(AgentSpec("mean-anchor", anchor_weight=0.0), "", SC_HIGH)
     assert no_adjust.order == 151
-    full_adjust = decide(AgentSpec("mean-anchor", anchor_weight=1.0), "", ctx_round(SC_HIGH, 1))
+    full_adjust = decide(AgentSpec("mean-anchor", anchor_weight=1.0), "", SC_HIGH)
     assert full_adjust.order == optimal_quantity(SC_HIGH)
 
 
 def test_mean_anchor_interpolates():
     agent = AgentSpec("mean-anchor", anchor_weight=0.5)
-    decision = decide(agent, "", ctx_round(SC_HIGH, 1))
+    decision = decide(agent, "", SC_HIGH)
     expected = round_half_up(anchor(SC_HIGH) + 0.5 * (225 - anchor(SC_HIGH)))
     assert decision.order == expected == 188
 
 
 def test_demand_chaser_full_chase():
     agent = AgentSpec("demand-chaser", chase_rate=1.0)
-    decision = decide(agent, "", ctx_round(SC_HIGH, 2, last_order=100, last_demand=130))
+    decision = decide(agent, "", SC_HIGH, 2, last_order=100, last_demand=130)
     assert decision.order == 130
 
 
 def test_demand_chaser_moves_toward_demand_for_small_alpha():
     agent = AgentSpec("demand-chaser", chase_rate=0.1)
-    up = decide(agent, "", ctx_round(SC_HIGH, 2, last_order=100, last_demand=102))
-    down = decide(agent, "", ctx_round(SC_HIGH, 2, last_order=100, last_demand=98))
+    up = decide(agent, "", SC_HIGH, 2, last_order=100, last_demand=102)
+    down = decide(agent, "", SC_HIGH, 2, last_order=100, last_demand=98)
     assert up.order == 101 and down.order == 99
 
 
 def test_demand_chaser_round_one_starts_at_anchor():
     agent = AgentSpec("demand-chaser", chase_rate=0.5)
-    assert decide(agent, "", ctx_round(SC_HIGH, 1)).order == 151
+    assert decide(agent, "", SC_HIGH).order == 151
 
 
 def test_demand_chaser_switch_round():
     agent = AgentSpec("demand-chaser", chase_rate=1.0, switch_round=8)
-    before = decide(agent, "", ctx_round(SC_HIGH, 5, last_order=151, last_demand=290))
-    after = decide(agent, "", ctx_round(SC_HIGH, 8, last_order=151, last_demand=290))
+    before = decide(agent, "", SC_HIGH, 5, last_order=151, last_demand=290)
+    after = decide(agent, "", SC_HIGH, 8, last_order=151, last_demand=290)
     assert before.order == 151
     assert after.order == 290
 
@@ -144,10 +136,10 @@ SCRIPTED_AGENTS = [
     AgentSpec("demand-chaser", chase_rate=1.0, chase_rate_before=0.1, switch_round=4),
     AgentSpec("random"),
 ]
-# (round, last order, last demand, round of the context decide gets): rounds before and
-# after the switch, each direction of error, the order ceiling, and no previous order
-RULE_CASES = [(1, None, None, 1), (2, 140, 200, 2), (3, 200, 120, 3), (4, 150, 151, 4),
-              (5, 151, 150, 5), (9, 600, 2, 9), (12, 1, 1200, 12), (6, None, None, 1)]
+# (round, last order, last demand): rounds before and after the switch, each direction of
+# error, the order ceiling, and no previous order
+RULE_CASES = [(1, None, None), (2, 140, 200), (3, 200, 120), (4, 150, 151), (5, 151, 150),
+              (9, 600, 2), (12, 1, 1200), (6, None, None)]
 
 
 @pytest.mark.parametrize(
@@ -158,12 +150,12 @@ def test_a_scripted_rule_decides_as_decide_does(agent, sc):
     rule = scripted_rule(agent, sc, np.random.default_rng(11))
     held = scripted_rule(agent, sc, np.random.default_rng(11))  # passed to decide, as a block does
     rng = np.random.default_rng(11)  # the same stream for decide's random draws
-    for round_index, last_order, last_demand, ctx_index in RULE_CASES:
-        decision = decide(agent, "", ctx_round(sc, ctx_index, last_order, last_demand), rng=rng)
+    for round_index, last_order, last_demand in RULE_CASES:
+        decision = decide(agent, "", sc, round_index, last_order, last_demand, rng=rng)
         assert decision.parse_confidence == "exact"
         assert rule(round_index, last_order, last_demand) == (
             decision.order, decision.raw_response), (round_index, last_order, last_demand)
-        assert decide(agent, "", (round_index, last_order, last_demand), rule=held) == decision
+        assert decide(agent, "", sc, round_index, last_order, last_demand, rule=held) == decision
 
 
 def test_a_scripted_rule_refuses_what_decide_refuses():
@@ -175,12 +167,12 @@ def test_a_scripted_rule_refuses_what_decide_refuses():
 
 def test_random_agent_deterministic_given_rng_seed():
     agent = AgentSpec("random")
-    orders_a = [decide(agent, "", ctx_round(SC_HIGH, 1), rng=np.random.default_rng(3)).order
+    orders_a = [decide(agent, "", SC_HIGH, rng=np.random.default_rng(3)).order
                 for _ in range(5)]
     orders_b = []
     rng = np.random.default_rng(3)
     for _ in range(5):
-        orders_b.append(decide(agent, "", ctx_round(SC_HIGH, 1), rng=rng).order)
+        orders_b.append(decide(agent, "", SC_HIGH, rng=rng).order)
     assert orders_a[0] == orders_b[0]
     assert all(1 <= order <= 300 for order in orders_b)
 
@@ -231,8 +223,7 @@ def test_llm_decide_extracts_order_and_keeps_transcript_unmutated():
     agent = AgentSpec("llm", model_name="test-model")
     client = FakeClient(["I think carefully and order 185 wodgets."])
     transcript = [{"role": "user", "content": "earlier"}, {"role": "assistant", "content": "145"}]
-    decision = decide(agent, "the prompt", ctx_round(SC_HIGH, 1),
-                      client=client, transcript=transcript)
+    decision = decide(agent, "the prompt", SC_HIGH, client=client, transcript=transcript)
     assert decision.order == 185
     assert decision.parse_confidence == "exact"
     assert len(transcript) == 2
@@ -242,7 +233,7 @@ def test_llm_decide_extracts_order_and_keeps_transcript_unmutated():
 def test_llm_decide_reprompts_on_unparseable_reply():
     agent = AgentSpec("llm", model_name="test-model")
     client = FakeClient(["Hmm, let me think about that.", "Fine: I will order 140 wodgets."])
-    decision = decide(agent, "the prompt", ctx_round(SC_HIGH, 1), client=client)
+    decision = decide(agent, "the prompt", SC_HIGH, client=client)
     assert decision.order == 140
     assert len(client.calls) == 2
     # the clarification turn is sent to the model but the stored response is final
@@ -254,5 +245,5 @@ def test_llm_decide_gives_up_after_max_retries():
     agent = AgentSpec("llm", model_name="test-model")
     client = FakeClient(["no numbers here", "still no numbers", "none at all"])
     with pytest.raises(AmbiguousDecisionError):
-        decide(agent, "the prompt", ctx_round(SC_HIGH, 1), client=client)
+        decide(agent, "the prompt", SC_HIGH, client=client)
     assert len(client.calls) == 3

@@ -1,6 +1,5 @@
 import re
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from nvlab.prompts import (
     fmt_int,
     fmt_number,
     golden_contexts,
-    render_feedback,
     render_prompt,
     validate_golden,
 )
@@ -168,26 +166,29 @@ def test_base_template_needs_exactly_one_history_slot(base, monkeypatch):
         render_prompt(RoundContext(scenario("E1-baseline", "high", "uniform"), 1))
 
 
+def round_two_prompt(order, demand, profit, cumulative_profit):
+    """The prompt after a round with these outcomes: its history block is the feedback text."""
+    return render_prompt(RoundContext(scenario("E1-baseline", "high", "uniform"), 2, order,
+                                      demand, profit, cumulative_profit))
+
+
 def test_render_feedback_uses_history_format():
-    last = SimpleNamespace(order=185, demand=210, profit=1665, cumulative_profit=1665)
-    text = render_feedback(last)
-    assert text.startswith("In the previous round:")
+    text = round_two_prompt(185, 210, 1665, 1665)
+    assert "\n\nIn the previous round:\n" in text
     assert "- Your order quantity: 185 wodgets" in text
     assert "- Actual demand: 210 wodgets" in text
     assert "- This round's profit: 1665 francs" in text
-    assert text.endswith("Current cumulative profit: 1665 francs")
+    assert "\nCurrent cumulative profit: 1665 francs\nHere is some information" in text
 
 
 def test_render_feedback_degenerate_round():
-    last = SimpleNamespace(order=0, demand=5, profit=0, cumulative_profit=0)
-    text = render_feedback(last)
+    text = round_two_prompt(0, 5, 0, 0)
     assert "- Your order quantity: 0 wodgets" in text
     assert "- This round's profit: 0 francs" in text
 
 
 def test_render_feedback_matches_history_block_example():
-    last = SimpleNamespace(order=120, demand=85, profit=255, cumulative_profit=1450)
-    text = render_feedback(last)
+    text = round_two_prompt(120, 85, 255, 1450)
     assert "- Your order quantity: 120 wodgets" in text
     assert "- Actual demand: 85 wodgets" in text
     assert "- This round's profit: 255 francs" in text

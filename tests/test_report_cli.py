@@ -398,8 +398,9 @@ def test_a_stored_order_past_2_to_the_53_is_rendered_exactly(tmp_path, capsys, r
     assert code == 0
     decided = RunStore(run_dir).records()[-1]
     assert (decided.block_index, decided.round_index) == (1, 3)
-    prompt = nvlab.render_prompt(runner.round_context(
-        sc, 3, RoundRecord.from_line(lines[1], 2)))
+    round_2 = RoundRecord.from_line(lines[1], 2)
+    prompt = nvlab.render_prompt(nvlab.RoundContext(
+        sc, 3, round_2.order, round_2.demand, round_2.profit, round_2.cumulative_profit))
     assert "- Your order quantity: 9007199254740993 wodgets" in prompt
     assert decided.prompt_sha256 == hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
@@ -747,7 +748,7 @@ OTHER_LABELS = {"run_id": "run-000000000000", "experiment": "E2-formula",
 
 
 def _record_cases():
-    """(id, lines edited, field, value, expected message) of each edit of the small store."""
+    """(id, lines edited, field or fields, value, expected message) of each small-store edit."""
     for field in RoundRecord._fields:
         for kind, value in WRONG_VALUES.items():
             if type(value) not in STORED_TYPES[field]:
@@ -763,10 +764,16 @@ def _record_cases():
     yield ("cumulative_profit-past-float-range", (1,), "cumulative_profit", 10**309,
            "round=2): a profit is past the float range")
     timestamps = {"ts_start": "timestamps ts_start {value!r} and ts_end ",
-                  "ts_end": " and ts_end {value!r} are not 0 <= ts_start <= ts_end < inf"}
+                  "ts_end": " and ts_end {value!r} are not 0 <= ts_start <= ts_end <= "
+                            "1.7976931348623157e+308"}
     for field, message in timestamps.items():
         for kind, value in [("nan", float("nan")), ("inf", math.inf), ("minus-one", -1.0)]:
             yield f"{field}-{kind}", (1,), field, value, message
+    # an integer past the float range is below inf; a ts_start past it, kept in order,
+    # takes a ts_end past it too
+    yield ("ts_start-past-float-range", (1,), ("ts_start", "ts_end"), 10**400,
+           timestamps["ts_start"])
+    yield "ts_end-past-float-range", (1,), "ts_end", 10**400, timestamps["ts_end"]
     # each a time in range, but ending before the round started
     yield "ts_start-after-ts_end", (1,), "ts_start", 1e30, timestamps["ts_start"]
     yield "ts_end-before-ts_start", (1,), "ts_end", 1.0, timestamps["ts_end"]
@@ -809,7 +816,7 @@ def test_every_stored_field_is_checked_on_read(tmp_path, capsys, small_store, li
     path = run_dir / "rounds.jsonl"
     records = [json.loads(line) for line in path.read_text().splitlines()]
     for index in lines:
-        records[index][field] = value
+        records[index].update(dict.fromkeys((field,) if isinstance(field, str) else field, value))
     path.write_text("".join(json.dumps(record) + "\n" for record in records))
     err = refused_by_both_commands(tmp_path, capsys, run_dir)
     assert err.count("integrity error: record (") == 2

@@ -24,7 +24,6 @@ from nvlab.runner import (
     load_plan,
     plan_trajectories,
     resume,
-    round_context,
     run_plan,
 )
 from nvlab.store import IntegrityError, RunStore, sha256_text
@@ -182,6 +181,23 @@ def test_a_fresh_scripted_run_builds_no_round_context_and_one_optimum_per_block(
     assert 0 < counts["optimum"] <= blocks
 
 
+def test_an_llm_run_builds_no_round_context(tmp_path, stub_server, monkeypatch):
+    """An LLM round is decided from its block's scenario, as a scripted round is."""
+    stub_server.reply_fn = order_from_prompt
+    counts = Counter()
+    context_checks = RoundContext.__post_init__
+
+    def counted_context_checks(self):
+        counts["context"] += 1
+        context_checks(self)
+
+    monkeypatch.setattr(RoundContext, "__post_init__", counted_context_checks)
+    plan = small_plan(AgentSpec("llm", model_name="m"), reps=1, rounds=3)
+    assert run_plan(plan, tmp_path / "run", client_factory=stub_factory(stub_server)).complete
+    assert len(stub_server.requests) == 2 * 2 * 3  # conditions x blocks x rounds
+    assert counts["context"] == 0
+
+
 # the risk-neutral demand range has no lognormal calibration
 EVERY_SCENARIO = [(exp, kind) for exp in EXPERIMENTS for kind in DIST_KINDS
                   if (exp, kind) != (E3, LOGNORMAL)]
@@ -195,9 +211,11 @@ def public_prompts(plan, records):
         block = record.identity()[:2] + (record.block_index,)
         condition = plan.conditions[record.condition_index]
         sc = condition.scenario_for_margin(record.margin)
-        previous = last.get(block) if record.round_index > 1 else None
+        previous = last.get(block)
         prompts[record.identity() + (record.round_index,)] = render_prompt(
-            round_context(sc, record.round_index, previous))
+            RoundContext(sc, 1) if record.round_index == 1 else RoundContext(
+                sc, record.round_index, previous.order, previous.demand, previous.profit,
+                previous.cumulative_profit))
         last[block] = record
     return prompts
 
