@@ -58,8 +58,10 @@ ORDER_PATTERNS = (
 MAX_REPROMPTS = 2  # clarification turns after a reply with no plausible order
 
 
-def _to_int(token: str) -> int:
-    return int(token.replace(",", ""))
+def _to_int(token: str, hi: int) -> int:
+    """The token's value, or ``hi + 1`` (out of range) if it has more digits than ``hi``."""
+    digits = token.replace(",", "").lstrip("0")  # int() refuses a run past its digit limit
+    return int(digits or 0) if len(digits) <= len(str(hi)) else hi + 1
 
 
 def extract_order(raw: str, sc: ScenarioConfig) -> tuple[int, str]:
@@ -73,18 +75,18 @@ def extract_order(raw: str, sc: ScenarioConfig) -> tuple[int, str]:
     lo, hi = 0, 2 * sc.demand.upper
     for pattern in ORDER_PATTERNS:
         for match in re.finditer(pattern, raw):
-            value = _to_int(match.group(1))
+            value = _to_int(match.group(1), hi)
             if lo <= value <= hi:
                 return value, EXACT
     standalone = r"(?<![\d.,])(\d[\d,]*)(?!\.?\d)"
     for line in reversed(raw.splitlines()):
         if "order" not in line.lower():
             continue
-        hits = [_to_int(t) for t in re.findall(standalone, line)]
+        hits = [_to_int(t, hi) for t in re.findall(standalone, line)]
         hits = [v for v in hits if lo <= v <= hi]
         if hits:
             return hits[-1], EXACT
-    all_hits = [_to_int(t) for t in re.findall(standalone, raw)]
+    all_hits = [_to_int(t, hi) for t in re.findall(standalone, raw)]
     all_hits = [v for v in all_hits if lo <= v <= hi]
     if all_hits:
         return all_hits[-1], FALLBACK

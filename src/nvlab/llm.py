@@ -7,12 +7,12 @@ endpoint URL, model name and credential come from configuration and the
 environment, never from code.
 
 Transient failures (HTTP 429/5xx, connection errors, timeouts, and a 200
-whose body is truncated, not UTF-8 or not JSON) are retried with exponential
-backoff, waiting longer when a 429 or 503 carries a ``Retry-After`` delay in
-seconds (at most the request timeout); auth and request-shape errors (4xx)
-surface immediately. A token bucket smooths bursts and an optional per-run
-request budget hard-stops runaway spend. Every request is logged with
-its elapsed time, retry count and token usage.
+whose body is truncated, not UTF-8, not JSON, or too deep or long for ``json``)
+are retried with exponential backoff, waiting longer when a 429 or 503 carries
+a ``Retry-After`` delay in seconds (at most the request timeout); auth and
+request-shape errors (4xx) surface immediately. A token bucket smooths bursts
+and an optional per-run request budget hard-stops runaway spend. Every request
+is logged with its elapsed time, retry count and token usage.
 
 ``http.client``, ``urllib.error`` and ``urllib.request`` (and with them
 ``email`` and ``ssl``) are imported by the first request, not by this module,
@@ -156,7 +156,7 @@ class ChatClient:
             started = time.monotonic()
             try:
                 with self._post(body) as response:
-                    payload = json.loads(response.read().decode("utf-8"))
+                    reply = response.read()
             except urllib.error.HTTPError as exc:
                 detail = f"HTTP {exc.code} from {self.endpoint}"
                 if exc.code in (401, 403):
@@ -170,7 +170,12 @@ class ChatClient:
             except (urllib.error.URLError, TimeoutError, ConnectionError) as exc:
                 last_error = f"connection failure: {exc}"
                 continue
-            except (http.client.HTTPException, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except http.client.HTTPException as exc:  # a body cut short
+                last_error = f"unreadable response body: {exc!r}"
+                continue
+            try:  # not in `_post`'s try: a ValueError there is the request's, not the body's
+                payload = json.loads(reply.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:  # bad bytes, too deep or too many digits
                 last_error = f"unreadable response body: {exc!r}"
                 continue
 

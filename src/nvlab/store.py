@@ -8,8 +8,9 @@ Layout of one run directory::
       rounds.jsonl.torn  # only after a crash mid-append: the torn final
                          # lines that resume set aside
 
-Records are immutable named tuples; one shared compact JSON encoder writes
-each as a line of its fields in declaration order. Records carry their full
+Records are immutable named tuples; one shared compact JSON encoder defines
+each one's line of its fields in declaration order, which `RoundRecord.to_line`
+writes from a per-trajectory template where it can. Records carry their full
 trajectory identity (condition index, repetition, block, round) so concurrent
 trajectories can interleave safely. Each read checks every field's JSON type
 and value, each round against the plan's table of trajectories, and profit;
@@ -30,7 +31,9 @@ import json
 import sys
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import product
+from json.encoder import encode_basestring_ascii as _quote  # as the encoder quotes
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -109,6 +112,18 @@ class RoundRecord(NamedTuple):
     ts_end: float = 0.0
 
     def to_line(self) -> str:
+        """``_LINE_ENCODER``'s line of the fields in order; from `_TAIL` where its bytes agree.
+
+        A value not of `_TEMPLATE_TYPES`, NaN or inf gets the encoder's bytes or exception.
+        """
+        (round_index, order, demand, gain, total, confidence, digest, response, retries, _,
+         start, end) = self[_HEAD:]
+        if (tuple(map(type, self)) in _TEMPLATE_TYPES  # exact types: 1, 1.0 and True differ
+                and -_INF < gain < _INF and -_INF < total < _INF
+                and -_INF < start < _INF and -_INF < end < _INF):
+            return _line_head(self[:_HEAD]) + _TAIL % (
+                round_index, order, demand, gain, total, _quote(confidence), _quote(digest),
+                _quote(response), retries, start, end)
         return _LINE_ENCODER.encode(dict(zip(_RECORD_FIELDS, self)))
 
     @classmethod
@@ -143,7 +158,20 @@ _RECORD_TYPES = tuple(frozenset(_JSON_TYPES[kind.__forward_arg__][0])
                       for kind in RoundRecord.__annotations__.values())
 _LABEL_NAMES = ("run_id", "experiment", "dist", "order_condition", "margin", "agent")  # planned
 _labels = itemgetter(*map(_RECORD_FIELDS.index, _LABEL_NAMES))
-_round_index = itemgetter(_RECORD_FIELDS.index("round_index"))
+_HEAD = _RECORD_FIELDS.index("round_index")  # the fields before it label the trajectory
+_round_index = itemgetter(_HEAD)
+_INF = float("inf")
+# the per-round fields as the encoder writes them, for a record of these exact types
+_TAIL = (',"round_index":%d,"order":%d,"demand":%d,"profit":%r,"cumulative_profit":%r,'
+         '"parse_confidence":%s,"prompt_sha256":%s,"raw_response":%s,"retries":%d,'
+         '"token_usage":null,"ts_start":%r,"ts_end":%r}')
+_TEMPLATE_TYPES = frozenset(product(*_RECORD_TYPES[:-3], {type(None)}, *_RECORD_TYPES[-2:]))
+
+
+@lru_cache(maxsize=64)  # a scripted run writes one trajectory at a time, an LLM run `workers`
+def _line_head(labels: tuple) -> str:
+    """The line up to its first per-round field, as the encoder writes the label fields."""
+    return _LINE_ENCODER.encode(dict(zip(_RECORD_FIELDS, labels)))[:-1]
 
 
 @dataclass

@@ -34,6 +34,8 @@ class StubChatServer(ThreadingHTTPServer):
       "unauthorized"-- reject every request with 401
       "garbage"     -- answer 200 with an unreadable body, cycling through
                        not JSON, not UTF-8, and cut short of its Content-Length
+      "undecodable" -- answer 200 with JSON that ``json`` cannot decode, cycling
+                       through 100,000 nested arrays and a 5,001-digit number
       "bad-usage"   -- answer, with a ``usage`` that alternates between a
                        string and a number instead of an object
     """
@@ -82,6 +84,13 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_response(200)
             # the last kind promises more bytes than it sends before the close
             self.send_header("Content-Length", str(len(payload) + (64 if kind == 2 else 0)))
+            self.end_headers()
+            self.wfile.write(payload)
+            return
+        if mode == "undecodable":
+            payload = (b"[" * 100_000, b'{"usage":{"n":1' + b"0" * 5000 + b"}}")[(count - 1) % 2]
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
             self.wfile.write(payload)
             return

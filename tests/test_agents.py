@@ -53,6 +53,16 @@ def test_extract_order_ignores_out_of_range():
         extract_order("I will order 9999 wodgets.", SC_HIGH)
 
 
+def test_extract_order_skips_a_digit_run_past_the_int_limit():
+    # int() refuses more than 4,300 digits; such a run is out of range, its leading zeros aside
+    nines, zeros = "9" * 5000, "0" * 5000
+    assert extract_order(f"I will order {nines} wodgets. Well, maybe 300.", SC_HIGH) == (
+        300, "exact")
+    assert extract_order(f"I will order {zeros}150 wodgets.", SC_HIGH) == (150, "exact")
+    with pytest.raises(AmbiguousDecisionError):
+        extract_order(f"I keep thinking: {nines}", SC_HIGH)
+
+
 def test_extract_order_handles_grouped_digits():
     sc = scenario("E3-risk-neutral", "high", "uniform")
     assert extract_order("I will order 1,125 wodgets.", sc) == (1125, "exact")

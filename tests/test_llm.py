@@ -162,6 +162,15 @@ def test_unreadable_200_bodies_are_retried_then_raise_transport_error(stub_serve
     assert len(stub_server.requests) == 3
 
 
+def test_200_bodies_json_cannot_decode_are_retried_then_raise_transport_error(stub_server):
+    # one request each: too deep (RecursionError), a number past the int digit limit (ValueError)
+    stub_server.mode = "undecodable"
+    client = make_client(stub_server, max_retries=1)
+    with pytest.raises(TransportError, match="exhausted 1 retries: unreadable response body"):
+        client.chat(MESSAGES)
+    assert len(stub_server.requests) == 2
+
+
 # --- the HTTP stack loads on the first request, not on import ------------------
 
 HTTP_MODULES = ("http.client", "urllib.request", "urllib.error", "ssl", "email")

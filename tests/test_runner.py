@@ -370,6 +370,20 @@ def test_unresolved_round_marks_trajectory_incomplete_and_excluded(tmp_path, stu
     assert all(not t.complete for t in outcome.trajectories) or not outcome.trajectories
 
 
+def test_a_reply_of_a_digit_run_past_the_int_limit_is_a_parse_failure(tmp_path, stub_server):
+    stub_server.reply_fn = lambda body: "I keep thinking: " + "9" * 5000
+    agent = AgentSpec("llm", model_name="test-model")
+    plan = small_plan(agent=agent, orders=("high-first",), reps=1, rounds=2)
+
+    def factory(spec):
+        return ChatClient(stub_server.url, spec.model_name, api_key="k", max_retries=0)
+
+    outcome = run_plan(plan, tmp_path / "run", client_factory=factory)
+    assert [(f.block_index, f.round_index, f.kind) for f in outcome.failures] == [
+        (1, 1, "parse")]
+    assert RunStore(tmp_path / "run").records() == []
+
+
 def test_store_refuses_double_create(tmp_path):
     plan = small_plan(reps=1)
     run_plan(plan, tmp_path / "run")

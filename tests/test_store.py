@@ -2,14 +2,17 @@
 
 import itertools
 import json
+import random
 
+import numpy as np
 import pytest
 
 from nvlab.agents import AgentSpec
 from nvlab.cli import main
 from nvlab.llm import ChatClient
 from nvlab.runner import ExperimentPlan, PlanCondition, run_plan
-from nvlab.store import IntegrityError, RoundRecord, RunStore
+from nvlab.store import (_LINE_ENCODER, _RECORD_FIELDS, IntegrityError, RoundRecord, RunStore,
+                         _line_head)
 
 RECORD = RoundRecord(
     run_id="run-0123456789ab", condition_index=1, agent="model-ü", experiment="E2",
@@ -133,3 +136,55 @@ def test_a_malformed_line_is_refused_with_its_number(tmp_path, bad, message):
     with pytest.raises(IntegrityError) as refused:
         store.records()
     assert str(refused.value) == f"rounds.jsonl line 2: {message}"
+
+
+# --- the line writer is the encoder, byte for byte ----------------------------
+
+INTS = [0, 1, 7, -3, 2**63, 10**400]
+NUMBERS = [0.0, -0.0, 255.25, -1234.5, 1e308, 5e-324, 1700000000.125, 3, -0.5, 2**63, 10**400,
+           float("nan"), float("inf"), float("-inf")]
+STRINGS = ["", "exact", "ab" * 32, 'say "150"', "back\\slash", "\x00\x1f\x7f\n\t", "Stück ✓",
+           "\ud800 lone", "\U0001f600", "</script>"]
+USAGES = [None, {"prompt_tokens": 42}, {2: 1, None: 3, False: 4, 1.5: "x"}, {}]
+# a value of another type than its field's, or none the encoder takes (the last three)
+STRAYS = [True, False, 1.0, 1, None, "1", np.float64(2.5), [1], {"k": 1}, 10**5000,
+          np.int64(7), {(1, 2): 3}]
+BANKS = {"str": STRINGS, "int": INTS, "float": NUMBERS, "dict | None": USAGES}
+
+
+def assert_written_as_encoded(record):
+    """``to_line`` gives its definition's line, or raises its definition's exception type."""
+    try:
+        expected = _LINE_ENCODER.encode(dict(zip(_RECORD_FIELDS, record)))
+    except Exception as exc:  # whatever the encoder raises, to_line raises
+        with pytest.raises(type(exc)):
+            record.to_line()
+    else:
+        assert record.to_line() == expected
+
+
+def test_label_ints_one_true_and_one_point_zero_get_their_own_lines():
+    # the same labels by ==, of three types: each line is the encoder's, in any order
+    for value in (1, True, 1.0, 1, 1.0, True):
+        record = RECORD._replace(condition_index=value, token_usage=None)
+        assert_written_as_encoded(record)
+        assert f'"condition_index":{json.dumps(value)},' in record.to_line()
+
+
+def test_to_line_equals_the_encoder_on_a_seeded_sweep():
+    rng = random.Random(20260418)
+    kinds = [kind.__forward_arg__ for kind in RoundRecord.__annotations__.values()]
+    templated = _line_head.cache_info().misses + _line_head.cache_info().hits
+    for _ in range(3000):
+        # mostly values of each field's own type, a few fields with a stray value
+        values = [rng.choice(BANKS[kind]) for kind in kinds]
+        # a block's rounds share their labels: draw them from a few label tuples
+        values[:9] = rng.choice([RECORD[:9], RECORD._replace(repetition=4)[:9], values[:9]])
+        if rng.random() < 0.5:  # plain values, as a scripted round stores
+            values[12:14] = rng.choice([(255.25, -1234.5), (-3, 7), (0.0, -0.0)])
+            values[18:] = None, 1700000000.125, 1700000001.5
+        for index in rng.sample(range(len(values)), rng.choice([0, 0, 0, 1, 2])):
+            values[index] = rng.choice(STRAYS)
+        assert_written_as_encoded(RoundRecord(*values))
+    info = _line_head.cache_info()
+    assert info.misses + info.hits - templated > 500  # the template wrote a share of the lines
