@@ -120,8 +120,10 @@ class AgentSpec:
             if self.anchor_weight is None or not 0 <= self.anchor_weight <= 1:
                 raise ValueError("mean-anchor agent needs anchor_weight in [0, 1]")
         if self.kind == DEMAND_CHASER:
-            if self.chase_rate is None or self.chase_rate < 0:
-                raise ValueError("demand-chaser agent needs chase_rate >= 0")
+            if self.chase_rate is None or not 0 <= self.chase_rate < math.inf:
+                raise ValueError("demand-chaser agent needs a finite chase_rate >= 0")
+        if not math.isfinite(self.chase_rate_before):
+            raise ValueError("chase_rate_before must be finite")
 
     @property
     def label(self) -> str:

@@ -52,17 +52,20 @@ LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 def _build_agents(args, config: RunConfig) -> list[AgentSpec]:
     agents = []
     for kind in args.agent:
-        if kind == LLM:
-            for model_name in config.models:
-                agents.append(AgentSpec(LLM, model_name=model_name,
-                                        temperature=config.temperature))
-        elif kind == "mean-anchor":
-            agents.append(AgentSpec(kind, anchor_weight=args.anchor_weight))
-        elif kind == "demand-chaser":
-            agents.append(AgentSpec(kind, chase_rate=args.chase_rate,
-                                    switch_round=args.switch_round))
-        else:
-            agents.append(AgentSpec(kind))
+        try:
+            if kind == LLM:
+                for model_name in config.models:
+                    agents.append(AgentSpec(LLM, model_name=model_name,
+                                            temperature=config.temperature))
+            elif kind == "mean-anchor":
+                agents.append(AgentSpec(kind, anchor_weight=args.anchor_weight))
+            elif kind == "demand-chaser":
+                agents.append(AgentSpec(kind, chase_rate=args.chase_rate,
+                                        switch_round=args.switch_round))
+            else:
+                agents.append(AgentSpec(kind))
+        except ValueError as exc:
+            raise ConfigError(f"agent {kind!r}: {exc}") from None
     return agents
 
 
@@ -91,13 +94,23 @@ def _api_key(config: RunConfig) -> str:
         raise ConfigError(
             f"credential_env: environment variable {config.credential_env!r} is not set"
         )
+    if not (api_key.isascii() and api_key.isprintable()):  # the message never echoes the key
+        raise ConfigError(f"credential_env: {config.credential_env!r} holds a line break or "
+                          "another character that is not printable ASCII")
     return api_key
+
+
+def _out_dir(path: Path, name: str) -> Path:
+    """``path``, unless it or the nearest of its parents that exists is not a directory."""
+    if not next(p for p in (path, *path.parents) if p.exists()).is_dir():
+        raise ConfigError(f"{name}: {str(path)!r} is not a directory or lies under a file")
+    return path
 
 
 def _client_factory(config: RunConfig):
     """Chat clients for a plan's LLM conditions; the credential is read for the first one."""
     bucket = None
-    if config.rate_limit_per_minute:
+    if config.rate_limit_per_minute is not None:
         bucket = TokenBucket(config.rate_limit_per_minute / 60.0)
 
     clients: dict[AgentSpec, ChatClient] = {}
@@ -121,21 +134,18 @@ def _client_factory(config: RunConfig):
 
 
 def _execute_plans(config: RunConfig, agents, client_factory, resume_dir) -> int:
+    options = dict(client_factory=client_factory, workers=config.concurrency,
+                   progress=lambda msg: print(msg, flush=True))
     if resume_dir is not None:
-        outcomes = [runner_mod.resume(resume_dir, client_factory=client_factory,
-                                      progress=lambda msg: print(msg, flush=True),
-                                      workers=config.concurrency)]
+        outcomes = [runner_mod.resume(resume_dir, **options)]
     else:
         outcomes = []
+        output_dir = _out_dir(Path(config.output_dir), "output_dir")
         for agent in agents:
             plan = build_plan(config, [agent])
-            run_dir = Path(config.output_dir) / plan.run_id()
+            run_dir = output_dir / plan.run_id()
             print(f"running {agent.label} -> {run_dir}", flush=True)
-            outcome = runner_mod.run_plan(
-                plan, run_dir, client_factory=client_factory,
-                progress=lambda msg: print(msg, flush=True), workers=config.concurrency,
-            )
-            outcomes.append(outcome)
+            outcomes.append(runner_mod.run_plan(plan, run_dir, **options))
 
     status = EXIT_OK
     for outcome in outcomes:
@@ -194,7 +204,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    bundle = build_report(args.run_dirs, args.out, compare_humans=args.compare_humans)
+    out = _out_dir(args.out, "--out")
+    bundle = build_report(args.run_dirs, out, compare_humans=args.compare_humans)
     for name in sorted(bundle.files):
         print(f"wrote {bundle.files[name]}")
     return EXIT_OK

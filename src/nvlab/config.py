@@ -11,8 +11,10 @@ only the name of the environment variable that holds it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from . import model
 from .agents import AgentSpec
@@ -71,12 +73,20 @@ class RunConfig:
                      "credential_env"):
             if not getattr(self, name):
                 raise ConfigError(f"{name}: must not be empty")
+        try:  # urlsplit refuses an unclosed IPv6 literal
+            url = urlsplit(self.endpoint)
+        except ValueError:
+            url = None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(f"endpoint: must be an http or https URL with a host, "
+                              f"got {self.endpoint!r}")
         for name, low in (("repetitions", 1), ("rounds", 1), ("temperature", 0),
-                          ("max_retries", 0), ("concurrency", 1)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name}: must be >= {low}, got {getattr(self, name)}")
-        if self.request_budget is not None and self.request_budget < 1:
-            raise ConfigError(f"request_budget: must be >= 1, got {self.request_budget}")
+                          ("max_retries", 0), ("concurrency", 1), ("backoff_base", 0)):
+            if not low <= (value := getattr(self, name)) < math.inf:  # a NaN fails too
+                raise ConfigError(f"{name}: must be >= {low} and finite, got {value}")
+        for name in ("request_budget", "rate_limit_per_minute"):  # None: no limit
+            if (value := getattr(self, name)) is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name}: must be > 0 and finite, or null, got {value}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

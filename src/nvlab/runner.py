@@ -36,11 +36,9 @@ corrupt store is refused before anything is appended. An unresolved round
 trajectory incomplete for `resume`.
 
 A run appends through one store handle, closed when the run returns or
-raises. Its outcome's trajectories are the rounds the call replayed or wrote,
-grouped without reading the file again by `plan_trajectories`, which holds
-each round to the plan's trajectory at its (condition, repetition, block);
-the rounds it appended are checked as the continuation of those it read, so
-a call checks each stored round once.
+raises. Its outcome is the blocks it walked, each holding its stored rounds,
+then those it decided: the file is not read back, and a decided round, built
+from the plan, the seeded draw and an order `decide` checked, is not re-checked.
 
 Plans with an LLM condition run their units on one pool of up to ``workers``
 threads (`LLM_WORKERS` by default), since each repetition is its own
@@ -199,9 +197,8 @@ class RoundFailure:
 class RunOutcome:
     """What one `run_plan` or `resume` call left in its store.
 
-    ``trajectories`` are the validated rounds the call replayed or wrote, the
-    same trajectories a fresh read of the store gives, though each stored round
-    was checked once; ``failures`` are the rounds it left unresolved.
+    ``trajectories`` are the blocks it walked that hold a round, by identity: those
+    a fresh read of the store gives. ``failures`` are the rounds it left unresolved.
     """
 
     run_id: str
@@ -243,14 +240,12 @@ def load_plan(store: RunStore) -> ExperimentPlan:
     return plan
 
 
-def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord],
-                      prior: list[Trajectory] = ()) -> list[Trajectory]:
+def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord]) -> list[Trajectory]:
     """Validated trajectories of ``records``, each under its condition's scenario.
 
     `group_trajectories` checks every round against the trajectory the plan
     runs at its (condition, repetition, block); a round outside the plan (its
-    identity, a label or its round index) raises IntegrityError. ``records``
-    continue the ``prior`` trajectories, validated by an earlier call.
+    identity, a label or its round index) raises IntegrityError.
     """
     run_id = plan.run_id()
     planned = {}
@@ -260,7 +255,7 @@ def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord],
             entry = ((run_id, c.experiment, c.dist_kind, c.order_condition, margin,
                       c.agent.label), c.scenario_for_margin(margin))
             planned |= {(index, repetition, block): entry for repetition in range(c.repetitions)}
-    return group_trajectories(records, planned, prior)
+    return group_trajectories(records, planned)
 
 
 class _Block:
@@ -268,7 +263,7 @@ class _Block:
 
     `walk` advances it round by round and can be called again to go further,
     so a block's stored rounds can be replayed long before its first new
-    round is decided. ``appended`` holds the rounds it wrote to the store.
+    round is decided. ``records`` holds its stored rounds, then those it decides.
     ``messages`` holds the block's conversation turns for an LLM agent;
     scripted agents ignore transcripts, so theirs is None.
     """
@@ -280,7 +275,7 @@ class _Block:
         self.condition = condition = plan.conditions[condition_index]
         self.scenario = condition.scenario_for_margin(condition.margin_for_block(block_index))
         self.prompts = scenario_prompts(self.scenario)
-        self.stored = stored
+        self.records = list(stored)
         self.draws = model.sample_sequence(
             self.scenario.demand, condition.rounds_per_block,
             derive_seed(condition.base_seed, repetition, block_index),
@@ -294,8 +289,6 @@ class _Block:
         self.messages = [] if condition.agent.kind == LLM else None
         self.label = condition.agent.label
         self.rule = None  # built for the first decided round: a replayed block looks up no optimum
-        self.appended = []
-        self.last = None
         self.walked = 0
 
     def walk(self, rounds, earlier=(), run_id=None, store=None, client=None,
@@ -311,13 +304,13 @@ class _Block:
         condition, scenario, prompts = self.condition, self.scenario, self.prompts
         while self.walked < rounds:
             round_index = self.walked + 1
-            last = self.last
+            last = self.records[round_index - 2] if round_index > 1 else None
             prompt = prompts.render() if last is None else prompts.render(
                 last.order, last.demand, last.profit, last.cumulative_profit)
             prompt_sha256 = sha256_text(prompt)
             demand = self.draws[round_index - 1]
-            if round_index <= len(self.stored):
-                record = self.stored[round_index - 1]
+            if round_index <= len(self.records):
+                record = self.records[round_index - 1]
                 if prompt_sha256 != record.prompt_sha256:
                     raise IntegrityError(f"{where(record)}: stored prompt hash does not match "
                                          "the re-rendered prompt")
@@ -373,11 +366,10 @@ class _Block:
                     ts_end=max(time.time(), ts_start),  # a clock stepped back stores no inversion
                 )
                 store.append(record)
-                self.appended.append(record)
+                self.records.append(record)
             if self.messages is not None:
                 self.messages += ({"role": "user", "content": prompt},
                                   {"role": "assistant", "content": record.raw_response})
-            self.last = record
             self.walked = round_index
         return None
 
@@ -389,21 +381,18 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
         raise ValueError(f"workers must be >= 1, got {workers}")
     clients = []
     for condition_index, condition in enumerate(plan.conditions):
-        client = None
-        if condition.agent.kind == LLM:
-            if client_factory is None:
-                raise ValueError(
-                    f"condition {condition_index} needs a chat client; pass client_factory"
-                )
-            client = client_factory(condition.agent)
-        clients.append(client)
+        llm = condition.agent.kind == LLM
+        if llm and client_factory is None:
+            raise ValueError(f"condition {condition_index} needs a chat client; "
+                             "pass client_factory")
+        clients.append(client_factory(condition.agent) if llm else None)
     # every stored round is checked before the first decide, so a corrupt
     # store is refused before anything is appended or paid for
-    replayed = {}
+    blocks = {}  # by identity; only the unit of a block's repetition reads or adds it
     for t in existing:
-        block = _Block(plan, t.condition_index, t.repetition, t.block_index, t.records)
-        block.walk(len(t.records))
-        replayed[t.records[0].identity()] = block
+        identity = t.records[0].identity()
+        blocks[identity] = _Block(plan, *identity, t.records)
+        blocks[identity].walk(len(t.records))
     # a crash mid-append leaves a torn final line that the next append would extend
     torn = store.set_aside_torn_line()
     if torn is not None:
@@ -414,22 +403,23 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
     stop = threading.Event()
     progress_lock = threading.Lock()
 
-    def run_unit(condition_index, repetition) -> tuple[list[RoundFailure], list[RoundRecord]]:
-        """Blocks 1 then 2 of one repetition: their unresolved rounds and appended rounds.
+    def run_unit(condition_index, repetition) -> list[RoundFailure]:
+        """Blocks 1 then 2 of one repetition, added to ``blocks``: their unresolved rounds.
 
         Sets ``stop`` if anything but a round fails.
         """
         condition = plan.conditions[condition_index]
         rounds = condition.rounds_per_block
         failures = []
-        appended = []
         earlier = []
         try:
             for block_index in (1, 2):
                 if stop.is_set():
                     break
-                block = (replayed.get((condition_index, repetition, block_index))
-                         or _Block(plan, condition_index, repetition, block_index))
+                identity = condition_index, repetition, block_index
+                block = blocks.get(identity)
+                if block is None:
+                    block = blocks[identity] = _Block(plan, *identity)
                 if progress and block.walked < rounds:
                     with progress_lock:
                         progress(
@@ -440,7 +430,6 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
                         )
                 failure = block.walk(rounds, earlier, run_id, store, clients[condition_index],
                                      stop)
-                appended += block.appended
                 if failure is not None:
                     failures.append(failure)
                     # without block 1's full transcript, block 2 would see a
@@ -452,7 +441,7 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
         except BaseException:
             stop.set()
             raise
-        return failures, appended
+        return failures
 
     units = [(condition_index, repetition)
              for condition_index, condition in enumerate(plan.conditions)
@@ -473,12 +462,13 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
                     raise
         else:
             results = [run_unit(*unit) for unit in units]
-    failures = sorted((f for unit_failures, _ in results for f in unit_failures),
+    failures = sorted((f for unit_failures in results for f in unit_failures),
                       key=lambda f: (f.condition_index, f.order_condition, f.repetition,
                                      f.block_index, f.round_index))
-    # the rounds it appended continue the trajectories the store held, checked already
-    appended = [record for _, unit_appended in results for record in unit_appended]
-    return RunOutcome(run_id, store, plan_trajectories(plan, appended, existing), failures)
+    trajectories = [Trajectory(b.condition_index, b.label, b.condition.order_condition,
+                               b.repetition, b.block_index, b.scenario, b.records)
+                    for _, b in sorted(blocks.items()) if b.records]
+    return RunOutcome(run_id, store, trajectories, failures)
 
 
 def run_plan(plan: ExperimentPlan, run_dir, client_factory=None, progress=None,

@@ -16,8 +16,8 @@ trajectories can interleave safely. Each read checks every field's JSON type
 and value, each round against the plan's table of trajectories, and profit;
 any mismatch, malformed or non-UTF-8 line, or hash conflict raises
 IntegrityError naming the offending record. A run's outcome holds the rounds
-it read and those it appended, grouped by the same `group_trajectories` with
-each round checked once, so the runner never reads the file back.
+it read and those it appended, in the blocks the runner walked, so the runner
+never reads the file back.
 
 Appends share one handle, opened by the first `append` and kept until
 `RunStore.close` (or the end of ``with RunStore(...)``); each line is written
@@ -315,8 +315,7 @@ def where(record: RoundRecord) -> str:
             f"rep={record.repetition}, block={record.block_index}, round={record.round_index})")
 
 
-def group_trajectories(records: list[RoundRecord], planned: dict,
-                       prior: list[Trajectory] = ()) -> list[Trajectory]:
+def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajectory]:
     """Group records by trajectory identity and validate per-round invariants.
 
     ``planned`` maps each identity the plan runs to its labels (in `_LABEL_NAMES`
@@ -325,9 +324,6 @@ def group_trajectories(records: list[RoundRecord], planned: dict,
     parse confidence, order and retries >= 0, timestamps in float range with
     0 <= ts_start <= ts_end, demand in range, recomputed profit, and the
     cumulative-profit sum.
-
-    ``records`` continue the validated ``prior`` trajectories, which are not checked
-    again: the result, or refusal, is that of grouping both rounds together.
     """
     by_identity: dict[tuple, list[RoundRecord]] = {}
     for record in records:
@@ -344,24 +340,14 @@ def group_trajectories(records: list[RoundRecord], planned: dict,
             raise IntegrityError(f"{where(record)} is outside the plan{mismatch}")
         by_identity.setdefault(identity, []).append(record)
 
-    validated = {(t.condition_index, t.repetition, t.block_index): t for t in prior}
     trajectories = []
-    for identity in sorted(by_identity.keys() | validated.keys()):
-        if identity not in by_identity:
-            trajectories.append(validated[identity])
-            continue
-        added = by_identity[identity]
-        stored = validated[identity].records if identity in validated else []
-        rows = sorted(stored + added, key=_round_index)
-        # the prior rounds that sort before every added one are valid as they are
-        checked = min(len(stored), *map(_round_index, added))
+    for identity in sorted(by_identity):
+        rows = sorted(by_identity[identity], key=_round_index)
         first = rows[0]
         sc = planned[identity][1]
         lower, upper = sc.demand.lower, sc.demand.upper
         cumulative = 0.0
-        for record in rows[:checked]:
-            cumulative += profit(record.order, record.demand, sc.cost)
-        for position, record in enumerate(rows[checked:], start=checked + 1):
+        for position, record in enumerate(rows, start=1):
             if record.round_index != position:
                 raise IntegrityError(
                     f"{where(record)}: expected round {position}, rounds are not contiguous")

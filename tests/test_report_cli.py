@@ -82,6 +82,31 @@ def test_config_values_of_the_wrong_json_type_are_config_errors(
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("endpoint", "api.example/v1",
+     "endpoint: must be an http or https URL with a host, got 'api.example/v1'"),
+    ("endpoint", "http://[::1/v1", "endpoint: must be an http or https URL with a host"),
+    ("backoff_base", -1, "backoff_base: must be >= 0 and finite, got -1"),
+    ("rate_limit_per_minute", -5, "rate_limit_per_minute: must be > 0 and finite"),
+    ("rate_limit_per_minute", 0, "rate_limit_per_minute: must be > 0 and finite"),
+    ("temperature", math.nan, "temperature: must be >= 0 and finite, got nan"),
+], ids=["endpoint-without-scheme", "endpoint-unclosed-ipv6", "backoff-negative",
+        "rate-limit-negative", "rate-limit-zero", "temperature-nan"])
+def test_config_values_the_run_cannot_use_are_config_errors(
+        tmp_path, capsys, monkeypatch, stub_server, field, value, message):
+    monkeypatch.setenv("NVLAB_TEST_KEY", "sk-test")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"endpoint": stub_server.url, "credential_env": "NVLAB_TEST_KEY",
+                                "models": ["test-model"], "max_retries": 1, field: value}))
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--experiment", "E1", "--dist", "uniform",
+                 "--order", "high-first", "--reps", "1", "--rounds", "2",
+                 "--out", str(tmp_path / "runs")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {message}")
+    assert not (tmp_path / "runs").exists()
+
+
 def test_config_takes_integral_numbers_and_null_where_the_field_allows():
     config = RunConfig.from_dict({"temperature": 0, "backoff_base": 1, "request_budget": None,
                                   "rate_limit_per_minute": 30, "models": ["m"]})
@@ -180,6 +205,75 @@ def test_run_with_scripted_agent_needs_no_credential(tmp_path, monkeypatch):
                  "--agent", "optimal", "--reps", "1",
                  "--out", str(tmp_path / "run")])
     assert code == 0
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--agent", "mean-anchor", "--anchor-weight", "2"], "anchor_weight"),
+    (["--agent", "demand-chaser", "--chase-rate", "-1"], "chase_rate"),
+    (["--agent", "demand-chaser", "--chase-rate", "nan"], "chase_rate"),
+    (["--agent", "demand-chaser", "--chase-rate", "inf"], "chase_rate"),
+], ids=["anchor-weight-2", "chase-rate-negative", "chase-rate-nan", "chase-rate-inf"])
+def test_an_agent_flag_the_run_cannot_use_is_a_config_error(tmp_path, capsys, flags, field):
+    capsys.readouterr()
+    assert main(["simulate", *flags, "--reps", "1", "--rounds", "2",
+                 "--out", str(tmp_path / "runs")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: agent ") and field in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("chase_rate", math.nan), ("chase_rate", math.inf), ("chase_rate_before", math.inf),
+], ids=["chase-rate-nan", "chase-rate-inf", "chase-rate-before-inf"])
+def test_a_stored_agent_rate_that_is_not_finite_is_a_malformed_plan(
+        tmp_path, capsys, field, value):
+    assert main(["simulate", "--experiment", "E1", "--dist", "uniform", "--agent",
+                 "demand-chaser", "--reps", "1", "--rounds", "2",
+                 "--out", str(tmp_path / "runs")]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    for condition in manifest["plan"]["conditions"]:
+        condition["agent"][field] = value
+    from nvlab.store import canonical_json, sha256_text
+    manifest["plan_hash"] = sha256_text(canonical_json(manifest["plan"]))  # a consistent plan
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["simulate", "--resume", str(run_dir)]) == 5
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 5
+    err = capsys.readouterr().err
+    assert err.count("integrity error: malformed plan in ") == 2 and err.count(field) == 2
+
+
+@pytest.mark.parametrize("key", ["sk-secret\n", "sk-sec\r\nret", "sk-\rsecret", "sk-secretключ"],
+                         ids=["trailing-lf", "crlf", "cr", "not-ascii"])
+def test_a_credential_with_a_line_break_is_a_config_error(
+        tmp_path, capsys, monkeypatch, stub_server, key):
+    config_path = llm_config(tmp_path, stub_server, monkeypatch)
+    monkeypatch.setenv("NVLAB_TEST_KEY", key)
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--experiment", "E1",
+                 "--dist", "uniform", "--order", "high-first", "--reps", "1",
+                 "--rounds", "2", "--out", str(tmp_path / "runs")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: credential_env: ") and "'NVLAB_TEST_KEY'" in err
+    assert "secret" not in out + err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_an_out_path_that_is_not_a_directory_is_a_config_error(tmp_path, capsys, command):
+    run_dir = simulate(tmp_path, "sim")
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    args = ["simulate", "--reps", "1", "--rounds", "2"] if command == "simulate" else [
+        "report", str(run_dir)]
+    name = "output_dir" if command == "simulate" else "--out"
+    for out in (afile, afile / "sub"):
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {name}: {str(out)!r} is not a")
+    assert afile.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "sim"]
 
 
 def test_a_usage_that_is_not_an_object_is_dropped_and_the_run_completes(

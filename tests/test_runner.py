@@ -765,11 +765,7 @@ def test_a_continuation_is_refused_as_a_fresh_read_of_the_store_refuses_it(
     block_1 = [r for r in records if r.block_index == 1]
     stored = block_1[:kept] + [r for r in records if r.block_index == 2]
     appended = continuation(block_1)
-    with pytest.raises(IntegrityError, match=refusal) as fresh:
+    with pytest.raises(IntegrityError, match=refusal):
         plan_trajectories(plan, stored + appended)
-    prior = plan_trajectories(plan, stored)
-    with pytest.raises(IntegrityError) as continued:
-        plan_trajectories(plan, appended, prior)
-    assert str(continued.value) == str(fresh.value)
-    # the stored rounds' own continuation is accepted, as a fresh read accepts them
-    assert plan_trajectories(plan, block_1[kept:], prior) == plan_trajectories(plan, records)
+    # the stored rounds' own continuation is accepted, wherever its lines stand
+    assert plan_trajectories(plan, stored + block_1[kept:]) == plan_trajectories(plan, records)
