@@ -235,7 +235,7 @@ def scripted_rule(agent: AgentSpec, scenario: ScenarioConfig, rng=None):
 
 def decide(
     agent: AgentSpec,
-    prompt: str,
+    prompt: str | None,
     scenario: ScenarioConfig,
     round_index: int = 1,
     last_order: int | None = None,
@@ -248,8 +248,9 @@ def decide(
     """Produce round ``round_index``'s decision in ``scenario``.
 
     Scripted kinds are deterministic given the round, the previous order and
-    demand, and ``rng``, and never error; a caller deciding many rounds of one
-    scenario passes the agent's `scripted_rule` as ``rule``. The llm kind
+    demand, and ``rng``, never read ``prompt`` (the runner passes None) and
+    never error; a caller deciding many rounds of one scenario passes the
+    agent's `scripted_rule` as ``rule``. The llm kind
     appends ``prompt`` to ``transcript`` (not mutated), sends one chat request
     via ``client`` and extracts the order; unparseable replies are re-prompted
     up to `MAX_REPROMPTS` times with a clarification turn that stays out of

@@ -54,14 +54,22 @@ class ChatResult:
 
 
 class TokenBucket:
-    """Thread-safe token bucket; acquire() blocks until a token is available."""
+    """Thread-safe token bucket; acquire() blocks until a token is available.
+
+    The rate must be positive and the capacity at least 1, both finite: a bucket
+    that can never hold a whole token would make acquire() wait forever.
+    """
 
     def __init__(self, rate_per_second: float, capacity: float | None = None,
                  clock=time.monotonic, sleeper=time.sleep):
-        if rate_per_second <= 0:
-            raise ValueError("rate_per_second must be positive")
+        if capacity is None:
+            capacity = max(1.0, rate_per_second)
+        if not 0 < rate_per_second < math.inf:  # a NaN fails too
+            raise ValueError(f"rate_per_second must be positive and finite, got {rate_per_second}")
+        if not 1 <= capacity < math.inf:
+            raise ValueError(f"capacity must be >= 1 and finite, got {capacity}")
         self.rate = rate_per_second
-        self.capacity = capacity if capacity is not None else max(1.0, rate_per_second)
+        self.capacity = capacity
         self._tokens = self.capacity
         self._clock = clock
         self._sleeper = sleeper

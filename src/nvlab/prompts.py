@@ -9,10 +9,15 @@ golden prompts under ``assets/golden`` pin the rendered output byte-for-byte;
 `ScenarioPrompts` that the runner looks up once per block: the base template
 split at its one ``{history_block}`` slot, both halves filled once per
 scenario and template set (cost, demand description, helpful info, formula
-block) and cached. Its `render`, the one spelling of the feedback text, joins a
+block) and cached. Its `render`, the reference spelling of the feedback text, joins a
 round's prompt: the head, that round's history block (none in round 1) and the
-tail. So the goldens pin the bytes the runner hashes, sends, and re-checks for
-every stored round on resume.
+tail. So the goldens pin the bytes the runner sends to a chat endpoint and hashes.
+
+The runner hashes every round with `ScenarioPrompts.sha256`, the hash of
+`render`'s bytes without joining them: a cached sha256 state over the head is
+copied and fed the history block, filled by the template set's one %-format
+(`PromptTemplateSet.history_format`) when all four values are exact ints, then
+the tail. Only a block that keeps a transcript (an LLM block) renders text.
 
 Formatting rules the goldens rely on:
 
@@ -32,9 +37,11 @@ Formatting rules the goldens rely on:
 from __future__ import annotations
 
 import difflib
+import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
+from string import Formatter
 
 from .model import (
     E1,
@@ -85,6 +92,9 @@ def fmt_francs(value) -> str:
     return f"{x:.2f}".rstrip("0").rstrip(".")
 
 
+_HISTORY_FIELDS = ("last_order", "last_demand", "last_profit", "cumulative_profit")
+
+
 @dataclass(frozen=True, eq=False)
 class PromptTemplateSet:
     """The full template bundle, loaded from text assets; equal and hashed by identity."""
@@ -108,6 +118,23 @@ class PromptTemplateSet:
         for kind, text in sorted(self.distribution_formulas.items()):
             out[f"dist_formula:{kind}"] = text
         return out
+
+    @cached_property
+    def history_format(self) -> str | None:
+        """A %-format of the history block as `_history` fills and strips it, ``%d`` per value.
+
+        None unless the block names the four values once each, in `_HISTORY_FIELDS`
+        order, without a conversion or format spec; a literal ``%`` is escaped.
+        """
+        try:
+            parts = list(Formatter().parse(self.history_block))
+        except ValueError:  # malformed: `_history` words the refusal
+            return None
+        if [(name, spec, conversion) for _, name, spec, conversion in parts
+                if name is not None] != [(name, "", None) for name in _HISTORY_FIELDS]:
+            return None
+        return "".join(literal.replace("%", "%%") + ("" if name is None else "%d")
+                       for literal, name, _, _ in parts).strip()
 
 
 def load_templates() -> PromptTemplateSet:
@@ -189,8 +216,8 @@ def _fill(template: str, values: dict[str, str]) -> str:
 
 # keyed on the scenario and the template set's identity, so a reloaded set is filled anew
 @lru_cache(maxsize=64)
-def _static_halves(sc: ScenarioConfig, templates: PromptTemplateSet) -> tuple[str, str]:
-    """The base template filled with ``sc``'s values, split at its one history slot."""
+def _scenario_prompts(sc: ScenarioConfig, templates: PromptTemplateSet) -> "ScenarioPrompts":
+    """``sc``'s prompts: the base template filled with its values, split at the history slot."""
     head, *tail = templates.base.split("{history_block}")
     if len(tail) != 1:
         raise TemplateError(
@@ -215,7 +242,7 @@ def _static_halves(sc: ScenarioConfig, templates: PromptTemplateSet) -> tuple[st
         "helpful_info": templates.helpful_info[sc.experiment].strip(),
         "formula_block": formula,
     }
-    return _fill(head, values), _fill(tail[0], values)
+    return ScenarioPrompts(_fill(head, values), _fill(tail[0], values), templates)
 
 
 def _history(templates: PromptTemplateSet, order, demand, profit, cumulative_profit) -> str:
@@ -240,11 +267,37 @@ class ScenarioPrompts:
         return self.head + _history(self.templates, last_order, last_demand, last_profit,
                                     cumulative_profit) + "\n" + self.tail
 
+    @cached_property
+    def _hashing(self) -> tuple:
+        """A sha256 state over the head, the encoded newline and tail, and round 1's digest."""
+        head = hashlib.sha256(self.head.encode("utf-8"))
+        first = head.copy()
+        first.update(self.tail.encode("utf-8"))
+        return head, ("\n" + self.tail).encode("utf-8"), first.hexdigest()
+
+    def sha256(self, last_order=None, last_demand=None, last_profit=None,
+               cumulative_profit=None) -> str:
+        """``sha256_text(self.render(...))`` of the same values, without joining the prompt."""
+        head, tail, first = self._hashing
+        if last_order is None:
+            return first
+        history_format = self.templates.history_format
+        # exact ints only: `_history` formats a bool, a numpy integer or a float through a float
+        if history_format is not None and (type(last_order) is type(last_demand)
+                                           is type(last_profit) is type(cumulative_profit) is int):
+            history = history_format % (last_order, last_demand, last_profit, cumulative_profit)
+        else:
+            history = _history(self.templates, last_order, last_demand, last_profit,
+                                cumulative_profit)
+        state = head.copy()
+        state.update(history.encode("utf-8"))
+        state.update(tail)
+        return state.hexdigest()
+
 
 def scenario_prompts(sc: ScenarioConfig) -> ScenarioPrompts:
-    """``sc``'s round prompts under `default_templates`."""
-    templates = default_templates()
-    return ScenarioPrompts(*_static_halves(sc, templates), templates)
+    """``sc``'s round prompts under `default_templates`, filled once per scenario."""
+    return _scenario_prompts(sc, default_templates())
 
 
 def render_prompt(ctx: RoundContext) -> str:

@@ -21,19 +21,26 @@ blocks instead.
 Each (condition, repetition) is one unit of work: its blocks 1 and 2 run in
 order, each through `_Block.walk`, the one round loop that fresh runs and
 `resume` share. A block looks up its scenario's `ScenarioPrompts` once, and
-its walk renders each round's prompt from the previous round's order, demand,
-profit and cumulative profit: the bytes `render_prompt` gives for that round.
-A walk checks every stored round (its prompt is re-rendered and its hash
-compared, its demand compared with the seeded draw) and advances the
-transcript and agent rng as if it had just been decided; later rounds are
-decided and appended to the store one at a time, each by one `agents.decide`
-call with the block's scenario and the previous round's order and demand. A
-scripted block builds its rule (`scripted_rule`) once, for its first decided
-round; a replayed round needs none, and skips no check.
+its walk hashes each round's prompt (`ScenarioPrompts.sha256`) from the
+previous round's order, demand, profit and cumulative profit: the hash of the
+bytes `render_prompt` gives for that round. Only an LLM block, which keeps a
+transcript, renders the text. A walk checks every stored round (its prompt
+hash recomputed and compared, its demand compared with the seeded draw) and
+advances the transcript and agent rng as if it had just been decided; later
+rounds are decided and appended to the store one at a time, each by one
+`agents.decide` call with the block's scenario and the previous round's order
+and demand. A scripted block builds its rule (`scripted_rule`) once, for its
+first decided round; a replayed round needs none, and skips no check.
+
 `resume` walks every stored round of the plan before it decides any, so a
 corrupt store is refused before anything is appended. An unresolved round
 (transport or parse failure after retries) stops its block and leaves the
 trajectory incomplete for `resume`.
+
+A round of an LLM block is flushed as it is appended, before the block's next
+chat request. A scripted block's rounds are flushed once, when its walk
+returns (or by the store's close if it raises): a crash mid-block loses at
+most that block's unflushed rounds, which `resume` decides again, same bytes.
 
 A run appends through one store handle, closed when the run returns or
 raises. Its outcome is the blocks it walked, each holding its stored rounds,
@@ -295,19 +302,23 @@ class _Block:
              stop=None) -> RoundFailure | None:
         """Walk on to round ``rounds``: check the stored rounds, decide the later ones.
 
-        A stored round is checked (re-rendered prompt hash, then seeded demand
+        A stored round is checked (recomputed prompt hash, then seeded demand
         draw) and advances the agent rng as deciding it did. A later round is
         decided with the ``earlier`` conversation turns before this block's,
         and recorded under ``run_id`` in ``store``; no round is decided once
-        ``stop`` is set. Returns the failure that stopped the block, if any.
+        ``stop`` is set. A scripted block's rounds are flushed once, on return.
+        Returns the failure that stopped the block, if any.
         """
         condition, scenario, prompts = self.condition, self.scenario, self.prompts
+        chat = self.messages is not None
+        failure = None
         while self.walked < rounds:
             round_index = self.walked + 1
             last = self.records[round_index - 2] if round_index > 1 else None
-            prompt = prompts.render() if last is None else prompts.render(
-                last.order, last.demand, last.profit, last.cumulative_profit)
-            prompt_sha256 = sha256_text(prompt)
+            feedback = () if last is None else (last.order, last.demand, last.profit,
+                                                last.cumulative_profit)
+            prompt_sha256 = prompts.sha256(*feedback)
+            prompt = prompts.render(*feedback) if chat else None  # scripted rules read no prompt
             demand = self.draws[round_index - 1]
             if round_index <= len(self.records):
                 record = self.records[round_index - 1]
@@ -321,9 +332,9 @@ class _Block:
                     self.agent_rng.integers(scenario.demand.lower, scenario.demand.upper + 1)
             else:
                 if stop.is_set():
-                    return None
-                transcript = None if self.messages is None else [*earlier, *self.messages]
-                if self.messages is None and self.rule is None:
+                    break
+                transcript = [*earlier, *self.messages] if chat else None
+                if not chat and self.rule is None:
                     self.rule = scripted_rule(condition.agent, scenario, self.agent_rng)
                 ts_start = time.time()
                 try:
@@ -338,9 +349,10 @@ class _Block:
                         self.condition_index, self.repetition, self.block_index, round_index,
                         kind, exc,
                     )
-                    return RoundFailure(self.condition_index, condition.order_condition,
-                                        self.repetition, self.block_index, round_index, kind,
-                                        str(exc))
+                    failure = RoundFailure(self.condition_index, condition.order_condition,
+                                           self.repetition, self.block_index, round_index, kind,
+                                           str(exc))
+                    break
                 round_profit = model.profit(decision.order, demand, scenario.cost)
                 record = RoundRecord(
                     run_id=run_id,
@@ -365,13 +377,16 @@ class _Block:
                     ts_start=ts_start,
                     ts_end=max(time.time(), ts_start),  # a clock stepped back stores no inversion
                 )
-                store.append(record)
+                # a chat round is on disk before the next request; a scripted one by the flush below
+                store.append(record, flush=chat)
                 self.records.append(record)
-            if self.messages is not None:
+            if chat:
                 self.messages += ({"role": "user", "content": prompt},
                                   {"role": "assistant", "content": record.raw_response})
             self.walked = round_index
-        return None
+        if store is not None:
+            store.flush()
+        return failure
 
 
 def _execute(plan, store, client_factory, existing: list[Trajectory], progress,

@@ -20,8 +20,11 @@ it read and those it appended, in the blocks the runner walked, so the runner
 never reads the file back.
 
 Appends share one handle, opened by the first `append` and kept until
-`RunStore.close` (or the end of ``with RunStore(...)``); each line is written
-and flushed on its own, so a crash leaves at most one torn final line.
+`RunStore.close` (or the end of ``with RunStore(...)``). An `append` flushes
+its line to the operating system before it returns unless told not to; the
+runner says so for a block that sends no chat request and calls `flush` once
+that block's walk returns, since such a round costs nothing to decide again.
+Either way a crash leaves complete lines and at most one torn final line.
 """
 
 from __future__ import annotations
@@ -252,8 +255,8 @@ class RunStore:
         except (ValueError, RecursionError) as exc:  # as in `RoundRecord.from_line`
             raise IntegrityError(f"manifest.json is malformed: {exc}") from exc
 
-    def append(self, record: RoundRecord):
-        """Append and flush one line; safe to call from several threads at once.
+    def append(self, record: RoundRecord, *, flush: bool = True):
+        """Append one line, flushed unless ``flush`` is false; safe from several threads at once.
 
         The first append opens rounds.jsonl; the handle stays open until `close`.
         """
@@ -262,10 +265,17 @@ class RunStore:
             if self._handle is None:
                 self._handle = self.rounds_path.open("a", encoding="utf-8")
             self._handle.write(line)
-            self._handle.flush()
+            if flush:
+                self._handle.flush()
+
+    def flush(self):
+        """Flush the lines appended with ``flush=False`` to the operating system."""
+        with self._append_lock:
+            if self._handle is not None:
+                self._handle.flush()
 
     def close(self):
-        """Close the append handle, if one is open; a later append opens it again."""
+        """Flush and close the append handle, if one is open; a later append opens it again."""
         with self._append_lock:
             if self._handle is not None:
                 self._handle.close()

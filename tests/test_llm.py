@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -141,6 +142,31 @@ def test_token_bucket_refills_while_idle():
     assert bucket.acquire() == 0.0
     assert bucket.acquire() == 0.0
     assert bucket.acquire() == pytest.approx(1.0)
+
+
+def test_token_bucket_below_one_token_per_second_holds_one_token():
+    clock = FakeClock()
+    bucket = TokenBucket(rate_per_second=0.5, clock=clock, sleeper=clock.sleep)
+    assert bucket.capacity == 1.0
+    assert bucket.acquire() == 0.0
+    assert bucket.acquire() == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("rate, capacity, message", [
+    (1.0, 0.5, "capacity must be >= 1 and finite, got 0.5"),  # could never hold a whole token
+    (1.0, 0.0, "capacity must be >= 1 and finite, got 0.0"),
+    (1.0, -1.0, "capacity must be >= 1 and finite, got -1.0"),
+    (1.0, float("nan"), "capacity must be >= 1 and finite, got nan"),
+    (1.0, float("inf"), "capacity must be >= 1 and finite, got inf"),
+    (float("nan"), None, "rate_per_second must be positive and finite, got nan"),
+    (float("nan"), 2.0, "rate_per_second must be positive and finite, got nan"),
+    (float("inf"), None, "rate_per_second must be positive and finite, got inf"),
+    (0.0, None, "rate_per_second must be positive and finite, got 0.0"),
+    (-2.0, 1.0, "rate_per_second must be positive and finite, got -2.0"),
+], ids=repr)
+def test_token_bucket_refuses_a_rate_or_capacity_it_cannot_serve(rate, capacity, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TokenBucket(rate, capacity=capacity)
 
 
 def test_shared_bucket_rate_limits_real_requests(stub_server):

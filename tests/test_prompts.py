@@ -1,3 +1,4 @@
+import random
 import re
 from dataclasses import replace
 
@@ -14,9 +15,12 @@ from nvlab.prompts import (
     fmt_int,
     fmt_number,
     golden_contexts,
+    load_templates,
     render_prompt,
+    scenario_prompts,
     validate_golden,
 )
+from nvlab.store import sha256_text
 
 RENDERED_FORMULA = "F(q*) = (p - c) / p"
 
@@ -240,3 +244,84 @@ def test_fmt_int_refuses_what_it_cannot_render_exactly(value, error, message):
     with pytest.raises(error, match=re.escape(message)) as refused:
         fmt_int(value)
     assert type(refused.value) is error
+
+
+SCENARIOS = [scenario(exp, margin, kind) for exp in EXPERIMENTS for margin in (HIGH, LOW)
+             for kind in DIST_KINDS if (exp, kind) != (E3, LOGNORMAL)]  # the default grid's among them
+# ints (0, negative, past 2**53, past 2**64), integral and non-integral floats, a bool and a
+# numpy integer: exact ints take the %-format, the rest `render`'s own formatting
+VALUE_BANK = [0, 7, -60, 150, BIG, -BIG, 10**30, 150.0, -60.0, 1e30, 255.25, -0.5, True,
+              np.int64(150), np.int64(-60)]
+
+
+def assert_hash_matches_render(prompt_set, feedback):
+    """``sha256(*feedback)`` is the hash of ``render(*feedback)``, or refused as it is."""
+    try:
+        expected = sha256_text(prompt_set.render(*feedback))
+    except TemplateError as exc:
+        with pytest.raises(TemplateError, match=re.escape(str(exc))):
+            prompt_set.sha256(*feedback)
+    else:
+        assert prompt_set.sha256(*feedback) == expected, feedback
+
+
+def sweep_feedback(seed, draws=60):
+    """Round 1, four exact ints, then ``draws`` seeded picks of four values from the bank."""
+    rng = random.Random(seed)
+    return [(), (120, 85, 255, 1450)] + [tuple(rng.choice(VALUE_BANK) for _ in range(4))
+                                         for _ in range(draws)]
+
+
+def test_the_shipped_history_block_is_hashed_by_its_format():
+    assert default_templates().history_format is not None
+    assert load_templates().history_format == default_templates().history_format
+
+
+@pytest.mark.parametrize("reload", [False, True], ids=["default-set", "reloaded-set"])
+def test_prompt_hash_is_that_of_the_rendered_prompt(reload, monkeypatch):
+    if reload:  # another set of the same texts, cached apart from the default one
+        templates = load_templates()
+        monkeypatch.setattr(prompts, "default_templates", lambda: templates)
+        assert scenario_prompts(SCENARIOS[0]).templates is templates
+    for index, sc in enumerate(SCENARIOS):
+        prompt_set = scenario_prompts(sc)
+        for feedback in sweep_feedback(seed=index):
+            assert_hash_matches_render(prompt_set, feedback)
+        # round 1 and a later round, through the public renderer too
+        assert prompt_set.sha256() == sha256_text(render_prompt(RoundContext(sc, 1)))
+        assert prompt_set.sha256(120, 85, 255, 1450) == sha256_text(render_prompt(
+            RoundContext(sc, 2, 120, 85, 255, 1450)))
+
+
+@pytest.mark.parametrize("history, compiled", [
+    ("Profit up 100%: {last_order} % {last_demand} %d {last_profit} %% {cumulative_profit} %s",
+     True),
+    ("{{braces}} {last_order} {{ {last_demand} }} {last_profit}{{}} {cumulative_profit}}}", True),
+    ("  \n\nPériode précédente : {last_order} — {last_demand} — {last_profit} — "
+     "{cumulative_profit} ✓\n\n", True),
+    ("{last_order}{last_demand}{last_profit}{cumulative_profit}", True),
+    ("{cumulative_profit} first, then {last_order} {last_demand} {last_profit}", False),
+    ("{last_order} {last_order} {last_demand} {last_profit} {cumulative_profit}", False),
+    ("{last_order:>6} {last_demand} {last_profit} {cumulative_profit}", False),
+    ("{last_order!r} {last_demand} {last_profit} {cumulative_profit} 5%", False),
+    ("{last_order} {last_demand} {last_profit}", False),
+], ids=["percent-signs", "escaped-braces", "padding-and-non-ascii", "no-literal-text",
+        "reordered", "repeated", "format-spec", "conversion", "missing-value"])
+def test_prompt_hash_is_that_of_the_rendered_prompt_under_any_history_block(
+        history, compiled, monkeypatch):
+    templates = replace(default_templates(), history_block=history)
+    monkeypatch.setattr(prompts, "default_templates", lambda: templates)
+    assert (templates.history_format is not None) == compiled
+    for index, sc in enumerate(SCENARIOS[::5]):
+        prompt_set = scenario_prompts(sc)
+        for feedback in sweep_feedback(seed=100 + index, draws=30):
+            assert_hash_matches_render(prompt_set, feedback)
+
+
+def test_a_malformed_history_block_is_refused_by_hash_as_by_render(monkeypatch):
+    templates = replace(default_templates(), history_block="{last_order} {last_demand")
+    monkeypatch.setattr(prompts, "default_templates", lambda: templates)
+    assert templates.history_format is None
+    assert_hash_matches_render(scenario_prompts(SCENARIOS[0]), (120, 85, 255, 1450))
+    with pytest.raises(TemplateError, match="malformed template placeholder"):
+        scenario_prompts(SCENARIOS[0]).sha256(120, 85, 255, 1450)

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import strip_timestamps
 from nvlab import agents
+from nvlab import runner as runner_module
 from nvlab.agents import AgentSpec
 from nvlab.config import RunConfig, build_plan
 from nvlab.llm import ChatClient, ChatResult
@@ -724,6 +725,49 @@ def test_each_append_is_on_disk_before_it_returns(tmp_path):
         for count, record in enumerate(records, start=1):
             store.append(record)
             assert RunStore(tmp_path / "copy").records() == records[:count]
+
+
+def lines_on_disk(run_dir):
+    return (run_dir / "rounds.jsonl").read_bytes().count(b"\n")
+
+
+def test_each_llm_round_is_on_disk_before_the_next_chat_request(tmp_path, stub_server):
+    on_disk = []
+
+    def reply(body):
+        on_disk.append(lines_on_disk(tmp_path / "run"))
+        return order_from_prompt(body)
+
+    stub_server.reply_fn = reply
+    outcome = run_plan(small_plan(agent=LLM_AGENT, reps=2, rounds=3), tmp_path / "run",
+                       client_factory=stub_factory(stub_server), workers=1)
+    assert outcome.complete
+    # one request per round, one worker: request k finds the k rounds decided before it
+    assert on_disk == list(range(2 * 2 * 2 * 3))
+
+
+def test_each_scripted_block_is_on_disk_before_the_next_block_starts(tmp_path):
+    on_disk = []
+    outcome = run_plan(small_plan(reps=2, rounds=4), tmp_path / "run",
+                       progress=lambda message: on_disk.append(lines_on_disk(tmp_path / "run")))
+    assert outcome.complete
+    assert on_disk == [4 * block for block in range(2 * 2 * 2)]
+    assert lines_on_disk(tmp_path / "run") == 4 * 2 * 2 * 2
+
+
+def test_a_run_that_raises_mid_block_leaves_the_rounds_it_decided_on_disk(tmp_path, monkeypatch):
+    calls = itertools.count(1)
+
+    def decide_until_the_sixth_round(*args, **kwargs):
+        if next(calls) == 6:  # round 2 of the second block
+            raise RuntimeError("stopped mid-block")
+        return agents.decide(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "decide", decide_until_the_sixth_round)
+    with pytest.raises(RuntimeError, match="stopped mid-block"):
+        run_plan(small_plan(reps=1, rounds=4), tmp_path / "run")
+    assert lines_on_disk(tmp_path / "run") == 5
+    assert len(RunStore(tmp_path / "run").records()) == 5
 
 
 def drop_lines(run_dir, dropped):

@@ -188,3 +188,16 @@ def test_to_line_equals_the_encoder_on_a_seeded_sweep():
         assert_written_as_encoded(RoundRecord(*values))
     info = _line_head.cache_info()
     assert info.misses + info.hits - templated > 500  # the template wrote a share of the lines
+
+
+def test_an_unflushed_append_is_on_disk_once_flushed_or_closed(tmp_path):
+    second = RECORD._replace(round_index=8)
+    with RunStore(tmp_path / "run") as store:
+        store.create({"format": "nvlab-run/1"})
+        store.flush()  # nothing appended yet: nothing to write
+        store.append(RECORD, flush=False)
+        assert RunStore(tmp_path / "run").records() == []  # still in the handle's buffer
+        store.flush()
+        assert RunStore(tmp_path / "run").records() == [RECORD]
+        store.append(second, flush=False)
+    assert RunStore(tmp_path / "run").records() == [RECORD, second]
