@@ -72,7 +72,7 @@ def extract_order(raw: str, sc: ScenarioConfig) -> tuple[int, str]:
     falls back to the last in-range integer anywhere. Pure and idempotent;
     raises AmbiguousDecisionError when nothing qualifies.
     """
-    lo, hi = 0, 2 * sc.demand.upper
+    lo, hi = 0, sc.max_order
     for pattern in ORDER_PATTERNS:
         for match in re.finditer(pattern, raw):
             value = _to_int(match.group(1), hi)
@@ -202,7 +202,7 @@ def scripted_rule(agent: AgentSpec, scenario: ScenarioConfig, rng=None):
         )
     elif agent.kind == DEMAND_CHASER:
         rate, rate_before, switch = agent.chase_rate, agent.chase_rate_before, agent.switch_round
-        ceiling = 2 * scenario.demand.upper
+        ceiling = scenario.max_order
         opening = round_half_up(mean), (
             f"Scripted rule: start at the demand mean {mean:g}, then chase the previous "
             f"demand with rate alpha={rate:g}."

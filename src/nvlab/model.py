@@ -77,8 +77,8 @@ class InvalidScenarioError(ValueError):
 class CostStructure:
     """Unit price and cost in francs. Salvage is fixed at zero."""
 
-    price: float
-    cost: float
+    price: int
+    cost: int
 
     def __post_init__(self):
         if self.price <= 0:
@@ -94,7 +94,7 @@ def critical_fractile(cs: CostStructure) -> float:
     return (cs.price - cs.cost) / cs.price
 
 
-def profit(order: float, demand: float, cs: CostStructure) -> float:
+def profit(order: int, demand: int, cs: CostStructure) -> int:
     """Realized profit p * min(q, d) - c * q for one round."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
@@ -234,6 +234,11 @@ class ScenarioConfig:
             )
         if self.rounds < 1:
             raise InvalidScenarioError("rounds must be >= 1")
+
+    @property
+    def max_order(self) -> int:
+        """The largest order a round decides or stores: 2 x the demand range's upper end."""
+        return 2 * self.demand.upper
 
 
 def scenario(experiment: str, margin: str, dist_kind: str, rounds: int = DEFAULT_ROUNDS) -> ScenarioConfig:

@@ -13,11 +13,11 @@ each one's line of its fields in declaration order, which `RoundRecord.to_line`
 writes from a per-trajectory template where it can. Records carry their full
 trajectory identity (condition index, repetition, block, round) so concurrent
 trajectories can interleave safely. Each read checks every field's JSON type
-and value, each round against the plan's table of trajectories, and profit;
-any mismatch, malformed or non-UTF-8 line, or hash conflict raises
-IntegrityError naming the offending record. A run's outcome holds the rounds
-it read and those it appended, in the blocks the runner walked, so the runner
-never reads the file back.
+and value (money is an integer; an order is in [0, `ScenarioConfig.max_order`]),
+each round against the plan's trajectories, and profit exactly; any mismatch,
+malformed or non-UTF-8 line, or hash conflict raises IntegrityError naming the
+offending record. A run's outcome holds the rounds it read and those it
+appended, in the blocks the runner walked, so the runner never reads the file back.
 
 Appends share one handle, opened by the first `append` and kept until
 `RunStore.close` (or the end of ``with RunStore(...)``). An `append` flushes
@@ -104,8 +104,8 @@ class RoundRecord(NamedTuple):
     round_index: int
     order: int
     demand: int
-    profit: float
-    cumulative_profit: float
+    profit: int
+    cumulative_profit: int
     parse_confidence: str
     prompt_sha256: str
     raw_response: str
@@ -122,7 +122,6 @@ class RoundRecord(NamedTuple):
         (round_index, order, demand, gain, total, confidence, digest, response, retries, _,
          start, end) = self[_HEAD:]
         if (tuple(map(type, self)) in _TEMPLATE_TYPES  # exact types: 1, 1.0 and True differ
-                and -_INF < gain < _INF and -_INF < total < _INF
                 and -_INF < start < _INF and -_INF < end < _INF):
             return _line_head(self[:_HEAD]) + _TAIL % (
                 round_index, order, demand, gain, total, _quote(confidence), _quote(digest),
@@ -165,7 +164,7 @@ _HEAD = _RECORD_FIELDS.index("round_index")  # the fields before it label the tr
 _round_index = itemgetter(_HEAD)
 _INF = float("inf")
 # the per-round fields as the encoder writes them, for a record of these exact types
-_TAIL = (',"round_index":%d,"order":%d,"demand":%d,"profit":%r,"cumulative_profit":%r,'
+_TAIL = (',"round_index":%d,"order":%d,"demand":%d,"profit":%d,"cumulative_profit":%d,'
          '"parse_confidence":%s,"prompt_sha256":%s,"raw_response":%s,"retries":%d,'
          '"token_usage":null,"ts_start":%r,"ts_end":%r}')
 _TEMPLATE_TYPES = frozenset(product(*_RECORD_TYPES[:-3], {type(None)}, *_RECORD_TYPES[-2:]))
@@ -331,9 +330,9 @@ def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajec
     ``planned`` maps each identity the plan runs to its labels (in `_LABEL_NAMES`
     order) and ScenarioConfig. Validates every field's JSON type, each round's
     identity, labels and round index against the plan's, round contiguity, the
-    parse confidence, order and retries >= 0, timestamps in float range with
-    0 <= ts_start <= ts_end, demand in range, recomputed profit, and the
-    cumulative-profit sum.
+    parse confidence, retries >= 0, the order in [0, ``max_order``], timestamps
+    in float range with 0 <= ts_start <= ts_end, demand in range, and integer
+    profit and cumulative profit equal to the recomputed profit and its sum.
     """
     by_identity: dict[tuple, list[RoundRecord]] = {}
     for record in records:
@@ -353,19 +352,20 @@ def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajec
     trajectories = []
     for identity in sorted(by_identity):
         rows = sorted(by_identity[identity], key=_round_index)
-        first = rows[0]
-        sc = planned[identity][1]
-        lower, upper = sc.demand.lower, sc.demand.upper
-        cumulative = 0.0
+        first, sc = rows[0], planned[identity][1]
+        lower, upper, max_order = sc.demand.lower, sc.demand.upper, sc.max_order
+        cumulative = 0
         for position, record in enumerate(rows, start=1):
             if record.round_index != position:
                 raise IntegrityError(
                     f"{where(record)}: expected round {position}, rounds are not contiguous")
             if record.parse_confidence not in (EXACT, FALLBACK):
                 raise IntegrityError(f"{where(record)}: field 'parse_confidence' is unknown")
-            if record.order < 0 or record.retries < 0:
-                name = "order" if record.order < 0 else "retries"
-                raise IntegrityError(f"{where(record)}: field {name!r} is negative")
+            if record.retries < 0:
+                raise IntegrityError(f"{where(record)}: field 'retries' is negative")
+            if not 0 <= record.order <= max_order:
+                raise IntegrityError(f"{where(record)}: field 'order' is {record.order}, "
+                                     f"not in [0, {max_order}]")
             # a NaN fails too, and so does an int past the float range (10**400 < inf)
             if not 0.0 <= record.ts_start <= record.ts_end <= sys.float_info.max:
                 raise IntegrityError(
@@ -374,20 +374,14 @@ def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajec
             if not lower <= record.demand <= upper:
                 raise IntegrityError(f"{where(record)}: field 'demand' is {record.demand}, "
                                      f"not in the demand range [{lower}, {upper}]")
-            try:  # an int past the float range overflows the float arithmetic here
-                recomputed = profit(record.order, record.demand, sc.cost)
-                if not abs(recomputed - record.profit) <= 1e-9:  # a stored NaN fails too
-                    raise IntegrityError(
-                        f"{where(record)}: stored profit {record.profit} != recomputed {recomputed}"
-                    )
-                cumulative += recomputed
-                if not abs(cumulative - record.cumulative_profit) <= 1e-9:
-                    raise IntegrityError(
-                        f"{where(record)}: stored cumulative profit {record.cumulative_profit} "
-                        f"!= running sum {cumulative}"
-                    )
-            except OverflowError:
-                raise IntegrityError(f"{where(record)}: a profit is past the float range") from None
+            recomputed = profit(record.order, record.demand, sc.cost)
+            if record.profit != recomputed:
+                raise IntegrityError(
+                    f"{where(record)}: stored profit {record.profit} != recomputed {recomputed}")
+            cumulative += recomputed
+            if record.cumulative_profit != cumulative:
+                raise IntegrityError(f"{where(record)}: stored cumulative profit "
+                                     f"{record.cumulative_profit} != running sum {cumulative}")
         trajectories.append(Trajectory(first.condition_index, first.agent, first.order_condition,
                                        first.repetition, first.block_index, sc, rows))
     return trajectories

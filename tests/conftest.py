@@ -121,7 +121,9 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = StubChatServer()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a 0.01 s poll: `shutdown` waits for the next poll, 0.5 s by default
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     yield server
     server.shutdown()

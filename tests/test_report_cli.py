@@ -457,11 +457,11 @@ def test_simulate_resume_of_a_torn_store_exits_0(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("round_3", ["dropped", "kept"])
-def test_a_stored_order_past_2_to_the_53_is_rendered_exactly(tmp_path, capsys, round_3):
-    """An order a float cannot hold passes every read check and is rendered digit for digit.
+def test_a_stored_order_past_2_to_the_53_is_refused(tmp_path, capsys, round_3):
+    """An order a float cannot hold, with its profits in agreement, is past the order bound.
 
-    Round 3's prompt reports it: a resume decides that round from it, or
-    refuses the stored round 3, whose hash is of the prompt of the order before.
+    Both commands refuse round 2 whether or not round 3 is stored: with it dropped, a resume
+    would otherwise decide round 3 from a prompt that reports the order.
     """
     assert main(["simulate", "--experiment", "E1", "--dist", "uniform", "--order", "high-first",
                  "--agent", "optimal", "--reps", "1", "--rounds", "3",
@@ -471,7 +471,7 @@ def test_a_stored_order_past_2_to_the_53_is_rendered_exactly(tmp_path, capsys, r
     lines = path.read_text(encoding="utf-8").splitlines()
     rounds = [json.loads(line) for line in lines[:3]]
     sc = nvlab.scenario("E1-baseline", rounds[0]["margin"], "uniform", 3)
-    cumulative = 0.0  # a sum past 2**53 is a float, as the reader's running sum is
+    cumulative = 0
     for record, order in zip(rounds, (rounds[0]["order"], 2**53 + 1, rounds[2]["order"])):
         record["order"] = order
         record["profit"] = nvlab.profit(order, record["demand"], sc.cost)
@@ -479,24 +479,8 @@ def test_a_stored_order_past_2_to_the_53_is_rendered_exactly(tmp_path, capsys, r
         record["cumulative_profit"] = cumulative
     lines[:3] = [json.dumps(record) for record in rounds[:3 if round_3 == "kept" else 2]]
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    before = path.read_bytes()
-    assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 0
-    capsys.readouterr()
-
-    code = main(["simulate", "--resume", str(run_dir)])
-    if round_3 == "kept":
-        assert code == 5
-        assert "round=3): stored prompt hash does not match" in capsys.readouterr().err
-        assert path.read_bytes() == before
-        return
-    assert code == 0
-    decided = RunStore(run_dir).records()[-1]
-    assert (decided.block_index, decided.round_index) == (1, 3)
-    round_2 = RoundRecord.from_line(lines[1], 2)
-    prompt = nvlab.render_prompt(nvlab.RoundContext(
-        sc, 3, round_2.order, round_2.demand, round_2.profit, round_2.cumulative_profit))
-    assert "- Your order quantity: 9007199254740993 wodgets" in prompt
-    assert decided.prompt_sha256 == hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+    err = refused_by_both_commands(tmp_path, capsys, run_dir)
+    assert err.count("round=2): field 'order' is 9007199254740993, not in [0, 600]") == 2, err
 
 
 def llm_store(tmp_path, stub_server, monkeypatch):
@@ -829,7 +813,7 @@ STORED_TYPES = {
     "run_id": (str,), "condition_index": (int,), "agent": (str,), "experiment": (str,),
     "dist": (str,), "order_condition": (str,), "repetition": (int,), "block_index": (int,),
     "margin": (str,), "round_index": (int,), "order": (int,), "demand": (int,),
-    "profit": (int, float), "cumulative_profit": (int, float), "parse_confidence": (str,),
+    "profit": (int,), "cumulative_profit": (int,), "parse_confidence": (str,),
     "prompt_sha256": (str,), "raw_response": (str,), "retries": (int,),
     "token_usage": (dict, type(None)), "ts_start": (int, float), "ts_end": (int, float),
 }
@@ -847,16 +831,22 @@ def _record_cases():
         for kind, value in WRONG_VALUES.items():
             if type(value) not in STORED_TYPES[field]:
                 yield f"{field}-{kind}", (1,), field, value, "field {field!r} is {value!r}, not "
-    for kind, field, value in [("negative", "order", -1), ("negative", "retries", -1),
+    for kind, field, value in [("negative", "order", -1), ("above-range", "order", 601),
+                               ("negative", "retries", -1),
                                ("below-range", "demand", -1), ("above-range", "demand", 10**30),
                                ("unknown", "parse_confidence", "maybe")]:
         yield f"{field}-{kind}", (1,), field, value, "field {field!r} is "
-    for field in ("profit", "cumulative_profit"):
-        yield (f"{field}-nan", (1,), field, float("nan"),
-               "stored " + field.replace("_", " ") + " nan")
-    # an integer no float holds, against the reader's float running sum
+    # money is an integer: a float is refused, even one equal to the stored integer
+    # (round 1's cumulative profit is 2025)
+    for kind, lines, field, value in [("nan", (1,), "profit", math.nan),
+                                      ("nan", (1,), "cumulative_profit", math.nan),
+                                      ("integral-float", (1,), "profit", 675.0),
+                                      ("integral-float", (0,), "cumulative_profit", 2025.0)]:
+        yield (f"{field}-{kind}", lines, field, value,
+               "field {field!r} is {value!r}, not an integer")
+    # an integer no float holds, against the reader's exact running sum
     yield ("cumulative_profit-past-float-range", (1,), "cumulative_profit", 10**309,
-           "round=2): a profit is past the float range")
+           "round=2): stored cumulative profit {value} != running sum 2622")
     timestamps = {"ts_start": "timestamps ts_start {value!r} and ts_end ",
                   "ts_end": " and ts_end {value!r} are not 0 <= ts_start <= ts_end <= "
                             "1.7976931348623157e+308"}
@@ -982,20 +972,33 @@ def test_json_the_decoder_cannot_hold_is_an_integrity_error(tmp_path, capsys, sm
     assert err.count(message) == 2, err
 
 
-def test_an_order_whose_profit_no_float_holds_is_an_integrity_error(tmp_path, capsys,
-                                                                    small_store):
-    """Round 2's order, profit and cumulative profit agree as integers; the float sum overflows."""
+@pytest.mark.parametrize("order", [
+    pytest.param(2 * 300, id="twice-upper"),
+    pytest.param(2 * 300 + 1, id="twice-upper-plus-1"),
+    pytest.param(2**53 + 1, id="2-to-the-53-plus-1"),
+    pytest.param(10**400, id="10-to-the-400"),
+])
+def test_an_order_past_twice_the_demand_upper_end_is_an_integrity_error(
+        tmp_path, capsys, small_store, order):
+    """Block 1's last round's order, profit and cumulative profit agree; only the order
+    bound can refuse. No later prompt reports that round, so a resume re-hashes none of it."""
     run_dir = shutil.copytree(small_store, tmp_path / "run")
     path = run_dir / "rounds.jsonl"
     records = [json.loads(line) for line in path.read_text().splitlines()]
     sc = nvlab.scenario("E1-baseline", records[0]["margin"], "uniform", 3)
-    records[1]["order"] = 10**400
-    records[1]["profit"] = nvlab.profit(10**400, records[1]["demand"], sc.cost)
-    for previous, record in zip(records[:2], records[1:3]):
-        record["cumulative_profit"] = previous["cumulative_profit"] + record["profit"]
+    last = records[2]
+    last["order"] = order
+    last["profit"] = nvlab.profit(order, last["demand"], sc.cost)
+    last["cumulative_profit"] = records[1]["cumulative_profit"] + last["profit"]
     path.write_text("".join(json.dumps(record) + "\n" for record in records))
-    err = refused_by_both_commands(tmp_path, capsys, run_dir)
-    assert err.count("round=2): a profit is past the float range") == 2, err
+    if order > 2 * 300:
+        err = refused_by_both_commands(tmp_path, capsys, run_dir)
+        assert err.count(f"round=3): field 'order' is {order}, not in [0, 600]") == 2, err
+        return
+    stored = path.read_bytes()  # the largest order a run decides: both commands take it
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 0
+    assert main(["simulate", "--resume", str(run_dir)]) == 0
+    assert path.read_bytes() == stored
 
 
 def test_a_torn_final_line_cut_inside_a_character_is_skipped_or_set_aside(

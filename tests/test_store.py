@@ -180,8 +180,8 @@ def test_to_line_equals_the_encoder_on_a_seeded_sweep():
         values = [rng.choice(BANKS[kind]) for kind in kinds]
         # a block's rounds share their labels: draw them from a few label tuples
         values[:9] = rng.choice([RECORD[:9], RECORD._replace(repetition=4)[:9], values[:9]])
-        if rng.random() < 0.5:  # plain values, as a scripted round stores
-            values[12:14] = rng.choice([(255.25, -1234.5), (-3, 7), (0.0, -0.0)])
+        if rng.random() < 0.5:  # plain values, as a scripted round stores, or float money
+            values[12:14] = rng.choice([(597, 2622), (-3, 7), (0, 0), (255.25, -1234.5)])
             values[18:] = None, 1700000000.125, 1700000001.5
         for index in rng.sample(range(len(values)), rng.choice([0, 0, 0, 1, 2])):
             values[index] = rng.choice(STRAYS)
