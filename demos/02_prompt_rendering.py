@@ -3,29 +3,22 @@
 Run:  python demos/02_prompt_rendering.py
 """
 
-from nvlab import RoundContext, render_prompt, scenario, validate_golden
+from nvlab import render_prompt, scenario, validate_golden
 
 # Round 1: context and instructions only, no feedback, no formula.
-round_one = RoundContext(scenario("E1-baseline", "high", "uniform"), round_index=1)
 print("=" * 72)
 print("ROUND 1 PROMPT (baseline, high margin, uniform demand)")
 print("=" * 72)
-print(render_prompt(round_one))
+print(render_prompt(scenario("E1-baseline", "high", "uniform")))
 
-# From round 2 on, the previous outcome is embedded in the prompt. With the
-# formula variant, the critical-fractile guidance block is appended too.
-round_five = RoundContext(
-    scenario("E2-formula", "low", "truncated-normal"),
-    round_index=5,
-    last_order=120,
-    last_demand=85,
-    last_profit=255,
-    cumulative_profit=1450,
-)
+# From round 2 on, the previous round's order, demand, profit and cumulative
+# profit (exact ints) are embedded in the prompt. With the formula variant,
+# the critical-fractile guidance block is appended too.
 print("=" * 72)
 print("ROUND 5 PROMPT (formula variant, low margin, normal demand)")
 print("=" * 72)
-print(render_prompt(round_five))
+print(render_prompt(scenario("E2-formula", "low", "truncated-normal"),
+                    last_order=120, last_demand=85, last_profit=255, cumulative_profit=1450))
 
 # Byte-for-byte fidelity against the three stored golden prompts.
 print("golden-file checks:")

@@ -29,7 +29,6 @@ from .model import (
 )
 from .prompts import (
     PromptTemplateSet,
-    RoundContext,
     TemplateError,
     default_templates,
     load_templates,

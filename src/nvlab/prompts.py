@@ -5,30 +5,23 @@ Templates live as UTF-8 text assets (LF endings, one trailing newline) under
 golden prompts under ``assets/golden`` pin the rendered output byte-for-byte;
 `validate_golden` diffs the renderer against them.
 
-`render_prompt(ctx)` renders with `default_templates` through the
+`render_prompt(sc, last_order, last_demand, last_profit, cumulative_profit)`
+is the one renderer: round 1's prompt without feedback values, else the one
+after a round with those outcomes, which must be exact ints. It joins the
 `ScenarioPrompts` that the runner looks up once per block: the base template
 split at its one ``{history_block}`` slot, both halves filled once per
 scenario and template set (cost, demand description, helpful info, formula
-block) and cached. Its `render`, the reference spelling of the feedback text, joins a
-round's prompt: the head, that round's history block (none in round 1) and the
-tail. So the goldens pin the bytes the runner sends to a chat endpoint and hashes.
-
-The runner hashes every round with `ScenarioPrompts.sha256`, the hash of
-`render`'s bytes without joining them: a cached sha256 state over the head is
-copied and fed the history block, filled by the template set's one %-format
-(`PromptTemplateSet.history_format`) when all four values are exact ints, then
-the tail. Only a block that keeps a transcript (an LLM block) renders text.
+block) and cached, and the history block as a ``%d`` format between them.
+`ScenarioPrompts.sha256` hashes the same bytes without joining them: a cached
+sha256 state over the head is copied and fed the history text, then the tail.
+So the goldens pin the bytes the runner sends to a chat endpoint and hashes.
 
 Formatting rules the goldens rely on:
 
-* integers render plain, no thousands separators; a Python ``int`` renders
-  exactly, even past 2**53, while a bool, a numpy integer or a float is
-  formatted through a float;
+* integers render plain, no thousands separators, exactly even past 2**53;
 * the truncated-normal standard deviation renders to one decimal ("49.8")
   even though the internal value is 49.8333...;
 * the advertised demand mean is the range midpoint ("150.5" / "1050.5");
-* profit values render as integers when integral, else with up to two
-  decimals;
 * the baseline variant uses a slightly shorter wording of the helpful-info
   lines, and the risk-neutral formula legend omits the cost clause -- both
   wordings are intentional and pinned by the golden files.
@@ -82,16 +75,6 @@ def fmt_number(value) -> str:
     return repr(x)
 
 
-def fmt_francs(value) -> str:
-    """Integral francs render as integers, otherwise up to two decimals."""
-    if type(value) is int:
-        return str(value)
-    x = float(value)
-    if x == int(x):
-        return str(int(x))
-    return f"{x:.2f}".rstrip("0").rstrip(".")
-
-
 _HISTORY_FIELDS = ("last_order", "last_demand", "last_profit", "cumulative_profit")
 
 
@@ -118,23 +101,6 @@ class PromptTemplateSet:
         for kind, text in sorted(self.distribution_formulas.items()):
             out[f"dist_formula:{kind}"] = text
         return out
-
-    @cached_property
-    def history_format(self) -> str | None:
-        """A %-format of the history block as `_history` fills and strips it, ``%d`` per value.
-
-        None unless the block names the four values once each, in `_HISTORY_FIELDS`
-        order, without a conversion or format spec; a literal ``%`` is escaped.
-        """
-        try:
-            parts = list(Formatter().parse(self.history_block))
-        except ValueError:  # malformed: `_history` words the refusal
-            return None
-        if [(name, spec, conversion) for _, name, spec, conversion in parts
-                if name is not None] != [(name, "", None) for name in _HISTORY_FIELDS]:
-            return None
-        return "".join(literal.replace("%", "%%") + ("" if name is None else "%d")
-                       for literal, name, _, _ in parts).strip()
 
 
 def load_templates() -> PromptTemplateSet:
@@ -176,32 +142,6 @@ def default_templates() -> PromptTemplateSet:
     return load_templates()
 
 
-@dataclass(frozen=True)
-class RoundContext:
-    """Everything the renderer needs for one round's prompt.
-
-    Round 1 carries no feedback fields; from round 2 on, the previous round's
-    order, demand, and profit must all be present. The renderer does not
-    recompute profit -- values are formatted as given.
-    """
-
-    scenario: ScenarioConfig
-    round_index: int
-    last_order: int | None = None
-    last_demand: int | None = None
-    last_profit: float | None = None
-    cumulative_profit: float = 0
-
-    def __post_init__(self):
-        if self.round_index < 1:
-            raise ValueError("round_index is 1-based")
-        feedback = (self.last_order, self.last_demand, self.last_profit)
-        if self.round_index == 1 and any(v is not None for v in feedback):
-            raise ValueError("round 1 must not carry feedback fields")
-        if self.round_index > 1 and any(v is None for v in feedback):
-            raise ValueError("rounds >= 2 need last_order, last_demand and last_profit")
-
-
 class _Substitutions(dict):
     def __missing__(self, key):
         raise TemplateError(f"missing template variable '{key}'")
@@ -212,6 +152,25 @@ def _fill(template: str, values: dict[str, str]) -> str:
         return template.format_map(_Substitutions(values))
     except (IndexError, ValueError) as exc:
         raise TemplateError(f"malformed template placeholder: {exc}") from exc
+
+
+def _history_format(block: str) -> str:
+    """``block`` as a %-format, ``%d`` per value, stripped and newline-ended as prompts hold it.
+
+    Refused unless the block names the four values once each, in `_HISTORY_FIELDS`
+    order, without a conversion or format spec; a literal ``%`` is escaped.
+    """
+    try:
+        parts = list(Formatter().parse(block))
+    except ValueError as exc:
+        raise TemplateError(f"malformed template placeholder: {exc}") from exc
+    if [(name, spec, conversion) for _, name, spec, conversion in parts
+            if name is not None] != [(name, "", None) for name in _HISTORY_FIELDS]:
+        raise TemplateError("the history block must name {last_order}, {last_demand}, "
+                            "{last_profit} and {cumulative_profit} once each, in that order, "
+                            "without a conversion or format spec")
+    return "".join(literal.replace("%", "%%") + ("" if name is None else "%d")
+                   for literal, name, _, _ in parts).strip() + "\n"
 
 
 # keyed on the scenario and the template set's identity, so a reloaded set is filled anew
@@ -242,53 +201,45 @@ def _scenario_prompts(sc: ScenarioConfig, templates: PromptTemplateSet) -> "Scen
         "helpful_info": templates.helpful_info[sc.experiment].strip(),
         "formula_block": formula,
     }
-    return ScenarioPrompts(_fill(head, values), _fill(tail[0], values), templates)
-
-
-def _history(templates: PromptTemplateSet, order, demand, profit, cumulative_profit) -> str:
-    values = {"last_order": fmt_int(order), "last_demand": fmt_int(demand),
-              "last_profit": fmt_francs(profit), "cumulative_profit": fmt_francs(cumulative_profit)}
-    return _fill(templates.history_block, values).strip()
+    return ScenarioPrompts(_fill(head, values), _history_format(templates.history_block),
+                           _fill(tail[0], values))
 
 
 @dataclass(frozen=True)
 class ScenarioPrompts:
-    """One scenario's round prompts: its filled template halves and their template set."""
+    """One scenario's round prompts: its filled template halves and history %-format."""
 
     head: str
+    history: str
     tail: str
-    templates: PromptTemplateSet
 
-    def render(self, last_order=None, last_demand=None, last_profit=None,
-               cumulative_profit=None) -> str:
-        """Round 1's prompt without ``last_order``, else one reporting the last round as given."""
-        if last_order is None:
-            return self.head + self.tail
-        return self.head + _history(self.templates, last_order, last_demand, last_profit,
-                                    cumulative_profit) + "\n" + self.tail
+    def fill_history(self, last_order=None, last_demand=None, last_profit=None,
+                     cumulative_profit=None) -> str:
+        """The history text after a round with these outcomes; round 1 (no values) has none."""
+        if last_order is last_demand is last_profit is cumulative_profit is None:
+            return ""
+        # one chained test, cheaper than all(...) on the path every round's hash takes
+        if type(last_order) is type(last_demand) is type(last_profit) is type(
+                cumulative_profit) is int:
+            return self.history % (last_order, last_demand, last_profit, cumulative_profit)
+        raise TemplateError("feedback values must be four exact ints or none, got "
+                            f"{(last_order, last_demand, last_profit, cumulative_profit)!r}")
 
     @cached_property
     def _hashing(self) -> tuple:
-        """A sha256 state over the head, the encoded newline and tail, and round 1's digest."""
+        """A sha256 state over the head, the encoded tail, and round 1's digest."""
         head = hashlib.sha256(self.head.encode("utf-8"))
         first = head.copy()
         first.update(self.tail.encode("utf-8"))
-        return head, ("\n" + self.tail).encode("utf-8"), first.hexdigest()
+        return head, self.tail.encode("utf-8"), first.hexdigest()
 
     def sha256(self, last_order=None, last_demand=None, last_profit=None,
                cumulative_profit=None) -> str:
-        """``sha256_text(self.render(...))`` of the same values, without joining the prompt."""
+        """``sha256_text(render_prompt(sc, ...))`` of the same values, without joining it."""
         head, tail, first = self._hashing
-        if last_order is None:
+        history = self.fill_history(last_order, last_demand, last_profit, cumulative_profit)
+        if not history:
             return first
-        history_format = self.templates.history_format
-        # exact ints only: `_history` formats a bool, a numpy integer or a float through a float
-        if history_format is not None and (type(last_order) is type(last_demand)
-                                           is type(last_profit) is type(cumulative_profit) is int):
-            history = history_format % (last_order, last_demand, last_profit, cumulative_profit)
-        else:
-            history = _history(self.templates, last_order, last_demand, last_profit,
-                                cumulative_profit)
         state = head.copy()
         state.update(history.encode("utf-8"))
         state.update(tail)
@@ -300,11 +251,16 @@ def scenario_prompts(sc: ScenarioConfig) -> ScenarioPrompts:
     return _scenario_prompts(sc, default_templates())
 
 
-def render_prompt(ctx: RoundContext) -> str:
-    """Render one round's prompt; deterministic and locale-independent."""
-    # a round-1 context carries no last_order, a later one carries all four values
-    return scenario_prompts(ctx.scenario).render(ctx.last_order, ctx.last_demand,
-                                                 ctx.last_profit, ctx.cumulative_profit)
+def render_prompt(sc: ScenarioConfig, last_order=None, last_demand=None, last_profit=None,
+                  cumulative_profit=None) -> str:
+    """One round's prompt: round 1's without feedback values, else the one after those outcomes.
+
+    Deterministic and locale-independent; a feedback value that is not an exact
+    ``int`` raises TemplateError.
+    """
+    prompts = scenario_prompts(sc)
+    return prompts.head + prompts.fill_history(last_order, last_demand, last_profit,
+                                               cumulative_profit) + prompts.tail
 
 
 @dataclass(frozen=True)
@@ -315,31 +271,15 @@ class GoldenCheck:
     diff: str
 
 
-def golden_contexts() -> list[tuple[str, str, RoundContext]]:
-    """The three pinned rendering contexts and their golden file names."""
+def golden_contexts() -> list[tuple[str, str, ScenarioConfig, tuple]]:
+    """The three pinned renderings: name, golden file, scenario and feedback values."""
     return [
-        (
-            "baseline high-margin uniform, round 1",
-            "e1_high_uniform_round1.txt",
-            RoundContext(scenario(E1, HIGH, UNIFORM), 1),
-        ),
-        (
-            "formula low-margin normal, round 5",
-            "e2_low_normal_round5.txt",
-            RoundContext(
-                scenario(E2, LOW, TRUNCATED_NORMAL),
-                5,
-                last_order=120,
-                last_demand=85,
-                last_profit=255,
-                cumulative_profit=1450,
-            ),
-        ),
-        (
-            "risk-neutral high-margin uniform, round 1",
-            "e3_high_uniform_round1.txt",
-            RoundContext(scenario(E3, HIGH, UNIFORM), 1),
-        ),
+        ("baseline high-margin uniform, round 1", "e1_high_uniform_round1.txt",
+         scenario(E1, HIGH, UNIFORM), ()),
+        ("formula low-margin normal, round 5", "e2_low_normal_round5.txt",
+         scenario(E2, LOW, TRUNCATED_NORMAL), (120, 85, 255, 1450)),
+        ("risk-neutral high-margin uniform, round 1", "e3_high_uniform_round1.txt",
+         scenario(E3, HIGH, UNIFORM), ()),
     ]
 
 
@@ -347,13 +287,13 @@ def validate_golden() -> list[GoldenCheck]:
     """Render the pinned contexts and diff byte-for-byte against the goldens."""
     golden_root = _asset_root() / "golden"
     checks = []
-    for name, filename, ctx in golden_contexts():
+    for name, filename, sc, feedback in golden_contexts():
         path = golden_root / filename
         if not path.exists():
             checks.append(GoldenCheck(name, filename, False, f"missing golden file {path}"))
             continue
         expected = path.read_text(encoding="utf-8")
-        actual = render_prompt(ctx)
+        actual = render_prompt(sc, *feedback)
         if actual == expected:
             checks.append(GoldenCheck(name, filename, True, ""))
         else:

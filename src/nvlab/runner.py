@@ -22,15 +22,15 @@ Each (condition, repetition) is one unit of work: its blocks 1 and 2 run in
 order, each through `_Block.walk`, the one round loop that fresh runs and
 `resume` share. A block looks up its scenario's `ScenarioPrompts` once, and
 its walk hashes each round's prompt (`ScenarioPrompts.sha256`) from the
-previous round's order, demand, profit and cumulative profit: the hash of the
-bytes `render_prompt` gives for that round. Only an LLM block, which keeps a
-transcript, renders the text. A walk checks every stored round (its prompt
-hash recomputed and compared, its demand compared with the seeded draw) and
-advances the transcript and agent rng as if it had just been decided; later
-rounds are decided and appended to the store one at a time, each by one
-`agents.decide` call with the block's scenario and the previous round's order
-and demand. A scripted block builds its rule (`scripted_rule`) once, for its
-first decided round; a replayed round needs none, and skips no check.
+previous round's order, demand, profit and cumulative profit, without joining
+its text. Only an LLM block, which keeps a transcript, renders the text. A
+walk checks every stored round (its prompt hash recomputed and compared, its
+demand compared with the seeded draw) and advances the transcript and agent
+rng as if it had just been decided; later rounds are decided and appended to
+the store one at a time, each by one `agents.decide` call with the block's
+scenario and the previous round's order and demand. A scripted block builds
+its rule (`scripted_rule`) once, for its first decided round; a replayed round
+needs none, and skips no check.
 
 `resume` walks every stored round of the plan before it decides any, so a
 corrupt store is refused before anything is appended. An unresolved round
@@ -78,7 +78,7 @@ from .agents import (
     scripted_rule,
 )
 from .llm import TransportError
-from .prompts import default_templates, scenario_prompts
+from .prompts import default_templates, render_prompt, scenario_prompts
 from .store import (
     TORN_NAME,
     IntegrityError,
@@ -318,7 +318,7 @@ class _Block:
             feedback = () if last is None else (last.order, last.demand, last.profit,
                                                 last.cumulative_profit)
             prompt_sha256 = prompts.sha256(*feedback)
-            prompt = prompts.render(*feedback) if chat else None  # scripted rules read no prompt
+            prompt = render_prompt(scenario, *feedback) if chat else None  # rules read none
             demand = self.draws[round_index - 1]
             if round_index <= len(self.records):
                 record = self.records[round_index - 1]

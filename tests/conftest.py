@@ -15,7 +15,7 @@ def pytest_runtest_logreport(report):
 
 from nvlab.agents import AgentSpec
 from nvlab.model import ScenarioConfig, profit, scenario
-from nvlab.prompts import RoundContext, render_prompt
+from nvlab.prompts import render_prompt
 from nvlab.runner import ExperimentPlan, PlanCondition, build_manifest
 from nvlab.store import RoundRecord, RunStore, Trajectory, sha256_text
 
@@ -217,9 +217,8 @@ def write_replay_store(run_dir, rows, reps=10, rounds=10):
                         demand = order
                         pi = profit(order, demand, sc.cost)
                         cumulative += pi
-                        ctx = RoundContext(sc, 1) if round_index == 1 else RoundContext(
-                            sc, round_index, last.order, last.demand, last.profit,
-                            last.cumulative_profit)
+                        feedback = () if last is None else (
+                            last.order, last.demand, last.profit, last.cumulative_profit)
                         record = RoundRecord(
                             run_id=plan.run_id(),
                             condition_index=condition_index,
@@ -236,7 +235,7 @@ def write_replay_store(run_dir, rows, reps=10, rounds=10):
                             profit=pi,
                             cumulative_profit=cumulative,
                             parse_confidence="exact",
-                            prompt_sha256=sha256_text(render_prompt(ctx)),
+                            prompt_sha256=sha256_text(render_prompt(sc, *feedback)),
                             raw_response=f"replay fixture: constant order {order}",
                         )
                         store.append(record)

@@ -3,10 +3,14 @@
 Each case starts the CLI in a child process, kills it after a given number of
 progress lines (wherever it is: between rounds, mid-append, or between run
 directories), finishes the run with ``--resume``, and requires the stored
-rounds to be those of an uninterrupted run.
+rounds to be those of an uninterrupted run. Other cases lay out on disk what a
+crash at a chosen byte or step leaves (a store cut inside or between lines, a
+run directory around `RunStore.create`) and finish it in process.
 """
 
 import os
+import random
+import shutil
 import signal
 import socket
 import subprocess
@@ -20,8 +24,10 @@ import nvlab
 from conftest import strip_timestamps
 from nvlab.cli import main
 from nvlab.config import RunConfig
-from nvlab.store import RunStore, sha256_text
-from test_runner import order_from_prompt
+from nvlab.runner import resume, run_plan
+from nvlab.store import TORN_NAME, RunStore, sha256_text
+from test_runner import CHASER, order_from_prompt, small_plan
+from test_runner import stripped_lines as lines_in_order
 
 GRID = ["--reps", "2", "--rounds", "5"]  # 12 conditions x 2 reps x 2 blocks per agent
 
@@ -119,3 +125,48 @@ def test_killed_concurrent_llm_run_resumes_with_the_stated_orders(
         assert record.raw_response == stated[record.prompt_sha256], diagnosis
         assert f"order {record.order} wodgets" in record.raw_response, diagnosis
     assert stripped_lines(killed) == stripped_lines(full), diagnosis
+
+
+# a 24-line scripted store: 2 conditions x 2 repetitions x 2 blocks x 3 rounds
+CUT_PLAN = small_plan(CHASER, reps=2, rounds=3)
+
+
+def test_a_scripted_store_cut_between_or_inside_lines_resumes_to_the_uninterrupted_store(tmp_path):
+    full = tmp_path / "full"
+    assert run_plan(CUT_PLAN, full).complete
+    data = (full / "rounds.jsonl").read_bytes()
+    expected = lines_in_order(full)
+    assert len(expected) == 24
+    boundaries = {0} | {offset + 1 for offset, byte in enumerate(data) if byte == ord("\n")}
+    assert len(boundaries) == 25
+    interior = random.Random(24).sample(sorted(set(range(len(data))) - boundaries), 50)
+    for cut in sorted(boundaries) + interior:
+        run_dir = tmp_path / f"cut-{cut}"
+        run_dir.mkdir()
+        shutil.copy(full / "manifest.json", run_dir)
+        (run_dir / "rounds.jsonl").write_bytes(data[:cut])
+        assert resume(run_dir).complete, cut
+        assert lines_in_order(run_dir) == expected, cut
+        torn = run_dir / TORN_NAME
+        if cut in boundaries:
+            assert not torn.exists(), cut
+        else:  # the cut line's partial bytes, set aside with a newline
+            assert torn.read_bytes() == data[data.rfind(b"\n", 0, cut) + 1:cut] + b"\n", cut
+
+
+@pytest.mark.parametrize("left", ["partial-manifest-tmp", "manifest-without-rounds"])
+def test_a_run_killed_around_store_create_completes_to_the_uninterrupted_store(tmp_path, left):
+    full = tmp_path / "full"
+    assert run_plan(CUT_PLAN, full).complete
+    manifest = (full / "manifest.json").read_bytes()
+    run_dir = tmp_path / left
+    run_dir.mkdir()
+    if left == "partial-manifest-tmp":  # killed while writing the manifest: run it again
+        (run_dir / "manifest.json.tmp").write_bytes(manifest[:len(manifest) // 2])
+        assert run_plan(CUT_PLAN, run_dir).complete
+        assert not (run_dir / "manifest.json.tmp").exists()
+    else:  # killed after the manifest's rename, before rounds.jsonl: resume it
+        (run_dir / "manifest.json").write_bytes(manifest)
+        assert resume(run_dir).complete
+    assert (run_dir / "manifest.json").read_bytes() == manifest
+    assert lines_in_order(run_dir) == lines_in_order(full)

@@ -16,7 +16,7 @@ from nvlab.agents import AgentSpec
 from nvlab.config import RunConfig, build_plan
 from nvlab.llm import ChatClient, ChatResult
 from nvlab.model import DIST_KINDS, E3, EXPERIMENTS, LOGNORMAL, ScenarioConfig, sample_sequence
-from nvlab.prompts import RoundContext, render_prompt
+from nvlab.prompts import render_prompt
 from nvlab.report import build_report
 from nvlab.runner import (
     ExperimentPlan,
@@ -156,14 +156,9 @@ def test_a_resume_pays_for_scenario_lookups_per_block_not_per_round(tmp_path, mo
     assert per_rounds[12] == per_rounds[3]
 
 
-def test_a_fresh_scripted_run_builds_no_round_context_and_one_optimum_per_block(
-        tmp_path, monkeypatch):
+def test_a_fresh_scripted_run_looks_up_at_most_one_optimum_per_block(tmp_path, monkeypatch):
     counts = Counter()
-    context_checks, optimal_quantity = RoundContext.__post_init__, agents.optimal_quantity
-
-    def counted_context_checks(self):
-        counts["context"] += 1
-        context_checks(self)
+    optimal_quantity = agents.optimal_quantity
 
     def counted_optimal_quantity(sc):
         counts["optimum"] += 1
@@ -174,29 +169,18 @@ def test_a_fresh_scripted_run_builds_no_round_context_and_one_optimum_per_block(
                       rounds_per_block=6, base_seed=5)
         for agent in (OPTIMAL, AgentSpec("mean-anchor", anchor_weight=0.5), CHASER,
                       AgentSpec("random"))))
-    monkeypatch.setattr(RoundContext, "__post_init__", counted_context_checks)
     monkeypatch.setattr(agents, "optimal_quantity", counted_optimal_quantity)
     assert run_plan(plan, tmp_path / "run").complete
     blocks = 4 * 2 * 2  # conditions x repetitions x blocks
-    assert counts["context"] == 0
     assert 0 < counts["optimum"] <= blocks
 
 
-def test_an_llm_run_builds_no_round_context(tmp_path, stub_server, monkeypatch):
+def test_an_llm_run_sends_one_request_per_round(tmp_path, stub_server):
     """An LLM round is decided from its block's scenario, as a scripted round is."""
     stub_server.reply_fn = order_from_prompt
-    counts = Counter()
-    context_checks = RoundContext.__post_init__
-
-    def counted_context_checks(self):
-        counts["context"] += 1
-        context_checks(self)
-
-    monkeypatch.setattr(RoundContext, "__post_init__", counted_context_checks)
     plan = small_plan(AgentSpec("llm", model_name="m"), reps=1, rounds=3)
     assert run_plan(plan, tmp_path / "run", client_factory=stub_factory(stub_server)).complete
     assert len(stub_server.requests) == 2 * 2 * 3  # conditions x blocks x rounds
-    assert counts["context"] == 0
 
 
 # the risk-neutral demand range has no lognormal calibration
@@ -213,10 +197,9 @@ def public_prompts(plan, records):
         condition = plan.conditions[record.condition_index]
         sc = condition.scenario_for_margin(record.margin)
         previous = last.get(block)
-        prompts[record.identity() + (record.round_index,)] = render_prompt(
-            RoundContext(sc, 1) if record.round_index == 1 else RoundContext(
-                sc, record.round_index, previous.order, previous.demand, previous.profit,
-                previous.cumulative_profit))
+        feedback = () if record.round_index == 1 else (
+            previous.order, previous.demand, previous.profit, previous.cumulative_profit)
+        prompts[record.identity() + (record.round_index,)] = render_prompt(sc, *feedback)
         last[block] = record
     return prompts
 
