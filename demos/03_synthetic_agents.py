@@ -18,7 +18,7 @@ from nvlab.metrics import (
     classify_adjustments,
     direction_shares,
     learning_stats,
-    mean_order_profit_efficiency,
+    profit_efficiency,
 )
 
 
@@ -42,8 +42,9 @@ with tempfile.TemporaryDirectory(prefix="nvlab-demo-") as tmp:
     outcome = run_agent(workdir, AgentSpec("optimal"))
     high = pool(outcome.trajectories, "high")
     print("optimal agent, high-margin blocks:")
-    print("  order bias:", bias_stats(high).order_bias)
-    print("  profit efficiency:", mean_order_profit_efficiency(high), "%")
+    stats = bias_stats(high)
+    print("  order bias:", stats.order_bias)
+    print("  profit efficiency:", profit_efficiency(stats.mean_order, high[0].scenario), "%")
     print("  adjustment shares:", direction_shares(
         [e for t in high for e in classify_adjustments(t)]))
     print()

@@ -155,12 +155,7 @@ def _execute_plans(config: RunConfig, agents, client_factory, resume_dir) -> int
             f"{len(outcome.failures)} unresolved rounds -> {outcome.store.run_dir}"
         )
         for failure in outcome.failures:
-            print(
-                f"  unresolved: condition={failure.condition_index} rep={failure.repetition} "
-                f"block={failure.block_index} round={failure.round_index} "
-                f"({failure.kind}): {failure.message}",
-                file=sys.stderr,
-            )
+            print(f"  unresolved: {failure}", file=sys.stderr)
             if status != EXIT_TRANSPORT:  # one transport failure decides, in any order
                 status = EXIT_PARSE if failure.kind == "parse" else EXIT_TRANSPORT
     return status

@@ -2,7 +2,8 @@
 
 The values ship as a versioned, read-only data asset
 (``assets/human_benchmarks.json``); they are never fetched and never
-recomputed. Source: Schweitzer and Cachon (2000), experiment 1.
+recomputed. Source: Schweitzer and Cachon (2000), experiment 1. Each value
+is read by its key path, e.g. ``reference("bias", "uniform", "high")``.
 """
 
 from __future__ import annotations
@@ -24,24 +25,9 @@ def source() -> str:
     return human_benchmarks()["source"]
 
 
-def bias_row(dist: str, margin: str) -> dict | None:
-    """Mean order and optimum for (distribution, margin), or None if unavailable."""
-    return human_benchmarks()["bias"].get(dist, {}).get(margin)
-
-
-def adjustment_score(order_condition: str, dist: str, margin: str) -> float | None:
-    return (
-        human_benchmarks()["adjustment_score"]
-        .get(order_condition, {})
-        .get(dist, {})
-        .get(margin)
-    )
-
-
-def adjustment_shares(dist: str, order_condition: str, quartile: str) -> dict | None:
-    return (
-        human_benchmarks()["adjustment_shares"]
-        .get(dist, {})
-        .get(order_condition, {})
-        .get(quartile)
-    )
+def reference(*path: str):
+    """The asset's value at ``path``, or None where a key along it is absent."""
+    node = human_benchmarks()
+    for key in path:
+        node = node.get(key) if isinstance(node, dict) else None
+    return node

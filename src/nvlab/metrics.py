@@ -8,12 +8,13 @@ Conventions worth knowing before reading the code:
 * Order bias OB = q_bar - q*, normalized bias NB = OB / q* * 100.
 * The adjustment score is (q_bar - A) / (q* - A) with A the demand-mean
   anchor: 1 means the mean order fully traversed the anchor-to-optimum
-  distance, 0 means it never left the anchor. It is undefined when q*
-  equals A. (The reciprocal (q* - A) / (q_bar - A) diverges as q_bar
+  distance, 0 means it never left the anchor. It is undefined (None) when
+  q* equals A. (The reciprocal (q* - A) / (q_bar - A) diverges as q_bar
   approaches A, so it is not offered.)
 * Profit efficiency PE = E[pi(q*)] / E[pi(q)] * 100, so values above 100
   mean the chosen order earns less than the optimum. PE is undefined
-  (None) when the denominator is not positive.
+  (None) when the denominator is not positive. A group's PE is its mean
+  order's; `bias_stats` checks a group's scenario, `anchor_stats` reuses it.
 * A round-to-round adjustment is classified by sign(delta * prior_error):
   toward demand when positive, away when negative, no-change when either is
   zero. A group's adjustments are classified at once (`adjustment_arrays`
@@ -64,17 +65,6 @@ class MetricsError(ValueError):
     """Inputs do not support the requested metric."""
 
 
-def _check_same_scenario(trajectories: list[Trajectory]) -> ScenarioConfig:
-    if not trajectories:
-        raise MetricsError("no trajectories given")
-    sc = trajectories[0].scenario
-    for t in trajectories[1:]:
-        # trajectories of different lengths (runs with different rounds) pool
-        if t.scenario != sc and replace(t.scenario, rounds=sc.rounds) != sc:
-            raise MetricsError("trajectories mix different scenarios")
-    return sc
-
-
 # ---------------------------------------------------------------------------
 # core bias measures
 
@@ -90,7 +80,13 @@ class BiasStats:
 
 def bias_stats(trajectories: list[Trajectory]) -> BiasStats:
     """Mean order across all rounds and repetitions of one scenario block."""
-    sc = _check_same_scenario(trajectories)
+    if not trajectories:
+        raise MetricsError("no trajectories given")
+    sc = trajectories[0].scenario
+    for t in trajectories[1:]:
+        # trajectories of different lengths (runs with different rounds) pool
+        if t.scenario != sc and replace(t.scenario, rounds=sc.rounds) != sc:
+            raise MetricsError("trajectories mix different scenarios")
     orders = [o for t in trajectories for o in t.orders]
     if not orders:
         raise MetricsError("trajectories contain no rounds")
@@ -103,25 +99,24 @@ def bias_stats(trajectories: list[Trajectory]) -> BiasStats:
 @dataclass(frozen=True)
 class AnchorStats:
     anchor: float
-    mas: float | None
-    undefined: bool
+    mas: float | None  # None when undefined
 
 
 def mas(mean_order: float, anchor_value: float, optimal: float) -> AnchorStats:
     """Adjustment score (q_bar - A) / (q* - A) from the anchor toward the optimum.
 
     Identical algebra covers both margins (for low margin both numerator and
-    denominator flip sign). Undefined when q* equals A.
+    denominator flip sign). Undefined (None) when q* equals A.
     """
     if optimal == anchor_value:
-        return AnchorStats(anchor_value, None, True)
-    return AnchorStats(anchor_value, (mean_order - anchor_value) / (optimal - anchor_value), False)
+        return AnchorStats(anchor_value, None)
+    return AnchorStats(anchor_value, (mean_order - anchor_value) / (optimal - anchor_value))
 
 
 def anchor_stats(trajectories: list[Trajectory]) -> AnchorStats:
-    sc = _check_same_scenario(trajectories)
+    """`mas` of one scenario block's mean order (`bias_stats` checks the scenario)."""
     stats = bias_stats(trajectories)
-    return mas(stats.mean_order, anchor(sc), stats.optimal)
+    return mas(stats.mean_order, anchor(trajectories[0].scenario), stats.optimal)
 
 
 def profit_efficiency(order: float, sc: ScenarioConfig) -> float | None:
@@ -135,11 +130,6 @@ def profit_efficiency(order: float, sc: ScenarioConfig) -> float | None:
     if denominator <= 0:
         return None
     return expected_profit(optimal_quantity(sc), sc) / denominator * 100.0
-
-
-def mean_order_profit_efficiency(trajectories: list[Trajectory]) -> float | None:
-    sc = _check_same_scenario(trajectories)
-    return profit_efficiency(bias_stats(trajectories).mean_order, sc)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,13 @@ class InvalidScenarioError(ValueError):
     """Raised when economic or demand parameters are inconsistent."""
 
 
+def _require_ints(**values):
+    """Refuse a value that is not an exact int; the prompts spell these values with `str`."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise InvalidScenarioError(f"{name} must be an exact int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CostStructure:
     """Unit price and cost in francs. Salvage is fixed at zero."""
@@ -81,6 +88,7 @@ class CostStructure:
     cost: int
 
     def __post_init__(self):
+        _require_ints(price=self.price, cost=self.cost)
         if self.price <= 0:
             raise InvalidScenarioError(f"price must be positive, got {self.price}")
         if not 0 < self.cost < self.price:
@@ -122,6 +130,7 @@ class DemandDistribution:
     upper: int
 
     def __post_init__(self):
+        _require_ints(lower=self.lower, upper=self.upper)
         if self.kind not in DIST_KINDS:
             raise InvalidScenarioError(f"unknown distribution kind {self.kind!r}")
         if not self.lower < self.upper:

@@ -18,7 +18,8 @@ So the goldens pin the bytes the runner sends to a chat endpoint and hashes.
 
 Formatting rules the goldens rely on:
 
-* integers render plain, no thousands separators, exactly even past 2**53;
+* integers render plain (`str`), no thousands separators, exactly even past
+  2**53; a scenario's bounds, price and cost are exact ints by construction;
 * the truncated-normal standard deviation renders to one decimal ("49.8")
   even though the internal value is 49.8333...;
 * the advertised demand mean is the range midpoint ("150.5" / "1050.5");
@@ -56,15 +57,6 @@ class TemplateError(ValueError):
 
 def _asset_root() -> Path:
     return Path(__file__).resolve().parent / "assets"
-
-
-def fmt_int(value) -> str:
-    if type(value) is int:  # exact; a float round trip loses digits past 2**53
-        return str(value)
-    n = int(round(float(value)))
-    if n != value:
-        raise TemplateError(f"expected an integer value, got {value!r}")
-    return str(n)
 
 
 def fmt_number(value) -> str:
@@ -183,8 +175,8 @@ def _scenario_prompts(sc: ScenarioConfig, templates: PromptTemplateSet) -> "Scen
             f"the base template needs one {{history_block}} slot, it has {len(tail)}")
     dist = sc.demand
     values = {
-        "a": fmt_int(dist.lower),
-        "b": fmt_int(dist.upper),
+        "a": str(dist.lower),
+        "b": str(dist.upper),
         "mean": fmt_number(dist.midpoint),
         "std": f"{dist.sd_normal:.1f}",
     }
@@ -196,7 +188,7 @@ def _scenario_prompts(sc: ScenarioConfig, templates: PromptTemplateSet) -> "Scen
             templates.formula_blocks[sc.experiment], {"distribution_formula": dist_formula}
         ).strip() + "\n\n"
     values = {
-        "cost": fmt_int(sc.cost.cost),
+        "cost": str(sc.cost.cost),
         "demand_description": description,
         "helpful_info": templates.helpful_info[sc.experiment].strip(),
         "formula_block": formula,

@@ -18,9 +18,8 @@ Files emitted into the output directory:
 * ``word_frequencies.csv``      ranked rationale unigrams
 * ``report.md``                 human-readable summary of the tables
 
-Incomplete trajectories are excluded. Human reference rows (clearly labeled
-with their source) are appended where available when ``compare_humans`` is
-set.
+Incomplete trajectories are excluded. With ``compare_humans``, the human
+reference rows of a key (labeled with their source) follow its first E1 rows.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from .store import RunStore, Trajectory
 
 PE_LABEL = "pe_optimal_over_actual_pct"
 TOP_WORDS = 50
+MARGINS = (model.HIGH, model.LOW)  # the order of each table's margin columns
 
 
 class ReportError(ValueError):
@@ -66,9 +66,7 @@ def load_trajectories(run_dirs) -> list[Trajectory]:
 
 
 def _fmt(value, digits) -> str:
-    if value is None:
-        return ""
-    return f"{value:.{digits}f}"
+    return "" if value is None else f"{value:.{digits}f}"
 
 
 def _group(trajectories, key_fn) -> list[tuple]:
@@ -105,6 +103,46 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 # tables
 
 
+def _margin_cells(group, cells, width: int) -> list[str]:
+    """``cells`` of the group's high- then low-margin trajectories; ``width`` blanks for none."""
+    out = []
+    for margin in MARGINS:
+        subset = [t for t in group if t.scenario.margin == margin]
+        out += cells(subset) if subset else [""] * width
+    return out
+
+
+def _with_humans(groups, compare_humans: bool, human_rows) -> list[list]:
+    """Each (experiment, key, rows) group's rows; with ``compare_humans``, a key's
+    ``human_rows(*key)`` follow its first E1 group (the references are E1's)."""
+    out, seen = [], set()
+    for experiment, key, rows in groups:
+        out += rows
+        if compare_humans and experiment == model.E1 and key not in seen:
+            seen.add(key)
+            out += human_rows(*key)
+    return out
+
+
+def _bias_cells(subset) -> list[str]:
+    stats = metrics.bias_stats(subset)
+    pe = metrics.profit_efficiency(stats.mean_order, subset[0].scenario)
+    return [_fmt(stats.mean_order, 2), str(stats.optimal), _fmt(stats.order_bias, 2),
+            _fmt(stats.normalized_bias, 2), _fmt(pe, 2)]
+
+
+def _human_bias_rows(dist: str) -> list[list]:
+    refs = [humans.reference("bias", dist, margin) for margin in MARGINS]
+    if None in refs:
+        return []
+    cells = []
+    for ref in refs:
+        deviation = ref["mean_order"] - ref["optimal"]
+        cells += [_fmt(ref["mean_order"], 2), str(ref["optimal"]), _fmt(deviation, 2),
+                  _fmt(deviation / ref["optimal"] * 100.0, 2), ""]
+    return [[model.E1, dist, humans.HUMAN_LABEL, *cells, humans.source()]]
+
+
 def bias_rows(trajectories, compare_humans=False) -> tuple[list[str], list[list]]:
     header = [
         "experiment", "distribution", "agent",
@@ -112,43 +150,24 @@ def bias_rows(trajectories, compare_humans=False) -> tuple[list[str], list[list]
         "mean_order_low", "optimal_low", "deviation_low", "nb_low_pct", f"{PE_LABEL}_low",
         "source",
     ]
-    rows = []
-    seen_human = set()
-    for (experiment, _, dist, agent), group in _group(trajectories, _condition_key):
-        cells: dict[str, list[str]] = {}
-        for margin in (model.HIGH, model.LOW):
-            subset = [t for t in group if t.scenario.margin == margin]
-            if not subset:
-                cells[margin] = ["", "", "", "", ""]
-                continue
-            stats = metrics.bias_stats(subset)
-            pe = metrics.mean_order_profit_efficiency(subset)
-            cells[margin] = [
-                _fmt(stats.mean_order, 2), str(stats.optimal), _fmt(stats.order_bias, 2),
-                _fmt(stats.normalized_bias, 2), _fmt(pe, 2),
-            ]
-        rows.append([experiment, dist, agent, *cells[model.HIGH], *cells[model.LOW], "this run"])
-        if compare_humans and experiment == model.E1 and dist not in seen_human:
-            human_row = _human_bias_row(dist)
-            if human_row:
-                seen_human.add(dist)
-                rows.append(human_row)
-    return header, rows
+    groups = [(experiment, (dist,),
+               [[experiment, dist, agent, *_margin_cells(group, _bias_cells, 5), "this run"]])
+              for (experiment, _, dist, agent), group in _group(trajectories, _condition_key)]
+    return header, _with_humans(groups, compare_humans, _human_bias_rows)
 
 
-def _human_bias_row(dist: str) -> list | None:
-    high = humans.bias_row(dist, model.HIGH)
-    low = humans.bias_row(dist, model.LOW)
-    if not high or not low:
-        return None
-    cells = []
-    for ref in (high, low):
-        deviation = ref["mean_order"] - ref["optimal"]
-        cells += [
-            _fmt(ref["mean_order"], 2), str(ref["optimal"]), _fmt(deviation, 2),
-            _fmt(deviation / ref["optimal"] * 100.0, 2), "",
-        ]
-    return [model.E1, dist, humans.HUMAN_LABEL, *cells, humans.source()]
+def _mas_cell(subset) -> list[str]:
+    score = metrics.anchor_stats(subset).mas
+    return ["undefined" if score is None else _fmt(score, 3)]
+
+
+def _human_mas_rows(order_condition: str, dist: str) -> list[list]:
+    scores = [humans.reference("adjustment_score", order_condition, dist, margin)
+              for margin in MARGINS]
+    if None in scores:
+        return []
+    return [[order_condition, model.E1, dist, humans.HUMAN_LABEL,
+             *(_fmt(score, 3) for score in scores), "", humans.source()]]
 
 
 def mas_rows(trajectories, compare_humans=False) -> tuple[list[str], list[list]]:
@@ -156,34 +175,12 @@ def mas_rows(trajectories, compare_humans=False) -> tuple[list[str], list[list]]
         "order_condition", "experiment", "distribution", "agent",
         "mas_high", "mas_low", "anchor", "source",
     ]
-    rows = []
-    seen_human = set()
-    groups = _group(trajectories, lambda t: (t.order_condition, *_condition_key(t)))
-    for (order_condition, experiment, _, dist, agent), group in groups:
-        cells = {}
-        anchor_value = ""
-        for margin in (model.HIGH, model.LOW):
-            subset = [t for t in group if t.scenario.margin == margin]
-            if not subset:
-                cells[margin] = ""
-                continue
-            stats = metrics.anchor_stats(subset)
-            cells[margin] = "undefined" if stats.undefined else _fmt(stats.mas, 3)
-            anchor_value = _fmt(stats.anchor, 1)
-        rows.append(
-            [order_condition, experiment, dist, agent,
-             cells[model.HIGH], cells[model.LOW], anchor_value, "this run"]
-        )
-        if compare_humans and experiment == model.E1 and (order_condition, dist) not in seen_human:
-            high = humans.adjustment_score(order_condition, dist, model.HIGH)
-            low = humans.adjustment_score(order_condition, dist, model.LOW)
-            if high is not None and low is not None:
-                seen_human.add((order_condition, dist))
-                rows.append(
-                    [order_condition, experiment, dist, humans.HUMAN_LABEL,
-                     _fmt(high, 3), _fmt(low, 3), "", humans.source()]
-                )
-    return header, rows
+    groups = [(experiment, (order_condition, dist),
+               [[order_condition, experiment, dist, agent, *_margin_cells(group, _mas_cell, 1),
+                 _fmt(model.anchor(group[0].scenario), 1), "this run"]])
+              for (order_condition, experiment, _, dist, agent), group
+              in _group(trajectories, lambda t: (t.order_condition, *_condition_key(t)))]
+    return header, _with_humans(groups, compare_humans, _human_mas_rows)
 
 
 def risk_neutral_rows(trajectories) -> tuple[list[str], list[list]]:
@@ -228,15 +225,22 @@ def _share_cells(counts: list[int]) -> list[str]:
     return [*(_fmt(count / total * 100.0 if total else None, 1) for count in counts), str(total)]
 
 
+def _human_quartile_rows(dist: str, order_condition: str) -> list[list]:
+    refs = [(quartile, humans.reference("adjustment_shares", dist, order_condition, quartile))
+            for quartile in metrics.QUARTILES]
+    return [[model.E1, dist, humans.HUMAN_LABEL, order_condition, quartile,
+             *(_fmt(ref[direction], 1) for direction in metrics.DIRECTIONS), "", humans.source()]
+            for quartile, ref in refs if ref]
+
+
 def quartile_rows(trajectories, compare_humans=False) -> tuple[list[str], list[list]]:
     header = [
         "experiment", "distribution", "agent", "order_condition", "error_quartile",
         "no_change_pct", "toward_pct", "away_pct", "n_events", "source",
     ]
-    rows = []
-    seen_human = set()
-    groups = _group(trajectories, lambda t: (*_condition_key(t), t.order_condition))
-    for (experiment, _, dist, agent, order_condition), group in groups:
+    groups = []
+    for (experiment, _, dist, agent, order_condition), group in _group(
+            trajectories, lambda t: (*_condition_key(t), t.order_condition)):
         _, _, errors, codes = metrics.adjustment_arrays(group)
         abs_errors = np.abs(errors)
         try:
@@ -245,20 +249,10 @@ def quartile_rows(trajectories, compare_humans=False) -> tuple[list[str], list[l
             continue  # pool too small to cut into quartiles
         buckets = metrics.quartile_buckets(abs_errors, cuts)
         counts = np.bincount(buckets * 3 + codes % 3, minlength=12).reshape(4, 3)
-        for quartile, row in zip(metrics.QUARTILES, counts.tolist()):
-            rows.append([experiment, dist, agent, order_condition, quartile,
-                         *_share_cells(row), "this run"])
-        if compare_humans and experiment == model.E1 and (dist, order_condition) not in seen_human:
-            seen_human.add((dist, order_condition))
-            for quartile in ("Q1", "Q4"):
-                ref = humans.adjustment_shares(dist, order_condition, quartile)
-                if ref:
-                    rows.append([
-                        experiment, dist, humans.HUMAN_LABEL, order_condition, quartile,
-                        _fmt(ref["no-change"], 1), _fmt(ref["toward"], 1),
-                        _fmt(ref["away"], 1), "", humans.source(),
-                    ])
-    return header, rows
+        groups.append((experiment, (dist, order_condition), [
+            [experiment, dist, agent, order_condition, quartile, *_share_cells(row), "this run"]
+            for quartile, row in zip(metrics.QUARTILES, counts.tolist())]))
+    return header, _with_humans(groups, compare_humans, _human_quartile_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +302,9 @@ def adjustment_share_rows(trajectories) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def word_frequency_rows(trajectories, top=TOP_WORDS) -> tuple[list[str], list[list]]:
+def word_frequency_rows(trajectories) -> tuple[list[str], list[list]]:
     texts = [text for t in trajectories for text in t.rationales]
-    ranked = metrics.word_frequencies(texts)[:top]
+    ranked = metrics.word_frequencies(texts)[:TOP_WORDS]
     return ["term", "count"], [[term, str(count)] for term, count in ranked]
 
 

@@ -189,7 +189,7 @@ class ExperimentPlan:
         return f"run-{self.plan_hash()[:12]}"
 
 
-@dataclass
+@dataclass(order=True)
 class RoundFailure:
     condition_index: int
     order_condition: str
@@ -198,6 +198,10 @@ class RoundFailure:
     round_index: int
     kind: str  # "transport" | "parse"
     message: str
+
+    def __str__(self) -> str:
+        return (f"condition={self.condition_index} rep={self.repetition} "
+                f"block={self.block_index} round={self.round_index} ({self.kind}): {self.message}")
 
 
 @dataclass
@@ -344,14 +348,10 @@ class _Block:
                                       rule=self.rule)
                 except (AmbiguousDecisionError, TransportError) as exc:
                     kind = "parse" if isinstance(exc, AmbiguousDecisionError) else "transport"
-                    log.warning(
-                        "unresolved round: condition=%d rep=%d block=%d round=%d (%s): %s",
-                        self.condition_index, self.repetition, self.block_index, round_index,
-                        kind, exc,
-                    )
                     failure = RoundFailure(self.condition_index, condition.order_condition,
                                            self.repetition, self.block_index, round_index, kind,
                                            str(exc))
+                    log.warning("unresolved round: %s", failure)
                     break
                 round_profit = model.profit(decision.order, demand, scenario.cost)
                 record = RoundRecord(
@@ -477,9 +477,7 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
                     raise
         else:
             results = [run_unit(*unit) for unit in units]
-    failures = sorted((f for unit_failures in results for f in unit_failures),
-                      key=lambda f: (f.condition_index, f.order_condition, f.repetition,
-                                     f.block_index, f.round_index))
+    failures = sorted(f for unit_failures in results for f in unit_failures)
     trajectories = [Trajectory(b.condition_index, b.label, b.condition.order_condition,
                                b.repetition, b.block_index, b.scenario, b.records)
                     for _, b in sorted(blocks.items()) if b.records]

@@ -33,7 +33,7 @@ from nvlab.metrics import (
     classify_adjustments,
     direction_shares,
     learning_stats,
-    mean_order_profit_efficiency,
+    profit_efficiency,
     quartile_thresholds,
 )
 from nvlab.model import expected_profit, optimal_quantity, profit, scenario, support_pmf
@@ -163,7 +163,7 @@ def test_criterion_6c_optimal_agent_exact_zeros(tmp_path):
     for key, group in by_condition(outcome.trajectories).items():
         stats = bias_stats(group)
         assert stats.order_bias == 0.0 and stats.normalized_bias == 0.0, key
-        assert mean_order_profit_efficiency(group) == pytest.approx(100.0)
+        assert profit_efficiency(stats.mean_order, group[0].scenario) == pytest.approx(100.0)
         for t in group:
             learning = learning_stats(t)
             assert learning.convergence_slope == 0.0

@@ -98,7 +98,7 @@ def test_mas_negative_when_adjusting_away():
 
 def test_mas_undefined_when_optimum_equals_anchor():
     stats = mas(180, 150.5, 150.5)
-    assert stats.undefined and stats.mas is None
+    assert stats.mas is None and stats.anchor == 150.5
 
 
 def test_mas_shift_invariance():

@@ -121,6 +121,22 @@ def test_cost_structure_rejects_invalid():
         CostStructure(0, 3)
 
 
+@pytest.mark.parametrize("value", [150.0, True, np.int64(150), 150.5, 255.25,
+                                   np.int64(2**53 + 1), math.nan, math.inf], ids=repr)
+def test_a_bound_price_or_cost_that_is_not_an_exact_int_is_refused(value):
+    """The prompts spell bounds, price and cost with `str`, so each must be an exact int."""
+    builds = {
+        "lower": lambda v: DemandDistribution("uniform", v, 300),
+        "upper": lambda v: DemandDistribution("uniform", 1, v),
+        "price": lambda v: CostStructure(v, 3),
+        "cost": lambda v: CostStructure(12, v),
+    }
+    for field, build in builds.items():
+        with pytest.raises(InvalidScenarioError,
+                           match=re.escape(f"{field} must be an exact int, got {value!r}")):
+            build(value)
+
+
 # --- optimal quantities ------------------------------------------------------
 
 def test_optimal_quantity_uniform_baseline():

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from nvlab import prompts
-from nvlab.model import DIST_KINDS, E3, EXPERIMENTS, HIGH, LOGNORMAL, LOW, scenario
+from nvlab.model import (DIST_KINDS, E2, E3, EXPERIMENTS, HIGH, LOGNORMAL, LOW, CostStructure,
+                         DemandDistribution, ScenarioConfig, scenario)
 from nvlab.prompts import (
     TemplateError,
     default_templates,
-    fmt_int,
     fmt_number,
     golden_contexts,
     load_templates,
@@ -99,7 +99,7 @@ HISTORY_FIELDS = ("last_order", "last_demand", "last_profit", "cumulative_profit
 def reference_prompt(sc, feedback, templates):
     """The whole base template filled in one call, history slot included."""
     dist = sc.demand
-    demand = {"a": fmt_int(dist.lower), "b": fmt_int(dist.upper),
+    demand = {"a": str(dist.lower), "b": str(dist.upper),
               "mean": fmt_number(dist.midpoint), "std": f"{dist.sd_normal:.1f}"}
     history = formula = ""
     if feedback:
@@ -110,7 +110,7 @@ def reference_prompt(sc, feedback, templates):
         formula = templates.formula_blocks[sc.experiment].format(
             distribution_formula=dist_formula).strip() + "\n\n"
     return templates.base.format(
-        cost=fmt_int(sc.cost.cost),
+        cost=str(sc.cost.cost),
         demand_description=templates.distribution_descriptions[dist.kind].format(**demand).strip(),
         history_block=history,
         helpful_info=templates.helpful_info[sc.experiment].strip(),
@@ -194,29 +194,14 @@ def test_a_feedback_value_that_is_not_an_exact_int_is_refused(slot, value):
         scenario_prompts(sc).sha256(*feedback)
 
 
-@pytest.mark.parametrize("fmt, value, expected", [
-    (fmt_int, 150, "150"),
-    (fmt_int, -60, "-60"),
-    (fmt_int, True, "1"),
-    (fmt_int, np.int64(150), "150"),
-    (fmt_int, 150.0, "150"),
-    (fmt_int, BIG, "9007199254740993"),
-], ids=lambda v: repr(v) if not callable(v) else v.__name__)
-def test_formatters_render_each_type_as_pinned(fmt, value, expected):
-    assert fmt(value) == expected
-
-
-@pytest.mark.parametrize("value, error, message", [
-    (150.5, TemplateError, "expected an integer value, got 150.5"),
-    (255.25, TemplateError, "expected an integer value, got 255.25"),
-    (np.int64(BIG), TemplateError, f"expected an integer value, got {np.int64(BIG)!r}"),
-    (float("nan"), ValueError, "cannot convert float NaN to integer"),
-    (float("inf"), OverflowError, "cannot convert float infinity to integer"),
-], ids=repr)
-def test_fmt_int_refuses_what_it_cannot_render_exactly(value, error, message):
-    with pytest.raises(error, match=re.escape(message)) as refused:
-        fmt_int(value)
-    assert type(refused.value) is error
+@pytest.mark.parametrize("lower", [-60, 150, BIG], ids=repr)
+def test_a_library_built_range_renders_its_exact_int_bounds(lower):
+    """Bounds and cost render with `str`: exact past 2**53 (their constructors take only ints)."""
+    sc = ScenarioConfig(CostStructure(12, 3), DemandDistribution("uniform", lower, lower + 300),
+                        E2, HIGH)
+    for feedback in [(), (120, 85, 255, 1450)]:
+        assert_renders_as_the_reference(sc, feedback, default_templates())
+    assert f"U[{lower}, {lower + 300}]" in render_prompt(sc)
 
 
 SCENARIOS = [scenario(exp, margin, kind) for exp in EXPERIMENTS for margin in (HIGH, LOW)

@@ -393,6 +393,24 @@ def test_run_exit_code_for_parse_failures(tmp_path, stub_server, monkeypatch, ca
     assert "parse" in capsys.readouterr().err
 
 
+def test_run_prints_each_unresolved_round_on_one_stderr_line(
+        tmp_path, stub_server, monkeypatch, capsys, caplog):
+    # round 1 of the first block is answered; its round 2 is not, which ends the repetition
+    stub_server.reply_fn = lambda body: (
+        "I will order 150 wodgets." if len(stub_server.requests) == 1 else "no decision from me")
+    config_path = llm_config(tmp_path, stub_server, monkeypatch)
+    with caplog.at_level("WARNING", logger="nvlab.runner"):
+        code = main(["run", "--config", str(config_path), "--experiment", "E1",
+                     "--dist", "uniform", "--order", "high-first", "--reps", "1",
+                     "--rounds", "2", "--out", str(tmp_path / "runs")])
+    assert code == 4
+    failure = ("condition=0 rep=0 block=1 round=2 (parse): "
+               "no plausible order in range [0, 600] found in response")
+    assert capsys.readouterr().err == f"  unresolved: {failure}\n"
+    assert [r.getMessage() for r in caplog.records if r.name == "nvlab.runner"] == [
+        f"unresolved round: {failure}"]
+
+
 def test_run_exit_code_for_transport_failures(tmp_path, stub_server, monkeypatch, capsys):
     stub_server.mode = "always-429"
     config_path = llm_config(tmp_path, stub_server, monkeypatch)
@@ -597,6 +615,32 @@ def test_report_compare_humans_adds_sourced_rows(tmp_path):
     quartiles = read_csv(bundle.files["quartile_table.csv"])
     human_quartiles = [r for r in quartiles if r["agent"] == "humans"]
     assert {r["error_quartile"] for r in human_quartiles} == {"Q1", "Q4"}
+
+
+def test_human_rows_follow_the_first_rows_of_their_key_once(tmp_path):
+    """A key's human rows follow its first "this run" rows: in the quartile table, those of
+    the first agent whose pool can be cut into quartiles."""
+    # the chaser sorts first; 1 repetition of 2-round blocks pools 2 adjustments per order
+    assert main(["simulate", "--agent", "demand-chaser", "--experiment", "E1", "--dist",
+                 "uniform", "--reps", "1", "--rounds", "2", "--out", str(tmp_path / "a")]) == 0
+    assert main(["simulate", "--agent", "optimal", "--experiment", "E1", "--dist", "uniform",
+                 "--reps", "1", "--out", str(tmp_path / "b")]) == 0
+    stores = [*(tmp_path / "a").iterdir(), *(tmp_path / "b").iterdir()]
+    bundle = build_report(stores, tmp_path / "report", compare_humans=True)
+
+    def agents(filename, *columns):
+        rows = read_csv(bundle.files[filename])
+        return [(r["agent"], *(r[c] for c in columns)) for r in rows]
+
+    chaser = "demand-chaser(alpha=1)"
+    assert agents("bias_table.csv") == [(chaser,), ("humans",), ("optimal",)]
+    assert agents("mas_table.csv", "order_condition") == [
+        (agent, order) for order in ("high-first", "low-first")
+        for agent in (chaser, "humans", "optimal")]
+    assert agents("quartile_table.csv", "order_condition", "error_quartile") == [
+        row for order in ("high-first", "low-first")
+        for row in [*(("optimal", order, q) for q in ("Q1", "Q2", "Q3", "Q4")),
+                    ("humans", order, "Q1"), ("humans", order, "Q4")]]
 
 
 def test_report_word_frequencies(tmp_path):
