@@ -250,6 +250,7 @@ class ScenarioConfig:
         return 2 * self.demand.upper
 
 
+@lru_cache(maxsize=64, typed=True)  # frozen values; rounds 1, True and 1.0 stay apart
 def scenario(experiment: str, margin: str, dist_kind: str, rounds: int = DEFAULT_ROUNDS) -> ScenarioConfig:
     """Build a standard condition: p=12, c=3 (high) or 9 (low), range by variant."""
     cost = CostStructure(PRICE, COST_HIGH_MARGIN if margin == HIGH else COST_LOW_MARGIN)

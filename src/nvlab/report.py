@@ -316,7 +316,7 @@ def _markdown_table(header, rows) -> str:
     lines = ["| " + " | ".join(header) + " |",
              "| " + " | ".join("---" for _ in header) + " |"]
     for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
+        lines.append("| " + " | ".join(row) + " |")  # every cell is already a str
     return "\n".join(lines)
 
 

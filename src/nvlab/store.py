@@ -8,16 +8,18 @@ Layout of one run directory::
       rounds.jsonl.torn  # only after a crash mid-append: the torn final
                          # lines that resume set aside
 
-Records are immutable named tuples; one shared compact JSON encoder defines
-each one's line of its fields in declaration order, which `RoundRecord.to_line`
-writes from a per-trajectory template where it can. Records carry their full
-trajectory identity (condition index, repetition, block, round) so concurrent
-trajectories can interleave safely. Each read checks every field's JSON type
-and value (money is an integer; an order is in [0, `ScenarioConfig.max_order`]),
-each round against the plan's trajectories, and profit exactly; any mismatch,
-malformed or non-UTF-8 line, or hash conflict raises IntegrityError naming the
-offending record. A run's outcome holds the rounds it read and those it
-appended, in the blocks the runner walked, so the runner never reads the file back.
+Records are immutable named tuples; one shared compact JSON encoder defines each
+one's line of its fields in declaration order, which `RoundRecord.to_line` writes
+from a per-trajectory template where it can. Records carry their full trajectory
+identity (condition index, repetition, block, round) so concurrent trajectories can
+interleave safely. A read decodes each label head (a line up to ``,"round_index":``)
+once and shares it among its records; another spelling takes
+`RoundRecord.from_line`'s full decode. Each read checks every field's JSON type and
+value (money is an integer; an order is in [0, `ScenarioConfig.max_order`]), each
+round against the plan's trajectories, and profit exactly; any mismatch, malformed
+or non-UTF-8 line, or hash conflict raises IntegrityError naming the offending
+record. A run's outcome holds the rounds it read and those it appended, in the
+blocks the runner walked, so the runner never reads the file back.
 
 Appends share one handle, opened by the first `append` and kept until
 `RunStore.close` (or the end of ``with RunStore(...)``). An `append` flushes
@@ -162,6 +164,9 @@ _LABEL_NAMES = ("run_id", "experiment", "dist", "order_condition", "margin", "ag
 _labels = itemgetter(*map(_RECORD_FIELDS.index, _LABEL_NAMES))
 _HEAD = _RECORD_FIELDS.index("round_index")  # the fields before it label the trajectory
 _round_index = itemgetter(_HEAD)
+_head_values = itemgetter(*_RECORD_FIELDS[:_HEAD])  # the label head's fields, then the tail's
+_tail_values = itemgetter(*_RECORD_FIELDS[_HEAD:])
+_CUT = b',"round_index":'  # where the encoder's label head ends
 _INF = float("inf")
 # the per-round fields as the encoder writes them, for a record of these exact types
 _TAIL = (',"round_index":%d,"order":%d,"demand":%d,"profit":%d,"cumulative_profit":%d,'
@@ -174,6 +179,25 @@ _TEMPLATE_TYPES = frozenset(product(*_RECORD_TYPES[:-3], {type(None)}, *_RECORD_
 def _line_head(labels: tuple) -> str:
     """The line up to its first per-round field, as the encoder writes the label fields."""
     return _LINE_ENCODER.encode(dict(zip(_RECORD_FIELDS, labels)))[:-1]
+
+
+def _fields(data: bytes, values: itemgetter, size: int, end: str = "") -> tuple | None:
+    """``values`` of the object ``data`` holds up to ``end`` if it has just their ``size`` keys."""
+    try:  # a value that ends where ``data`` does, at "}" or "}\n", is an object
+        text = data.decode("utf-8")
+        value, stop = _scan_once(text, 0)
+        return values(value) if text[stop:] == end and len(value) == size else None
+    except (StopIteration, ValueError, RecursionError, KeyError):  # `from_line` words it
+        return None
+
+
+def _split_record(line: bytes, heads: dict) -> RoundRecord | None:
+    """``line``'s record from its label head (decoded once per ``heads``) and tail, or None."""
+    cut = line.find(_CUT)
+    head = line[:cut]
+    if cut > 0 and (labels := heads.get(head) or _fields(head + b"}", _head_values, _HEAD)):
+        values = _fields(b"{" + line[cut + 1:], _tail_values, len(_RECORD_FIELDS) - _HEAD, "\n")
+        return values and RoundRecord._make(heads.setdefault(head, labels) + values)
 
 
 @dataclass
@@ -283,14 +307,17 @@ class RunStore:
     def records(self) -> list[RoundRecord]:
         """Every stored round in line order.
 
-        A final line without its newline is the torn tail of an append that
-        never finished; it is left out, whether or not it parses. Any other
-        malformed line raises IntegrityError.
+        Each distinct label head is decoded once and shared by its records; a line spelled
+        otherwise takes `RoundRecord.from_line`. A final line without its newline is the torn
+        tail of an append that never finished; it is left out, whether or not it parses. Any
+        other malformed line raises IntegrityError.
         """
         if not self.rounds_path.exists():
             return []
+        heads = {}  # a head's bytes -> its label values
         with self.rounds_path.open("rb") as handle:  # bytes: a line not UTF-8 is malformed
-            return [RoundRecord.from_line(line, lineno) for lineno, line in enumerate(handle, 1)
+            return [_split_record(line, heads) or RoundRecord.from_line(line, lineno)
+                    for lineno, line in enumerate(handle, 1)
                     if line.endswith(b"\n") and line.strip()]
 
     def set_aside_torn_line(self) -> str | None:
@@ -324,6 +351,21 @@ def where(record: RoundRecord) -> str:
             f"rep={record.repetition}, block={record.block_index}, round={record.round_index})")
 
 
+def _refusal(records: list[RoundRecord], planned: dict) -> IntegrityError:
+    """The refusal of the first record, in line order, of a wrong JSON type or outside the plan."""
+    for record in records:
+        # a JSON string or float here would end in a TypeError far from the record
+        if not all(map(frozenset.__contains__, _RECORD_TYPES, map(type, record))):
+            return IntegrityError("{}: field {!r} is {!r}, not {}".format(
+                where(record), *mistyped(RoundRecord, record._asdict())))
+        labels, sc = planned.get(record.identity(), ((), None))  # () matches no record's labels
+        if _labels(record) != labels or not 0 < record.round_index <= sc.rounds:
+            mismatch = next((f": {name} {value!r} is not the plan's {label!r}" for name, value,
+                             label in zip(_LABEL_NAMES, _labels(record), labels)
+                             if value != label), "")
+            return IntegrityError(f"{where(record)} is outside the plan{mismatch}")
+
+
 def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajectory]:
     """Group records by trajectory identity and validate per-round invariants.
 
@@ -334,25 +376,21 @@ def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajec
     in float range with 0 <= ts_start <= ts_end, demand in range, and integer
     profit and cumulative profit equal to the recomputed profit and its sum.
     """
-    by_identity: dict[tuple, list[RoundRecord]] = {}
-    for record in records:
-        # a JSON string or float here would end in a TypeError far from the record
+    by_head: dict[tuple, list[RoundRecord]] = {}
+    for record in records:  # typed before hashed: 0.0 and True hash as 0 and 1 do
         if not all(map(frozenset.__contains__, _RECORD_TYPES, map(type, record))):
-            raise IntegrityError("{}: field {!r} is {!r}, not {}".format(
-                where(record), *mistyped(RoundRecord, record._asdict())))
-        identity = record.identity()
-        labels, sc = planned.get(identity, ((), None))  # () matches no record's labels
-        if _labels(record) != labels or not 0 < record.round_index <= sc.rounds:
-            mismatch = next((f": {name} {value!r} is not the plan's {label!r}" for name, value,
-                             label in zip(_LABEL_NAMES, _labels(record), labels)
-                             if value != label), "")
-            raise IntegrityError(f"{where(record)} is outside the plan{mismatch}")
-        by_identity.setdefault(identity, []).append(record)
+            raise _refusal(records, planned)
+        by_head.setdefault(record[:_HEAD], []).append(record)
+    for rows in by_head.values():  # one head per identity: a second is not the plan's
+        rows.sort(key=_round_index)
+        labels, sc = planned.get(rows[0].identity(), ((), None))
+        if (_labels(rows[0]) != labels
+                or not 0 < rows[0].round_index <= rows[-1].round_index <= sc.rounds):
+            raise _refusal(records, planned)
 
     trajectories = []
-    for identity in sorted(by_identity):
-        rows = sorted(by_identity[identity], key=_round_index)
-        first, sc = rows[0], planned[identity][1]
+    for rows in sorted(by_head.values(), key=lambda rows: rows[0].identity()):
+        first, sc = rows[0], planned[rows[0].identity()][1]
         lower, upper, max_order = sc.demand.lower, sc.demand.upper, sc.max_order
         cumulative = 0
         for position, record in enumerate(rows, start=1):

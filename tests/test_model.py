@@ -173,6 +173,19 @@ def test_lognormal_has_no_default_fit_outside_base_range():
         scenario("E3-risk-neutral", "high", "lognormal")
 
 
+def test_scenario_is_built_once_per_argument_types_and_a_refused_one_raises_every_time():
+    assert scenario("E1-baseline", "low", "uniform", 3) is scenario("E1-baseline", "low",
+                                                                     "uniform", 3)
+    # 1, True and 1.0 are equal keys; each still gets its own scenario
+    assert [type(scenario("E1-baseline", "low", "uniform", rounds).rounds)
+            for rounds in (1, True, 1.0)] == [int, bool, float]
+    for _ in range(3):
+        with pytest.raises(InvalidScenarioError, match="calibration"):
+            scenario("E3-risk-neutral", "high", "lognormal")
+        with pytest.raises(InvalidScenarioError, match="rounds must be >= 1"):
+            scenario("E1-baseline", "high", "uniform", 0)
+
+
 def test_scenario_rejects_margin_fractile_mismatch():
     with pytest.raises(InvalidScenarioError):
         model.ScenarioConfig(HIGH_COST, UNIFORM, "E1-baseline", "low")

@@ -17,7 +17,7 @@ from nvlab.cli import main
 from nvlab.config import ConfigError, RunConfig, build_plan
 from nvlab.agents import AgentSpec
 from nvlab.report import ReportError, build_report, load_trajectories
-from nvlab import runner
+from nvlab import report, runner
 from nvlab.runner import (ExperimentPlan, PlanCondition, RoundFailure, RunOutcome, load_plan,
                           plan_trajectories, run_plan)
 from nvlab.store import RoundRecord, RunStore
@@ -641,6 +641,22 @@ def test_human_rows_follow_the_first_rows_of_their_key_once(tmp_path):
         row for order in ("high-first", "low-first")
         for row in [*(("optimal", order, q) for q in ("Q1", "Q2", "Q3", "Q4")),
                     ("humans", order, "Q1"), ("humans", order, "Q4")]]
+
+
+@pytest.mark.parametrize("rounds", ["15", "2", "1"])
+def test_every_cell_of_every_table_is_a_str(tmp_path, rounds):
+    """The markdown table joins the cells as they are: each table builds them as str."""
+    assert main(["simulate", "--reps", "2", "--rounds", rounds, "--out", str(tmp_path)]) == 0
+    trajectories = load_trajectories(sorted(tmp_path.iterdir()))
+    tables = [table(trajectories, True) for table in (report.bias_rows, report.mas_rows,
+                                                        report.quartile_rows)]
+    tables += [table(trajectories) for table in (
+        report.risk_neutral_rows, report.learning_rows, report.round_trajectory_rows,
+        report.adjustment_share_rows, report.word_frequency_rows)]
+    for header, rows in tables:
+        assert rows or rounds == "1"  # one-round blocks have no adjustments
+        assert all(type(cell) is str for row in [header, *rows] for cell in row)
+    assert any(row[2] == "humans" for row in tables[0][1])
 
 
 def test_report_word_frequencies(tmp_path):

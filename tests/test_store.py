@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import nvlab.store as store_module
 from nvlab.agents import AgentSpec
 from nvlab.cli import main
 from nvlab.llm import ChatClient
@@ -136,6 +137,139 @@ def test_a_malformed_line_is_refused_with_its_number(tmp_path, bad, message):
     with pytest.raises(IntegrityError) as refused:
         store.records()
     assert str(refused.value) == f"rounds.jsonl line 2: {message}"
+
+
+# --- a read decodes each label head once, to what the full decode gives -------
+
+
+def _with_value(line: bytes, field: str, value: bytes) -> bytes:
+    """``line`` with ``field``'s value, a plain literal or a plain string, spelled ``value``."""
+    start = line.index(b'"%s":' % field.encode()) + len(field) + 3
+    end = line.index(b'",' if line[start:start + 1] == b'"' else b",", start + 1)
+    return line[:start] + value + line[end + (line[start:start + 1] == b'"'):]
+
+
+def _bad_byte(rng, line: bytes) -> bytes:
+    key = b'"%s":"' % rng.choice(["agent", "raw_response"]).encode()
+    return line.replace(key, key + b"\xff", 1)
+
+
+def _reorder(rng, line: bytes) -> bytes:
+    data = json.loads(line)
+    keys = rng.sample(list(data), len(data))
+    return json.dumps({key: data[key] for key in keys}, separators=(",", ":")).encode() + b"\n"
+
+
+# each mutation of one line, a label field (in the head) or a round field drawn where it
+# can be either: (rewrite, whether the line still takes the split path), None where that
+# depends on the draw (a shuffle may keep the labels first)
+MUTATIONS = {
+    "key-order": (_reorder, None),
+    "json-dumps-spacing": (lambda rng, line: json.dumps(json.loads(line)).encode() + b"\n",
+                           False),
+    "duplicate-key-in-tail": (lambda rng, line: line.replace(b',"order":', b',"%s":123,"order":'
+                                                          % rng.choice([b"order", b"demand"]), 1),
+                              True),
+    "head-key-in-tail": (lambda rng, line: line[:-2] + b',"%s":"again"}\n' % rng.choice(
+        ["run_id", "agent", "margin"]).encode(), False),
+    "cut-inside-nested-label": (lambda rng, line: _with_value(
+        line, rng.choice(["run_id", "agent", "margin"]), b'{"k":1,"round_index":2}'), False),
+    "trailing-spaces": (lambda rng, line: line[:-1] + b" " * rng.randint(1, 3) + b"\n", False),
+    "tail-cut-short": (lambda rng, line: line[:-rng.randint(2, 40)] + b"\n", False),
+    "nan": (lambda rng, line: _with_value(line, rng.choice(["repetition", "ts_start"]), b"NaN"),
+            True),
+    "4301-digits": (lambda rng, line: _with_value(
+        line, rng.choice(["repetition", "order"]), b"7" * 4301), False),
+    "non-utf-8": (_bad_byte, False),
+}
+
+
+def _source_stores(tmp_path) -> dict:
+    """Lines nvlab wrote: a scripted store, and an LLM-shaped one with token usage."""
+    assert main(["simulate", "--agent", "demand-chaser", "--experiment", "E1", "--reps", "2",
+                 "--rounds", "3", "--out", str(tmp_path / "scripted")]) == 0
+    (scripted,) = (tmp_path / "scripted").iterdir()
+    with RunStore(tmp_path / "llm") as store:
+        store.create({"format": "nvlab-run/1"})
+        for index in range(12):
+            store.append(RECORD._replace(
+                repetition=index % 3, round_index=index // 3 + 1, order=150 + index,
+                token_usage={"prompt_tokens": 40 + index, "total_tokens": 60 + index},
+                raw_response=f"order {150 + index}, \"round_index\":{index}"))
+    return {name: (path / "rounds.jsonl").read_bytes().splitlines(keepends=True)
+            for name, path in (("scripted", scripted), ("llm", tmp_path / "llm"))}
+
+
+def _full_decode(lines) -> list | str:
+    """`RoundRecord.from_line` of each line, or the text of the first refusal."""
+    out = []
+    for lineno, line in enumerate(lines, 1):
+        try:
+            out.append(RoundRecord.from_line(line, lineno))
+        except IntegrityError as exc:
+            return str(exc)
+    return out
+
+
+def _counted_read(monkeypatch, run_dir) -> tuple[list | str, int, int]:
+    """The store's records (or its refusal text), its `from_line` calls and its JSON scans."""
+    counts = {"from_line": 0, "scan": 0}
+    from_line, scan_once = RoundRecord.from_line.__func__, store_module._scan_once
+
+    def counted_from_line(cls, line, lineno):
+        counts["from_line"] += 1
+        return from_line(cls, line, lineno)
+
+    def counted_scan(text, index):
+        counts["scan"] += 1
+        return scan_once(text, index)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RoundRecord, "from_line", classmethod(counted_from_line))
+        patch.setattr(store_module, "_scan_once", counted_scan)
+        try:
+            read = RunStore(run_dir).records()
+        except IntegrityError as exc:
+            read = str(exc)
+    return read, counts["from_line"], counts["scan"]
+
+
+def test_lines_nvlab_writes_decode_each_label_head_once(tmp_path, monkeypatch):
+    for name, lines in _source_stores(tmp_path).items():
+        (tmp_path / name).mkdir(exist_ok=True)
+        (tmp_path / name / "rounds.jsonl").write_bytes(b"".join(lines))
+        read, fallbacks, scans = _counted_read(monkeypatch, tmp_path / name)
+        heads = {line[:line.index(b',"round_index":')] for line in lines}
+        assert repr(read) == repr(_full_decode(lines))
+        assert (len(read), fallbacks, scans) == (len(lines), 0, len(lines) + len(heads))
+        assert 1 < len(heads) < len(lines)
+        # the records of one head share its label values
+        first = {}
+        assert all(first.setdefault(record[:9], record)[index] is record[index]
+                   for record in read for index in range(9))
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_a_read_equals_the_full_decode_of_each_line_on_a_seeded_sweep(
+        tmp_path, monkeypatch, mutation):
+    """Each read gives `from_line`'s records, in value and exact type, or its refusal."""
+    rewrite, splits = MUTATIONS[mutation]
+    for name, lines in _source_stores(tmp_path).items():
+        rng = random.Random(f"{mutation}-{name}")
+        for trial in range(4):
+            mutated = sorted(rng.sample(range(1, len(lines)), rng.randint(1, 3)))
+            edited = [rewrite(rng, line) if index in mutated else line
+                      for index, line in enumerate(lines)]
+            run_dir = tmp_path / f"{name}-{trial}"
+            run_dir.mkdir()
+            (run_dir / "rounds.jsonl").write_bytes(b"".join(edited))
+            read, fallbacks, _ = _counted_read(monkeypatch, run_dir)
+            expected = _full_decode(edited)
+            assert [line for line in edited if line not in lines]  # each draw changed a line
+            assert repr(read) == repr(expected)  # repr tells 1, 1.0, True and nan apart
+            if splits is not None:
+                refused = isinstance(expected, str)
+                assert fallbacks == (0 if splits else 1 if refused else len(mutated))
 
 
 # --- the line writer is the encoder, byte for byte ----------------------------
