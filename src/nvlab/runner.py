@@ -18,6 +18,11 @@ the model experiences the margin switch inside a single interaction. Scripted
 agents ignore transcripts. Set ``transcript_continuity=False`` to isolate
 blocks instead.
 
+`_planned` spells a block's labels once: it maps each identity (condition,
+repetition, block) to its label head (the `RoundRecord` fields before
+``round_index``) and scenario. A read checks stored heads against it; a block
+writes each record as its head, then the round's fields.
+
 Each (condition, repetition) is one unit of work: its blocks 1 and 2 run in
 order, each through `_Block.walk`, the one round loop that fresh runs and
 `resume` share. A block looks up its scenario's `ScenarioPrompts` once, and
@@ -192,7 +197,6 @@ class ExperimentPlan:
 @dataclass(order=True)
 class RoundFailure:
     condition_index: int
-    order_condition: str
     repetition: int
     block_index: int
     round_index: int
@@ -251,6 +255,22 @@ def load_plan(store: RunStore) -> ExperimentPlan:
     return plan
 
 
+def _planned(plan: ExperimentPlan, run_id: str) -> dict:
+    """Each identity ``plan`` runs -> (its label head, its scenario); the one spelling of labels.
+
+    A head is the values of the `RoundRecord` fields before ``round_index``, in their order.
+    """
+    planned = {}
+    for index, c in enumerate(plan.conditions):
+        for block in (1, 2):
+            margin = c.margin_for_block(block)
+            sc = c.scenario_for_margin(margin)
+            planned |= {(index, repetition, block): (
+                (run_id, index, c.agent.label, c.experiment, c.dist_kind, c.order_condition,
+                 repetition, block, margin), sc) for repetition in range(c.repetitions)}
+    return planned
+
+
 def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord]) -> list[Trajectory]:
     """Validated trajectories of ``records``, each under its condition's scenario.
 
@@ -258,15 +278,7 @@ def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord]) -> list[
     runs at its (condition, repetition, block); a round outside the plan (its
     identity, a label or its round index) raises IntegrityError.
     """
-    run_id = plan.run_id()
-    planned = {}
-    for index, c in enumerate(plan.conditions):
-        for block in (1, 2):
-            margin = c.margin_for_block(block)
-            entry = ((run_id, c.experiment, c.dist_kind, c.order_condition, margin,
-                      c.agent.label), c.scenario_for_margin(margin))
-            planned |= {(index, repetition, block): entry for repetition in range(c.repetitions)}
-    return group_trajectories(records, planned)
+    return group_trajectories(records, _planned(plan, plan.run_id()))
 
 
 class _Block:
@@ -274,21 +286,21 @@ class _Block:
 
     `walk` advances it round by round and can be called again to go further,
     so a block's stored rounds can be replayed long before its first new
-    round is decided. ``records`` holds its stored rounds, then those it decides.
+    round is decided. ``head`` and ``scenario`` are the plan's for its identity;
+    ``records`` holds its stored rounds, then those it decides.
     ``messages`` holds the block's conversation turns for an LLM agent;
     scripted agents ignore transcripts, so theirs is None.
     """
 
-    def __init__(self, plan, condition_index, repetition, block_index, stored=()):
-        self.condition_index = condition_index
-        self.repetition = repetition
-        self.block_index = block_index
-        self.condition = condition = plan.conditions[condition_index]
-        self.scenario = condition.scenario_for_margin(condition.margin_for_block(block_index))
-        self.prompts = scenario_prompts(self.scenario)
+    def __init__(self, condition, identity, head, scenario, stored=()):
+        _, repetition, block_index = self.identity = identity
+        self.condition = condition
+        self.head = head
+        self.scenario = scenario
+        self.prompts = scenario_prompts(scenario)
         self.records = list(stored)
         self.draws = model.sample_sequence(
-            self.scenario.demand, condition.rounds_per_block,
+            scenario.demand, condition.rounds_per_block,
             derive_seed(condition.base_seed, repetition, block_index),
         )
         # only the random agent draws from it; a resume holds every stored block at once
@@ -298,18 +310,16 @@ class _Block:
                 derive_seed(condition.base_seed, repetition, block_index, salt="agent")
             )
         self.messages = [] if condition.agent.kind == LLM else None
-        self.label = condition.agent.label
         self.rule = None  # built for the first decided round: a replayed block looks up no optimum
         self.walked = 0
 
-    def walk(self, rounds, earlier=(), run_id=None, store=None, client=None,
-             stop=None) -> RoundFailure | None:
+    def walk(self, rounds, earlier=(), store=None, client=None, stop=None) -> RoundFailure | None:
         """Walk on to round ``rounds``: check the stored rounds, decide the later ones.
 
         A stored round is checked (recomputed prompt hash, then seeded demand
         draw) and advances the agent rng as deciding it did. A later round is
         decided with the ``earlier`` conversation turns before this block's,
-        and recorded under ``run_id`` in ``store``; no round is decided once
+        and recorded under the block's head in ``store``; no round is decided once
         ``stop`` is set. A scripted block's rounds are flushed once, on return.
         Returns the failure that stopped the block, if any.
         """
@@ -348,35 +358,16 @@ class _Block:
                                       rule=self.rule)
                 except (AmbiguousDecisionError, TransportError) as exc:
                     kind = "parse" if isinstance(exc, AmbiguousDecisionError) else "transport"
-                    failure = RoundFailure(self.condition_index, condition.order_condition,
-                                           self.repetition, self.block_index, round_index, kind,
-                                           str(exc))
+                    failure = RoundFailure(*self.identity, round_index, kind, str(exc))
                     log.warning("unresolved round: %s", failure)
                     break
                 round_profit = model.profit(decision.order, demand, scenario.cost)
                 record = RoundRecord(
-                    run_id=run_id,
-                    condition_index=self.condition_index,
-                    agent=self.label,
-                    experiment=condition.experiment,
-                    dist=condition.dist_kind,
-                    order_condition=condition.order_condition,
-                    repetition=self.repetition,
-                    block_index=self.block_index,
-                    margin=scenario.margin,
-                    round_index=round_index,
-                    order=decision.order,
-                    demand=demand,
-                    profit=round_profit,
-                    cumulative_profit=(last.cumulative_profit if last else 0) + round_profit,
-                    parse_confidence=decision.parse_confidence,
-                    prompt_sha256=prompt_sha256,
-                    raw_response=decision.raw_response,
-                    retries=decision.retries,
-                    token_usage=decision.token_usage,
-                    ts_start=ts_start,
-                    ts_end=max(time.time(), ts_start),  # a clock stepped back stores no inversion
-                )
+                    *self.head, round_index, decision.order, demand, round_profit,
+                    (last.cumulative_profit if last else 0) + round_profit,
+                    decision.parse_confidence, prompt_sha256, decision.raw_response,
+                    decision.retries, decision.token_usage, ts_start,
+                    max(time.time(), ts_start))  # a clock stepped back stores no inversion
                 # a chat round is on disk before the next request; a scripted one by the flush below
                 store.append(record, flush=chat)
                 self.records.append(record)
@@ -389,9 +380,14 @@ class _Block:
         return failure
 
 
-def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
+def _execute(plan, store, client_factory, stored: list[RoundRecord], progress,
              workers) -> RunOutcome:
-    """Shared driver for fresh runs (no trajectories) and resumes."""
+    """Shared driver for fresh runs (no stored rounds) and resumes."""
+    run_id = plan.run_id()
+    planned = _planned(plan, run_id)
+    # every stored round is checked before the first decide, so a corrupt
+    # store is refused before anything is appended or paid for
+    existing = group_trajectories(stored, planned)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     clients = []
@@ -401,12 +397,11 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
             raise ValueError(f"condition {condition_index} needs a chat client; "
                              "pass client_factory")
         clients.append(client_factory(condition.agent) if llm else None)
-    # every stored round is checked before the first decide, so a corrupt
-    # store is refused before anything is appended or paid for
     blocks = {}  # by identity; only the unit of a block's repetition reads or adds it
     for t in existing:
         identity = t.records[0].identity()
-        blocks[identity] = _Block(plan, *identity, t.records)
+        blocks[identity] = _Block(plan.conditions[identity[0]], identity, *planned[identity],
+                                  t.records)
         blocks[identity].walk(len(t.records))
     # a crash mid-append leaves a torn final line that the next append would extend
     torn = store.set_aside_torn_line()
@@ -414,7 +409,6 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
         log.warning("moved the torn final line of %s to %s: %.80s",
                     store.rounds_path, TORN_NAME, torn)
 
-    run_id = plan.run_id()
     stop = threading.Event()
     progress_lock = threading.Lock()
 
@@ -434,7 +428,7 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
                 identity = condition_index, repetition, block_index
                 block = blocks.get(identity)
                 if block is None:
-                    block = blocks[identity] = _Block(plan, *identity)
+                    block = blocks[identity] = _Block(condition, identity, *planned[identity])
                 if progress and block.walked < rounds:
                     with progress_lock:
                         progress(
@@ -443,8 +437,7 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
                             f"{condition.order_condition}) rep {repetition + 1}/"
                             f"{condition.repetitions} block {block_index}"
                         )
-                failure = block.walk(rounds, earlier, run_id, store, clients[condition_index],
-                                     stop)
+                failure = block.walk(rounds, earlier, store, clients[condition_index], stop)
                 if failure is not None:
                     failures.append(failure)
                     # without block 1's full transcript, block 2 would see a
@@ -478,9 +471,8 @@ def _execute(plan, store, client_factory, existing: list[Trajectory], progress,
         else:
             results = [run_unit(*unit) for unit in units]
     failures = sorted(f for unit_failures in results for f in unit_failures)
-    trajectories = [Trajectory(b.condition_index, b.label, b.condition.order_condition,
-                               b.repetition, b.block_index, b.scenario, b.records)
-                    for _, b in sorted(blocks.items()) if b.records]
+    trajectories = [Trajectory(b.scenario, b.records) for _, b in sorted(blocks.items())
+                    if b.records]
     return RunOutcome(run_id, store, trajectories, failures)
 
 
@@ -505,7 +497,5 @@ def resume(run_dir, client_factory=None, progress=None, workers=LLM_WORKERS) -> 
     An LLM plan decides up to ``workers`` repetitions at once.
     """
     store = RunStore(run_dir)
-    plan = load_plan(store)
-    existing = plan_trajectories(plan, store.records())
-    return _execute(plan, store, client_factory, existing, progress, workers)
+    return _execute(load_plan(store), store, client_factory, store.records(), progress, workers)
 

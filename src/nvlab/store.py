@@ -16,9 +16,10 @@ interleave safely. A read decodes each label head (a line up to ``,"round_index"
 once and shares it among its records; another spelling takes
 `RoundRecord.from_line`'s full decode. Each read checks every field's JSON type and
 value (money is an integer; an order is in [0, `ScenarioConfig.max_order`]), each
-round against the plan's trajectories, and profit exactly; any mismatch, malformed
-or non-UTF-8 line, or hash conflict raises IntegrityError naming the offending
-record. A run's outcome holds the rounds it read and those it appended, in the
+trajectory's label head against the plan's, and profit exactly; any mismatch,
+malformed or non-UTF-8 line, or hash conflict raises IntegrityError naming the
+offending record. A `Trajectory` is its scenario and its records, whose first
+labels it. A run's outcome holds the rounds it read and those it appended, in the
 blocks the runner walked, so the runner never reads the file back.
 
 Appends share one handle, opened by the first `append` and kept until
@@ -35,7 +36,7 @@ import hashlib
 import json
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from json.encoder import encode_basestring_ascii as _quote  # as the encoder quotes
@@ -132,14 +133,8 @@ class RoundRecord(NamedTuple):
 
     @classmethod
     def from_line(cls, line: str | bytes, lineno: int) -> "RoundRecord":
-        try:
-            text = line if isinstance(line, str) else line.decode("utf-8")
-            try:  # one scan for a line that is one JSON value and its newline
-                data, end = _scan_once(text, 0)
-            except StopIteration:  # no value at the start: json.loads words the refusal
-                end = len(text)
-            if text[end:] != "\n":
-                data = json.loads(text)
+        try:  # decoded first: json.loads of bytes would take UTF-16 and UTF-32 too
+            data = json.loads(line if isinstance(line, str) else line.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # bad bytes, too deep or too many digits
             raise IntegrityError(f"rounds.jsonl line {lineno}: malformed JSON ({exc})") from exc
         try:
@@ -160,8 +155,6 @@ _scan_once = json.JSONDecoder().scan_once  # the value at an index, as json.load
 _LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _RECORD_TYPES = tuple(frozenset(_JSON_TYPES[kind.__forward_arg__][0])
                       for kind in RoundRecord.__annotations__.values())
-_LABEL_NAMES = ("run_id", "experiment", "dist", "order_condition", "margin", "agent")  # planned
-_labels = itemgetter(*map(_RECORD_FIELDS.index, _LABEL_NAMES))
 _HEAD = _RECORD_FIELDS.index("round_index")  # the fields before it label the trajectory
 _round_index = itemgetter(_HEAD)
 _head_values = itemgetter(*_RECORD_FIELDS[:_HEAD])  # the label head's fields, then the tail's
@@ -202,18 +195,20 @@ def _split_record(line: bytes, heads: dict) -> RoundRecord | None:
 
 @dataclass
 class Trajectory:
-    """All rounds of one (condition, repetition, block), in round order.
+    """All rounds of one (condition, repetition, block): its scenario and its records.
 
+    ``records`` are in round order and the first one's labels are the trajectory's.
     Complete once it holds every round of its scenario (``scenario.rounds``).
     """
 
-    condition_index: int
-    agent: str
-    order_condition: str
-    repetition: int
-    block_index: int
     scenario: ScenarioConfig
-    records: list[RoundRecord] = field(default_factory=list)
+    records: list[RoundRecord]
+
+    condition_index = property(lambda self: self.records[0].condition_index)
+    agent = property(lambda self: self.records[0].agent)
+    order_condition = property(lambda self: self.records[0].order_condition)
+    repetition = property(lambda self: self.records[0].repetition)
+    block_index = property(lambda self: self.records[0].block_index)
 
     @property
     def complete(self) -> bool:
@@ -358,20 +353,19 @@ def _refusal(records: list[RoundRecord], planned: dict) -> IntegrityError:
         if not all(map(frozenset.__contains__, _RECORD_TYPES, map(type, record))):
             return IntegrityError("{}: field {!r} is {!r}, not {}".format(
                 where(record), *mistyped(RoundRecord, record._asdict())))
-        labels, sc = planned.get(record.identity(), ((), None))  # () matches no record's labels
-        if _labels(record) != labels or not 0 < record.round_index <= sc.rounds:
+        head, sc = planned.get(record.identity(), ((), None))  # () matches no record's head
+        if record[:_HEAD] != head or not 0 < record.round_index <= sc.rounds:
             mismatch = next((f": {name} {value!r} is not the plan's {label!r}" for name, value,
-                             label in zip(_LABEL_NAMES, _labels(record), labels)
-                             if value != label), "")
+                             label in zip(_RECORD_FIELDS, record, head) if value != label), "")
             return IntegrityError(f"{where(record)} is outside the plan{mismatch}")
 
 
 def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajectory]:
     """Group records by trajectory identity and validate per-round invariants.
 
-    ``planned`` maps each identity the plan runs to its labels (in `_LABEL_NAMES`
-    order) and ScenarioConfig. Validates every field's JSON type, each round's
-    identity, labels and round index against the plan's, round contiguity, the
+    ``planned`` maps each identity the plan runs to its label head (the fields
+    before ``round_index``) and ScenarioConfig. Validates every field's JSON type,
+    each round's head and round index against the plan's, round contiguity, the
     parse confidence, retries >= 0, the order in [0, ``max_order``], timestamps
     in float range with 0 <= ts_start <= ts_end, demand in range, and integer
     profit and cumulative profit equal to the recomputed profit and its sum.
@@ -381,16 +375,15 @@ def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajec
         if not all(map(frozenset.__contains__, _RECORD_TYPES, map(type, record))):
             raise _refusal(records, planned)
         by_head.setdefault(record[:_HEAD], []).append(record)
-    for rows in by_head.values():  # one head per identity: a second is not the plan's
+    for head, rows in by_head.items():  # one head per identity: a second is not the plan's
         rows.sort(key=_round_index)
-        labels, sc = planned.get(rows[0].identity(), ((), None))
-        if (_labels(rows[0]) != labels
-                or not 0 < rows[0].round_index <= rows[-1].round_index <= sc.rounds):
+        planned_head, sc = planned.get(rows[0].identity(), ((), None))
+        if head != planned_head or not 0 < rows[0].round_index <= rows[-1].round_index <= sc.rounds:
             raise _refusal(records, planned)
 
     trajectories = []
     for rows in sorted(by_head.values(), key=lambda rows: rows[0].identity()):
-        first, sc = rows[0], planned[rows[0].identity()][1]
+        sc = planned[rows[0].identity()][1]
         lower, upper, max_order = sc.demand.lower, sc.demand.upper, sc.max_order
         cumulative = 0
         for position, record in enumerate(rows, start=1):
@@ -420,7 +413,6 @@ def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajec
             if record.cumulative_profit != cumulative:
                 raise IntegrityError(f"{where(record)}: stored cumulative profit "
                                      f"{record.cumulative_profit} != running sum {cumulative}")
-        trajectories.append(Trajectory(first.condition_index, first.agent, first.order_condition,
-                                       first.repetition, first.block_index, sc, rows))
+        trajectories.append(Trajectory(sc, rows))
     return trajectories
 

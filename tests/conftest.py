@@ -167,15 +167,7 @@ def make_trajectory(sc: ScenarioConfig, orders, demands, agent="test-agent",
                 raw_response="",
             )
         )
-    return Trajectory(
-        condition_index=0,
-        agent=agent,
-        order_condition=order_condition,
-        repetition=repetition,
-        block_index=block_index,
-        scenario=sc,
-        records=records,
-    )
+    return Trajectory(sc, records)
 
 
 def integer_mix(mean: float, n: int) -> list[int]:

@@ -8,6 +8,7 @@ crash at a chosen byte or step leaves (a store cut inside or between lines, a
 run directory around `RunStore.create`) and finish it in process.
 """
 
+import json
 import os
 import random
 import shutil
@@ -22,11 +23,12 @@ import pytest
 
 import nvlab
 from conftest import strip_timestamps
+from nvlab.agents import RETRY_NUDGE
 from nvlab.cli import main
 from nvlab.config import RunConfig
 from nvlab.runner import resume, run_plan
 from nvlab.store import TORN_NAME, RunStore, sha256_text
-from test_runner import CHASER, order_from_prompt, small_plan
+from test_runner import CHASER, LLM_AGENT, order_from_prompt, small_plan, stub_factory
 from test_runner import stripped_lines as lines_in_order
 
 GRID = ["--reps", "2", "--rounds", "5"]  # 12 conditions x 2 reps x 2 blocks per agent
@@ -131,27 +133,72 @@ def test_killed_concurrent_llm_run_resumes_with_the_stated_orders(
 CUT_PLAN = small_plan(CHASER, reps=2, rounds=3)
 
 
-def test_a_scripted_store_cut_between_or_inside_lines_resumes_to_the_uninterrupted_store(tmp_path):
-    full = tmp_path / "full"
-    assert run_plan(CUT_PLAN, full).complete
+def line_ends(data):
+    """Offset 0 and the offset after each newline of ``data``."""
+    return [0] + [offset + 1 for offset, byte in enumerate(data) if byte == ord("\n")]
+
+
+def assert_each_cut_resumes(tmp_path, full, cuts, lines, **resume_args):
+    """``full`` cut at each offset resumes to the ``lines`` of ``full``, its torn line aside."""
     data = (full / "rounds.jsonl").read_bytes()
-    expected = lines_in_order(full)
-    assert len(expected) == 24
-    boundaries = {0} | {offset + 1 for offset, byte in enumerate(data) if byte == ord("\n")}
-    assert len(boundaries) == 25
-    interior = random.Random(24).sample(sorted(set(range(len(data))) - boundaries), 50)
-    for cut in sorted(boundaries) + interior:
+    expected = lines(full)
+    ends = set(line_ends(data))
+    for cut in cuts:
         run_dir = tmp_path / f"cut-{cut}"
         run_dir.mkdir()
         shutil.copy(full / "manifest.json", run_dir)
         (run_dir / "rounds.jsonl").write_bytes(data[:cut])
-        assert resume(run_dir).complete, cut
-        assert lines_in_order(run_dir) == expected, cut
+        assert resume(run_dir, **resume_args).complete, cut
+        assert lines(run_dir) == expected, cut
         torn = run_dir / TORN_NAME
-        if cut in boundaries:
+        if cut in ends:
             assert not torn.exists(), cut
         else:  # the cut line's partial bytes, set aside with a newline
             assert torn.read_bytes() == data[data.rfind(b"\n", 0, cut) + 1:cut] + b"\n", cut
+
+
+def test_a_scripted_store_cut_between_or_inside_lines_resumes_to_the_uninterrupted_store(tmp_path):
+    full = tmp_path / "full"
+    assert run_plan(CUT_PLAN, full).complete
+    data = (full / "rounds.jsonl").read_bytes()
+    assert len(lines_in_order(full)) == 24
+    boundaries = line_ends(data)
+    assert len(boundaries) == 25
+    interior = random.Random(24).sample(sorted(set(range(len(data))) - set(boundaries)), 50)
+    assert_each_cut_resumes(tmp_path, full, boundaries + interior, lines_in_order)
+
+
+def reply_to_whole_body(body):
+    """A reply that depends on the whole request body, so a transcript rebuilt otherwise
+    changes it: an order read exactly or by fallback, or, to a first ask, no number at all
+    (a re-prompt)."""
+    digest = int(sha256_text(json.dumps(body, sort_keys=True))[:8], 16)
+    order = 60 + digest % 181
+    kind = digest // 181 % 4 if body["messages"][-1]["content"] != RETRY_NUDGE else 3
+    return ("Let me weigh the costs once more before I commit.", f"Perhaps {order}.",
+            f"Orders so far suggest {order} wodgets.", f"I will order {order} wodgets.")[kind]
+
+
+# the LLM store of CUT_PLAN's shape: 24 lines, each with its token usage
+LLM_CUT_PLAN = small_plan(LLM_AGENT, reps=2, rounds=3)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_an_llm_store_cut_at_or_past_line_ends_resumes_to_the_uninterrupted_store(
+        tmp_path, stub_server, workers):
+    stub_server.reply_fn = reply_to_whole_body
+    full = tmp_path / "full"
+    assert run_plan(LLM_CUT_PLAN, full, client_factory=stub_factory(stub_server),
+                    workers=4).complete
+    assert any(body["messages"][-1]["content"] == RETRY_NUDGE for body in stub_server.requests)
+    data = (full / "rounds.jsonl").read_bytes()
+    assert b'"parse_confidence":"fallback"' in data and b'"token_usage":{' in data
+    ends = line_ends(data)
+    assert len(ends) == 25
+    cuts = ends + [end + past for end in ends[:-1] for past in (1, 37)]
+    # compared sorted: a pool interleaves repetitions
+    assert_each_cut_resumes(tmp_path, full, cuts, stripped_lines,
+                            client_factory=stub_factory(stub_server), workers=workers)
 
 
 @pytest.mark.parametrize("left", ["partial-manifest-tmp", "manifest-without-rounds"])

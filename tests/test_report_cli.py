@@ -428,7 +428,7 @@ def test_run_exit_code_for_transport_failures(tmp_path, stub_server, monkeypatch
 ], ids=["parse-then-transport", "transport-then-parse", "parse-only"])
 def test_exit_code_does_not_depend_on_failure_order(tmp_path, monkeypatch, capsys, kinds, code):
     """Any transport failure exits 3, wherever it sorts; only parse failures exit 4."""
-    failures = [RoundFailure(0, "high-first", rep, 1, 1, kind, f"{kind} failed")
+    failures = [RoundFailure(0, rep, 1, 1, kind, f"{kind} failed")
                 for rep, kind in enumerate(kinds)]
     monkeypatch.setattr(runner, "resume", lambda run_dir, **_: RunOutcome(
         "run-x", RunStore(run_dir), [], failures))
@@ -862,6 +862,23 @@ def test_agent_other_than_the_conditions_is_an_integrity_error(tmp_path, capsys,
     else:  # the trajectory is the plan's, but round 3 names another agent
         assert err.count("rep=1, block=1, round=3) is outside the plan: agent "
                          "'mean-anchor(w=0.5)' is not the plan's 'optimal'") == 2
+    assert not (tmp_path / "report").exists()
+    assert path.read_bytes() == stored
+
+
+def test_a_block_with_two_labels_other_than_the_plans_names_the_first_field(tmp_path, capsys):
+    """Of ``agent`` and ``experiment``, both edited, the refusal names the earlier field."""
+    run_dir = simulate(tmp_path, "sim")
+    edit_block(run_dir, {"experiment": "E2-formula", "agent": "random"}, copy=False)
+    path = run_dir / "rounds.jsonl"
+    stored = path.read_bytes()
+    capsys.readouterr()
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 5
+    assert main(["simulate", "--resume", str(run_dir)]) == 5
+    err = capsys.readouterr().err
+    assert err.count("rep=0, block=1, round=1) is outside the plan: agent 'random' is not "
+                     "the plan's 'optimal'\n") == 2
+    assert "E2-formula" not in err
     assert not (tmp_path / "report").exists()
     assert path.read_bytes() == stored
 
