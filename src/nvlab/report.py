@@ -1,8 +1,9 @@
 """Report bundle: analysis tables and figure data from run stores.
 
-Reads one or more run directories (never mutating them), recomputes every
-metric from the persisted rounds, and writes a deterministic set of CSV files
-plus a Markdown summary. Re-running over the same stores is bit-identical.
+Reads one or more run directories (never mutating them) through `runner.replay`,
+so it refuses exactly the stores `resume` refuses, recomputes every metric from
+the persisted rounds, and writes a deterministic set of CSV files plus a
+Markdown summary. Re-running over the same stores is bit-identical.
 
 Files emitted into the output directory:
 
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import humans, metrics, model
-from .runner import load_plan, plan_trajectories
+from .runner import load_plan, replay
 from .store import RunStore, Trajectory
 
 PE_LABEL = "pe_optimal_over_actual_pct"
@@ -50,7 +51,7 @@ class ReportBundle:
 
 
 def load_trajectories(run_dirs) -> list[Trajectory]:
-    """Validated complete trajectories from one or more distinct run stores."""
+    """The complete trajectories of one or more distinct run stores, each read by `replay`."""
     out: list[Trajectory] = []
     given: dict[Path, object] = {}
     for run_dir in run_dirs:
@@ -59,7 +60,8 @@ def load_trajectories(run_dirs) -> list[Trajectory]:
                               f"(also as {given[resolved]})")
         given[resolved] = run_dir
         store = RunStore(run_dir)
-        out += [t for t in plan_trajectories(load_plan(store), store.records()) if t.complete]
+        blocks = replay(load_plan(store), store.records()).values()
+        out += [t for t in (Trajectory(b.scenario, b.records) for b in blocks) if t.complete]
     if not out:
         raise ReportError("no complete trajectories in the given run directories")
     return out

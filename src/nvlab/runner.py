@@ -37,8 +37,10 @@ scenario and the previous round's order and demand. A scripted block builds
 its rule (`scripted_rule`) once, for its first decided round; a replayed round
 needs none, and skips no check.
 
-`resume` walks every stored round of the plan before it decides any, so a
-corrupt store is refused before anything is appended. An unresolved round
+`replay` is the one read of stored rounds, shared by `report` and `resume`: it
+checks them against the plan, then walks each block's. `resume` replays them
+before it builds a client or decides a round, so a corrupt store is refused
+before anything is appended. An unresolved round
 (transport or parse failure after retries) stops its block and leaves the
 trajectory incomplete for `resume`.
 
@@ -271,16 +273,6 @@ def _planned(plan: ExperimentPlan, run_id: str) -> dict:
     return planned
 
 
-def plan_trajectories(plan: ExperimentPlan, records: list[RoundRecord]) -> list[Trajectory]:
-    """Validated trajectories of ``records``, each under its condition's scenario.
-
-    `group_trajectories` checks every round against the trajectory the plan
-    runs at its (condition, repetition, block); a round outside the plan (its
-    identity, a label or its round index) raises IntegrityError.
-    """
-    return group_trajectories(records, _planned(plan, plan.run_id()))
-
-
 class _Block:
     """One (condition, repetition, block): its seeded demand draws, agent rng and progress.
 
@@ -380,14 +372,31 @@ class _Block:
         return failure
 
 
+def replay(plan: ExperimentPlan, records: list[RoundRecord]) -> dict:
+    """Each identity ``plan`` runs -> its `_Block`, holding its stored rounds in ``records``.
+
+    The one read of stored rounds, shared by `resume` and `report`. `group_trajectories`
+    checks each round against the plan (identity, labels, JSON types and values, profit),
+    then each block walks its stored rounds: their prompt hashes and seeded demand draws
+    are checked and the random agent's rng advanced past them. Blocks are in identity
+    order; any mismatch raises IntegrityError.
+    """
+    planned = _planned(plan, plan.run_id())
+    stored = {t.records[0].identity(): t.records for t in group_trajectories(records, planned)}
+    blocks = {}
+    for identity, (head, scenario) in sorted(planned.items()):
+        block = blocks[identity] = _Block(plan.conditions[identity[0]], identity, head, scenario,
+                                          stored.get(identity, ()))
+        block.walk(len(block.records))
+    return blocks
+
+
 def _execute(plan, store, client_factory, stored: list[RoundRecord], progress,
              workers) -> RunOutcome:
     """Shared driver for fresh runs (no stored rounds) and resumes."""
-    run_id = plan.run_id()
-    planned = _planned(plan, run_id)
     # every stored round is checked before the first decide, so a corrupt
-    # store is refused before anything is appended or paid for
-    existing = group_trajectories(stored, planned)
+    # store is refused before a client is built or anything is appended or paid for
+    blocks = replay(plan, stored)  # by identity; only the unit of a block's repetition walks it
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     clients = []
@@ -397,12 +406,6 @@ def _execute(plan, store, client_factory, stored: list[RoundRecord], progress,
             raise ValueError(f"condition {condition_index} needs a chat client; "
                              "pass client_factory")
         clients.append(client_factory(condition.agent) if llm else None)
-    blocks = {}  # by identity; only the unit of a block's repetition reads or adds it
-    for t in existing:
-        identity = t.records[0].identity()
-        blocks[identity] = _Block(plan.conditions[identity[0]], identity, *planned[identity],
-                                  t.records)
-        blocks[identity].walk(len(t.records))
     # a crash mid-append leaves a torn final line that the next append would extend
     torn = store.set_aside_torn_line()
     if torn is not None:
@@ -413,7 +416,7 @@ def _execute(plan, store, client_factory, stored: list[RoundRecord], progress,
     progress_lock = threading.Lock()
 
     def run_unit(condition_index, repetition) -> list[RoundFailure]:
-        """Blocks 1 then 2 of one repetition, added to ``blocks``: their unresolved rounds.
+        """Blocks 1 then 2 of one repetition, walked to their end: their unresolved rounds.
 
         Sets ``stop`` if anything but a round fails.
         """
@@ -425,10 +428,7 @@ def _execute(plan, store, client_factory, stored: list[RoundRecord], progress,
             for block_index in (1, 2):
                 if stop.is_set():
                     break
-                identity = condition_index, repetition, block_index
-                block = blocks.get(identity)
-                if block is None:
-                    block = blocks[identity] = _Block(condition, identity, *planned[identity])
+                block = blocks[condition_index, repetition, block_index]
                 if progress and block.walked < rounds:
                     with progress_lock:
                         progress(
@@ -471,9 +471,8 @@ def _execute(plan, store, client_factory, stored: list[RoundRecord], progress,
         else:
             results = [run_unit(*unit) for unit in units]
     failures = sorted(f for unit_failures in results for f in unit_failures)
-    trajectories = [Trajectory(b.scenario, b.records) for _, b in sorted(blocks.items())
-                    if b.records]
-    return RunOutcome(run_id, store, trajectories, failures)
+    trajectories = [Trajectory(b.scenario, b.records) for b in blocks.values() if b.records]
+    return RunOutcome(plan.run_id(), store, trajectories, failures)
 
 
 def run_plan(plan: ExperimentPlan, run_dir, client_factory=None, progress=None,

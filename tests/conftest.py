@@ -14,9 +14,9 @@ def pytest_runtest_logreport(report):
         print(f"\n[acceptance] {name}: {outcome}", flush=True)
 
 from nvlab.agents import AgentSpec
-from nvlab.model import ScenarioConfig, profit, scenario
+from nvlab.model import ScenarioConfig, profit, sample_sequence, scenario
 from nvlab.prompts import render_prompt
-from nvlab.runner import ExperimentPlan, PlanCondition, build_manifest
+from nvlab.runner import ExperimentPlan, PlanCondition, build_manifest, derive_seed
 from nvlab.store import RoundRecord, RunStore, Trajectory, sha256_text
 
 
@@ -182,9 +182,9 @@ def write_replay_store(run_dir, rows, reps=10, rounds=10):
     """Synthesize a valid run store whose per-margin mean orders are pinned.
 
     ``rows`` is a list of (dist_kind, model_name, mean_high, mean_low); each
-    row becomes one condition of an LLM agent of that model, with
-    constant-demand rounds (demand == order, so profits and prompt hashes
-    stay honest).
+    row becomes one condition of an LLM agent of that model. Each round's
+    demand is its seeded draw and its profits and prompt hash are recomputed,
+    so the store reads back as a run would have written it.
     """
     conditions = tuple(
         PlanCondition("E1-baseline", dist, AgentSpec("llm", model_name=label), "high-first",
@@ -203,10 +203,11 @@ def write_replay_store(run_dir, rows, reps=10, rounds=10):
                 for repetition in range(reps):
                     cumulative = 0
                     last = None
-                    for round_index in range(1, rounds + 1):
+                    draws = sample_sequence(sc.demand, rounds,
+                                            derive_seed(0, repetition, block_index))
+                    for round_index, demand in enumerate(draws, start=1):
                         order = orders[position]
                         position += 1
-                        demand = order
                         pi = profit(order, demand, sc.cost)
                         cumulative += pi
                         feedback = () if last is None else (

@@ -19,7 +19,7 @@ from nvlab.agents import AgentSpec
 from nvlab.report import ReportError, build_report, load_trajectories
 from nvlab import report, runner
 from nvlab.runner import (ExperimentPlan, PlanCondition, RoundFailure, RunOutcome, load_plan,
-                          plan_trajectories, run_plan)
+                          replay, run_plan)
 from nvlab.store import RoundRecord, RunStore
 
 
@@ -686,7 +686,8 @@ def test_load_trajectories_excludes_incomplete(tmp_path):
     complete = load_trajectories([run_dir])
     assert len(complete) == 3
     store = RunStore(run_dir)
-    assert len(plan_trajectories(load_plan(store), store.records())) == 4
+    blocks = replay(load_plan(store), store.records()).values()
+    assert sorted(len(b.records) for b in blocks) == [7, 10, 10, 10]
 
 
 def test_report_requires_complete_trajectories(tmp_path):
@@ -938,6 +939,9 @@ def _record_cases():
     # each a time in range, but ending before the round started
     yield "ts_start-after-ts_end", (1,), "ts_start", 1e30, timestamps["ts_start"]
     yield "ts_end-before-ts_start", (1,), "ts_end", 1.0, timestamps["ts_end"]
+    # of the right type and value range, but not the hash of the prompt round 2 was shown
+    yield ("prompt_sha256-zeroed", (1,), "prompt_sha256", "0" * 64,
+           "round=2): stored prompt hash does not match the re-rendered prompt")
     for field, value in OTHER_LABELS.items():
         yield (f"{field}-round-2", (1,), field, value,
                "round=2) is outside the plan: {field} {value!r} is not the plan's")
@@ -1076,6 +1080,24 @@ def test_an_order_past_twice_the_demand_upper_end_is_an_integrity_error(
     assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 0
     assert main(["simulate", "--resume", str(run_dir)]) == 0
     assert path.read_bytes() == stored
+
+
+def test_a_demand_off_its_seeded_draw_is_an_integrity_error(tmp_path, capsys, small_store):
+    """Block 1's last round's demand, profit and cumulative profit agree and lie in range;
+    only the seeded draw can refuse. No later prompt reports that round."""
+    run_dir = shutil.copytree(small_store, tmp_path / "run")
+    path = run_dir / "rounds.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    sc = nvlab.scenario("E1-baseline", records[0]["margin"], "uniform", 3)
+    last = records[2]
+    draw = last["demand"]
+    last["demand"] = draw + 1 if draw < sc.demand.upper else draw - 1
+    last["profit"] = nvlab.profit(last["order"], last["demand"], sc.cost)
+    last["cumulative_profit"] = records[1]["cumulative_profit"] + last["profit"]
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    err = refused_by_both_commands(tmp_path, capsys, run_dir)
+    assert err.count(f"round=3): stored demand {last['demand']} does not match the seeded "
+                     f"draw {draw}") == 2, err
 
 
 def test_a_torn_final_line_cut_inside_a_character_is_skipped_or_set_aside(

@@ -23,11 +23,11 @@ from nvlab.runner import (
     PlanCondition,
     derive_seed,
     load_plan,
-    plan_trajectories,
+    replay,
     resume,
     run_plan,
 )
-from nvlab.store import IntegrityError, RunStore, sha256_text
+from nvlab.store import IntegrityError, RunStore, Trajectory, sha256_text
 
 OPTIMAL = AgentSpec("optimal")
 CHASER = AgentSpec("demand-chaser", chase_rate=0.5)
@@ -456,11 +456,11 @@ def test_resume_sets_a_torn_final_line_aside_and_completes_the_run(tmp_path):
     assert (run_dir / "rounds.jsonl.torn").read_bytes() == torn + b"\n"
 
 
-def test_report_and_verify_leave_a_torn_store_as_it_is(tmp_path):
+def test_replay_and_report_leave_a_torn_store_as_it_is(tmp_path):
     run_dir, _ = torn_store(tmp_path)
     before = (run_dir / "rounds.jsonl").read_bytes()
     store = RunStore(run_dir)
-    assert sum(len(t.records) for t in plan_trajectories(load_plan(store), store.records())) == 9
+    assert sum(len(b.records) for b in replay(load_plan(store), store.records()).values()) == 9
     build_report([run_dir], tmp_path / "report")
     assert (run_dir / "rounds.jsonl").read_bytes() == before
     assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "rounds.jsonl"]
@@ -670,7 +670,8 @@ def test_pool_wider_than_the_cores_loses_no_round_or_progress_line(tmp_path):
 def assert_outcome_matches_the_store(outcome):
     """The in-memory trajectories equal a fresh read of the store, record for record."""
     store = RunStore(outcome.store.run_dir)
-    assert outcome.trajectories == plan_trajectories(load_plan(store), store.records())
+    blocks = replay(load_plan(store), store.records()).values()
+    assert outcome.trajectories == [Trajectory(b.scenario, b.records) for b in blocks if b.records]
 
 
 def test_outcome_of_a_fresh_scripted_run_matches_the_store(tmp_path):
@@ -793,6 +794,10 @@ def test_a_continuation_is_refused_as_a_fresh_read_of_the_store_refuses_it(
     stored = block_1[:kept] + [r for r in records if r.block_index == 2]
     appended = continuation(block_1)
     with pytest.raises(IntegrityError, match=refusal):
-        plan_trajectories(plan, stored + appended)
+        replay(plan, stored + appended)
+
+    def read(rounds):
+        return {identity: block.records for identity, block in replay(plan, rounds).items()}
+
     # the stored rounds' own continuation is accepted, wherever its lines stand
-    assert plan_trajectories(plan, stored + block_1[kept:]) == plan_trajectories(plan, records)
+    assert read(stored + block_1[kept:]) == read(records)
