@@ -70,22 +70,12 @@ def _build_agents(args, config: RunConfig) -> list[AgentSpec]:
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    data = asdict(config)
-    if args.experiment:
-        data["experiments"] = args.experiment
-    if args.dist:
-        data["distributions"] = args.dist
-    if args.order:
-        data["order_conditions"] = args.order
-    if args.reps is not None:
-        data["repetitions"] = args.reps
-    if args.rounds is not None:
-        data["rounds"] = args.rounds
-    if args.seed is not None:
-        data["base_seed"] = args.seed
-    if args.out is not None:
-        data["output_dir"] = str(args.out)
-    return RunConfig.from_dict(data)
+    """``config`` with each grid flag given (not None) in place of its field."""
+    flags = {"experiments": args.experiment, "distributions": args.dist,
+             "order_conditions": args.order, "repetitions": args.reps, "rounds": args.rounds,
+             "base_seed": args.seed, "output_dir": args.out and str(args.out)}
+    return RunConfig.from_dict(asdict(config) | {
+        field: value for field, value in flags.items() if value is not None})
 
 
 def _api_key(config: RunConfig) -> str:

@@ -92,9 +92,7 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"the config must be a JSON object, got {type(data).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = sorted(set(data) - known)
-        if unknown:
+        if unknown := sorted(data.keys() - cls.__dataclass_fields__.keys()):
             raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
         return cls(**data)
 

@@ -27,12 +27,11 @@ Conventions worth knowing before reading the code:
   prior error) over the late rounds (8-15) minus the same over the early
   rounds (1-7). A zero-variance regressor or response pins R^2 to 0 and
   sets a flag.
-* Learning fits run row-wise per group: the trajectories that share a
-  scenario and a length are stacked into arrays, and each measure is one
-  row-wise OLS over them. ``ols_line`` is that fit on one row, and
-  ``learning_stats`` is the group path on one trajectory. Row-wise numpy
-  reductions give the same bits as the 1-D ones, so the report does not
-  change.
+* Learning fits run row-wise, once per (scenario, length) over what they
+  are given: the trajectories that share both are stacked into arrays, and
+  each measure is one row-wise OLS over them. ``ols_line`` is that fit on
+  one row. Row-wise numpy reductions give the same bits as the 1-D ones, so
+  a report, which fits all its trajectories at once, does not change.
 * Per-round PE is memoised per (scenario, order), each entry the exact
   ``profit_efficiency`` value, so a report computes each distinct order's
   expected profit once.
@@ -249,12 +248,13 @@ def _efficiency_memo(sc: ScenarioConfig) -> dict:
     return {}
 
 
-def _learning_block(trajectories: list[Trajectory]) -> list[LearningStats]:
+def _learning_block(trajectories: list[Trajectory]) -> list[LearningStats] | None:
     """`learning_stats` of trajectories that share a scenario and a length, row by row."""
     sc = trajectories[0].scenario
     n = len(trajectories[0].orders)
-    if n < 3:
-        raise MetricsError("need at least three rounds for learning statistics")
+    early = np.arange(2, n + 1) < EARLY_LATE_SPLIT_ROUND
+    if min(early.sum(), (~early).sum()) < 3:
+        return None  # too short: each stage needs three adjustments
     orders = np.array([t.orders for t in trajectories])
     demands = np.array([t.demands for t in trajectories])
     rounds = np.arange(1, n + 1, dtype=float)
@@ -278,11 +278,8 @@ def _learning_block(trajectories: list[Trajectory]) -> list[LearningStats]:
 
     deltas = np.diff(orders, axis=1).astype(float)     # delta for rounds 2..n
     errors = (demands[:, :-1] - orders[:, :-1]).astype(float)
-    early = np.arange(2, n + 1) < EARLY_LATE_SPLIT_ROUND
     stages = []
     for mask in (early, ~early):
-        if mask.sum() < 3:
-            raise MetricsError("need at least three rounds per stage for delta R^2")
         _, _, r2, degenerate = _ols_rows(errors[:, mask], deltas[:, mask])
         stages += [r2.tolist(), degenerate.tolist()]
     early_r2, early_degenerate, late_r2, late_degenerate = stages
@@ -294,17 +291,23 @@ def _learning_block(trajectories: list[Trajectory]) -> list[LearningStats]:
     ]
 
 
-def _learning(trajectories: list[Trajectory]) -> list[LearningStats]:
-    """`learning_stats` of each trajectory, in input order, fitted block by block."""
+def _learning(trajectories: list[Trajectory]) -> list[LearningStats | None]:
+    """`learning_stats` of each trajectory in input order (None if too short), once per block."""
     blocks: dict = {}
     for position, t in enumerate(trajectories):
         blocks.setdefault((t.scenario, len(t.orders)), []).append(position)
     out: list = [None] * len(trajectories)
     for positions in blocks.values():
         for position, stats in zip(positions,
-                                   _learning_block([trajectories[p] for p in positions])):
+                                   _learning_block([trajectories[p] for p in positions]) or ()):
             out[position] = stats
     return out
+
+
+def _fitted(stats: list) -> list[LearningStats]:
+    if None in stats:
+        raise MetricsError("need three adjustments per stage for learning statistics")
+    return stats
 
 
 def learning_stats(trajectory: Trajectory) -> LearningStats:
@@ -315,12 +318,17 @@ def learning_stats(trajectory: Trajectory) -> LearningStats:
     dropped; the slope is None when fewer than two remain). Delta R^2
     contrasts the error-responsiveness fits of the late and early stages.
     """
-    return _learning([trajectory])[0]
+    return _fitted(_learning([trajectory]))[0]
 
 
 def average_learning_stats(trajectories: list[Trajectory]) -> dict:
     """Per-trajectory learning statistics averaged across the repetitions of one condition."""
-    stats = _learning(trajectories)
+    return mean_learning_stats(_learning(trajectories))
+
+
+def mean_learning_stats(stats: list) -> dict:
+    """The mean of `_learning` fits, in their order; MetricsError if one is None."""
+    stats = _fitted(stats)
     efficiency = [s.efficiency_slope for s in stats if s.efficiency_slope is not None]
     return {
         "convergence_slope": float(np.mean([s.convergence_slope for s in stats])),

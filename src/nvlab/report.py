@@ -206,9 +206,12 @@ def learning_rows(trajectories) -> tuple[list[str], list[list]]:
         "convergence_slope", "efficiency_slope", "delta_r2", "n_trajectories",
     ]
     rows = []
-    for (experiment, _, dist, agent, _, margin), group in _group(trajectories, _margin_key):
+    # fitted once per (scenario, length); each margin group averages its own, in group order
+    fitted = zip(trajectories, metrics._learning(trajectories))
+    for (experiment, _, dist, agent, _, margin), group in _group(
+            fitted, lambda pair: _margin_key(pair[0])):
         try:
-            stats = metrics.average_learning_stats(group)
+            stats = metrics.mean_learning_stats([fit for _, fit in group])
         except metrics.MetricsError:
             # blocks too short for the early/late split
             rows.append([experiment, dist, agent, margin, "", "", "", str(len(group))])

@@ -30,12 +30,12 @@ its walk hashes each round's prompt (`ScenarioPrompts.sha256`) from the
 previous round's order, demand, profit and cumulative profit, without joining
 its text. Only an LLM block, which keeps a transcript, renders the text. A
 walk checks every stored round (its prompt hash recomputed and compared, its
-demand compared with the seeded draw) and advances the transcript and agent
-rng as if it had just been decided; later rounds are decided and appended to
-the store one at a time, each by one `agents.decide` call with the block's
-scenario and the previous round's order and demand. A scripted block builds
-its rule (`scripted_rule`) once, for its first decided round; a replayed round
-needs none, and skips no check.
+demand compared with the seeded draw) and advances the transcript as if it
+had just been decided; later rounds are decided and appended to the store one
+at a time, each by one `agents.decide` call with the block's scenario and the
+previous round's order and demand. A scripted block builds its rule
+(`scripted_rule`), and the random agent's rng advanced past the stored rounds'
+draws, once, for its first decided round; a replayed round needs neither.
 
 `replay` is the one read of stored rounds, shared by `report` and `resume`: it
 checks them against the plan, then walks each block's. `resume` replays them
@@ -274,7 +274,7 @@ def _planned(plan: ExperimentPlan, run_id: str) -> dict:
 
 
 class _Block:
-    """One (condition, repetition, block): its seeded demand draws, agent rng and progress.
+    """One (condition, repetition, block): its seeded demand draws and progress.
 
     `walk` advances it round by round and can be called again to go further,
     so a block's stored rounds can be replayed long before its first new
@@ -295,24 +295,20 @@ class _Block:
             scenario.demand, condition.rounds_per_block,
             derive_seed(condition.base_seed, repetition, block_index),
         )
-        # only the random agent draws from it; a resume holds every stored block at once
-        self.agent_rng = None
-        if condition.agent.kind == RANDOM:
-            self.agent_rng = np.random.default_rng(
-                derive_seed(condition.base_seed, repetition, block_index, salt="agent")
-            )
         self.messages = [] if condition.agent.kind == LLM else None
-        self.rule = None  # built for the first decided round: a replayed block looks up no optimum
+        # built for the first decided round: a replayed block looks up no optimum, draws nothing
+        self.rule = self.agent_rng = None
         self.walked = 0
 
     def walk(self, rounds, earlier=(), store=None, client=None, stop=None) -> RoundFailure | None:
         """Walk on to round ``rounds``: check the stored rounds, decide the later ones.
 
         A stored round is checked (recomputed prompt hash, then seeded demand
-        draw) and advances the agent rng as deciding it did. A later round is
-        decided with the ``earlier`` conversation turns before this block's,
-        and recorded under the block's head in ``store``; no round is decided once
-        ``stop`` is set. A scripted block's rounds are flushed once, on return.
+        draw). A later round is decided with the ``earlier`` conversation turns
+        before this block's, and recorded under the block's head in ``store``; no
+        round is decided once ``stop`` is set. A scripted block's rounds are
+        flushed once, on return. The random agent's ``agent_rng`` is built for its
+        first decided round and advanced past the stored rounds as deciding them did.
         Returns the failure that stopped the block, if any.
         """
         condition, scenario, prompts = self.condition, self.scenario, self.prompts
@@ -334,20 +330,22 @@ class _Block:
                 if demand != record.demand:
                     raise IntegrityError(f"{where(record)}: stored demand {record.demand} does "
                                          f"not match the seeded draw {demand}")
-                if condition.agent.kind == RANDOM:
-                    self.agent_rng.integers(scenario.demand.lower, scenario.demand.upper + 1)
             else:
                 if stop.is_set():
                     break
                 transcript = [*earlier, *self.messages] if chat else None
                 if not chat and self.rule is None:
+                    if condition.agent.kind == RANDOM:
+                        rng = self.agent_rng = np.random.default_rng(derive_seed(
+                            condition.base_seed, *self.identity[1:], salt="agent"))
+                        for _ in range(round_index - 1):  # the draws the stored rounds took
+                            rng.integers(scenario.demand.lower, scenario.demand.upper + 1)
                     self.rule = scripted_rule(condition.agent, scenario, self.agent_rng)
                 ts_start = time.time()
                 try:
                     decision = decide(condition.agent, prompt, scenario, round_index,
                                       last and last.order, last and last.demand,
-                                      rng=self.agent_rng, client=client, transcript=transcript,
-                                      rule=self.rule)
+                                      client=client, transcript=transcript, rule=self.rule)
                 except (AmbiguousDecisionError, TransportError) as exc:
                     kind = "parse" if isinstance(exc, AmbiguousDecisionError) else "transport"
                     failure = RoundFailure(*self.identity, round_index, kind, str(exc))
@@ -372,16 +370,16 @@ class _Block:
         return failure
 
 
-def replay(plan: ExperimentPlan, records: list[RoundRecord]) -> dict:
+def replay(plan: ExperimentPlan, records: list[RoundRecord], run_id: str | None = None) -> dict:
     """Each identity ``plan`` runs -> its `_Block`, holding its stored rounds in ``records``.
 
     The one read of stored rounds, shared by `resume` and `report`. `group_trajectories`
     checks each round against the plan (identity, labels, JSON types and values, profit),
     then each block walks its stored rounds: their prompt hashes and seeded demand draws
-    are checked and the random agent's rng advanced past them. Blocks are in identity
-    order; any mismatch raises IntegrityError.
+    are checked; no agent rng is built. Blocks are in identity order; any mismatch raises
+    IntegrityError. A caller that has ``plan.run_id()`` passes it as ``run_id``.
     """
-    planned = _planned(plan, plan.run_id())
+    planned = _planned(plan, run_id or plan.run_id())
     stored = {t.records[0].identity(): t.records for t in group_trajectories(records, planned)}
     blocks = {}
     for identity, (head, scenario) in sorted(planned.items()):
@@ -391,12 +389,12 @@ def replay(plan: ExperimentPlan, records: list[RoundRecord]) -> dict:
     return blocks
 
 
-def _execute(plan, store, client_factory, stored: list[RoundRecord], progress,
+def _execute(plan, run_id, store, client_factory, stored: list[RoundRecord], progress,
              workers) -> RunOutcome:
-    """Shared driver for fresh runs (no stored rounds) and resumes."""
+    """Run or resume ``plan`` (``run_id`` is ``plan.run_id()``) over its ``stored`` rounds."""
     # every stored round is checked before the first decide, so a corrupt
     # store is refused before a client is built or anything is appended or paid for
-    blocks = replay(plan, stored)  # by identity; only the unit of a block's repetition walks it
+    blocks = replay(plan, stored, run_id)  # by identity; walked on by its repetition's unit
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     clients = []
@@ -472,7 +470,7 @@ def _execute(plan, store, client_factory, stored: list[RoundRecord], progress,
             results = [run_unit(*unit) for unit in units]
     failures = sorted(f for unit_failures in results for f in unit_failures)
     trajectories = [Trajectory(b.scenario, b.records) for b in blocks.values() if b.records]
-    return RunOutcome(plan.run_id(), store, trajectories, failures)
+    return RunOutcome(run_id, store, trajectories, failures)
 
 
 def run_plan(plan: ExperimentPlan, run_dir, client_factory=None, progress=None,
@@ -482,8 +480,8 @@ def run_plan(plan: ExperimentPlan, run_dir, client_factory=None, progress=None,
     An LLM plan decides up to ``workers`` repetitions at once.
     """
     store = RunStore(run_dir)
-    store.create(build_manifest(plan))
-    return _execute(plan, store, client_factory, [], progress, workers)
+    store.create(manifest := build_manifest(plan))
+    return _execute(plan, manifest["run_id"], store, client_factory, [], progress, workers)
 
 
 def resume(run_dir, client_factory=None, progress=None, workers=LLM_WORKERS) -> RunOutcome:
@@ -496,5 +494,6 @@ def resume(run_dir, client_factory=None, progress=None, workers=LLM_WORKERS) -> 
     An LLM plan decides up to ``workers`` repetitions at once.
     """
     store = RunStore(run_dir)
-    return _execute(load_plan(store), store, client_factory, store.records(), progress, workers)
+    plan = load_plan(store)
+    return _execute(plan, plan.run_id(), store, client_factory, store.records(), progress, workers)
 

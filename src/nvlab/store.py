@@ -153,8 +153,9 @@ _RECORD_FIELDS = RoundRecord._fields
 _record_values = itemgetter(*_RECORD_FIELDS)
 _scan_once = json.JSONDecoder().scan_once  # the value at an index, as json.loads decodes it
 _LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
-_RECORD_TYPES = tuple(frozenset(_JSON_TYPES[kind.__forward_arg__][0])
+_RECORD_TYPES = tuple(_JSON_TYPES[kind.__forward_arg__][0]
                       for kind in RoundRecord.__annotations__.values())
+_TYPE_ROWS = frozenset(product(*_RECORD_TYPES))  # each field's exact types a record may have
 _HEAD = _RECORD_FIELDS.index("round_index")  # the fields before it label the trajectory
 _round_index = itemgetter(_HEAD)
 _head_values = itemgetter(*_RECORD_FIELDS[:_HEAD])  # the label head's fields, then the tail's
@@ -350,7 +351,7 @@ def _refusal(records: list[RoundRecord], planned: dict) -> IntegrityError:
     """The refusal of the first record, in line order, of a wrong JSON type or outside the plan."""
     for record in records:
         # a JSON string or float here would end in a TypeError far from the record
-        if not all(map(frozenset.__contains__, _RECORD_TYPES, map(type, record))):
+        if tuple(map(type, record)) not in _TYPE_ROWS:
             return IntegrityError("{}: field {!r} is {!r}, not {}".format(
                 where(record), *mistyped(RoundRecord, record._asdict())))
         head, sc = planned.get(record.identity(), ((), None))  # () matches no record's head
@@ -372,7 +373,7 @@ def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajec
     """
     by_head: dict[tuple, list[RoundRecord]] = {}
     for record in records:  # typed before hashed: 0.0 and True hash as 0 and 1 do
-        if not all(map(frozenset.__contains__, _RECORD_TYPES, map(type, record))):
+        if tuple(map(type, record)) not in _TYPE_ROWS:
             raise _refusal(records, planned)
         by_head.setdefault(record[:_HEAD], []).append(record)
     for head, rows in by_head.items():  # one head per identity: a second is not the plan's

@@ -17,7 +17,7 @@ from nvlab.cli import main
 from nvlab.config import ConfigError, RunConfig, build_plan
 from nvlab.agents import AgentSpec
 from nvlab.report import ReportError, build_report, load_trajectories
-from nvlab import report, runner
+from nvlab import metrics, report, runner
 from nvlab.runner import (ExperimentPlan, PlanCondition, RoundFailure, RunOutcome, load_plan,
                           replay, run_plan)
 from nvlab.store import RoundRecord, RunStore
@@ -714,6 +714,45 @@ def test_conditions_of_different_lengths_are_complete_and_reported(tmp_path):
     assert [r["distribution"] for r in rows] == ["uniform", "truncated-normal"]
 
 
+def reference_learning_rows(trajectories):
+    """The learning table's rows, each margin group fitted on its own by `average_learning_stats`."""
+    rows = []
+    for (experiment, _, dist, agent, _, margin), group in report._group(trajectories,
+                                                                        report._margin_key):
+        try:
+            stats = metrics.average_learning_stats(group)
+        except metrics.MetricsError:  # a block too short for the early/late split
+            cells = ["", "", ""]
+        else:
+            cells = [report._fmt(stats[name], 3)
+                     for name in ("convergence_slope", "efficiency_slope", "delta_r2")]
+        rows.append([experiment, dist, agent, margin, *cells, str(len(group))])
+    return rows
+
+
+def test_learning_rows_fit_once_and_match_the_per_group_averages(tmp_path):
+    """15- and 2-round stores whose agents share scenarios: a group of 15-round blocks has
+    cells, and one with a 2-round block is blank, as each group fitted alone gives."""
+    chaser, anchor = AgentSpec("demand-chaser", chase_rate=0.5), AgentSpec("mean-anchor",
+                                                                           anchor_weight=0.3)
+    runs = []
+    for rounds, agents in ((15, [chaser, AgentSpec("random"), anchor]),
+                           (2, [chaser, AgentSpec("optimal")])):
+        config = RunConfig(experiments=("E1", "E2"), distributions=("uniform",),
+                           repetitions=2, rounds=rounds, base_seed=3)
+        plan = build_plan(config, agents)
+        assert run_plan(plan, tmp_path / plan.run_id()).complete
+        runs.append(tmp_path / plan.run_id())
+    trajectories = load_trajectories(runs)
+    header, rows = report.learning_rows(trajectories)
+    assert rows == reference_learning_rows(trajectories)
+    filled = {(row[2], row[4] != "") for row in rows}
+    assert filled == {(chaser.label, False), ("random", True), (anchor.label, True),
+                      ("optimal", False)}
+    # per margin, 2 repetitions of each order in each store
+    assert {row[-1] for row in rows if row[2] == chaser.label} == {"8"}
+
+
 @pytest.mark.parametrize("edit", [
     lambda agent: agent.update(colour="red"),
     lambda agent: agent.pop("kind"),
@@ -811,15 +850,8 @@ def test_identity_outside_the_plan_is_an_integrity_error(tmp_path, capsys, chang
     assert (run_dir / "rounds.jsonl").read_bytes() == stored
 
 
-@pytest.mark.parametrize("command", ["report", "resume"])
-@pytest.mark.parametrize("field, retype", [
-    ("order", str), ("demand", float), ("repetition", str), ("round_index", str),
-    ("condition_index", float), ("block_index", bool),
-], ids=["order-string", "demand-float", "repetition-string", "round-string",
-        "condition-float", "block-bool"])
-def test_a_stored_field_of_the_wrong_json_type_is_an_integrity_error(
-        tmp_path, capsys, command, field, retype):
-    """A 3-round `optimal` store whose second line holds one field as another JSON type."""
+def retype_second_round(tmp_path, field, retype):
+    """A 3-round `optimal` store whose second line holds ``field`` as ``retype`` of its value."""
     run_dir = simulate(tmp_path, "sim", "--rounds", "3")
     path = run_dir / "rounds.jsonl"
     lines = path.read_text().splitlines()
@@ -827,6 +859,40 @@ def test_a_stored_field_of_the_wrong_json_type_is_an_integrity_error(
     value = retype(record[field])
     lines[1] = json.dumps({**record, field: value})
     path.write_text("\n".join(lines) + "\n")
+    return run_dir, value
+
+
+# each RoundRecord field, one JSON type its annotation refuses, and the type it names
+WRONG_JSON_TYPES = [
+    ("order", str, "an integer"), ("demand", float, "an integer"),
+    ("repetition", str, "an integer"), ("round_index", str, "an integer"),
+    ("condition_index", float, "an integer"), ("block_index", bool, "an integer"),
+    ("run_id", len, "a string"), ("agent", lambda _: None, "a string"),
+    ("experiment", lambda v: [v], "a string"), ("dist", lambda v: {"kind": v}, "a string"),
+    ("order_condition", bool, "a string"), ("margin", lambda _: 0.5, "a string"),
+    ("profit", float, "an integer"), ("cumulative_profit", lambda _: None, "an integer"),
+    ("parse_confidence", len, "a string"), ("prompt_sha256", lambda v: [v], "a string"),
+    ("raw_response", lambda _: None, "a string"), ("retries", bool, "an integer"),
+    ("token_usage", lambda _: [], "an object"), ("ts_start", str, "a number"),
+    ("ts_end", lambda _: None, "a number"),
+]
+
+
+def test_the_wrong_json_types_cover_every_record_field():
+    assert sorted(field for field, _, _ in WRONG_JSON_TYPES) == sorted(RoundRecord._fields)
+
+
+@pytest.mark.parametrize("command", ["report", "resume"])
+@pytest.mark.parametrize("field, retype, wanted", WRONG_JSON_TYPES, ids=[
+        "order-string", "demand-float", "repetition-string", "round-string", "condition-float", "block-bool", "run-id-int", "agent-null", "experiment-list",
+        "dist-object", "order-condition-bool", "margin-float", "profit-float",
+        "cumulative-profit-null", "confidence-int", "prompt-hash-list", "response-null",
+        "retries-bool", "token-usage-list", "ts-start-string", "ts-end-null"])
+def test_a_stored_field_of_the_wrong_json_type_is_an_integrity_error(
+        tmp_path, capsys, command, field, retype, wanted):
+    """Each `RoundRecord` field, as one JSON type its annotation refuses, is refused by name."""
+    run_dir, value = retype_second_round(tmp_path, field, retype)
+    path = run_dir / "rounds.jsonl"
     stored = path.read_bytes()
     capsys.readouterr()
     if command == "report":
@@ -835,9 +901,22 @@ def test_a_stored_field_of_the_wrong_json_type_is_an_integrity_error(
         assert main(["simulate", "--resume", str(run_dir)]) == 5
     err = capsys.readouterr().err
     assert err.startswith("integrity error: record (condition=")
-    assert f"field {field!r} is {value!r}, not an integer" in err
+    assert f"field {field!r} is {value!r}, not {wanted}" in err
     assert not (tmp_path / "report").exists()
     assert path.read_bytes() == stored
+
+
+@pytest.mark.parametrize("field, retype", [
+    ("ts_end", math.ceil), ("token_usage", lambda _: {"prompt_tokens": 7}),
+], ids=["ts-end-int", "token-usage-object"])
+def test_a_stored_field_of_an_accepted_json_type_reads(tmp_path, capsys, field, retype):
+    run_dir, value = retype_second_round(tmp_path, field, retype)
+    path = run_dir / "rounds.jsonl"
+    stored = path.read_bytes()
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 0
+    assert main(["simulate", "--resume", str(run_dir)]) == 0
+    assert path.read_bytes() == stored
+    assert getattr(RunStore(run_dir).records()[1], field) == value
 
 
 @pytest.mark.parametrize("rounds", [None, {3}], ids=["whole-block", "one-later-round"])

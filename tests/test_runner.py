@@ -2,11 +2,13 @@ import itertools
 import json
 from collections import Counter
 import os
+import shutil
 import signal
 import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from conftest import strip_timestamps
@@ -390,18 +392,60 @@ def test_unreadable_response_is_a_transport_failure(tmp_path, stub_server):
     assert RunStore(tmp_path / "run").records() == []
 
 
-def test_resume_of_truncated_random_run_matches_uninterrupted_run(tmp_path):
-    # the random agent's rng must advance over the replayed rounds
-    plan = small_plan(agent=AgentSpec("random"), reps=2, rounds=6)
-    run_plan(plan, tmp_path / "full")
-    full = stripped_lines(tmp_path / "full")
-    run_plan(plan, tmp_path / "cut")
-    rounds_path = tmp_path / "cut" / "rounds.jsonl"
-    lines = rounds_path.read_text(encoding="utf-8").splitlines(keepends=True)
-    rounds_path.write_text("".join(lines[:9]), encoding="utf-8")  # mid block 2 of rep 0
+RANDOM_ROUNDS = 6
 
-    assert resume(tmp_path / "cut").complete
-    assert sorted(stripped_lines(tmp_path / "cut")) == sorted(full)
+
+@pytest.fixture(scope="module")
+def random_store(tmp_path_factory):
+    """A complete store of the random agent: 2 conditions x 2 repetitions x 2 blocks."""
+    run_dir = tmp_path_factory.mktemp("random") / "full"
+    assert run_plan(small_plan(agent=AgentSpec("random"), reps=2, rounds=RANDOM_ROUNDS),
+                    run_dir).complete
+    return run_dir
+
+
+@pytest.mark.parametrize("block_1, block_2",
+                         list(itertools.product(range(RANDOM_ROUNDS + 1), repeat=2)))
+def test_resume_of_truncated_random_run_matches_uninterrupted_run(tmp_path, random_store,
+                                                                  block_1, block_2):
+    """Repetition 0 of condition 0 keeps the first ``block_1`` and ``block_2`` rounds of its
+    blocks; the rest of the store is whole. The random agent's rng, built for a block's first
+    decided round, must be advanced past the stored rounds: the resume orders what the
+    uninterrupted run ordered, each block's rng draws one at a time from round 1."""
+    kept = {1: block_1, 2: block_2}
+    cut = tmp_path / "cut"
+    shutil.copytree(random_store, cut)
+    lines = (cut / "rounds.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    (cut / "rounds.jsonl").write_text("".join(
+        line for line, r in zip(lines, map(json.loads, lines))
+        if (r["condition_index"], r["repetition"]) != (0, 0)
+        or r["round_index"] <= kept[r["block_index"]]), encoding="utf-8")
+    assert len(stripped_lines(cut)) == len(lines) - 2 * RANDOM_ROUNDS + block_1 + block_2
+
+    outcome = resume(cut)
+    assert outcome.complete
+    assert sorted(stripped_lines(cut)) == sorted(stripped_lines(random_store))
+    plan = load_plan(RunStore(cut))
+    assert [list(t.orders) for t in outcome.trajectories] == [
+        seeded_random_orders(plan, t.records[0].identity()) for t in outcome.trajectories]
+
+
+def seeded_random_orders(plan, identity):
+    """The orders of a block of the random agent: its seeded rng's draws, one per round."""
+    condition_index, repetition, block_index = identity
+    condition = plan.conditions[condition_index]
+    demand = condition.scenario_for_margin(condition.margin_for_block(block_index)).demand
+    rng = np.random.default_rng(
+        derive_seed(condition.base_seed, repetition, block_index, salt="agent"))
+    return [int(rng.integers(demand.lower, demand.upper + 1))
+            for _ in range(condition.rounds_per_block)]
+
+
+def test_replay_of_a_complete_random_store_builds_no_agent_rng(random_store):
+    store = RunStore(random_store)
+    blocks = replay(load_plan(store), store.records()).values()
+    assert [len(b.records) for b in blocks] == [RANDOM_ROUNDS] * 8
+    assert all(b.agent_rng is None for b in blocks)
 
 
 # --- a torn final line after a crash mid-append -----------------------------
