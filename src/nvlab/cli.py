@@ -18,8 +18,9 @@ chat request and every unresolved round to stderr, tagged with the thread
 that made it.
 
 Exit codes: 0 success, 2 configuration error, 3 transport failure,
-4 parse-ambiguity failure, 5 store-integrity failure. A run with unresolved
-rounds exits 3 if any of them failed on transport, else 4.
+4 parse-ambiguity failure, 5 store-integrity failure, 6 I/O failure (a file
+that cannot be read or written). A run with unresolved rounds exits 3 if any
+of them failed on transport, else 4.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ EXIT_CONFIG = 2
 EXIT_TRANSPORT = 3
 EXIT_PARSE = 4
 EXIT_INTEGRITY = 5
+EXIT_IO = 6
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
@@ -289,6 +291,10 @@ def main(argv=None) -> int:
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    except OSError as exc:  # a full disk, say, or a directory where a store file belongs
+        path = f": {exc.filename}" if exc.filename else ""
+        print(f"i/o error: {exc.strerror or exc}{path}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -322,7 +322,8 @@ def learning_stats(trajectory: Trajectory) -> LearningStats:
 
 
 def average_learning_stats(trajectories: list[Trajectory]) -> dict:
-    """Per-trajectory learning statistics averaged across the repetitions of one condition."""
+    """Per-trajectory learning statistics averaged across the repetitions of one condition:
+    the per-group reference, fitted alone, that tests hold `report.learning_rows` to."""
     return mean_learning_stats(_learning(trajectories))
 
 

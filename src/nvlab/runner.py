@@ -29,20 +29,21 @@ order, each through `_Block.walk`, the one round loop that fresh runs and
 its walk hashes each round's prompt (`ScenarioPrompts.sha256`) from the
 previous round's order, demand, profit and cumulative profit, without joining
 its text. Only an LLM block, which keeps a transcript, renders the text. A
-walk checks every stored round (its prompt hash recomputed and compared, its
-demand compared with the seeded draw) and advances the transcript as if it
-had just been decided; later rounds are decided and appended to the store one
-at a time, each by one `agents.decide` call with the block's scenario and the
-previous round's order and demand. A scripted block builds its rule
-(`scripted_rule`), and the random agent's rng advanced past the stored rounds'
-draws, once, for its first decided round; a replayed round needs neither.
+walk is the one place that says what a stored round must be: it checks each
+stored round's values, then its prompt hash, then its seeded demand draw, and
+advances the transcript as if the round had just been decided; later rounds
+are decided and appended to the store one at a time, each by one
+`agents.decide` call with the block's scenario and the previous round's order
+and demand. A scripted block builds its rule (`scripted_rule`), and the random
+agent's rng advanced past the stored rounds' draws, once, for its first
+decided round; a replayed round needs neither.
 
 `replay` is the one read of stored rounds, shared by `report` and `resume`: it
-checks them against the plan, then walks each block's. `resume` replays them
-before it builds a client or decides a round, so a corrupt store is refused
-before anything is appended. An unresolved round
-(transport or parse failure after retries) stops its block and leaves the
-trajectory incomplete for `resume`.
+checks every record's types and labels (`store.group_trajectories`), then
+walks each block's in identity order. `resume` replays them before it builds a
+client or decides a round, so a corrupt store is refused before anything is
+appended. An unresolved round (transport or parse failure after retries)
+stops its block and leaves the trajectory incomplete for `resume`.
 
 A round of an LLM block is flushed as it is appended, before the block's next
 chat request. A scripted block's rounds are flushed once, when its walk
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -77,6 +79,8 @@ import numpy as np
 
 from . import model
 from .agents import (
+    EXACT,
+    FALLBACK,
     LLM,
     RANDOM,
     AgentSpec,
@@ -303,15 +307,16 @@ class _Block:
     def walk(self, rounds, earlier=(), store=None, client=None, stop=None) -> RoundFailure | None:
         """Walk on to round ``rounds``: check the stored rounds, decide the later ones.
 
-        A stored round is checked (recomputed prompt hash, then seeded demand
-        draw). A later round is decided with the ``earlier`` conversation turns
-        before this block's, and recorded under the block's head in ``store``; no
-        round is decided once ``stop`` is set. A scripted block's rounds are
-        flushed once, on return. The random agent's ``agent_rng`` is built for its
-        first decided round and advanced past the stored rounds as deciding them did.
-        Returns the failure that stopped the block, if any.
+        A stored round is checked: its values, then its recomputed prompt hash, then its
+        seeded demand draw. A later round is decided with the ``earlier`` conversation
+        turns before this block's, and recorded under the block's head in ``store``; no
+        round is decided once ``stop`` is set. A scripted block's rounds are flushed
+        once, on return. The random agent's ``agent_rng`` is built for its first decided
+        round and advanced past the stored rounds as deciding them did. Returns the
+        failure that stopped the block, if any.
         """
         condition, scenario, prompts = self.condition, self.scenario, self.prompts
+        lower, upper, max_order = scenario.demand.lower, scenario.demand.upper, scenario.max_order
         chat = self.messages is not None
         failure = None
         while self.walked < rounds:
@@ -319,15 +324,41 @@ class _Block:
             last = self.records[round_index - 2] if round_index > 1 else None
             feedback = () if last is None else (last.order, last.demand, last.profit,
                                                 last.cumulative_profit)
+            total = last.cumulative_profit if last else 0  # checked, or written, as the running sum
             prompt_sha256 = prompts.sha256(*feedback)
             prompt = render_prompt(scenario, *feedback) if chat else None  # rules read none
-            demand = self.draws[round_index - 1]
-            if round_index <= len(self.records):
+            if round_index <= len(self.records):  # a copy past the last round fails first
                 record = self.records[round_index - 1]
+                if record.round_index != round_index:
+                    raise IntegrityError(
+                        f"{where(record)}: expected round {round_index}, rounds are not contiguous")
+                if record.parse_confidence not in (EXACT, FALLBACK):
+                    raise IntegrityError(f"{where(record)}: field 'parse_confidence' is unknown")
+                if record.retries < 0:
+                    raise IntegrityError(f"{where(record)}: field 'retries' is negative")
+                if not 0 <= record.order <= max_order:
+                    raise IntegrityError(f"{where(record)}: field 'order' is {record.order}, "
+                                         f"not in [0, {max_order}]")
+                # a NaN fails too, and so does an int past the float range (10**400 < inf)
+                if not 0.0 <= record.ts_start <= record.ts_end <= sys.float_info.max:
+                    raise IntegrityError(
+                        f"{where(record)}: timestamps ts_start {record.ts_start!r} and ts_end "
+                        f"{record.ts_end!r} are not 0 <= ts_start <= ts_end <= {sys.float_info.max}")
+                if not lower <= record.demand <= upper:
+                    raise IntegrityError(f"{where(record)}: field 'demand' is {record.demand}, "
+                                         f"not in the demand range [{lower}, {upper}]")
+                gain = model.profit(record.order, record.demand, scenario.cost)
+                if record.profit != gain:
+                    raise IntegrityError(
+                        f"{where(record)}: stored profit {record.profit} != recomputed {gain}")
+                total += gain
+                if record.cumulative_profit != total:
+                    raise IntegrityError(f"{where(record)}: stored cumulative profit "
+                                         f"{record.cumulative_profit} != running sum {total}")
                 if prompt_sha256 != record.prompt_sha256:
                     raise IntegrityError(f"{where(record)}: stored prompt hash does not match "
                                          "the re-rendered prompt")
-                if demand != record.demand:
+                if (demand := self.draws[round_index - 1]) != record.demand:
                     raise IntegrityError(f"{where(record)}: stored demand {record.demand} does "
                                          f"not match the seeded draw {demand}")
             else:
@@ -339,7 +370,7 @@ class _Block:
                         rng = self.agent_rng = np.random.default_rng(derive_seed(
                             condition.base_seed, *self.identity[1:], salt="agent"))
                         for _ in range(round_index - 1):  # the draws the stored rounds took
-                            rng.integers(scenario.demand.lower, scenario.demand.upper + 1)
+                            rng.integers(lower, upper + 1)
                     self.rule = scripted_rule(condition.agent, scenario, self.agent_rng)
                 ts_start = time.time()
                 try:
@@ -351,10 +382,10 @@ class _Block:
                     failure = RoundFailure(*self.identity, round_index, kind, str(exc))
                     log.warning("unresolved round: %s", failure)
                     break
-                round_profit = model.profit(decision.order, demand, scenario.cost)
+                demand = self.draws[round_index - 1]
+                gain = model.profit(decision.order, demand, scenario.cost)
                 record = RoundRecord(
-                    *self.head, round_index, decision.order, demand, round_profit,
-                    (last.cumulative_profit if last else 0) + round_profit,
+                    *self.head, round_index, decision.order, demand, gain, total + gain,
                     decision.parse_confidence, prompt_sha256, decision.raw_response,
                     decision.retries, decision.token_usage, ts_start,
                     max(time.time(), ts_start))  # a clock stepped back stores no inversion
@@ -374,13 +405,13 @@ def replay(plan: ExperimentPlan, records: list[RoundRecord], run_id: str | None 
     """Each identity ``plan`` runs -> its `_Block`, holding its stored rounds in ``records``.
 
     The one read of stored rounds, shared by `resume` and `report`. `group_trajectories`
-    checks each round against the plan (identity, labels, JSON types and values, profit),
-    then each block walks its stored rounds: their prompt hashes and seeded demand draws
-    are checked; no agent rng is built. Blocks are in identity order; any mismatch raises
-    IntegrityError. A caller that has ``plan.run_id()`` passes it as ``run_id``.
+    checks every record's JSON types and labels against the plan, in line order; then
+    each block, in identity order, walks its stored rounds (values, prompt hash, seeded
+    draw); no agent rng is built. The first mismatch in that order raises IntegrityError.
+    A caller that has ``plan.run_id()`` passes it as ``run_id``.
     """
     planned = _planned(plan, run_id or plan.run_id())
-    stored = {t.records[0].identity(): t.records for t in group_trajectories(records, planned)}
+    stored = group_trajectories(records, planned)
     blocks = {}
     for identity, (head, scenario) in sorted(planned.items()):
         block = blocks[identity] = _Block(plan.conditions[identity[0]], identity, head, scenario,

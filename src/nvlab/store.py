@@ -14,13 +14,13 @@ from a per-trajectory template where it can. Records carry their full trajectory
 identity (condition index, repetition, block, round) so concurrent trajectories can
 interleave safely. A read decodes each label head (a line up to ``,"round_index":``)
 once and shares it among its records; another spelling takes
-`RoundRecord.from_line`'s full decode. Each read checks every field's JSON type and
-value (money is an integer; an order is in [0, `ScenarioConfig.max_order`]), each
-trajectory's label head against the plan's, and profit exactly; any mismatch,
-malformed or non-UTF-8 line, or hash conflict raises IntegrityError naming the
-offending record. A `Trajectory` is its scenario and its records, whose first
-labels it. A run's outcome holds the rounds it read and those it appended, in the
-blocks the runner walked, so the runner never reads the file back.
+`RoundRecord.from_line`'s full decode. A malformed or non-UTF-8 line raises
+IntegrityError naming it; `group_trajectories` refuses, in line order, the first
+record whose JSON types (money is an integer) or labels and round index are not
+the plan's, and groups the rest by identity. A round's values are checked by the
+runner's walk (`runner.replay`). A `Trajectory` is its scenario and its records,
+whose first labels it. A run's outcome holds the rounds it read and those it
+appended, in the blocks the runner walked, so the runner never reads the file back.
 
 Appends share one handle, opened by the first `append` and kept until
 `RunStore.close` (or the end of ``with RunStore(...)``). An `append` flushes
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -44,8 +43,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .agents import EXACT, FALLBACK
-from .model import ScenarioConfig, profit
+from .model import ScenarioConfig
 
 MANIFEST_NAME = "manifest.json"
 ROUNDS_NAME = "rounds.jsonl"
@@ -361,15 +359,12 @@ def _refusal(records: list[RoundRecord], planned: dict) -> IntegrityError:
             return IntegrityError(f"{where(record)} is outside the plan{mismatch}")
 
 
-def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajectory]:
-    """Group records by trajectory identity and validate per-round invariants.
+def group_trajectories(records: list[RoundRecord], planned: dict) -> dict[tuple, list]:
+    """Each identity's records in round order, once their types and labels are the plan's.
 
-    ``planned`` maps each identity the plan runs to its label head (the fields
-    before ``round_index``) and ScenarioConfig. Validates every field's JSON type,
-    each round's head and round index against the plan's, round contiguity, the
-    parse confidence, retries >= 0, the order in [0, ``max_order``], timestamps
-    in float range with 0 <= ts_start <= ts_end, demand in range, and integer
-    profit and cumulative profit equal to the recomputed profit and its sum.
+    ``planned`` maps each identity the plan runs to its label head (the fields before
+    ``round_index``) and ScenarioConfig. The first record, in line order, of a wrong JSON
+    type or outside the plan is refused (`_refusal`); `runner.replay` checks the values.
     """
     by_head: dict[tuple, list[RoundRecord]] = {}
     for record in records:  # typed before hashed: 0.0 and True hash as 0 and 1 do
@@ -381,39 +376,4 @@ def group_trajectories(records: list[RoundRecord], planned: dict) -> list[Trajec
         planned_head, sc = planned.get(rows[0].identity(), ((), None))
         if head != planned_head or not 0 < rows[0].round_index <= rows[-1].round_index <= sc.rounds:
             raise _refusal(records, planned)
-
-    trajectories = []
-    for rows in sorted(by_head.values(), key=lambda rows: rows[0].identity()):
-        sc = planned[rows[0].identity()][1]
-        lower, upper, max_order = sc.demand.lower, sc.demand.upper, sc.max_order
-        cumulative = 0
-        for position, record in enumerate(rows, start=1):
-            if record.round_index != position:
-                raise IntegrityError(
-                    f"{where(record)}: expected round {position}, rounds are not contiguous")
-            if record.parse_confidence not in (EXACT, FALLBACK):
-                raise IntegrityError(f"{where(record)}: field 'parse_confidence' is unknown")
-            if record.retries < 0:
-                raise IntegrityError(f"{where(record)}: field 'retries' is negative")
-            if not 0 <= record.order <= max_order:
-                raise IntegrityError(f"{where(record)}: field 'order' is {record.order}, "
-                                     f"not in [0, {max_order}]")
-            # a NaN fails too, and so does an int past the float range (10**400 < inf)
-            if not 0.0 <= record.ts_start <= record.ts_end <= sys.float_info.max:
-                raise IntegrityError(
-                    f"{where(record)}: timestamps ts_start {record.ts_start!r} and ts_end "
-                    f"{record.ts_end!r} are not 0 <= ts_start <= ts_end <= {sys.float_info.max}")
-            if not lower <= record.demand <= upper:
-                raise IntegrityError(f"{where(record)}: field 'demand' is {record.demand}, "
-                                     f"not in the demand range [{lower}, {upper}]")
-            recomputed = profit(record.order, record.demand, sc.cost)
-            if record.profit != recomputed:
-                raise IntegrityError(
-                    f"{where(record)}: stored profit {record.profit} != recomputed {recomputed}")
-            cumulative += recomputed
-            if record.cumulative_profit != cumulative:
-                raise IntegrityError(f"{where(record)}: stored cumulative profit "
-                                     f"{record.cumulative_profit} != running sum {cumulative}")
-        trajectories.append(Trajectory(sc, rows))
-    return trajectories
-
+    return {rows[0].identity(): rows for rows in by_head.values()}

@@ -5,7 +5,9 @@ progress lines (wherever it is: between rounds, mid-append, or between run
 directories), finishes the run with ``--resume``, and requires the stored
 rounds to be those of an uninterrupted run. Other cases lay out on disk what a
 crash at a chosen byte or step leaves (a store cut inside or between lines, a
-run directory around `RunStore.create`) and finish it in process.
+run directory around `RunStore.create`) and finish it in process. One runs the
+CLI in a child whose writes fail past a file size limit, the way a full disk
+stops a run.
 """
 
 import json
@@ -217,3 +219,34 @@ def test_a_run_killed_around_store_create_completes_to_the_uninterrupted_store(t
         assert resume(run_dir).complete
     assert (run_dir / "manifest.json").read_bytes() == manifest
     assert lines_in_order(run_dir) == lines_in_order(full)
+
+
+def test_a_write_past_the_file_size_limit_exits_6_and_resumes_to_the_uninterrupted_store(
+        tmp_path):
+    """A child `nvlab simulate` whose file size limit is half its store's rounds.jsonl.
+
+    Only the child is limited (`preexec_fn`), and it ignores SIGXFSZ, so the write
+    that crosses the limit fails with EFBIG: the run exits 6 with one stderr line,
+    and `--resume` without the limit completes the store."""
+    resource = pytest.importorskip("resource")
+    args = ["simulate", "--agent", "optimal", *GRID]
+    assert main([*args, "--out", str(tmp_path / "full")]) == 0
+    (full,) = (tmp_path / "full").iterdir()
+    limit = (full / "rounds.jsonl").stat().st_size // 2
+
+    def limited():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(nvlab.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    child = subprocess.run([sys.executable, "-m", "nvlab.cli", *args, "--out",
+                            str(tmp_path / "cut")], env=env, preexec_fn=limited,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                           timeout=120)
+    assert (child.returncode, child.stderr) == (6, "i/o error: File too large\n")
+    cut = tmp_path / "cut" / full.name
+    assert (cut / "rounds.jsonl").stat().st_size == limit
+    assert main(["simulate", "--resume", str(cut)]) == 0
+    assert (cut / "manifest.json").read_bytes() == (full / "manifest.json").read_bytes()
+    assert stripped_lines(cut) == stripped_lines(full)

@@ -982,12 +982,8 @@ OTHER_LABELS = {"run_id": "run-000000000000", "experiment": "E2-formula",
                 "agent": "random"}
 
 
-def _record_cases():
-    """(id, lines edited, field or fields, value, expected message) of each small-store edit."""
-    for field in RoundRecord._fields:
-        for kind, value in WRONG_VALUES.items():
-            if type(value) not in STORED_TYPES[field]:
-                yield f"{field}-{kind}", (1,), field, value, "field {field!r} is {value!r}, not "
+def _value_cases():
+    """(id, lines edited, field or fields, value, expected message) of each value edit."""
     for kind, field, value in [("negative", "order", -1), ("above-range", "order", 601),
                                ("negative", "retries", -1),
                                ("below-range", "demand", -1), ("above-range", "demand", 10**30),
@@ -1018,6 +1014,21 @@ def _record_cases():
     # each a time in range, but ending before the round started
     yield "ts_start-after-ts_end", (1,), "ts_start", 1e30, timestamps["ts_start"]
     yield "ts_end-before-ts_start", (1,), "ts_end", 1.0, timestamps["ts_end"]
+
+
+def _record_cases():
+    """(id, lines edited, field or fields, value, expected message) of each small-store edit."""
+    for field in RoundRecord._fields:
+        for kind, value in WRONG_VALUES.items():
+            if type(value) not in STORED_TYPES[field]:
+                yield f"{field}-{kind}", (1,), field, value, "field {field!r} is {value!r}, not "
+    for case_id, lines, field, value, message in _value_cases():
+        yield case_id, lines, field, value, message
+        # on the last line too: block 2's round 3, which no later prompt hash covers and
+        # the walk reaches last
+        if case_id == "cumulative_profit-past-float-range":
+            message = "block=2, round=3): stored cumulative profit {value} != running sum 147"
+        yield f"{case_id}-last-line", (5,), field, value, message
     # of the right type and value range, but not the hash of the prompt round 2 was shown
     yield ("prompt_sha256-zeroed", (1,), "prompt_sha256", "0" * 64,
            "round=2): stored prompt hash does not match the re-rendered prompt")
@@ -1112,6 +1123,25 @@ def test_bytes_that_are_not_utf8_are_an_integrity_error(tmp_path, capsys, small_
     assert err.count(message) == 2, err
 
 
+@pytest.mark.parametrize("name", ["manifest.json", "rounds.jsonl"])
+def test_a_store_file_that_cannot_be_read_is_an_io_error(tmp_path, capsys, small_store, name):
+    """A directory in a store file's place: both commands exit 6 with one stderr line
+    naming the error and the path, and neither writes to the store."""
+    run_dir = shutil.copytree(small_store, tmp_path / "run")
+    (run_dir / name).unlink()
+    (run_dir / name).mkdir()
+    stored = {path.name: path.read_bytes() for path in run_dir.iterdir() if path.is_file()}
+    capsys.readouterr()
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 6
+    assert main(["simulate", "--resume", str(run_dir)]) == 6
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"i/o error: Is a directory: {run_dir / name}"] * 2
+    assert not (tmp_path / "report").exists()
+    assert sorted(path.name for path in run_dir.iterdir()) == ["manifest.json", "rounds.jsonl"]
+    assert {name: (run_dir / name).read_bytes() for name in stored} == stored
+    assert not any((run_dir / name).iterdir())
+
+
 @pytest.mark.parametrize("name, text, message", [
     ("rounds.jsonl", "[" * 100_000, "rounds.jsonl line 2: malformed JSON (maximum recursion"),
     ("manifest.json", "[" * 100_000, "manifest.json is malformed: maximum recursion"),
@@ -1177,6 +1207,49 @@ def test_a_demand_off_its_seeded_draw_is_an_integrity_error(tmp_path, capsys, sm
     err = refused_by_both_commands(tmp_path, capsys, run_dir)
     assert err.count(f"round=3): stored demand {last['demand']} does not match the seeded "
                      f"draw {draw}") == 2, err
+
+
+@pytest.mark.parametrize("index, edit, message", [
+    pytest.param(0, "twice", "block=1, round=1): expected round 2", id="first-round-twice"),
+    pytest.param(2, "twice", "block=1, round=3): expected round 4", id="block-1-last-twice"),
+    pytest.param(5, "twice", "block=2, round=3): expected round 4", id="last-line-twice"),
+    pytest.param(1, "left-out", "block=1, round=3): expected round 2", id="round-2-left-out"),
+    pytest.param(5, "round-2", "block=2, round=2): expected round 3", id="round-3-as-round-2"),
+])
+def test_rounds_that_are_not_contiguous_are_an_integrity_error(tmp_path, capsys, small_store,
+                                                               index, edit, message):
+    """A line stored twice, left out or given another round's index: each round index is in
+    the plan's range, so only the walk's contiguity check can refuse it."""
+    run_dir = shutil.copytree(small_store, tmp_path / "run")
+    path = run_dir / "rounds.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    if edit == "twice":
+        lines.insert(index, lines[index])
+    elif edit == "left-out":
+        del lines[index]
+    else:
+        lines[index] = json.dumps({**json.loads(lines[index]), "round_index": 2}) + "\n"
+    path.write_text("".join(lines))
+    err = refused_by_both_commands(tmp_path, capsys, run_dir)
+    assert err.count(f"{message}, rounds are not contiguous") == 2, err
+
+
+def test_a_read_names_an_earlier_blocks_prompt_hash_before_a_later_blocks_profit(
+        tmp_path, capsys, small_store):
+    """Block 1's round 2 has a zeroed prompt hash, block 2's round 2 a profit one off.
+
+    A read walks each block, in identity order, through each round's values, prompt
+    hash and seeded draw before the next block, so block 1's hash is the one named."""
+    run_dir = shutil.copytree(small_store, tmp_path / "run")
+    path = run_dir / "rounds.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [(r["block_index"], r["round_index"]) for r in records[1::3]] == [(1, 2), (2, 2)]
+    records[1]["prompt_sha256"] = "0" * 64
+    records[4]["profit"] += 1
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    err = refused_by_both_commands(tmp_path, capsys, run_dir)
+    assert err.count("block=1, round=2): stored prompt hash does not match the re-rendered "
+                     "prompt") == 2, err
 
 
 def test_a_torn_final_line_cut_inside_a_character_is_skipped_or_set_aside(
