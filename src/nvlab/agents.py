@@ -240,7 +240,6 @@ def decide(
     round_index: int = 1,
     last_order: int | None = None,
     last_demand: int | None = None,
-    rng=None,
     client=None,
     transcript: list[dict] | None = None,
     rule=None,
@@ -248,16 +247,17 @@ def decide(
     """Produce round ``round_index``'s decision in ``scenario``.
 
     Scripted kinds are deterministic given the round, the previous order and
-    demand, and ``rng``, never read ``prompt`` (the runner passes None) and
+    demand, and ``rule``, never read ``prompt`` (the runner passes None) and
     never error; a caller deciding many rounds of one scenario passes the
-    agent's `scripted_rule` as ``rule``. The llm kind
+    agent's `scripted_rule` as ``rule`` (the random kind's holds its rng, so it
+    needs one). The llm kind
     appends ``prompt`` to ``transcript`` (not mutated), sends one chat request
     via ``client`` and extracts the order; unparseable replies are re-prompted
     up to `MAX_REPROMPTS` times with a clarification turn that stays out of
     the persistent transcript.
     """
     if agent.kind != LLM:
-        return Decision(*(rule or scripted_rule(agent, scenario, rng))(
+        return Decision(*(rule or scripted_rule(agent, scenario))(
             round_index, last_order, last_demand), EXACT)
 
     if client is None:

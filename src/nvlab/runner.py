@@ -40,10 +40,12 @@ decided round; a replayed round needs neither.
 
 `replay` is the one read of stored rounds, shared by `report` and `resume`: it
 checks every record's types and labels (`store.group_trajectories`), then
-walks each block's in identity order. `resume` replays them before it builds a
-client or decides a round, so a corrupt store is refused before anything is
-appended. An unresolved round (transport or parse failure after retries)
-stops its block and leaves the trajectory incomplete for `resume`.
+hands each block its stored rows to walk, in identity order; a block's
+``records`` (the rounds walked so far) are its only progress. `resume` replays
+them before it builds a client or decides a round, so a corrupt store is
+refused before anything is appended. An unresolved round (transport or parse
+failure after retries) stops its block and leaves the trajectory incomplete
+for `resume`.
 
 A round of an LLM block is flushed as it is appended, before the block's next
 chat request. A scripted block's rounds are flushed once, when its walk
@@ -283,18 +285,18 @@ class _Block:
     `walk` advances it round by round and can be called again to go further,
     so a block's stored rounds can be replayed long before its first new
     round is decided. ``head`` and ``scenario`` are the plan's for its identity;
-    ``records`` holds its stored rounds, then those it decides.
+    ``records`` holds the rounds walked so far, checked (as `replay` hands them) or decided.
     ``messages`` holds the block's conversation turns for an LLM agent;
     scripted agents ignore transcripts, so theirs is None.
     """
 
-    def __init__(self, condition, identity, head, scenario, stored=()):
+    def __init__(self, condition, identity, head, scenario):
         _, repetition, block_index = self.identity = identity
         self.condition = condition
         self.head = head
         self.scenario = scenario
         self.prompts = scenario_prompts(scenario)
-        self.records = list(stored)
+        self.records = []
         self.draws = model.sample_sequence(
             scenario.demand, condition.rounds_per_block,
             derive_seed(condition.base_seed, repetition, block_index),
@@ -302,33 +304,31 @@ class _Block:
         self.messages = [] if condition.agent.kind == LLM else None
         # built for the first decided round: a replayed block looks up no optimum, draws nothing
         self.rule = self.agent_rng = None
-        self.walked = 0
 
-    def walk(self, rounds, earlier=(), store=None, client=None, stop=None) -> RoundFailure | None:
-        """Walk on to round ``rounds``: check the stored rounds, decide the later ones.
+    def walk(self, rounds, *, stored=(), earlier=(), store=None, client=None, stop=None):
+        """Walk on to round ``rounds``, appending each round walked to ``records``.
 
-        A stored round is checked: its values, then its recomputed prompt hash, then its
-        seeded demand draw. A later round is decided with the ``earlier`` conversation
-        turns before this block's, and recorded under the block's head in ``store``; no
-        round is decided once ``stop`` is set. A scripted block's rounds are flushed
-        once, on return. The random agent's ``agent_rng`` is built for its first decided
-        round and advanced past the stored rounds as deciding them did. Returns the
-        failure that stopped the block, if any.
+        A round ``stored`` holds (the block's stored rows in round order, from `replay`) is
+        checked: its values, then its recomputed prompt hash, then its seeded demand draw. A
+        later round is decided with the ``earlier`` conversation turns before this block's,
+        and recorded under the block's head in ``store``; no round is decided once ``stop``
+        is set. A scripted block's rounds are flushed once, on return. The random agent's
+        ``agent_rng`` is built for its first decided round and advanced past the stored
+        rounds as deciding them did. Returns the failure that stopped the block, if any.
         """
         condition, scenario, prompts = self.condition, self.scenario, self.prompts
         lower, upper, max_order = scenario.demand.lower, scenario.demand.upper, scenario.max_order
         chat = self.messages is not None
         failure = None
-        while self.walked < rounds:
-            round_index = self.walked + 1
-            last = self.records[round_index - 2] if round_index > 1 else None
+        for round_index in range(len(self.records) + 1, rounds + 1):
+            last = self.records[-1] if self.records else None
             feedback = () if last is None else (last.order, last.demand, last.profit,
                                                 last.cumulative_profit)
             total = last.cumulative_profit if last else 0  # checked, or written, as the running sum
             prompt_sha256 = prompts.sha256(*feedback)
             prompt = render_prompt(scenario, *feedback) if chat else None  # rules read none
-            if round_index <= len(self.records):  # a copy past the last round fails first
-                record = self.records[round_index - 1]
+            if round_index <= len(stored):  # a copy past the last round fails first
+                record = stored[round_index - 1]
                 if record.round_index != round_index:
                     raise IntegrityError(
                         f"{where(record)}: expected round {round_index}, rounds are not contiguous")
@@ -391,11 +391,10 @@ class _Block:
                     max(time.time(), ts_start))  # a clock stepped back stores no inversion
                 # a chat round is on disk before the next request; a scripted one by the flush below
                 store.append(record, flush=chat)
-                self.records.append(record)
+            self.records.append(record)
             if chat:
                 self.messages += ({"role": "user", "content": prompt},
                                   {"role": "assistant", "content": record.raw_response})
-            self.walked = round_index
         if store is not None:
             store.flush()
         return failure
@@ -414,9 +413,8 @@ def replay(plan: ExperimentPlan, records: list[RoundRecord], run_id: str | None 
     stored = group_trajectories(records, planned)
     blocks = {}
     for identity, (head, scenario) in sorted(planned.items()):
-        block = blocks[identity] = _Block(plan.conditions[identity[0]], identity, head, scenario,
-                                          stored.get(identity, ()))
-        block.walk(len(block.records))
+        block = blocks[identity] = _Block(plan.conditions[identity[0]], identity, head, scenario)
+        block.walk(len(rows := stored.get(identity, ())), stored=rows)
     return blocks
 
 
@@ -458,7 +456,7 @@ def _execute(plan, run_id, store, client_factory, stored: list[RoundRecord], pro
                 if stop.is_set():
                     break
                 block = blocks[condition_index, repetition, block_index]
-                if progress and block.walked < rounds:
+                if progress and len(block.records) < rounds:
                     with progress_lock:
                         progress(
                             f"condition {condition_index} ({condition.agent.label}, "
@@ -466,7 +464,8 @@ def _execute(plan, run_id, store, client_factory, stored: list[RoundRecord], pro
                             f"{condition.order_condition}) rep {repetition + 1}/"
                             f"{condition.repetitions} block {block_index}"
                         )
-                failure = block.walk(rounds, earlier, store, clients[condition_index], stop)
+                failure = block.walk(rounds, earlier=earlier, store=store,
+                                     client=clients[condition_index], stop=stop)
                 if failure is not None:
                     failures.append(failure)
                     # without block 1's full transcript, block 2 would see a

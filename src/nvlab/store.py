@@ -15,19 +15,21 @@ identity (condition index, repetition, block, round) so concurrent trajectories 
 interleave safely. A read decodes each label head (a line up to ``,"round_index":``)
 once and shares it among its records; another spelling takes
 `RoundRecord.from_line`'s full decode. A malformed or non-UTF-8 line raises
-IntegrityError naming it; `group_trajectories` refuses, in line order, the first
-record whose JSON types (money is an integer) or labels and round index are not
-the plan's, and groups the rest by identity. A round's values are checked by the
-runner's walk (`runner.replay`). A `Trajectory` is its scenario and its records,
-whose first labels it. A run's outcome holds the rounds it read and those it
-appended, in the blocks the runner walked, so the runner never reads the file back.
+IntegrityError naming it; `group_trajectories` makes one pass, in line order, and
+refuses the first record whose JSON types (money is an integer) or labels and round
+index are not the plan's, with no rescan to word it; it groups the rest by identity.
+A round's values are checked by the runner's walk (`runner.replay`). A `Trajectory`
+is its scenario and its records, whose first labels it. A run's outcome holds the
+rounds it read and those it appended, in the blocks the runner walked, so the
+runner never reads the file back.
 
 Appends share one handle, opened by the first `append` and kept until
-`RunStore.close` (or the end of ``with RunStore(...)``). An `append` flushes
-its line to the operating system before it returns unless told not to; the
-runner says so for a block that sends no chat request and calls `flush` once
-that block's walk returns, since such a round costs nothing to decide again.
-Either way a crash leaves complete lines and at most one torn final line.
+`RunStore.close` (or the end of ``with RunStore(...)``). An `append` flushes its
+line to the operating system before it returns unless told not to; the runner says
+so for a block that sends no chat request and calls `flush` once that block's walk
+returns, since such a round costs nothing to decide again. Either way a crash leaves
+complete lines and at most one torn final line. An OSError the handle raises is
+raised again naming rounds.jsonl.
 """
 
 from __future__ import annotations
@@ -277,26 +279,31 @@ class RunStore:
 
         The first append opens rounds.jsonl; the handle stays open until `close`.
         """
-        line = record.to_line() + "\n"
-        with self._append_lock:
-            if self._handle is None:
-                self._handle = self.rounds_path.open("a", encoding="utf-8")
-            self._handle.write(line)
-            if flush:
-                self._handle.flush()
+        self._write(record.to_line() + "\n", flush)
 
     def flush(self):
         """Flush the lines appended with ``flush=False`` to the operating system."""
-        with self._append_lock:
-            if self._handle is not None:
-                self._handle.flush()
+        self._write()
 
     def close(self):
         """Flush and close the append handle, if one is open; a later append opens it again."""
+        self._write(close=True)
+
+    def _write(self, line: str = "", flush: bool = True, close: bool = False):
+        """Under the append lock, write ``line`` (opening the handle), then flush or close."""
         with self._append_lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+            try:
+                if line and self._handle is None:
+                    self._handle = self.rounds_path.open("a", encoding="utf-8")
+                if self._handle is not None:
+                    self._handle.write(line)  # "" for a flush or a close
+                    if close:
+                        self._handle.close()
+                        self._handle = None
+                    elif flush:
+                        self._handle.flush()
+            except OSError as exc:  # the shared handle's own errors name no file
+                raise OSError(exc.errno, exc.strerror, str(self.rounds_path)) from exc
 
     def records(self) -> list[RoundRecord]:
         """Every stored round in line order.
@@ -345,35 +352,28 @@ def where(record: RoundRecord) -> str:
             f"rep={record.repetition}, block={record.block_index}, round={record.round_index})")
 
 
-def _refusal(records: list[RoundRecord], planned: dict) -> IntegrityError:
-    """The refusal of the first record, in line order, of a wrong JSON type or outside the plan."""
-    for record in records:
-        # a JSON string or float here would end in a TypeError far from the record
-        if tuple(map(type, record)) not in _TYPE_ROWS:
-            return IntegrityError("{}: field {!r} is {!r}, not {}".format(
-                where(record), *mistyped(RoundRecord, record._asdict())))
-        head, sc = planned.get(record.identity(), ((), None))  # () matches no record's head
-        if record[:_HEAD] != head or not 0 < record.round_index <= sc.rounds:
-            mismatch = next((f": {name} {value!r} is not the plan's {label!r}" for name, value,
-                             label in zip(_RECORD_FIELDS, record, head) if value != label), "")
-            return IntegrityError(f"{where(record)} is outside the plan{mismatch}")
-
-
 def group_trajectories(records: list[RoundRecord], planned: dict) -> dict[tuple, list]:
     """Each identity's records in round order, once their types and labels are the plan's.
 
     ``planned`` maps each identity the plan runs to its label head (the fields before
-    ``round_index``) and ScenarioConfig. The first record, in line order, of a wrong JSON
-    type or outside the plan is refused (`_refusal`); `runner.replay` checks the values.
+    ``round_index``) and ScenarioConfig. One pass, in line order, refuses the first record
+    of a wrong JSON type, of a head not the plan's (checked where the head first appears)
+    or of a round index outside its block; nothing is scanned again to word the refusal.
+    `runner.replay` checks the values.
     """
-    by_head: dict[tuple, list[RoundRecord]] = {}
+    groups: dict[tuple, tuple] = {}  # a head -> (its block's rounds, its records)
     for record in records:  # typed before hashed: 0.0 and True hash as 0 and 1 do
-        if tuple(map(type, record)) not in _TYPE_ROWS:
-            raise _refusal(records, planned)
-        by_head.setdefault(record[:_HEAD], []).append(record)
-    for head, rows in by_head.items():  # one head per identity: a second is not the plan's
-        rows.sort(key=_round_index)
-        planned_head, sc = planned.get(rows[0].identity(), ((), None))
-        if head != planned_head or not 0 < rows[0].round_index <= rows[-1].round_index <= sc.rounds:
-            raise _refusal(records, planned)
-    return {rows[0].identity(): rows for rows in by_head.values()}
+        if tuple(map(type, record)) not in _TYPE_ROWS:  # else a TypeError far from the record
+            raise IntegrityError("{}: field {!r} is {!r}, not {}".format(
+                where(record), *mistyped(RoundRecord, record._asdict())))
+        if (group := groups.get(head := record[:_HEAD])) is None:  # a head is checked once
+            planned_head, sc = planned.get(record.identity(), ((), None))  # () is no record's
+            # one head per identity: a second is not the plan's, nor any of its rounds
+            group = groups[head] = (sc.rounds if head == planned_head else 0, [])
+        if not 0 < record.round_index <= group[0]:
+            wanted = planned.get(record.identity(), ((),))[0]
+            mismatch = next((f": {name} {value!r} is not the plan's {label!r}" for name, value,
+                             label in zip(_RECORD_FIELDS, head, wanted) if value != label), "")
+            raise IntegrityError(f"{where(record)} is outside the plan{mismatch}")
+        group[1].append(record)
+    return {rows[0].identity(): sorted(rows, key=_round_index) for _, rows in groups.values()}

@@ -161,7 +161,8 @@ def test_a_scripted_rule_decides_as_decide_does(agent, sc):
     held = scripted_rule(agent, sc, np.random.default_rng(11))  # passed to decide, as a block does
     rng = np.random.default_rng(11)  # the same stream for decide's random draws
     for round_index, last_order, last_demand in RULE_CASES:
-        decision = decide(agent, "", sc, round_index, last_order, last_demand, rng=rng)
+        decision = decide(agent, "", sc, round_index, last_order, last_demand,
+                          rule=scripted_rule(agent, sc, rng))
         assert decision.parse_confidence == "exact"
         assert rule(round_index, last_order, last_demand) == (
             decision.order, decision.raw_response), (round_index, last_order, last_demand)
@@ -177,12 +178,13 @@ def test_a_scripted_rule_refuses_what_decide_refuses():
 
 def test_random_agent_deterministic_given_rng_seed():
     agent = AgentSpec("random")
-    orders_a = [decide(agent, "", SC_HIGH, rng=np.random.default_rng(3)).order
+    orders_a = [decide(agent, "", SC_HIGH,
+                       rule=scripted_rule(agent, SC_HIGH, np.random.default_rng(3))).order
                 for _ in range(5)]
     orders_b = []
     rng = np.random.default_rng(3)
     for _ in range(5):
-        orders_b.append(decide(agent, "", SC_HIGH, rng=rng).order)
+        orders_b.append(decide(agent, "", SC_HIGH, rule=scripted_rule(agent, SC_HIGH, rng)).order)
     assert orders_a[0] == orders_b[0]
     assert all(1 <= order <= 300 for order in orders_b)
 

@@ -226,8 +226,8 @@ def test_a_write_past_the_file_size_limit_exits_6_and_resumes_to_the_uninterrupt
     """A child `nvlab simulate` whose file size limit is half its store's rounds.jsonl.
 
     Only the child is limited (`preexec_fn`), and it ignores SIGXFSZ, so the write
-    that crosses the limit fails with EFBIG: the run exits 6 with one stderr line,
-    and `--resume` without the limit completes the store."""
+    that crosses the limit fails with EFBIG: the run exits 6 with one stderr line
+    naming rounds.jsonl, and `--resume` without the limit completes the store."""
     resource = pytest.importorskip("resource")
     args = ["simulate", "--agent", "optimal", *GRID]
     assert main([*args, "--out", str(tmp_path / "full")]) == 0
@@ -244,8 +244,9 @@ def test_a_write_past_the_file_size_limit_exits_6_and_resumes_to_the_uninterrupt
                             str(tmp_path / "cut")], env=env, preexec_fn=limited,
                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
                            timeout=120)
-    assert (child.returncode, child.stderr) == (6, "i/o error: File too large\n")
     cut = tmp_path / "cut" / full.name
+    assert (child.returncode, child.stderr) == (
+        6, f"i/o error: File too large: {cut / 'rounds.jsonl'}\n")
     assert (cut / "rounds.jsonl").stat().st_size == limit
     assert main(["simulate", "--resume", str(cut)]) == 0
     assert (cut / "manifest.json").read_bytes() == (full / "manifest.json").read_bytes()

@@ -1252,6 +1252,44 @@ def test_a_read_names_an_earlier_blocks_prompt_hash_before_a_later_blocks_profit
                      "prompt") == 2, err
 
 
+def _relabelled(record):
+    record["agent"] = "random"
+
+
+def _order_as_string(record):
+    record["order"] = str(record["order"])
+
+
+def _round_index(value):
+    return lambda record: record.update(round_index=value)
+
+
+@pytest.mark.parametrize("first, last, message", [
+    pytest.param((1, _relabelled), (5, _order_as_string),
+                 "block=1, round=2) is outside the plan: agent 'random' is not the plan's",
+                 id="label-then-type"),
+    pytest.param((1, _order_as_string), (5, _round_index(4)),
+                 "block=1, round=2): field 'order' is '", id="type-then-round-range"),
+    pytest.param((1, _round_index(9)), (5, _relabelled),
+                 "block=1, round=9) is outside the plan\n", id="round-range-then-label"),
+    pytest.param((4, _relabelled), (5, _order_as_string),
+                 "block=2, round=2) is outside the plan: agent 'random' is not the plan's",
+                 id="block-2-label-then-type"),
+])
+def test_of_two_defects_of_different_kinds_the_earlier_line_is_named(
+        tmp_path, capsys, small_store, first, last, message):
+    """Two lines of a store each fail a different check on types, labels or round range:
+    the refusal names the earlier line's defect, whichever kind it is."""
+    run_dir = shutil.copytree(small_store, tmp_path / "run")
+    path = run_dir / "rounds.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for index, edit in (first, last):
+        edit(records[index])
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    err = refused_by_both_commands(tmp_path, capsys, run_dir)
+    assert err.count(message) == 2, err
+
+
 def test_a_torn_final_line_cut_inside_a_character_is_skipped_or_set_aside(
         tmp_path, capsys, small_store):
     run_dir = shutil.copytree(small_store, tmp_path / "run")
