@@ -13,10 +13,10 @@ from pathlib import Path
 
 from nvlab import AgentSpec, ExperimentPlan, PlanCondition, run_plan
 from nvlab.metrics import (
+    DIRECTIONS,
+    adjustment_arrays,
     anchor_stats,
     bias_stats,
-    classify_adjustments,
-    direction_shares,
     learning_stats,
     profit_efficiency,
 )
@@ -45,24 +45,24 @@ with tempfile.TemporaryDirectory(prefix="nvlab-demo-") as tmp:
     stats = bias_stats(high)
     print("  order bias:", stats.order_bias)
     print("  profit efficiency:", profit_efficiency(stats.mean_order, high[0].scenario), "%")
-    print("  adjustment shares:", direction_shares(
-        [e for t in high for e in classify_adjustments(t)]))
+    codes = adjustment_arrays(high)[3]  # code % 3 is the direction's place in DIRECTIONS
+    print("  adjustment shares:", {direction: float((codes % 3 == place).mean() * 100)
+                                   for place, direction in enumerate(DIRECTIONS)})
     print()
 
     # --- the mean-anchor agent's w is recovered as the adjustment score -------
     print("mean-anchor agents: measured adjustment score vs configured w")
     for w in (0.0, 0.25, 0.5, 0.75, 1.0):
         outcome = run_agent(workdir, AgentSpec("mean-anchor", anchor_weight=w))
-        measured_high = anchor_stats(pool(outcome.trajectories, "high")).mas
-        measured_low = anchor_stats(pool(outcome.trajectories, "low")).mas
+        measured_high = anchor_stats(pool(outcome.trajectories, "high"))
+        measured_low = anchor_stats(pool(outcome.trajectories, "low"))
         print(f"  w={w:<5} recovered high={measured_high:+.3f} low={measured_low:+.3f}")
     print()
 
     # --- the demand-chaser is pure demand-chasing -----------------------------
     outcome = run_agent(workdir, AgentSpec("demand-chaser", chase_rate=1.0))
-    events = [e for t in outcome.trajectories for e in classify_adjustments(t)]
-    moved = [e for e in events if e.prior_error != 0]
-    toward = sum(e.direction == "toward" for e in moved) / len(moved) * 100
+    _, _, errors, codes = adjustment_arrays(outcome.trajectories)
+    toward = (codes[errors != 0] == 1).mean() * 100
     print(f"demand-chaser (alpha=1): {toward:.1f}% of nonzero-error rounds move toward demand")
     print()
 

@@ -35,11 +35,11 @@ with tempfile.TemporaryDirectory(prefix="nvlab-demo-") as tmp:
         print(f"simulated {agent.label}: {rounds} rounds -> {run_dir}")
         run_dirs.append(run_dir)
 
-    bundle = build_report(run_dirs, workdir / "report", compare_humans=True)
+    files = build_report(run_dirs, workdir / "report", compare_humans=True)
     print()
     print("report bundle:")
-    for name in sorted(bundle.files):
-        print("  ", bundle.files[name])
+    for name in sorted(files):
+        print("  ", files[name])
 
     print()
     print("ordering-bias table (first lines):")

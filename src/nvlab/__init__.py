@@ -47,19 +47,17 @@ from .runner import ExperimentPlan, PlanCondition, RunOutcome, derive_seed, resu
 from .store import IntegrityError, RoundRecord, RunStore, Trajectory
 from .metrics import (
     AdjustmentEvent,
-    AnchorStats,
     BiasStats,
     LearningStats,
     bias_stats,
     classify_adjustments,
-    direction_shares,
     learning_stats,
     mas,
     profit_efficiency,
     quartile_thresholds,
     word_frequencies,
 )
-from .report import ReportBundle, build_report
+from .report import build_report
 from .config import ConfigError, RunConfig, build_plan
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import runner as runner_mod
-from .agents import AGENT_KINDS, LLM, SCRIPTED_KINDS, AgentSpec
+from .agents import AGENT_KINDS, DEMAND_CHASER, LLM, MEAN_ANCHOR, SCRIPTED_KINDS, AgentSpec
 from .config import ConfigError, RunConfig, build_plan
 from .llm import ChatClient, TokenBucket, TransportError
 from .prompts import validate_golden
@@ -59,9 +59,9 @@ def _build_agents(args, config: RunConfig) -> list[AgentSpec]:
                 for model_name in config.models:
                     agents.append(AgentSpec(LLM, model_name=model_name,
                                             temperature=config.temperature))
-            elif kind == "mean-anchor":
+            elif kind == MEAN_ANCHOR:
                 agents.append(AgentSpec(kind, anchor_weight=args.anchor_weight))
-            elif kind == "demand-chaser":
+            elif kind == DEMAND_CHASER:
                 agents.append(AgentSpec(kind, chase_rate=args.chase_rate,
                                         switch_round=args.switch_round))
             else:
@@ -192,9 +192,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_report(args) -> int:
     out = _out_dir(args.out, "--out")
-    bundle = build_report(args.run_dirs, out, compare_humans=args.compare_humans)
-    for name in sorted(bundle.files):
-        print(f"wrote {bundle.files[name]}")
+    files = build_report(args.run_dirs, out, compare_humans=args.compare_humans)
+    for name in sorted(files):
+        print(f"wrote {files[name]}")
     return EXIT_OK
 
 
@@ -215,13 +215,13 @@ def _add_grid_arguments(parser, scripted_only=False):
                         help="experiment variant (E1, E2, E3); repeatable")
     parser.add_argument("--dist", action="append",
                         help="demand distribution (uniform, normal, lognormal); repeatable")
-    parser.add_argument("--order", action="append", choices=("high-first", "low-first"),
+    parser.add_argument("--order", action="append", choices=runner_mod.ORDER_CONDITIONS,
                         help="presentation order; repeatable")
     parser.add_argument("--reps", type=int, help="repetitions per condition")
     parser.add_argument("--rounds", type=int, help="rounds per scenario block")
     parser.add_argument("--seed", type=int, help="base seed for demand sequences")
     parser.add_argument("--out", type=Path, help="output directory for run stores")
-    default_agents = list(SCRIPTED_KINDS) if scripted_only else ["llm"]
+    default_agents = list(SCRIPTED_KINDS) if scripted_only else [LLM]
     parser.add_argument("--agent", action="append", choices=AGENT_KINDS,
                         default=None, help=f"agent kind; repeatable (default: {default_agents})")
     parser.add_argument("--anchor-weight", type=float, default=0.5,

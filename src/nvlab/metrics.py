@@ -95,24 +95,18 @@ def bias_stats(trajectories: list[Trajectory]) -> BiasStats:
     return BiasStats(mean_order, q_star, ob, ob / q_star * 100.0, len(orders))
 
 
-@dataclass(frozen=True)
-class AnchorStats:
-    anchor: float
-    mas: float | None  # None when undefined
-
-
-def mas(mean_order: float, anchor_value: float, optimal: float) -> AnchorStats:
+def mas(mean_order: float, anchor_value: float, optimal: float) -> float | None:
     """Adjustment score (q_bar - A) / (q* - A) from the anchor toward the optimum.
 
     Identical algebra covers both margins (for low margin both numerator and
     denominator flip sign). Undefined (None) when q* equals A.
     """
     if optimal == anchor_value:
-        return AnchorStats(anchor_value, None)
-    return AnchorStats(anchor_value, (mean_order - anchor_value) / (optimal - anchor_value))
+        return None
+    return (mean_order - anchor_value) / (optimal - anchor_value)
 
 
-def anchor_stats(trajectories: list[Trajectory]) -> AnchorStats:
+def anchor_stats(trajectories: list[Trajectory]) -> float | None:
     """`mas` of one scenario block's mean order (`bias_stats` checks the scenario)."""
     stats = bias_stats(trajectories)
     return mas(stats.mean_order, anchor(trajectories[0].scenario), stats.optimal)
@@ -179,15 +173,6 @@ def quartile_thresholds(abs_errors) -> tuple[float, float, float]:
 def quartile_buckets(abs_errors, thresholds: tuple[float, float, float]) -> np.ndarray:
     """Quartile position (0 for Q1 .. 3 for Q4) of each |prior error|; ties go low."""
     return np.searchsorted(np.asarray(thresholds, dtype=float), abs_errors, side="left")
-
-
-def direction_shares(events: list[AdjustmentEvent]) -> dict[str, float]:
-    """Percent shares of the three directions; always sums to 100."""
-    if not events:
-        raise MetricsError("no adjustment events")
-    counts = Counter(e.direction for e in events)
-    total = len(events)
-    return {d: counts.get(d, 0) / total * 100.0 for d in DIRECTIONS}
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +336,9 @@ def default_stopwords() -> frozenset[str]:
     return frozenset(w.strip() for w in path.read_text(encoding="utf-8").split() if w.strip())
 
 
-def word_frequencies(texts, stopwords=None) -> list[tuple[str, int]]:
-    """Case-folded unigram counts minus stopwords, ranked by count then term."""
-    if stopwords is None:
-        stopwords = default_stopwords()
+def word_frequencies(texts) -> list[tuple[str, int]]:
+    """Case-folded unigram counts minus `default_stopwords`, ranked by count then term."""
+    stopwords = default_stopwords()
     counts: Counter = Counter()
     # runs repeat their rationales, so each distinct text is tokenised once
     for text, repeats in Counter(texts).items():

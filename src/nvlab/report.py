@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +42,6 @@ MARGINS = (model.HIGH, model.LOW)  # the order of each table's margin columns
 
 class ReportError(ValueError):
     """The requested report cannot be built from the given stores."""
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    files: dict[str, Path]
 
 
 def load_trajectories(run_dirs) -> list[Trajectory]:
@@ -159,7 +153,7 @@ def bias_rows(trajectories, compare_humans=False) -> tuple[list[str], list[list]
 
 
 def _mas_cell(subset) -> list[str]:
-    score = metrics.anchor_stats(subset).mas
+    score = metrics.anchor_stats(subset)
     return ["undefined" if score is None else _fmt(score, 3)]
 
 
@@ -325,8 +319,8 @@ def _markdown_table(header, rows) -> str:
     return "\n".join(lines)
 
 
-def build_report(run_dirs, output_dir, compare_humans: bool = False) -> ReportBundle:
-    """Compute all tables and figure data; write them under ``output_dir``."""
+def build_report(run_dirs, output_dir, compare_humans: bool = False) -> dict[str, Path]:
+    """Compute all tables and figure data, write them under ``output_dir``: {name: path}."""
     trajectories = load_trajectories(run_dirs)
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -364,4 +358,4 @@ def build_report(run_dirs, output_dir, compare_humans: bool = False) -> ReportBu
     report_path = output_dir / "report.md"
     report_path.write_text("\n".join(md), encoding="utf-8")
     files["report.md"] = report_path
-    return ReportBundle(files)
+    return files

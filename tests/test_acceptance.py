@@ -30,8 +30,6 @@ from nvlab.llm import ChatClient
 from nvlab.metrics import (
     anchor_stats,
     bias_stats,
-    classify_adjustments,
-    direction_shares,
     learning_stats,
     profit_efficiency,
     quartile_thresholds,
@@ -130,8 +128,8 @@ def test_criterion_6a_mean_anchor_recovery(tmp_path):
         outcome = run_plan(plan, tmp_path / f"w{w}")
         assert outcome.complete
         for key, group in by_condition(outcome.trajectories).items():
-            stats = anchor_stats(group)
-            assert stats.mas == pytest.approx(w, abs=0.02), (key, w, stats.mas)
+            score = anchor_stats(group)
+            assert score == pytest.approx(w, abs=0.02), (key, w, score)
 
 
 def test_criterion_6b_demand_chaser_direction(tmp_path):
@@ -168,8 +166,8 @@ def test_criterion_6c_optimal_agent_exact_zeros(tmp_path):
             learning = learning_stats(t)
             assert learning.convergence_slope == 0.0
             assert learning.efficiency_slope == 0.0
-            shares = direction_shares(classify_adjustments(t))
-            assert shares["no-change"] == 100.0
+            _, _, _, codes = metrics.adjustment_arrays([t])
+            assert (codes == 0).all()  # every adjustment is no-change
 
 
 def test_criterion_6d_chase_switch_delta_r2(tmp_path):
@@ -209,8 +207,8 @@ def test_criterion_7_simulate_determinism(tmp_path, capsys):
 def test_criterion_8_fixture_replay_of_reported_aggregates(tmp_path):
     rows = [(dist, label, high, low) for dist, label, high, low, _, _ in REPORTED_MEAN_ORDERS]
     write_replay_store(tmp_path / "fixture", rows)
-    bundle = build_report([tmp_path / "fixture"], tmp_path / "report", compare_humans=True)
-    with open(bundle.files["bias_table.csv"], newline="", encoding="utf-8") as handle:
+    files = build_report([tmp_path / "fixture"], tmp_path / "report", compare_humans=True)
+    with open(files["bias_table.csv"], newline="", encoding="utf-8") as handle:
         table = {(r["distribution"], r["agent"]): r for r in csv.DictReader(handle)}
     for dist, label, _, _, dev_high, dev_low in REPORTED_MEAN_ORDERS:
         row = table[(dist, label)]

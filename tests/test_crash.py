@@ -7,9 +7,12 @@ rounds to be those of an uninterrupted run. Other cases lay out on disk what a
 crash at a chosen byte or step leaves (a store cut inside or between lines, a
 run directory around `RunStore.create`) and finish it in process. One runs the
 CLI in a child whose writes fail past a file size limit, the way a full disk
-stops a run.
+stops a run; others fail one write of the store's append handle with ENOSPC, a
+full disk that later has room again.
 """
 
+import errno
+import io
 import json
 import os
 import random
@@ -18,8 +21,10 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +34,7 @@ from nvlab.agents import RETRY_NUDGE
 from nvlab.cli import main
 from nvlab.config import RunConfig
 from nvlab.runner import resume, run_plan
-from nvlab.store import TORN_NAME, RunStore, sha256_text
+from nvlab.store import ROUNDS_NAME, TORN_NAME, RunStore, sha256_text
 from test_runner import CHASER, LLM_AGENT, order_from_prompt, small_plan, stub_factory
 from test_runner import stripped_lines as lines_in_order
 
@@ -251,3 +256,76 @@ def test_a_write_past_the_file_size_limit_exits_6_and_resumes_to_the_uninterrupt
     assert main(["simulate", "--resume", str(cut)]) == 0
     assert (cut / "manifest.json").read_bytes() == (full / "manifest.json").read_bytes()
     assert stripped_lines(cut) == stripped_lines(full)
+
+
+def fail_one_raw_write(monkeypatch):
+    """Open each rounds.jsonl append handle over a raw file that counts its writes.
+
+    The raw write numbered ``fail_at`` (counted over every such handle) raises ENOSPC and
+    writes nothing, below the text and buffer layers, so the bytes Python holds stay
+    buffered as they would on a full disk. Returns the counter: ``lines`` holds the number
+    of lines each write was handed and ``fail_at`` is None until set.
+    """
+    counter = SimpleNamespace(lines=[], fail_at=None)
+    open_path = Path.open
+
+    class Raw(io.FileIO):
+        def write(self, data):
+            counter.lines.append(bytes(data).count(b"\n"))
+            if len(counter.lines) == counter.fail_at:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(data)
+
+    def opened(path, mode="r", *args, **kwargs):
+        if path.name != ROUNDS_NAME or mode != "a":
+            return open_path(path, mode, *args, **kwargs)
+        return io.TextIOWrapper(io.BufferedWriter(Raw(path, "a")), encoding=kwargs["encoding"])
+
+    monkeypatch.setattr(Path, "open", opened)
+    return counter
+
+
+@pytest.mark.parametrize("failing", ["first", "middle", "last"])
+def test_a_write_that_fails_once_exits_6_and_resumes_to_the_uninterrupted_store(
+        tmp_path, monkeypatch, capsys, failing):
+    """A scripted block's lines reach the raw file in one write, at the block's flush. When
+    it fails, the run exits 6 and the store's close writes the block's lines whole."""
+    raw = fail_one_raw_write(monkeypatch)
+    args = ["simulate", "--agent", "optimal", *GRID]
+    assert main([*args, "--out", str(tmp_path / "full")]) == 0
+    (full,) = (tmp_path / "full").iterdir()
+    lines = raw.lines[:]
+    assert sum(lines) == len(stripped_lines(full)) and len(lines) > 2
+    raw.fail_at = {"first": 1, "middle": len(lines) // 2, "last": len(lines)}[failing]
+    raw.lines.clear()
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "cut")]) == 6
+    cut = tmp_path / "cut" / full.name
+    assert capsys.readouterr().err == (
+        f"i/o error: No space left on device: {cut / ROUNDS_NAME}\n")
+    assert (cut / ROUNDS_NAME).read_bytes().endswith(b"\n")
+    assert len(stripped_lines(cut)) == sum(lines[:raw.fail_at])
+    assert main(["simulate", "--resume", str(cut)]) == 0
+    assert (cut / "manifest.json").read_bytes() == (full / "manifest.json").read_bytes()
+    assert stripped_lines(cut) == stripped_lines(full)
+
+
+def test_an_llm_append_that_fails_once_at_4_workers_resumes_to_a_serial_run(
+        tmp_path, stub_server, monkeypatch):
+    """Other units have requests in flight when one round's write fails; the next flush
+    may write that round's line whole, and resume reads it as a stored round."""
+    stub_server.reply_fn = slow_order_from_prompt  # a reply of the request body alone
+    plan = small_plan(LLM_AGENT, reps=4, rounds=3)  # 8 units, 48 rounds, a write each
+    raw = fail_one_raw_write(monkeypatch)
+    assert run_plan(plan, tmp_path / "serial", client_factory=stub_factory(stub_server),
+                    workers=1).complete
+    raw.fail_at = len(raw.lines) + len(raw.lines) // 2
+    with pytest.raises(OSError) as failed:
+        run_plan(plan, tmp_path / "cut", client_factory=stub_factory(stub_server), workers=4)
+    assert (failed.value.errno, failed.value.filename) == (
+        errno.ENOSPC, str(tmp_path / "cut" / ROUNDS_NAME))
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("nvlab-unit")]
+    assert len(RunStore(tmp_path / "cut").records()) < 48
+    assert resume(tmp_path / "cut", client_factory=stub_factory(stub_server),
+                  workers=4).complete
+    assert stripped_lines(tmp_path / "cut") == stripped_lines(tmp_path / "serial")

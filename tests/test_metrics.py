@@ -11,7 +11,6 @@ from nvlab.metrics import (
     anchor_stats,
     bias_stats,
     classify_adjustments,
-    direction_shares,
     learning_stats,
     mas,
     ols_line,
@@ -81,36 +80,34 @@ def test_bias_pools_scenarios_that_differ_only_in_length():
 # --- adjustment score --------------------------------------------------------
 
 def test_mas_full_and_no_adjustment():
-    assert mas(225, 150.5, 225).mas == pytest.approx(1.0)
-    assert mas(150.5, 150.5, 225).mas == pytest.approx(0.0)
-    assert mas(75, 150.5, 75).mas == pytest.approx(1.0)
+    assert mas(225, 150.5, 225) == pytest.approx(1.0)
+    assert mas(150.5, 150.5, 225) == pytest.approx(0.0)
+    assert mas(75, 150.5, 75) == pytest.approx(1.0)
 
 
 def test_mas_recomputed_from_reported_means():
-    stats = mas(182.42, 150.5, 225)
-    assert stats.mas == pytest.approx(0.4284, abs=5e-4)
+    assert mas(182.42, 150.5, 225) == pytest.approx(0.4284, abs=5e-4)
 
 
 def test_mas_negative_when_adjusting_away():
     # low margin: optimum below the anchor, mean order above it
-    assert mas(160, 150.5, 75).mas < 0
+    assert mas(160, 150.5, 75) < 0
 
 
 def test_mas_undefined_when_optimum_equals_anchor():
-    stats = mas(180, 150.5, 150.5)
-    assert stats.mas is None and stats.anchor == 150.5
+    assert mas(180, 150.5, 150.5) is None
 
 
 def test_mas_shift_invariance():
-    base = mas(182.42, 150.5, 225).mas
-    shifted = mas(182.42 + 900, 150.5 + 900, 225 + 900).mas
+    base = mas(182.42, 150.5, 225)
+    shifted = mas(182.42 + 900, 150.5 + 900, 225 + 900)
     assert shifted == pytest.approx(base)
 
 
 def test_anchor_stats_from_trajectories():
-    stats = anchor_stats([constant_traj(SC_HIGH, 188)])
-    assert stats.anchor == 150.5
-    assert stats.mas == pytest.approx((188 - 150.5) / (225 - 150.5))
+    assert anchor(SC_HIGH) == 150.5
+    assert anchor_stats([constant_traj(SC_HIGH, 188)]) == pytest.approx(
+        (188 - 150.5) / (225 - 150.5))
 
 
 # --- profit efficiency -------------------------------------------------------
@@ -153,10 +150,9 @@ def test_classification_partitions_all_rounds():
     rng = np.random.default_rng(0)
     orders = list(rng.integers(1, 301, size=15))
     demands = list(rng.integers(1, 301, size=15))
-    events = classify_adjustments(make_trajectory(SC_HIGH, orders, demands))
-    assert len(events) == 14
-    shares = direction_shares(events)
-    assert sum(shares.values()) == pytest.approx(100.0)
+    _, _, _, codes = metrics.adjustment_arrays([make_trajectory(SC_HIGH, orders, demands)])
+    assert len(codes) == 14
+    assert set(codes.tolist()) <= {-1, 0, 1}  # each round in exactly one of the DIRECTIONS
 
 
 def test_quartile_thresholds_textbook_values():
@@ -280,17 +276,13 @@ def test_chaser_simulation_is_all_toward_with_rising_share(tmp_path):
         for oc in ("high-first", "low-first")
     ))
     outcome = run_plan(plan, tmp_path / "run")
-    events = []
-    for traj in outcome.trajectories:
-        events.extend(classify_adjustments(traj))
-    nonzero = [e for e in events if e.prior_error != 0]
-    assert nonzero
-    assert all(e.direction == "toward" for e in nonzero)
-    abs_errors = [abs(e.prior_error) for e in events]
-    buckets = metrics.quartile_buckets(abs_errors, quartile_thresholds(abs_errors)).tolist()
-    q1 = direction_shares([e for e, b in zip(events, buckets) if b == 0])
-    q4 = direction_shares([e for e, b in zip(events, buckets) if b == 3])
-    assert q4["toward"] >= q1["toward"]
+    _, _, errors, codes = metrics.adjustment_arrays(outcome.trajectories)
+    assert (errors != 0).any()
+    assert (codes[errors != 0] == 1).all()
+    abs_errors = np.abs(errors)
+    buckets = metrics.quartile_buckets(abs_errors, quartile_thresholds(abs_errors))
+    q1_toward, q4_toward = ((codes[buckets == b] == 1).mean() for b in (0, 3))
+    assert q4_toward >= q1_toward
 
 
 # --- regression helpers and learning -----------------------------------------
@@ -463,7 +455,7 @@ def test_ols_line_degenerate_cases_are_unchanged():
 # --- word frequencies ---------------------------------------------------------
 
 def test_word_frequencies_counts_and_ranks():
-    ranked = word_frequencies(["balance risk", "balance profit"], stopwords=frozenset())
+    ranked = word_frequencies(["balance risk", "balance profit"])
     assert ranked[0] == ("balance", 2)
     assert dict(ranked)["risk"] == 1
     assert dict(ranked)["profit"] == 1
@@ -475,21 +467,21 @@ def test_word_frequencies_empty_and_stopword_only():
 
 
 def test_word_frequencies_of_repeated_texts_match_a_per_text_count():
-    texts = ["Order 120, balance risk.", "balance profit", "Order 120, balance risk.",
-             "risk, risk", "profit balance", "Order 120, balance risk.", "zeta alpha", ""]
-    stopwords = frozenset({"order"})
+    texts = ["Order 120, balance the risk.", "balance profit", "Order 120, balance the risk.",
+             "risk, risk", "profit balance", "Order 120, balance the risk.", "zeta alpha", ""]
+    stopwords = metrics.default_stopwords()
     naive: dict = {}
     for text in texts:
         for token in metrics._WORD.findall(text.lower()):
             if token not in stopwords:
                 naive[token] = naive.get(token, 0) + 1
     expected = sorted(naive.items(), key=lambda item: (-item[1], item[0]))
-    assert word_frequencies(texts, stopwords) == expected
-    assert expected[:2] == [("balance", 5), ("risk", 5)]  # a tie ranks by term
-    assert expected[-2:] == [("alpha", 1), ("zeta", 1)]
-    assert word_frequencies(iter(texts), stopwords) == expected
+    assert word_frequencies(texts) == expected
+    assert expected[:3] == [("balance", 5), ("risk", 5), ("order", 3)]  # a tie ranks by term
+    assert expected[-2:] == [("alpha", 1), ("zeta", 1)] and "the" not in dict(expected)
+    assert word_frequencies(iter(texts)) == expected
 
 
 def test_word_frequencies_case_folds_and_strips_punctuation():
-    ranked = word_frequencies(["Balance, BALANCE; balance!"], stopwords=frozenset())
+    ranked = word_frequencies(["Balance, BALANCE; balance!"])
     assert ranked == [("balance", 3)]

@@ -150,6 +150,11 @@ def test_simulate_and_report_roundtrip(tmp_path, capsys):
     capsys.readouterr()
     code = main(["report", str(run_dir), "--out", str(tmp_path / "report")])
     assert code == 0
+    # one line per bundle file, in name order, each naming a file under --out
+    names = sorted(path.name for path in (tmp_path / "report").iterdir())
+    assert len(names) == 9
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {tmp_path / 'report' / name}" for name in names]
     rows = read_csv(tmp_path / "report" / "bias_table.csv")
     assert rows[0]["deviation_high"] == "0.00"
     assert rows[0]["deviation_low"] == "0.00"
@@ -587,8 +592,8 @@ def test_report_replay_fixture_matches_reported_deviations(tmp_path):
         ("uniform", "model-a", 182.42, 175.25),
         ("truncated-normal", "model-a", 181.07, 175.58),
     ])
-    bundle = build_report([tmp_path / "fixture"], tmp_path / "report")
-    rows = {(r["distribution"], r["agent"]): r for r in read_csv(bundle.files["bias_table.csv"])}
+    files = build_report([tmp_path / "fixture"], tmp_path / "report")
+    rows = {(r["distribution"], r["agent"]): r for r in read_csv(files["bias_table.csv"])}
     uniform = rows[("uniform", "model-a")]
     assert uniform["deviation_high"] == "-42.58"
     assert uniform["deviation_low"] == "100.25"
@@ -602,17 +607,17 @@ def test_report_compare_humans_adds_sourced_rows(tmp_path):
         ("uniform", "model-a", 182.42, 175.25),
         ("uniform", "model-b", 176.03, 168.89),
     ])
-    bundle = build_report([tmp_path / "fixture"], tmp_path / "report", compare_humans=True)
-    rows = read_csv(bundle.files["bias_table.csv"])
+    files = build_report([tmp_path / "fixture"], tmp_path / "report", compare_humans=True)
+    rows = read_csv(files["bias_table.csv"])
     human = [r for r in rows if r["agent"] == "humans"]
     assert len(human) == 1  # one reference row per distribution, not per agent
     assert human[0]["deviation_high"] == "-48.17"
     assert human[0]["deviation_low"] == "59.06"
     assert "Schweitzer" in human[0]["source"]
-    mas_rows = read_csv(bundle.files["mas_table.csv"])
+    mas_rows = read_csv(files["mas_table.csv"])
     human_mas = [r for r in mas_rows if r["agent"] == "humans"]
     assert human_mas and human_mas[0]["mas_high"] == "0.360"
-    quartiles = read_csv(bundle.files["quartile_table.csv"])
+    quartiles = read_csv(files["quartile_table.csv"])
     human_quartiles = [r for r in quartiles if r["agent"] == "humans"]
     assert {r["error_quartile"] for r in human_quartiles} == {"Q1", "Q4"}
 
@@ -626,10 +631,10 @@ def test_human_rows_follow_the_first_rows_of_their_key_once(tmp_path):
     assert main(["simulate", "--agent", "optimal", "--experiment", "E1", "--dist", "uniform",
                  "--reps", "1", "--out", str(tmp_path / "b")]) == 0
     stores = [*(tmp_path / "a").iterdir(), *(tmp_path / "b").iterdir()]
-    bundle = build_report(stores, tmp_path / "report", compare_humans=True)
+    files = build_report(stores, tmp_path / "report", compare_humans=True)
 
     def agents(filename, *columns):
-        rows = read_csv(bundle.files[filename])
+        rows = read_csv(files[filename])
         return [(r["agent"], *(r[c] for c in columns)) for r in rows]
 
     chaser = "demand-chaser(alpha=1)"
@@ -661,8 +666,8 @@ def test_every_cell_of_every_table_is_a_str(tmp_path, rounds):
 
 def test_report_word_frequencies(tmp_path):
     write_replay_store(tmp_path / "fixture", [("uniform", "model-a", 182.42, 175.25)])
-    bundle = build_report([tmp_path / "fixture"], tmp_path / "report")
-    rows = read_csv(bundle.files["word_frequencies.csv"])
+    files = build_report([tmp_path / "fixture"], tmp_path / "report")
+    rows = read_csv(files["word_frequencies.csv"])
     terms = {r["term"]: int(r["count"]) for r in rows}
     assert terms["replay"] == 200
     assert "the" not in terms
@@ -671,8 +676,8 @@ def test_report_word_frequencies(tmp_path):
 def test_report_round_trajectories_shape(tmp_path):
     write_replay_store(tmp_path / "fixture", [("uniform", "model-a", 182.45, 175.25)],
                        reps=2, rounds=10)
-    bundle = build_report([tmp_path / "fixture"], tmp_path / "report")
-    rows = read_csv(bundle.files["round_trajectories.csv"])
+    files = build_report([tmp_path / "fixture"], tmp_path / "report")
+    rows = read_csv(files["round_trajectories.csv"])
     assert len(rows) == 20  # 2 blocks x 10 rounds
     assert {r["margin"] for r in rows} == {"high", "low"}
     assert all(r["n_repetitions"] == "2" for r in rows)
@@ -709,8 +714,8 @@ def test_conditions_of_different_lengths_are_complete_and_reported(tmp_path):
     ))
     outcome = run_plan(plan, tmp_path / "run")
     assert outcome.complete
-    bundle = build_report([tmp_path / "run"], tmp_path / "report")
-    rows = read_csv(bundle.files["bias_table.csv"])
+    files = build_report([tmp_path / "run"], tmp_path / "report")
+    rows = read_csv(files["bias_table.csv"])
     assert [r["distribution"] for r in rows] == ["uniform", "truncated-normal"]
 
 
