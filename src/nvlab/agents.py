@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .model import ScenarioConfig, anchor, optimal_quantity
 
@@ -164,19 +165,14 @@ class AgentSpec:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class Decision:
-    """One round's decision: the order, the raw reply (its stated reasoning), and provenance."""
+class Decision(NamedTuple):
+    """One round's decision: the order (`decide` checks it), the raw reply, and provenance."""
 
     order: int
     raw_response: str
     parse_confidence: str
     retries: int = 0
     token_usage: dict | None = None
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be a nonnegative integer")
 
 
 RETRY_NUDGE = (
@@ -257,37 +253,34 @@ def decide(
     the persistent transcript.
     """
     if agent.kind != LLM:
-        return Decision(*(rule or scripted_rule(agent, scenario))(
+        decision = Decision(*(rule or scripted_rule(agent, scenario))(
             round_index, last_order, last_demand), EXACT)
-
-    if client is None:
-        raise ValueError("llm agent needs a chat client")
-    messages = list(transcript or []) + [{"role": "user", "content": prompt}]
-    attempts = 0
-    retries = 0
-    usage = None
-    while True:
-        result = client.chat(messages)
-        retries += result.retries
-        usage = _merge_usage(usage, result.usage)
-        try:
-            order, confidence = extract_order(result.text, scenario)
-        except AmbiguousDecisionError:
-            attempts += 1
-            if attempts > MAX_REPROMPTS:
-                raise
-            messages = messages + [
-                {"role": "assistant", "content": result.text},
-                {"role": "user", "content": RETRY_NUDGE},
-            ]
-            continue
-        return Decision(
-            order=order,
-            raw_response=result.text,
-            parse_confidence=confidence,
-            retries=retries,
-            token_usage=usage,
-        )
+    else:
+        if client is None:
+            raise ValueError("llm agent needs a chat client")
+        messages = list(transcript or []) + [{"role": "user", "content": prompt}]
+        attempts = 0
+        retries = 0
+        usage = None
+        while True:
+            result = client.chat(messages)
+            retries += result.retries
+            usage = _merge_usage(usage, result.usage)
+            try:
+                order, confidence = extract_order(result.text, scenario)
+                break
+            except AmbiguousDecisionError:
+                attempts += 1
+                if attempts > MAX_REPROMPTS:
+                    raise
+                messages = messages + [
+                    {"role": "assistant", "content": result.text},
+                    {"role": "user", "content": RETRY_NUDGE},
+                ]
+        decision = Decision(order, result.text, confidence, retries, usage)
+    if decision.order < 0:
+        raise ValueError("order must be a nonnegative integer")
+    return decision
 
 
 def _merge_usage(acc: dict | None, new: dict | None) -> dict | None:

@@ -19,8 +19,9 @@ that made it.
 
 Exit codes: 0 success, 2 configuration error, 3 transport failure,
 4 parse-ambiguity failure, 5 store-integrity failure, 6 I/O failure (a file
-that cannot be read or written). A run with unresolved rounds exits 3 if any
-of them failed on transport, else 4.
+that cannot be read or written; when it lies in a run store, a second line names
+the ``--resume`` that finishes the run). A run with unresolved rounds exits 3 if
+any of them failed on transport, else 4.
 """
 
 from __future__ import annotations
@@ -294,6 +295,11 @@ def main(argv=None) -> int:
     except OSError as exc:  # a full disk, say, or a directory where a store file belongs
         path = f": {exc.filename}" if exc.filename else ""
         print(f"i/o error: {exc.strerror or exc}{path}", file=sys.stderr)
+        failed = Path(exc.filename if isinstance(exc.filename, str) else "")
+        # not for a directory in a store file's place, which fails a resume too
+        if args.command in ("run", "simulate") and failed.is_file() and RunStore(
+                failed.parent).exists():
+            print(f"finish the run with --resume {failed.parent}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -10,7 +10,8 @@ Transient failures (HTTP 429/5xx, connection errors, timeouts, and a 200
 whose body is truncated, not UTF-8, not JSON, or too deep or long for ``json``)
 are retried with exponential backoff, waiting longer when a 429 or 503 carries
 a ``Retry-After`` delay in seconds (at most the request timeout); auth and
-request-shape errors (4xx) surface immediately. A token bucket smooths bursts
+request-shape errors (4xx) surface immediately, the latter with the first 300
+bytes of the response body, which may say why. A token bucket smooths bursts
 and an optional per-run request budget hard-stops runaway spend. Every request
 is logged with its elapsed time, retry count and token usage.
 
@@ -174,7 +175,11 @@ class ChatClient:
                     if exc.code in RETRY_AFTER_STATUS:
                         retry_after = _retry_after_seconds(exc.headers)
                     continue
-                raise TransportError(detail) from exc
+                try:  # the body may say why the request was refused
+                    reason = exc.read(300).decode("utf-8", errors="replace")
+                except (OSError, http.client.HTTPException):
+                    reason = ""
+                raise TransportError(f"{detail}: {reason}" if reason else detail) from exc
             except (urllib.error.URLError, TimeoutError, ConnectionError) as exc:
                 last_error = f"connection failure: {exc}"
                 continue

@@ -48,9 +48,10 @@ failure after retries) stops its block and leaves the trajectory incomplete
 for `resume`.
 
 A round of an LLM block is flushed as it is appended, before the block's next
-chat request. A scripted block's rounds are flushed once, when its walk
-returns (or by the store's close if it raises): a crash mid-block loses at
-most that block's unflushed rounds, which `resume` decides again, same bytes.
+chat request. A scripted block's rounds are queued in the store and written in
+one call, flushed, when its walk returns (or by the store's close if it
+raises): a crash mid-block loses at most that block's unflushed rounds, which
+`resume` decides again, same bytes.
 
 A run appends through one store handle, closed when the run returns or
 raises. Its outcome is the blocks it walked, each holding its stored rounds,
@@ -111,6 +112,7 @@ HIGH_FIRST = "high-first"
 LOW_FIRST = "low-first"
 ORDER_CONDITIONS = (HIGH_FIRST, LOW_FIRST)
 LLM_WORKERS = 8  # units an LLM run decides at once unless told otherwise
+RUN_FORMAT = "nvlab-run/1"  # a manifest's ``format``: the store layout this nvlab reads
 
 
 def derive_seed(base_seed: int, repetition: int, block_index: int, salt: str = "demand") -> int:
@@ -236,7 +238,7 @@ class RunOutcome:
 
 def build_manifest(plan: ExperimentPlan) -> dict:
     return {
-        "format": "nvlab-run/1",
+        "format": RUN_FORMAT,
         "run_id": plan.run_id(),
         "plan": plan.to_dict(),
         "plan_hash": plan.plan_hash(),
@@ -247,8 +249,11 @@ def build_manifest(plan: ExperimentPlan) -> dict:
 
 
 def load_plan(store: RunStore) -> ExperimentPlan:
-    """The plan in a store's manifest, checked against the stored plan hash."""
+    """The plan in a store's manifest of `RUN_FORMAT`, checked against the stored plan hash."""
     manifest = store.manifest()
+    found = manifest.get("format") if isinstance(manifest, dict) else None
+    if found != RUN_FORMAT:
+        raise IntegrityError(f"{store.manifest_path}: format {found!r} is not {RUN_FORMAT!r}")
     try:
         plan = ExperimentPlan.from_dict(manifest["plan"])
     except KeyError as exc:
@@ -312,9 +317,10 @@ class _Block:
         checked: its values, then its recomputed prompt hash, then its seeded demand draw. A
         later round is decided with the ``earlier`` conversation turns before this block's,
         and recorded under the block's head in ``store``; no round is decided once ``stop``
-        is set. A scripted block's rounds are flushed once, on return. The random agent's
-        ``agent_rng`` is built for its first decided round and advanced past the stored
-        rounds as deciding them did. Returns the failure that stopped the block, if any.
+        is set. A scripted block's rounds are queued and written in one call by the flush
+        on return. The random agent's ``agent_rng`` is built for its first decided round and
+        advanced past the stored rounds as deciding them did, in one sized draw. Returns the
+        failure that stopped the block, if any.
         """
         condition, scenario, prompts = self.condition, self.scenario, self.prompts
         lower, upper, max_order = scenario.demand.lower, scenario.demand.upper, scenario.max_order
@@ -369,8 +375,8 @@ class _Block:
                     if condition.agent.kind == RANDOM:
                         rng = self.agent_rng = np.random.default_rng(derive_seed(
                             condition.base_seed, *self.identity[1:], salt="agent"))
-                        for _ in range(round_index - 1):  # the draws the stored rounds took
-                            rng.integers(lower, upper + 1)
+                        # the draws the stored rounds took, in one call: the same stream
+                        rng.integers(lower, upper + 1, size=round_index - 1)
                     self.rule = scripted_rule(condition.agent, scenario, self.agent_rng)
                 ts_start = time.time()
                 try:

@@ -23,13 +23,15 @@ is its scenario and its records, whose first labels it. A run's outcome holds th
 rounds it read and those it appended, in the blocks the runner walked, so the
 runner never reads the file back.
 
-Appends share one handle, opened by the first `append` and kept until
+Appends share one handle, opened by the first write and kept until
 `RunStore.close` (or the end of ``with RunStore(...)``). An `append` flushes its
 line to the operating system before it returns unless told not to; the runner says
-so for a block that sends no chat request and calls `flush` once that block's walk
-returns, since such a round costs nothing to decide again. Either way a crash leaves
-complete lines and at most one torn final line. An OSError the handle raises is
-raised again naming rounds.jsonl.
+so for a block that sends no chat request, since such a round costs nothing to
+decide again. An unflushed line is queued, and the next flushed `append`, `flush`
+(the runner's, once that block's walk returns) or `close` writes the queued lines
+in one call. Either way a crash leaves complete lines and at most one torn final
+line. An OSError the handle raises is raised again naming rounds.jsonl; a close
+that raises one still closes the handle.
 """
 
 from __future__ import annotations
@@ -166,13 +168,18 @@ _INF = float("inf")
 _TAIL = (',"round_index":%d,"order":%d,"demand":%d,"profit":%d,"cumulative_profit":%d,'
          '"parse_confidence":%s,"prompt_sha256":%s,"raw_response":%s,"retries":%d,'
          '"token_usage":null,"ts_start":%r,"ts_end":%r}')
+# the label fields as the encoder writes them, up to the first per-round field
+_HEAD_TEMPLATE = ('{"run_id":%s,"condition_index":%d,"agent":%s,"experiment":%s,"dist":%s,'
+                  '"order_condition":%s,"repetition":%d,"block_index":%d,"margin":%s')
 _TEMPLATE_TYPES = frozenset(product(*_RECORD_TYPES[:-3], {type(None)}, *_RECORD_TYPES[-2:]))
 
 
 @lru_cache(maxsize=64)  # a scripted run writes one trajectory at a time, an LLM run `workers`
 def _line_head(labels: tuple) -> str:
-    """The line up to its first per-round field, as the encoder writes the label fields."""
-    return _LINE_ENCODER.encode(dict(zip(_RECORD_FIELDS, labels)))[:-1]
+    """`_HEAD_TEMPLATE` of the label fields of a record of `_TEMPLATE_TYPES`."""
+    run_id, index, agent, experiment, dist, order, repetition, block, margin = labels
+    return _HEAD_TEMPLATE % (_quote(run_id), index, _quote(agent), _quote(experiment),
+                             _quote(dist), _quote(order), repetition, block, _quote(margin))
 
 
 def _fields(data: bytes, values: itemgetter, size: int, end: str = "") -> tuple | None:
@@ -237,6 +244,7 @@ class RunStore:
         self.run_dir = Path(run_dir)
         self._append_lock = threading.Lock()
         self._handle = None
+        self._queued = []  # the lines appended since the last write, without their newlines
 
     def __enter__(self) -> "RunStore":
         return self
@@ -277,31 +285,41 @@ class RunStore:
     def append(self, record: RoundRecord, *, flush: bool = True):
         """Append one line, flushed unless ``flush`` is false; safe from several threads at once.
 
-        The first append opens rounds.jsonl; the handle stays open until `close`.
+        An unflushed line waits in the store's queue; the next flushed append, `flush` or
+        `close` writes the queued lines in one call. The first write opens rounds.jsonl; the
+        handle stays open until `close`.
         """
-        self._write(record.to_line() + "\n", flush)
+        line = record.to_line()
+        with self._append_lock:
+            self._queued.append(line)
+        if flush:
+            self._write()
 
     def flush(self):
-        """Flush the lines appended with ``flush=False`` to the operating system."""
+        """Write the queued lines and flush them to the operating system."""
         self._write()
 
     def close(self):
-        """Flush and close the append handle, if one is open; a later append opens it again."""
+        """Write the queued lines and close the append handle; a later append opens it again."""
         self._write(close=True)
 
-    def _write(self, line: str = "", flush: bool = True, close: bool = False):
-        """Under the append lock, write ``line`` (opening the handle), then flush or close."""
+    def _write(self, close: bool = False):
+        """Under the append lock, write the queued lines in one call, then flush or close."""
         with self._append_lock:
+            text = "\n".join(self._queued) + "\n" if self._queued else ""
+            self._queued.clear()  # before the write: a line is handed to the handle once
             try:
-                if line and self._handle is None:
+                if text and self._handle is None:
                     self._handle = self.rounds_path.open("a", encoding="utf-8")
-                if self._handle is not None:
-                    self._handle.write(line)  # "" for a flush or a close
-                    if close:
-                        self._handle.close()
-                        self._handle = None
-                    elif flush:
-                        self._handle.flush()
+                if (handle := self._handle) is None:
+                    return
+                if close:
+                    self._handle = None  # a close that fails leaves no closed handle behind
+                    with handle:  # closed even when the write fails
+                        handle.write(text)
+                else:
+                    handle.write(text)
+                    handle.flush()
             except OSError as exc:  # the shared handle's own errors name no file
                 raise OSError(exc.errno, exc.strerror, str(self.rounds_path)) from exc
 

@@ -20,6 +20,12 @@ from nvlab.runner import ExperimentPlan, PlanCondition, build_manifest, derive_s
 from nvlab.store import RoundRecord, RunStore, Trajectory, sha256_text
 
 
+# a provider's refusal of a request past the model's context window, longer than the
+# 300 bytes a failure keeps
+TOO_LONG_BODY = (b'{"error": {"message": "This model\'s maximum context length exceeded by '
+                 b'your messages", "type": "invalid_request_error"}}' + b" " * 400)
+
+
 class StubChatServer(ThreadingHTTPServer):
     """Local chat-completions endpoint with scriptable failure modes.
 
@@ -38,6 +44,9 @@ class StubChatServer(ThreadingHTTPServer):
                        through 100,000 nested arrays and a 5,001-digit number
       "bad-usage"   -- answer, with a ``usage`` that alternates between a
                        string and a number instead of an object
+      "too-long"    -- answer a request whose messages hold more than
+                       ``max_chars`` content characters with 400 and
+                       `TOO_LONG_BODY`, as a model past its context window
     """
 
     daemon_threads = True
@@ -47,6 +56,7 @@ class StubChatServer(ThreadingHTTPServer):
         self.mode = "ok"
         self.reply_fn = lambda body: "After weighing the trade-off, I will order 150 wodgets."
         self.retry_after = "1"
+        self.max_chars = 2000
         self.requests = []
         self.counter = 0
         self.lock = threading.Lock()
@@ -78,6 +88,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         if mode == "retry-after":
             self._send_status(429, {"Retry-After": self.server.retry_after})
             return
+        if mode == "too-long" and sum(
+                len(m["content"]) for m in body["messages"]) > self.server.max_chars:
+            self._send_status(400, payload=TOO_LONG_BODY)
+            return
         if mode == "garbage":
             kind = (count - 1) % 3
             payload = (b"<html>bad gateway</html>", b'{"text": "\xff"}', b'{"choices": [')[kind]
@@ -107,12 +121,13 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _send_status(self, code, headers=None):
+    def _send_status(self, code, headers=None, payload=b""):
         self.send_response(code)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.send_header("Content-Length", "0")
+        self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
+        self.wfile.write(payload)
 
     def log_message(self, *args):
         pass

@@ -176,6 +176,12 @@ def test_a_scripted_rule_refuses_what_decide_refuses():
         scripted_rule(AgentSpec("llm", model_name="m"), SC_HIGH)
 
 
+def test_decide_refuses_a_negative_order():
+    # a Decision checks nothing itself: decide checks the order a rule gives
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+        decide(AgentSpec("optimal"), None, SC_HIGH, rule=lambda *_: (-1, "below zero"))
+
+
 def test_random_agent_deterministic_given_rng_seed():
     agent = AgentSpec("random")
     orders_a = [decide(agent, "", SC_HIGH,

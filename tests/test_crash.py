@@ -33,7 +33,7 @@ from conftest import strip_timestamps
 from nvlab.agents import RETRY_NUDGE
 from nvlab.cli import main
 from nvlab.config import RunConfig
-from nvlab.runner import resume, run_plan
+from nvlab.runner import build_manifest, resume, run_plan
 from nvlab.store import ROUNDS_NAME, TORN_NAME, RunStore, sha256_text
 from test_runner import CHASER, LLM_AGENT, order_from_prompt, small_plan, stub_factory
 from test_runner import stripped_lines as lines_in_order
@@ -231,8 +231,9 @@ def test_a_write_past_the_file_size_limit_exits_6_and_resumes_to_the_uninterrupt
     """A child `nvlab simulate` whose file size limit is half its store's rounds.jsonl.
 
     Only the child is limited (`preexec_fn`), and it ignores SIGXFSZ, so the write
-    that crosses the limit fails with EFBIG: the run exits 6 with one stderr line
-    naming rounds.jsonl, and `--resume` without the limit completes the store."""
+    that crosses the limit fails with EFBIG: the run exits 6 with one stderr line naming
+    rounds.jsonl and one naming the `--resume` that finishes the run, which, without the
+    limit, completes the store."""
     resource = pytest.importorskip("resource")
     args = ["simulate", "--agent", "optimal", *GRID]
     assert main([*args, "--out", str(tmp_path / "full")]) == 0
@@ -251,7 +252,8 @@ def test_a_write_past_the_file_size_limit_exits_6_and_resumes_to_the_uninterrupt
                            timeout=120)
     cut = tmp_path / "cut" / full.name
     assert (child.returncode, child.stderr) == (
-        6, f"i/o error: File too large: {cut / 'rounds.jsonl'}\n")
+        6, f"i/o error: File too large: {cut / 'rounds.jsonl'}\n"
+           f"finish the run with --resume {cut}\n")
     assert (cut / "rounds.jsonl").stat().st_size == limit
     assert main(["simulate", "--resume", str(cut)]) == 0
     assert (cut / "manifest.json").read_bytes() == (full / "manifest.json").read_bytes()
@@ -302,12 +304,35 @@ def test_a_write_that_fails_once_exits_6_and_resumes_to_the_uninterrupted_store(
     assert main([*args, "--out", str(tmp_path / "cut")]) == 6
     cut = tmp_path / "cut" / full.name
     assert capsys.readouterr().err == (
-        f"i/o error: No space left on device: {cut / ROUNDS_NAME}\n")
+        f"i/o error: No space left on device: {cut / ROUNDS_NAME}\n"
+        f"finish the run with --resume {cut}\n")
     assert (cut / ROUNDS_NAME).read_bytes().endswith(b"\n")
     assert len(stripped_lines(cut)) == sum(lines[:raw.fail_at])
     assert main(["simulate", "--resume", str(cut)]) == 0
     assert (cut / "manifest.json").read_bytes() == (full / "manifest.json").read_bytes()
     assert stripped_lines(cut) == stripped_lines(full)
+
+
+def test_a_close_that_fails_leaves_no_closed_handle_behind(tmp_path, monkeypatch):
+    """The close's write of a queued line fails once: it raises the error naming rounds.jsonl,
+    and the handle is closed and let go, so a second close does nothing and the next append
+    opens rounds.jsonl again."""
+    assert run_plan(CUT_PLAN, tmp_path / "full").complete
+    first, second, third = RunStore(tmp_path / "full").records()[:3]
+    raw = fail_one_raw_write(monkeypatch)
+    store = RunStore(tmp_path / "run")
+    store.create(build_manifest(CUT_PLAN))
+    store.append(first)
+    store.append(second, flush=False)
+    raw.fail_at = len(raw.lines) + 1
+    with pytest.raises(OSError) as failed:
+        store.close()
+    assert (failed.value.errno, failed.value.filename) == (errno.ENOSPC, str(store.rounds_path))
+    store.close()
+    store.append(third)
+    store.close()
+    assert store.rounds_path.read_bytes().endswith(b"\n")
+    assert RunStore(tmp_path / "run").records() == [first, second, third]
 
 
 def test_an_llm_append_that_fails_once_at_4_workers_resumes_to_a_serial_run(

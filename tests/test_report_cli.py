@@ -1113,6 +1113,20 @@ def test_a_manifest_plan_value_of_the_wrong_json_type_is_an_integrity_error(
     assert err.count(f"manifest.json: field {key!r} is {value!r}, not {wanted}") == 2, err
 
 
+@pytest.mark.parametrize("found", ["nvlab-run/99", None], ids=["another-format", "no-format"])
+def test_a_manifest_of_another_format_is_an_integrity_error(tmp_path, capsys, small_store,
+                                                            found):
+    """A store layout this nvlab does not write is refused before its plan is read."""
+    run_dir = shutil.copytree(small_store, tmp_path / "run")
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["format"] = found
+    if found is None:
+        del manifest["format"]
+    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    err = refused_by_both_commands(tmp_path, capsys, run_dir)
+    assert err.count(f"manifest.json: format {found!r} is not 'nvlab-run/1'") == 2, err
+
+
 @pytest.mark.parametrize("name, line, message", [
     ("rounds.jsonl", 1, "rounds.jsonl line 2: malformed JSON ('utf-8' codec can't decode"),
     ("manifest.json", 3, "manifest.json is malformed: 'utf-8' codec can't decode"),

@@ -11,13 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import strip_timestamps
+from conftest import TOO_LONG_BODY, strip_timestamps
 from nvlab import agents
 from nvlab import runner as runner_module
 from nvlab.agents import AgentSpec
 from nvlab.config import RunConfig, build_plan
 from nvlab.llm import ChatClient, ChatResult
-from nvlab.model import DIST_KINDS, E3, EXPERIMENTS, LOGNORMAL, ScenarioConfig, sample_sequence
+from nvlab.model import (BASE_RANGE, DIST_KINDS, E3, EXPERIMENTS, LOGNORMAL, RISK_NEUTRAL_RANGE,
+                         ScenarioConfig, sample_sequence)
 from nvlab.prompts import render_prompt
 from nvlab.report import build_report
 from nvlab.runner import (
@@ -441,6 +442,21 @@ def seeded_random_orders(plan, identity):
             for _ in range(condition.rounds_per_block)]
 
 
+@pytest.mark.parametrize("lower, upper", [BASE_RANGE, RISK_NEUTRAL_RANGE])
+def test_one_sized_draw_leaves_an_agent_rng_where_scalar_draws_do(lower, upper):
+    """A resume advances the random agent's rng past k stored rounds with one sized draw.
+    That draw gives the k scalar draws' values and the same next draw, for each range a
+    block can have and k up to 29: a numpy that breaks this fails here before a resume
+    diverges from the uninterrupted run."""
+    for k in range(1, 30):
+        for base_seed in range(10):
+            seed = derive_seed(base_seed, k, 1, salt="agent")
+            scalar, sized = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = [int(scalar.integers(lower, upper + 1)) for _ in range(k)]
+            assert sized.integers(lower, upper + 1, size=k).tolist() == drawn, (k, seed)
+            assert sized.integers(lower, upper + 1) == scalar.integers(lower, upper + 1)
+
+
 def test_replay_of_a_complete_random_store_builds_no_agent_rng(random_store):
     store = RunStore(random_store)
     blocks = replay(load_plan(store), store.records()).values()
@@ -569,6 +585,19 @@ def stub_factory(server, budget=None):
         return ChatClient(server.url, spec.model_name, api_key="k", max_retries=0,
                           backoff_base=0.001, request_budget=budget)
     return factory
+
+
+def test_a_rejected_request_fails_its_round_with_the_reason_the_endpoint_gave(
+        tmp_path, stub_server):
+    """A 400 is not retried; the failure keeps the first 300 bytes of the body that says why."""
+    stub_server.mode = "too-long"
+    plan = small_plan(agent=LLM_AGENT, orders=("high-first",), reps=1, rounds=5)
+    outcome = run_plan(plan, tmp_path / "run", client_factory=stub_factory(stub_server))
+    (failure,) = outcome.failures
+    assert (failure.block_index, failure.kind) == (1, "transport")
+    assert 1 < failure.round_index == len(RunStore(tmp_path / "run").records()) + 1
+    assert "maximum context length exceeded" in failure.message
+    assert failure.message == f"HTTP 400 from {stub_server.url}: {TOO_LONG_BODY[:300].decode()}"
 
 
 def test_concurrent_llm_run_matches_a_serial_run(tmp_path, stub_server):

@@ -330,7 +330,7 @@ def test_an_unflushed_append_is_on_disk_once_flushed_or_closed(tmp_path):
         store.create({"format": "nvlab-run/1"})
         store.flush()  # nothing appended yet: nothing to write
         store.append(RECORD, flush=False)
-        assert RunStore(tmp_path / "run").records() == []  # still in the handle's buffer
+        assert RunStore(tmp_path / "run").records() == []  # still queued in the store
         store.flush()
         assert RunStore(tmp_path / "run").records() == [RECORD]
         store.append(second, flush=False)
