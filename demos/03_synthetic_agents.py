@@ -14,9 +14,9 @@ from pathlib import Path
 from nvlab import AgentSpec, ExperimentPlan, PlanCondition, run_plan
 from nvlab.metrics import (
     DIRECTIONS,
-    adjustment_arrays,
     anchor_stats,
     bias_stats,
+    classify_adjustments,
     learning_stats,
     profit_efficiency,
 )
@@ -45,7 +45,7 @@ with tempfile.TemporaryDirectory(prefix="nvlab-demo-") as tmp:
     stats = bias_stats(high)
     print("  order bias:", stats.order_bias)
     print("  profit efficiency:", profit_efficiency(stats.mean_order, high[0].scenario), "%")
-    codes = adjustment_arrays(high)[3]  # code % 3 is the direction's place in DIRECTIONS
+    codes = classify_adjustments(high)[3]  # code % 3 is the direction's place in DIRECTIONS
     print("  adjustment shares:", {direction: float((codes % 3 == place).mean() * 100)
                                    for place, direction in enumerate(DIRECTIONS)})
     print()
@@ -61,15 +61,14 @@ with tempfile.TemporaryDirectory(prefix="nvlab-demo-") as tmp:
 
     # --- the demand-chaser is pure demand-chasing -----------------------------
     outcome = run_agent(workdir, AgentSpec("demand-chaser", chase_rate=1.0))
-    _, _, errors, codes = adjustment_arrays(outcome.trajectories)
+    _, _, errors, codes = classify_adjustments(outcome.trajectories)
     toward = (codes[errors != 0] == 1).mean() * 100
     print(f"demand-chaser (alpha=1): {toward:.1f}% of nonzero-error rounds move toward demand")
     print()
 
     # --- a chase-rate switch shows up as a jump in error responsiveness -------
     outcome = run_agent(workdir, AgentSpec("demand-chaser", chase_rate=1.0, switch_round=8))
-    sample = outcome.trajectories[0]
-    stats = learning_stats(sample)
+    stats = learning_stats(outcome.trajectories)[0]  # one per trajectory, in order
     print("chase switch at round 8, one trajectory:")
     print(f"  early-stage R^2 = {stats.early_r2:.2f}, late-stage R^2 = {stats.late_r2:.2f}, "
           f"delta = {stats.delta_r2:+.2f}")

@@ -46,7 +46,6 @@ from .llm import AuthError, BudgetExceededError, ChatClient, ChatResult, TokenBu
 from .runner import ExperimentPlan, PlanCondition, RunOutcome, derive_seed, resume, run_plan
 from .store import IntegrityError, RoundRecord, RunStore, Trajectory
 from .metrics import (
-    AdjustmentEvent,
     BiasStats,
     LearningStats,
     bias_stats,

@@ -24,7 +24,14 @@ import re
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .model import ScenarioConfig, anchor, optimal_quantity
+from .model import (
+    UNIFORM,
+    DemandDistribution,
+    ScenarioConfig,
+    anchor,
+    optimal_quantity,
+    sample_sequence,
+)
 
 LLM = "llm"
 OPTIMAL = "optimal"
@@ -181,10 +188,12 @@ RETRY_NUDGE = (
 )
 
 
-def scripted_rule(agent: AgentSpec, scenario: ScenarioConfig, rng=None):
+def scripted_rule(agent: AgentSpec, scenario: ScenarioConfig, seed=None):
     """A scripted ``agent``'s ``rule(round_index, last_order, last_demand) -> (order, rationale)``.
 
     What is fixed on ``scenario`` (optimum, anchor, bounds, fixed rationales) is worked out once.
+    The random kind's orders are the ``seed``'s uniform draws over the demand range, one per
+    round, drawn once; round t orders draw t.
     """
     q_star = optimal_quantity(scenario)
     mean = anchor(scenario)
@@ -219,11 +228,13 @@ def scripted_rule(agent: AgentSpec, scenario: ScenarioConfig, rng=None):
             )
         return chase
     elif agent.kind == RANDOM:
-        if rng is None:
-            raise ValueError("random agent needs an rng")
-        low, high = scenario.demand.lower, scenario.demand.upper + 1
-        return lambda *_: (int(rng.integers(low, high)),
-                           "Scripted rule: order uniformly at random over the demand range.")
+        if seed is None:
+            raise ValueError("random agent needs a seed")
+        uniform = DemandDistribution(UNIFORM, scenario.demand.lower, scenario.demand.upper)
+        orders = sample_sequence(uniform, scenario.rounds, seed)
+        return lambda round_index, *_: (
+            orders[round_index - 1],
+            "Scripted rule: order uniformly at random over the demand range.")
     else:
         raise ValueError(f"not a scripted kind: {agent.kind}")
     return lambda *_: decision
@@ -245,12 +256,11 @@ def decide(
     Scripted kinds are deterministic given the round, the previous order and
     demand, and ``rule``, never read ``prompt`` (the runner passes None) and
     never error; a caller deciding many rounds of one scenario passes the
-    agent's `scripted_rule` as ``rule`` (the random kind's holds its rng, so it
-    needs one). The llm kind
-    appends ``prompt`` to ``transcript`` (not mutated), sends one chat request
-    via ``client`` and extracts the order; unparseable replies are re-prompted
-    up to `MAX_REPROMPTS` times with a clarification turn that stays out of
-    the persistent transcript.
+    agent's `scripted_rule` as ``rule`` (a random agent needs one: its rule
+    is built from a seed). The llm kind appends ``prompt`` to ``transcript``
+    (not mutated), sends one chat request via ``client`` and extracts the
+    order; unparseable replies are re-prompted up to `MAX_REPROMPTS` times
+    with a clarification turn that stays out of the persistent transcript.
     """
     if agent.kind != LLM:
         decision = Decision(*(rule or scripted_rule(agent, scenario))(

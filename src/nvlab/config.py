@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -106,11 +106,6 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
-
-    def to_file(self, path: Path | str):
-        Path(path).write_text(
-            json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
 
 
 def build_plan(config: RunConfig, agents: list[AgentSpec]) -> ExperimentPlan:

@@ -17,11 +17,11 @@ Conventions worth knowing before reading the code:
   order's; `bias_stats` checks a group's scenario, `anchor_stats` reuses it.
 * A round-to-round adjustment is classified by sign(delta * prior_error):
   toward demand when positive, away when negative, no-change when either is
-  zero. A group's adjustments are classified at once (`adjustment_arrays`
+  zero. A group's adjustments are classified at once (`classify_adjustments`
   masks out round 1 of each trajectory, so lengths may mix and a 1-round
   trajectory adds none). `quartile_buckets` places each |prior error|
   among the `quartile_thresholds` cuts; one equal to a cut goes to the
-  lower quartile. `classify_adjustments` is the one-trajectory view.
+  lower quartile.
 * Learning is summarized by the OLS slope of |q_t - q*| on t, the OLS slope
   of PE_t on t, and the change in error responsiveness: R^2 of (delta_t on
   prior error) over the late rounds (8-15) minus the same over the early
@@ -129,16 +129,7 @@ def profit_efficiency(order: float, sc: ScenarioConfig) -> float | None:
 # adjustment dynamics
 
 
-@dataclass(frozen=True)
-class AdjustmentEvent:
-    round_index: int
-    delta: int
-    prior_error: int
-    direction: str
-    magnitude: int
-
-
-def adjustment_arrays(trajectories: list[Trajectory]) -> tuple[np.ndarray, ...]:
+def classify_adjustments(trajectories: list[Trajectory]) -> tuple[np.ndarray, ...]:
     """(round index, delta, prior error, direction code) of each round t >= 2 of a group.
 
     The code is sign(delta) * sign(prior error): 1 toward, -1 away, 0 no-change,
@@ -152,13 +143,6 @@ def adjustment_arrays(trajectories: list[Trajectory]) -> tuple[np.ndarray, ...]:
     delta = np.diff(orders)[later]
     error = (demands[:-1] - orders[:-1])[later]
     return round_index[1:][later], delta, error, (np.sign(delta) * np.sign(error)).astype(int)
-
-
-def classify_adjustments(trajectory: Trajectory) -> list[AdjustmentEvent]:
-    """One event per round t >= 2: the one-trajectory view of `adjustment_arrays`."""
-    columns = (column.tolist() for column in adjustment_arrays([trajectory]))
-    return [AdjustmentEvent(round_index, delta, error, DIRECTIONS[code], abs(delta))
-            for round_index, delta, error, code in zip(*columns)]
 
 
 def quartile_thresholds(abs_errors) -> tuple[float, float, float]:
@@ -276,8 +260,15 @@ def _learning_block(trajectories: list[Trajectory]) -> list[LearningStats] | Non
     ]
 
 
-def _learning(trajectories: list[Trajectory]) -> list[LearningStats | None]:
-    """`learning_stats` of each trajectory in input order (None if too short), once per block."""
+def learning_stats(trajectories: list[Trajectory]) -> list[LearningStats | None]:
+    """Each trajectory's learning summary, in input order; None where it is too short.
+
+    The convergence slope regresses |q_t - q*| on t and the efficiency slope
+    regresses the per-round PE_t on t (rounds whose PE is undefined are
+    dropped; the slope is None when fewer than two remain). Delta R^2
+    contrasts the error-responsiveness fits of the late and early stages,
+    each of which needs three adjustments.
+    """
     blocks: dict = {}
     for position, t in enumerate(trajectories):
         blocks.setdefault((t.scenario, len(t.orders)), []).append(position)
@@ -289,32 +280,16 @@ def _learning(trajectories: list[Trajectory]) -> list[LearningStats | None]:
     return out
 
 
-def _fitted(stats: list) -> list[LearningStats]:
-    if None in stats:
-        raise MetricsError("need three adjustments per stage for learning statistics")
-    return stats
-
-
-def learning_stats(trajectory: Trajectory) -> LearningStats:
-    """Per-trajectory learning summary.
-
-    The convergence slope regresses |q_t - q*| on t and the efficiency slope
-    regresses the per-round PE_t on t (rounds whose PE is undefined are
-    dropped; the slope is None when fewer than two remain). Delta R^2
-    contrasts the error-responsiveness fits of the late and early stages.
-    """
-    return _fitted(_learning([trajectory]))[0]
-
-
 def average_learning_stats(trajectories: list[Trajectory]) -> dict:
     """Per-trajectory learning statistics averaged across the repetitions of one condition:
     the per-group reference, fitted alone, that tests hold `report.learning_rows` to."""
-    return mean_learning_stats(_learning(trajectories))
+    return mean_learning_stats(learning_stats(trajectories))
 
 
 def mean_learning_stats(stats: list) -> dict:
-    """The mean of `_learning` fits, in their order; MetricsError if one is None."""
-    stats = _fitted(stats)
+    """The mean of `learning_stats` fits, in their order; MetricsError if one is None."""
+    if None in stats:
+        raise MetricsError("need three adjustments per stage for learning statistics")
     efficiency = [s.efficiency_slope for s in stats if s.efficiency_slope is not None]
     return {
         "convergence_slope": float(np.mean([s.convergence_slope for s in stats])),

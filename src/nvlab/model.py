@@ -296,8 +296,8 @@ def sample_sequence(dist: DemandDistribution, rounds: int, seed: int) -> tuple[i
     Uniform draws come straight from the integer range. Continuous kinds use
     the inverse-CDF transform of the truncated distribution, rounded to the
     nearest integer and clipped to [a, b], so samples and `support_pmf` agree.
-    A process draws each stream once (the default grid has 80); a plan cycling
-    through more than 4096 distinct streams gets no cache hits.
+    A process draws each stream once (the default grid: 80 demand, 40 random-agent);
+    a plan cycling through more than 4096 distinct streams gets no cache hits.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")

@@ -201,7 +201,7 @@ def learning_rows(trajectories) -> tuple[list[str], list[list]]:
     ]
     rows = []
     # fitted once per (scenario, length); each margin group averages its own, in group order
-    fitted = zip(trajectories, metrics._learning(trajectories))
+    fitted = zip(trajectories, metrics.learning_stats(trajectories))
     for (experiment, _, dist, agent, _, margin), group in _group(
             fitted, lambda pair: _margin_key(pair[0])):
         try:
@@ -240,7 +240,7 @@ def quartile_rows(trajectories, compare_humans=False) -> tuple[list[str], list[l
     groups = []
     for (experiment, _, dist, agent, order_condition), group in _group(
             trajectories, lambda t: (*_condition_key(t), t.order_condition)):
-        _, _, errors, codes = metrics.adjustment_arrays(group)
+        _, _, errors, codes = metrics.classify_adjustments(group)
         abs_errors = np.abs(errors)
         try:
             cuts = metrics.quartile_thresholds(abs_errors)
@@ -289,7 +289,7 @@ def adjustment_share_rows(trajectories) -> tuple[list[str], list[list]]:
     groups = _group(trajectories, _block_key)
     for (experiment, _, dist, agent, order_condition, block_index), group in groups:
         margin = group[0].scenario.margin
-        rounds, _, _, codes = metrics.adjustment_arrays(group)
+        rounds, _, _, codes = metrics.classify_adjustments(group)
         # every round from 2 to the longest trajectory's last has an adjustment
         n_rounds = max(len(t.orders) for t in group)
         counts = np.bincount((rounds - 2) * 3 + codes % 3, minlength=3 * (n_rounds - 1))

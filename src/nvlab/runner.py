@@ -34,9 +34,9 @@ stored round's values, then its prompt hash, then its seeded demand draw, and
 advances the transcript as if the round had just been decided; later rounds
 are decided and appended to the store one at a time, each by one
 `agents.decide` call with the block's scenario and the previous round's order
-and demand. A scripted block builds its rule (`scripted_rule`), and the random
-agent's rng advanced past the stored rounds' draws, once, for its first
-decided round; a replayed round needs neither.
+and demand. A scripted block builds its rule (`scripted_rule`) once, for its
+first decided round; a replayed round needs none. The random agent's orders
+are, like the demands, its block's seeded draws: round t orders draw t.
 
 `replay` is the one read of stored rounds, shared by `report` and `resume`: it
 checks every record's types and labels (`store.group_trajectories`), then
@@ -78,14 +78,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import model
 from .agents import (
     EXACT,
     FALLBACK,
     LLM,
-    RANDOM,
     AgentSpec,
     AmbiguousDecisionError,
     decide,
@@ -308,7 +305,7 @@ class _Block:
         )
         self.messages = [] if condition.agent.kind == LLM else None
         # built for the first decided round: a replayed block looks up no optimum, draws nothing
-        self.rule = self.agent_rng = None
+        self.rule = None
 
     def walk(self, rounds, *, stored=(), earlier=(), store=None, client=None, stop=None):
         """Walk on to round ``rounds``, appending each round walked to ``records``.
@@ -318,9 +315,7 @@ class _Block:
         later round is decided with the ``earlier`` conversation turns before this block's,
         and recorded under the block's head in ``store``; no round is decided once ``stop``
         is set. A scripted block's rounds are queued and written in one call by the flush
-        on return. The random agent's ``agent_rng`` is built for its first decided round and
-        advanced past the stored rounds as deciding them did, in one sized draw. Returns the
-        failure that stopped the block, if any.
+        on return. Returns the failure that stopped the block, if any.
         """
         condition, scenario, prompts = self.condition, self.scenario, self.prompts
         lower, upper, max_order = scenario.demand.lower, scenario.demand.upper, scenario.max_order
@@ -372,12 +367,8 @@ class _Block:
                     break
                 transcript = [*earlier, *self.messages] if chat else None
                 if not chat and self.rule is None:
-                    if condition.agent.kind == RANDOM:
-                        rng = self.agent_rng = np.random.default_rng(derive_seed(
-                            condition.base_seed, *self.identity[1:], salt="agent"))
-                        # the draws the stored rounds took, in one call: the same stream
-                        rng.integers(lower, upper + 1, size=round_index - 1)
-                    self.rule = scripted_rule(condition.agent, scenario, self.agent_rng)
+                    self.rule = scripted_rule(condition.agent, scenario, derive_seed(
+                        condition.base_seed, *self.identity[1:], salt="agent"))
                 ts_start = time.time()
                 try:
                     decision = decide(condition.agent, prompt, scenario, round_index,
@@ -412,7 +403,7 @@ def replay(plan: ExperimentPlan, records: list[RoundRecord], run_id: str | None 
     The one read of stored rounds, shared by `resume` and `report`. `group_trajectories`
     checks every record's JSON types and labels against the plan, in line order; then
     each block, in identity order, walks its stored rounds (values, prompt hash, seeded
-    draw); no agent rng is built. The first mismatch in that order raises IntegrityError.
+    draw); no agent rule is built. The first mismatch in that order raises IntegrityError.
     A caller that has ``plan.run_id()`` passes it as ``run_id``.
     """
     planned = _planned(plan, run_id or plan.run_id())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import threading
@@ -151,6 +152,12 @@ def strip_timestamps(line: str) -> str:
     for key in ("ts_start", "ts_end"):
         data[key] = 0.0
     return json.dumps(data, separators=(",", ":"))
+
+
+def write_config(config, path):
+    """Write a `RunConfig` as the JSON object `RunConfig.from_file` reads; returns ``path``."""
+    path.write_text(json.dumps(dataclasses.asdict(config), indent=2) + "\n", encoding="utf-8")
+    return path
 
 
 def make_trajectory(sc: ScenarioConfig, orders, demands, agent="test-agent",

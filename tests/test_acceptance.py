@@ -143,7 +143,7 @@ def test_criterion_6b_demand_chaser_direction(tmp_path):
     toward = moved = 0
     for key, group in groups.items():
         # the calls report.quartile_rows makes for one table group
-        _, _, errors, codes = metrics.adjustment_arrays(group)
+        _, _, errors, codes = metrics.classify_adjustments(group)
         abs_errors = np.abs(errors)
         buckets = metrics.quartile_buckets(abs_errors, quartile_thresholds(abs_errors))
         toward += int((codes[errors != 0] == 1).sum())
@@ -163,10 +163,10 @@ def test_criterion_6c_optimal_agent_exact_zeros(tmp_path):
         assert stats.order_bias == 0.0 and stats.normalized_bias == 0.0, key
         assert profit_efficiency(stats.mean_order, group[0].scenario) == pytest.approx(100.0)
         for t in group:
-            learning = learning_stats(t)
+            learning = learning_stats([t])[0]
             assert learning.convergence_slope == 0.0
             assert learning.efficiency_slope == 0.0
-            _, _, _, codes = metrics.adjustment_arrays([t])
+            _, _, _, codes = metrics.classify_adjustments([t])
             assert (codes == 0).all()  # every adjustment is no-change
 
 
@@ -176,7 +176,7 @@ def test_criterion_6d_chase_switch_delta_r2(tmp_path):
     outcome = run_plan(plan, tmp_path / "switch")
     assert outcome.complete
     for t in outcome.trajectories:
-        assert learning_stats(t).delta_r2 > 0.5
+        assert learning_stats([t])[0].delta_r2 > 0.5
 
 
 def _stripped(path):

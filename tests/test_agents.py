@@ -157,12 +157,11 @@ RULE_CASES = [(1, None, None), (2, 140, 200), (3, 200, 120), (4, 150, 151), (5, 
     ids=["high", "low", "risk-neutral"])
 @pytest.mark.parametrize("agent", SCRIPTED_AGENTS, ids=lambda agent: agent.label)
 def test_a_scripted_rule_decides_as_decide_does(agent, sc):
-    rule = scripted_rule(agent, sc, np.random.default_rng(11))
-    held = scripted_rule(agent, sc, np.random.default_rng(11))  # passed to decide, as a block does
-    rng = np.random.default_rng(11)  # the same stream for decide's random draws
+    rule = scripted_rule(agent, sc, 11)
+    held = scripted_rule(agent, sc, 11)  # passed to decide, as a block does
     for round_index, last_order, last_demand in RULE_CASES:
         decision = decide(agent, "", sc, round_index, last_order, last_demand,
-                          rule=scripted_rule(agent, sc, rng))
+                          rule=scripted_rule(agent, sc, 11))
         assert decision.parse_confidence == "exact"
         assert rule(round_index, last_order, last_demand) == (
             decision.order, decision.raw_response), (round_index, last_order, last_demand)
@@ -170,7 +169,7 @@ def test_a_scripted_rule_decides_as_decide_does(agent, sc):
 
 
 def test_a_scripted_rule_refuses_what_decide_refuses():
-    with pytest.raises(ValueError, match="random agent needs an rng"):
+    with pytest.raises(ValueError, match="random agent needs a seed"):
         scripted_rule(AgentSpec("random"), SC_HIGH)
     with pytest.raises(ValueError, match="not a scripted kind: llm"):
         scripted_rule(AgentSpec("llm", model_name="m"), SC_HIGH)
@@ -184,15 +183,20 @@ def test_decide_refuses_a_negative_order():
 
 def test_random_agent_deterministic_given_rng_seed():
     agent = AgentSpec("random")
-    orders_a = [decide(agent, "", SC_HIGH,
-                       rule=scripted_rule(agent, SC_HIGH, np.random.default_rng(3))).order
-                for _ in range(5)]
-    orders_b = []
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        orders_b.append(decide(agent, "", SC_HIGH, rule=scripted_rule(agent, SC_HIGH, rng)).order)
-    assert orders_a[0] == orders_b[0]
+    orders_a = [decide(agent, "", SC_HIGH, t, rule=scripted_rule(agent, SC_HIGH, 3)).order
+                for t in range(1, 6)]
+    rule = scripted_rule(agent, SC_HIGH, 3)
+    orders_b = [decide(agent, "", SC_HIGH, t, rule=rule).order for t in range(1, 6)]
+    assert orders_a == orders_b
     assert all(1 <= order <= 300 for order in orders_b)
+
+
+def test_random_rule_orders_its_seeds_draw_for_the_round_asked():
+    """A random rule's order depends on the round alone: asked for rounds 5, 3 and 5, it
+    gives its seed's uniform draws 5, 3 and 5, however often it was called before."""
+    rule = scripted_rule(AgentSpec("random"), SC_HIGH, 7)
+    draws = np.random.default_rng(7).integers(1, 301, size=SC_HIGH.rounds).tolist()
+    assert [rule(t, None, None)[0] for t in (5, 3, 5)] == [draws[4], draws[2], draws[4]]
 
 
 def test_agent_spec_validation():

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 import pytest
 
 import nvlab
-from conftest import strip_timestamps
+from conftest import strip_timestamps, write_config
 from nvlab.agents import RETRY_NUDGE
 from nvlab.cli import main
 from nvlab.config import RunConfig
@@ -111,7 +111,7 @@ def test_killed_concurrent_llm_run_resumes_with_the_stated_orders(
     config = RunConfig(endpoint=stub_server.url, credential_env="NVLAB_TEST_KEY",
                        models=("test-model",), max_retries=0, backoff_base=0.001,
                        concurrency=4)
-    config.to_file(tmp_path / "config.json")
+    write_config(config, tmp_path / "config.json")
     args = ["run", "--config", str(tmp_path / "config.json"), "--experiment", "E1",
             "--dist", "uniform", "--order", "high-first", "--reps", "6", "--rounds", "5"]
     assert main([*args, "--out", str(tmp_path / "full")]) == 0

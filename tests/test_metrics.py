@@ -132,25 +132,26 @@ def test_pe_undefined_for_nonpositive_expected_profit():
 
 def test_classification_sign_rule():
     traj = make_trajectory(SC_HIGH, [90, 100, 95, 95], [120, 80, 95, 200])
-    events = classify_adjustments(traj)
-    assert [e.direction for e in events] == ["toward", "toward", "no-change"]
-    assert [e.delta for e in events] == [10, -5, 0]
-    assert [e.prior_error for e in events] == [30, -20, 0]
-    assert [e.magnitude for e in events] == [10, 5, 0]
+    _, deltas, errors, codes = classify_adjustments([traj])
+    directions = [metrics.DIRECTIONS[code] for code in codes.tolist()]
+    assert directions == ["toward", "toward", "no-change"]
+    assert deltas.tolist() == [10, -5, 0]
+    assert errors.tolist() == [30, -20, 0]
+    assert np.abs(deltas).tolist() == [10, 5, 0]
 
 
 def test_classification_away_and_zero_error():
     traj = make_trajectory(SC_HIGH, [100, 90, 95], [120, 90, 90])
-    events = classify_adjustments(traj)
+    codes = classify_adjustments([traj])[3]
     # order moved down after a shortage -> away; error zero -> no-change
-    assert [e.direction for e in events] == ["away", "no-change"]
+    assert [metrics.DIRECTIONS[code] for code in codes.tolist()] == ["away", "no-change"]
 
 
 def test_classification_partitions_all_rounds():
     rng = np.random.default_rng(0)
     orders = list(rng.integers(1, 301, size=15))
     demands = list(rng.integers(1, 301, size=15))
-    _, _, _, codes = metrics.adjustment_arrays([make_trajectory(SC_HIGH, orders, demands)])
+    _, _, _, codes = classify_adjustments([make_trajectory(SC_HIGH, orders, demands)])
     assert len(codes) == 14
     assert set(codes.tolist()) <= {-1, 0, 1}  # each round in exactly one of the DIRECTIONS
 
@@ -161,9 +162,8 @@ def test_quartile_thresholds_textbook_values():
 
 
 def test_quartile_constant_pool_is_all_q1():
-    events = classify_adjustments(make_trajectory(SC_HIGH, [100] * 5, [110] * 5))
-    buckets = metrics.quartile_buckets([abs(e.prior_error) for e in events],
-                                       quartile_thresholds([10, 10, 10, 10]))
+    errors = classify_adjustments([make_trajectory(SC_HIGH, [100] * 5, [110] * 5)])[2]
+    buckets = metrics.quartile_buckets(np.abs(errors), quartile_thresholds([10, 10, 10, 10]))
     assert buckets.tolist() == [0] * 4
 
 
@@ -220,11 +220,7 @@ def expected_cells(counts, key, total):
 def test_array_path_counts_match_the_event_path(seed):
     group = random_group(seed)
     events = [e for t in group for e in reference_events(t)]
-    # the public one-trajectory view classifies as the rule does
-    public = [e for t in group if len(t.orders) > 1 for e in classify_adjustments(t)]
-    assert [(e.round_index, abs(e.prior_error), e.direction) for e in public] == events
-
-    rounds, _, errors, codes = metrics.adjustment_arrays(group)
+    rounds, _, errors, codes = classify_adjustments(group)
     directions = [metrics.DIRECTIONS[c] for c in codes.tolist()]
     by_round = Counter((r, d) for r, _, d in events)
     assert Counter(zip(rounds.tolist(), directions)) == by_round
@@ -260,7 +256,7 @@ def test_random_groups_cover_the_edge_cases():
     for seed in range(40):
         group = random_group(seed)
         mixed += len({len(t.orders) for t in group}) > 1
-        _, deltas, errors, _ = metrics.adjustment_arrays(group)
+        _, deltas, errors, _ = classify_adjustments(group)
         zero_delta += int((deltas == 0).sum())
         zero_error += int((errors == 0).sum())
         if errors.size >= 4:
@@ -276,7 +272,7 @@ def test_chaser_simulation_is_all_toward_with_rising_share(tmp_path):
         for oc in ("high-first", "low-first")
     ))
     outcome = run_plan(plan, tmp_path / "run")
-    _, _, errors, codes = metrics.adjustment_arrays(outcome.trajectories)
+    _, _, errors, codes = classify_adjustments(outcome.trajectories)
     assert (errors != 0).any()
     assert (codes[errors != 0] == 1).all()
     abs_errors = np.abs(errors)
@@ -312,7 +308,7 @@ def test_ols_flags_zero_variance():
 
 
 def test_learning_flat_series_has_zero_slopes():
-    stats = learning_stats(constant_traj(SC_HIGH, 225, rounds=15, demand=150))
+    stats = learning_stats([constant_traj(SC_HIGH, 225, rounds=15, demand=150)])[0]
     assert stats.convergence_slope == 0.0
     assert stats.efficiency_slope == 0.0
     assert stats.delta_r2 == 0.0
@@ -322,7 +318,7 @@ def test_learning_flat_series_has_zero_slopes():
 def test_learning_exact_linear_convergence():
     # |q_t - q*| = 100 - 2t
     orders = [225 - (100 - 2 * t) for t in range(1, 16)]
-    stats = learning_stats(make_trajectory(SC_HIGH, orders, [150] * 15))
+    stats = learning_stats([make_trajectory(SC_HIGH, orders, [150] * 15)])[0]
     assert stats.convergence_slope == pytest.approx(-2.0)
 
 
@@ -334,15 +330,14 @@ def test_learning_chase_switch_delta_r2(tmp_path):
     ))
     outcome = run_plan(plan, tmp_path / "run")
     for traj in outcome.trajectories:
-        stats = learning_stats(traj)
+        stats = learning_stats([traj])[0]
         assert stats.early_degenerate and stats.early_r2 == 0.0
         assert stats.late_r2 == pytest.approx(1.0)
         assert stats.delta_r2 > 0.5
 
 
 def test_learning_needs_three_rounds():
-    with pytest.raises(MetricsError):
-        learning_stats(make_trajectory(SC_HIGH, [1, 2], [1, 2]))
+    assert learning_stats([make_trajectory(SC_HIGH, [1, 2], [1, 2])]) == [None]
 
 
 def reference_ols_line(x, y):
@@ -394,7 +389,7 @@ def mixed_learning_group():
 
 def test_learning_matches_the_one_dimensional_fits_bit_for_bit():
     group = mixed_learning_group()
-    stats = [learning_stats(t) for t in group]
+    stats = [learning_stats([t])[0] for t in group]
     assert stats == [reference_learning_stats(t) for t in group]
     assert stats[0].early_degenerate and stats[0].late_degenerate
     assert stats[0].delta_r2 == 0.0
@@ -417,7 +412,7 @@ def mean_learning_stats(stats):
 def test_average_learning_stats_is_the_mean_of_the_per_trajectory_stats():
     group = mixed_learning_group()
     assert metrics.average_learning_stats(group) == mean_learning_stats(
-        [learning_stats(t) for t in group])
+        [learning_stats([t])[0] for t in group])
 
 
 def test_average_learning_stats_of_mixed_scenarios_and_lengths_keeps_input_order():
@@ -426,7 +421,7 @@ def test_average_learning_stats_of_mixed_scenarios_and_lengths_keeps_input_order
                             [150, 260, 40, 210, 280, 120, 90, 250, 230, 200])
     mixed = [group[1], short, group[0], group[2]]
     reference = [reference_learning_stats(t) for t in mixed]
-    assert metrics._learning(mixed) == reference  # fitted in two blocks, returned in order
+    assert metrics.learning_stats(mixed) == reference  # fitted in two blocks, returned in order
     assert metrics.average_learning_stats(mixed) == mean_learning_stats(reference)
 
 

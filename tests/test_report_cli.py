@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import nvlab
-from conftest import strip_timestamps, write_replay_store
+from conftest import strip_timestamps, write_config, write_replay_store
 from nvlab.cli import main
 from nvlab.config import ConfigError, RunConfig, build_plan
 from nvlab.agents import AgentSpec
@@ -38,7 +38,7 @@ def stripped_lines(path):
 def test_config_round_trips_losslessly(tmp_path):
     config = RunConfig(models=("m1", "m2"), experiments=("E1", "E3"),
                        distributions=("uniform",), repetitions=4, base_seed=11)
-    config.to_file(tmp_path / "config.json")
+    write_config(config, tmp_path / "config.json")
     assert RunConfig.from_file(tmp_path / "config.json") == config
 
 
@@ -196,7 +196,7 @@ def test_simulate_rejects_llm_agent(tmp_path, capsys):
 def test_run_with_llm_and_missing_credential_fails_fast(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("NVLAB_TEST_KEY", raising=False)
     config = RunConfig(credential_env="NVLAB_TEST_KEY")
-    config.to_file(tmp_path / "config.json")
+    write_config(config, tmp_path / "config.json")
     code = main(["run", "--config", str(tmp_path / "config.json"),
                  "--out", str(tmp_path / "x")])
     assert code == 2
@@ -286,8 +286,8 @@ def test_a_usage_that_is_not_an_object_is_dropped_and_the_run_completes(
     """The endpoint's ``usage`` is a string, then a number; neither stops the run."""
     stub_server.mode = "bad-usage"
     monkeypatch.setenv("NVLAB_TEST_KEY", "sk-test")
-    RunConfig(endpoint=stub_server.url, credential_env="NVLAB_TEST_KEY", models=("m",),
-              max_retries=0).to_file(tmp_path / "config.json")
+    write_config(RunConfig(endpoint=stub_server.url, credential_env="NVLAB_TEST_KEY",
+                           models=("m",), max_retries=0), tmp_path / "config.json")
     assert main(["run", "--config", str(tmp_path / "config.json"), "--experiment", "E1",
                  "--dist", "uniform", "--order", "high-first", "--reps", "1", "--rounds", "2",
                  "--out", str(tmp_path / "runs")]) == 0
@@ -383,9 +383,7 @@ def llm_config(tmp_path, stub_server, monkeypatch, **overrides):
     config = RunConfig(endpoint=stub_server.url, credential_env="NVLAB_TEST_KEY",
                        models=("test-model",), max_retries=1, backoff_base=0.001,
                        **overrides)
-    path = tmp_path / "config.json"
-    config.to_file(path)
-    return path
+    return write_config(config, tmp_path / "config.json")
 
 
 def test_run_exit_code_for_parse_failures(tmp_path, stub_server, monkeypatch, capsys):

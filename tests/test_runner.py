@@ -410,9 +410,10 @@ def random_store(tmp_path_factory):
 def test_resume_of_truncated_random_run_matches_uninterrupted_run(tmp_path, random_store,
                                                                   block_1, block_2):
     """Repetition 0 of condition 0 keeps the first ``block_1`` and ``block_2`` rounds of its
-    blocks; the rest of the store is whole. The random agent's rng, built for a block's first
-    decided round, must be advanced past the stored rounds: the resume orders what the
-    uninterrupted run ordered, each block's rng draws one at a time from round 1."""
+    blocks; the rest of the store is whole. The random agent's rule, built for a block's first
+    decided round, must order each round's own seeded draw, whatever was stored before it:
+    the resume orders what the uninterrupted run ordered, each block's rng drawing one at a
+    time from round 1."""
     kept = {1: block_1, 2: block_2}
     cut = tmp_path / "cut"
     shutil.copytree(random_store, cut)
@@ -444,10 +445,10 @@ def seeded_random_orders(plan, identity):
 
 @pytest.mark.parametrize("lower, upper", [BASE_RANGE, RISK_NEUTRAL_RANGE])
 def test_one_sized_draw_leaves_an_agent_rng_where_scalar_draws_do(lower, upper):
-    """A resume advances the random agent's rng past k stored rounds with one sized draw.
-    That draw gives the k scalar draws' values and the same next draw, for each range a
-    block can have and k up to 29: a numpy that breaks this fails here before a resume
-    diverges from the uninterrupted run."""
+    """A block's random orders are one sized draw; a store an earlier nvlab wrote with one
+    scalar draw per round resumes to the same orders. The sized draw gives the k scalar
+    draws' values and the same next draw, for each range a block can have and k up to 29:
+    a numpy that breaks this fails here before such a resume diverges from its store."""
     for k in range(1, 30):
         for base_seed in range(10):
             seed = derive_seed(base_seed, k, 1, salt="agent")
@@ -461,7 +462,7 @@ def test_replay_of_a_complete_random_store_builds_no_agent_rng(random_store):
     store = RunStore(random_store)
     blocks = replay(load_plan(store), store.records()).values()
     assert [len(b.records) for b in blocks] == [RANDOM_ROUNDS] * 8
-    assert all(b.agent_rng is None for b in blocks)
+    assert all(b.rule is None for b in blocks)
 
 
 # --- a torn final line after a crash mid-append -----------------------------
