@@ -208,6 +208,7 @@ def scripted_rule(agent: AgentSpec, scenario: ScenarioConfig, seed=None):
     elif agent.kind == DEMAND_CHASER:
         rate, rate_before, switch = agent.chase_rate, agent.chase_rate_before, agent.switch_round
         ceiling = scenario.max_order
+        spelled = (rate, f"{rate:g}"), (rate_before, f"{rate_before:g}")  # formatted once
         opening = round_half_up(mean), (
             f"Scripted rule: start at the demand mean {mean:g}, then chase the previous "
             f"demand with rate alpha={rate:g}."
@@ -216,14 +217,14 @@ def scripted_rule(agent: AgentSpec, scenario: ScenarioConfig, seed=None):
         def chase(round_index, last_order, last_demand):
             if round_index == 1 or last_order is None:
                 return opening
-            alpha = rate_before if switch is not None and round_index < switch else rate
+            alpha, alpha_text = spelled[switch is not None and round_index < switch]
             error = last_demand - last_order
             step = _round_away_from_zero(alpha * error)
             if alpha > 0 and error != 0 and step == 0:
                 # always move at least one unit toward the observed demand
                 step = 1 if error > 0 else -1
             return max(0, min(last_order + step, ceiling)), (
-                f"Scripted rule: previous error {error:+d}, chasing with alpha={alpha:g} "
+                f"Scripted rule: previous error {error:+d}, chasing with alpha={alpha_text} "
                 f"moves the order by {step:+d}."
             )
         return chase

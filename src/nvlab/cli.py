@@ -20,8 +20,9 @@ that made it.
 Exit codes: 0 success, 2 configuration error, 3 transport failure,
 4 parse-ambiguity failure, 5 store-integrity failure, 6 I/O failure (a file
 that cannot be read or written; when it lies in a run store, a second line names
-the ``--resume`` that finishes the run). A run with unresolved rounds exits 3 if
-any of them failed on transport, else 4.
+the ``--resume`` that finishes the run, and when it fails the command's first
+store before its manifest is written, a second line says the same command does).
+A run with unresolved rounds exits 3 if any of them failed on transport, else 4.
 """
 
 from __future__ import annotations
@@ -138,7 +139,11 @@ def _execute_plans(config: RunConfig, agents, client_factory, resume_dir) -> int
             plan = build_plan(config, [agent])
             run_dir = output_dir / plan.run_id()
             print(f"running {agent.label} -> {run_dir}", flush=True)
-            outcomes.append(runner_mod.run_plan(plan, run_dir, **options))
+            try:
+                outcomes.append(runner_mod.run_plan(plan, run_dir, **options))
+            except OSError as exc:  # with no store made yet, running it again is the fix
+                exc.rerun = not outcomes and not RunStore(run_dir).exists()
+                raise
 
     status = EXIT_OK
     for outcome in outcomes:
@@ -296,8 +301,10 @@ def main(argv=None) -> int:
         path = f": {exc.filename}" if exc.filename else ""
         print(f"i/o error: {exc.strerror or exc}{path}", file=sys.stderr)
         failed = Path(exc.filename if isinstance(exc.filename, str) else "")
+        if getattr(exc, "rerun", False):  # the command's first store, before its manifest
+            print("nothing is stored yet: the same command finishes the run", file=sys.stderr)
         # not for a directory in a store file's place, which fails a resume too
-        if args.command in ("run", "simulate") and failed.is_file() and RunStore(
+        elif args.command in ("run", "simulate") and failed.is_file() and RunStore(
                 failed.parent).exists():
             print(f"finish the run with --resume {failed.parent}", file=sys.stderr)
         return EXIT_IO

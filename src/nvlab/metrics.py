@@ -29,7 +29,8 @@ Conventions worth knowing before reading the code:
   sets a flag.
 * Learning fits run row-wise, once per (scenario, length) over what they
   are given: the trajectories that share both are stacked into arrays, and
-  each measure is one row-wise OLS over them. ``ols_line`` is that fit on
+  each measure is one row-wise OLS over them (the PE slope over the rounds a
+  row keeps, so rows are stacked by that count). ``ols_line`` is that fit on
   one row. Row-wise numpy reductions give the same bits as the 1-D ones, so
   a report, which fits all its trajectories at once, does not change.
 * Per-round PE is memoised per (scenario, order), each entry the exact
@@ -236,14 +237,15 @@ def _learning_block(trajectories: list[Trajectory]) -> list[LearningStats] | Non
     # an undefined PE (None) becomes nan; its round is left out of the row's fit
     pe = np.array([[memo[q] for q in t.orders] for t in trajectories], dtype=float)
     defined = ~np.isnan(pe)
-    full = defined.all(axis=1)
     efficiency = [None] * len(trajectories)
-    slopes = _ols_rows(every_row[full], pe[full])[0]
-    for row, slope in zip(np.flatnonzero(full).tolist(), slopes.tolist()):
-        efficiency[row] = slope
-    for row in np.flatnonzero(~full).tolist():
-        if defined[row].sum() >= 2:
-            efficiency[row] = ols_line(rounds[defined[row]], pe[row, defined[row]])[0]
+    kept = defined.sum(axis=1)
+    # rows keeping k rounds are fitted together, each on its k rounds (the full rows are k = n)
+    for k in np.unique(kept[kept >= 2]).tolist():
+        rows = np.flatnonzero(kept == k)
+        keep = defined[rows]
+        slopes = _ols_rows(every_row[rows][keep].reshape(-1, k), pe[rows][keep].reshape(-1, k))[0]
+        for row, slope in zip(rows.tolist(), slopes.tolist()):
+            efficiency[row] = slope
 
     deltas = np.diff(orders, axis=1).astype(float)     # delta for rounds 2..n
     errors = (demands[:, :-1] - orders[:, :-1]).astype(float)

@@ -25,7 +25,7 @@ writes each record as its head, then the round's fields.
 
 Each (condition, repetition) is one unit of work: its blocks 1 and 2 run in
 order, each through `_Block.walk`, the one round loop that fresh runs and
-`resume` share. A block looks up its scenario's `ScenarioPrompts` once, and
+`resume` share. A block is handed its scenario's `ScenarioPrompts`, and
 its walk hashes each round's prompt (`ScenarioPrompts.sha256`) from the
 previous round's order, demand, profit and cumulative profit, without joining
 its text. Only an LLM block, which keeps a transcript, renders the text. A
@@ -34,18 +34,20 @@ stored round's values, then its prompt hash, then its seeded demand draw, and
 advances the transcript as if the round had just been decided; later rounds
 are decided and appended to the store one at a time, each by one
 `agents.decide` call with the block's scenario and the previous round's order
-and demand. A scripted block builds its rule (`scripted_rule`) once, for its
-first decided round; a replayed round needs none. The random agent's orders
-are, like the demands, its block's seeded draws: round t orders draw t.
+and demand. A condition-block's repetitions share its `ScenarioPrompts` and
+scripted rule (`scripted_rule`), built for the first round decided in any of
+them; a replayed round needs none. The random agent's orders are, like the
+demands, its block's seeded draws (round t orders draw t), so each random
+block builds its own rule.
 
 `replay` is the one read of stored rounds, shared by `report` and `resume`: it
 checks every record's types and labels (`store.group_trajectories`), then
-hands each block its stored rows to walk, in identity order; a block's
-``records`` (the rounds walked so far) are its only progress. `resume` replays
-them before it builds a client or decides a round, so a corrupt store is
-refused before anything is appended. An unresolved round (transport or parse
-failure after retries) stops its block and leaves the trajectory incomplete
-for `resume`.
+sets up each condition-block once and hands each block its stored rows to
+walk, in identity order; a block's ``records`` (the rounds walked so far) are
+its only progress. `resume` replays them before it builds a client or decides
+a round, so a corrupt store is refused before anything is appended. An
+unresolved round (transport or parse failure after retries) stops its block
+and leaves the trajectory incomplete for `resume`.
 
 A round of an LLM block is flushed as it is appended, before the block's next
 chat request. A scripted block's rounds are queued in the store and written in
@@ -77,12 +79,14 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cache, lru_cache, partial
 
 from . import model
 from .agents import (
     EXACT,
     FALLBACK,
     LLM,
+    RANDOM,
     AgentSpec,
     AmbiguousDecisionError,
     decide,
@@ -112,6 +116,7 @@ LLM_WORKERS = 8  # units an LLM run decides at once unless told otherwise
 RUN_FORMAT = "nvlab-run/1"  # a manifest's ``format``: the store layout this nvlab reads
 
 
+@lru_cache(maxsize=4096, typed=True)  # pure; the default grid's 960 blocks share 20 demand seeds
 def derive_seed(base_seed: int, repetition: int, block_index: int, salt: str = "demand") -> int:
     """Stable per-(repetition, block) seed: base_seed XOR a keyed hash."""
     digest = hashlib.sha256(f"{salt}|rep:{repetition}|block:{block_index}".encode()).digest()
@@ -287,17 +292,19 @@ class _Block:
     `walk` advances it round by round and can be called again to go further,
     so a block's stored rounds can be replayed long before its first new
     round is decided. ``head`` and ``scenario`` are the plan's for its identity;
+    ``prompts`` and ``shared_rule`` (a builder) its condition-block's, shared by repetitions.
     ``records`` holds the rounds walked so far, checked (as `replay` hands them) or decided.
     ``messages`` holds the block's conversation turns for an LLM agent;
     scripted agents ignore transcripts, so theirs is None.
     """
 
-    def __init__(self, condition, identity, head, scenario):
+    def __init__(self, condition, identity, head, scenario, prompts, shared_rule):
         _, repetition, block_index = self.identity = identity
         self.condition = condition
         self.head = head
         self.scenario = scenario
-        self.prompts = scenario_prompts(scenario)
+        self.prompts = prompts
+        self.shared_rule = shared_rule
         self.records = []
         self.draws = model.sample_sequence(
             scenario.demand, condition.rounds_per_block,
@@ -366,9 +373,10 @@ class _Block:
                 if stop.is_set():
                     break
                 transcript = [*earlier, *self.messages] if chat else None
-                if not chat and self.rule is None:
-                    self.rule = scripted_rule(condition.agent, scenario, derive_seed(
-                        condition.base_seed, *self.identity[1:], salt="agent"))
+                if not chat and self.rule is None:  # a random block's orders are its own draws
+                    self.rule = self.shared_rule() if condition.agent.kind != RANDOM else (
+                        scripted_rule(condition.agent, scenario, derive_seed(
+                            condition.base_seed, *self.identity[1:], salt="agent")))
                 ts_start = time.time()
                 try:
                     decision = decide(condition.agent, prompt, scenario, round_index,
@@ -404,13 +412,19 @@ def replay(plan: ExperimentPlan, records: list[RoundRecord], run_id: str | None 
     checks every record's JSON types and labels against the plan, in line order; then
     each block, in identity order, walks its stored rounds (values, prompt hash, seeded
     draw); no agent rule is built. The first mismatch in that order raises IntegrityError.
-    A caller that has ``plan.run_id()`` passes it as ``run_id``.
+    A caller that has ``plan.run_id()`` passes it as ``run_id``. The blocks of a
+    condition-block (condition, block) share its prompts and lazily built scripted rule.
     """
     planned = _planned(plan, run_id or plan.run_id())
     stored = group_trajectories(records, planned)
     blocks = {}
+    shared = {}  # (condition, block) -> its ScenarioPrompts and scripted rule builder
     for identity, (head, scenario) in sorted(planned.items()):
-        block = blocks[identity] = _Block(plan.conditions[identity[0]], identity, head, scenario)
+        condition = plan.conditions[identity[0]]
+        if (setup := shared.get(identity[::2])) is None:
+            setup = shared[identity[::2]] = (
+                scenario_prompts(scenario), cache(partial(scripted_rule, condition.agent, scenario)))
+        block = blocks[identity] = _Block(condition, identity, head, scenario, *setup)
         block.walk(len(rows := stored.get(identity, ())), stored=rows)
     return blocks
 

@@ -12,12 +12,15 @@ Records are immutable named tuples; one shared compact JSON encoder defines each
 one's line of its fields in declaration order, which `RoundRecord.to_line` writes
 from a per-trajectory template where it can. Records carry their full trajectory
 identity (condition index, repetition, block, round) so concurrent trajectories can
-interleave safely. A read decodes each label head (a line up to ``,"round_index":``)
-once and shares it among its records; another spelling takes
-`RoundRecord.from_line`'s full decode. A malformed or non-UTF-8 line raises
-IntegrityError naming it; `group_trajectories` makes one pass, in line order, and
-refuses the first record whose JSON types (money is an integer) or labels and round
-index are not the plan's, with no rescan to word it; it groups the rest by identity.
+interleave safely. A read decodes each line once, and each distinct label head (a line
+up to ``,"round_index":``) once, shared among its records. A tail spelled as `_TAIL`
+writes it is parsed by the template's inverse into values of known JSON types; another
+is decoded as JSON, and a line split neither way takes `RoundRecord.from_line`. A read
+whose every line took the template is a `TypedRead`. A malformed or non-UTF-8 line
+raises IntegrityError naming it; `group_trajectories` makes one pass, in line order,
+and refuses the first record whose JSON types (money is an integer; a `TypedRead`'s
+are known) or labels and round index are not the plan's, with no rescan to word it;
+it groups the rest by identity.
 A round's values are checked by the runner's walk (`runner.replay`). A `Trajectory`
 is its scenario and its records, whose first labels it. A run's outcome holds the
 rounds it read and those it appended, in the blocks the runner walked, so the
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -162,7 +166,7 @@ _HEAD = _RECORD_FIELDS.index("round_index")  # the fields before it label the tr
 _round_index = itemgetter(_HEAD)
 _head_values = itemgetter(*_RECORD_FIELDS[:_HEAD])  # the label head's fields, then the tail's
 _tail_values = itemgetter(*_RECORD_FIELDS[_HEAD:])
-_CUT = b',"round_index":'  # where the encoder's label head ends
+_CUT = ',"round_index":'  # where the encoder's label head ends
 _INF = float("inf")
 # the per-round fields as the encoder writes them, for a record of these exact types
 _TAIL = (',"round_index":%d,"order":%d,"demand":%d,"profit":%d,"cumulative_profit":%d,'
@@ -172,6 +176,16 @@ _TAIL = (',"round_index":%d,"order":%d,"demand":%d,"profit":%d,"cumulative_profi
 _HEAD_TEMPLATE = ('{"run_id":%s,"condition_index":%d,"agent":%s,"experiment":%s,"dist":%s,'
                   '"order_condition":%s,"repetition":%d,"block_index":%d,"margin":%s')
 _TEMPLATE_TYPES = frozenset(product(*_RECORD_TYPES[:-3], {type(None)}, *_RECORD_TYPES[-2:]))
+_TYPED_HEADS = frozenset(product(*_RECORD_TYPES[:_HEAD]))
+# `_TAIL` inverted, for the spellings whose value needs no JSON decode to be json.loads's:
+# ints of the JSON grammar up to 19 digits (well short of int's digit limit), strings of
+# ASCII with no quote, backslash or control character (the writer escapes the rest; as
+# ranges, which sre tests faster than a negated set and compiles faster than one up to
+# U+10FFFF), and floats with a fraction; any other spelling does not match
+_TAIL_FIELDS = re.compile(
+    re.escape(_TAIL).replace("%d", r"(-?(?:[1-9][0-9]{0,18}|0))")
+    .replace("%s", r'"([\]-\x7f#-\[ !]*)"')
+    .replace("%r", r"(-?(?:[1-9][0-9]*|0)\.[0-9]+(?:[eE][-+]?[0-9]+)?)") + "\n")
 
 
 @lru_cache(maxsize=64)  # a scripted run writes one trajectory at a time, an LLM run `workers`
@@ -182,23 +196,60 @@ def _line_head(labels: tuple) -> str:
                              _quote(dist), _quote(order), repetition, block, _quote(margin))
 
 
-def _fields(data: bytes, values: itemgetter, size: int, end: str = "") -> tuple | None:
-    """``values`` of the object ``data`` holds up to ``end`` if it has just their ``size`` keys."""
-    try:  # a value that ends where ``data`` does, at "}" or "}\n", is an object
-        text = data.decode("utf-8")
+def _fields(text: str, values: itemgetter, size: int, end: str = "") -> tuple | None:
+    """``values`` of the object ``text`` holds up to ``end`` if it has just their ``size`` keys."""
+    try:  # a value that ends where ``text`` does, at "}" or "}\n", is an object
         value, stop = _scan_once(text, 0)
         return values(value) if text[stop:] == end and len(value) == size else None
     except (StopIteration, ValueError, RecursionError, KeyError):  # `from_line` words it
         return None
 
 
-def _split_record(line: bytes, heads: dict) -> RoundRecord | None:
-    """``line``'s record from its label head (decoded once per ``heads``) and tail, or None."""
-    cut = line.find(_CUT)
-    head = line[:cut]
-    if cut > 0 and (labels := heads.get(head) or _fields(head + b"}", _head_values, _HEAD)):
-        values = _fields(b"{" + line[cut + 1:], _tail_values, len(_RECORD_FIELDS) - _HEAD, "\n")
-        return values and RoundRecord._make(heads.setdefault(head, labels) + values)
+def _read_line(line: bytes, lineno: int, heads: dict, others: list) -> RoundRecord:
+    """``line``'s record from its label head (decoded once per ``heads``) and its tail.
+
+    A tail `_TAIL_FIELDS` matches, under a head of `_TEMPLATE_TYPES`, needs no JSON decode.
+    Any other line adds its number to ``others``: the read is not typed, so later tails are
+    decoded as JSON untried (an LLM store pays for one failed match), and a line split
+    neither way takes `from_line`.
+    """
+    try:  # decoded once; `from_line` words a line that is not UTF-8
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        text = ""
+    cut = text.find(_CUT)
+    head = text[:cut]
+    if cut > 0 and (entry := heads.get(head)) is None and (
+            labels := _fields(head + "}", _head_values, _HEAD)):
+        entry = heads[head] = labels, tuple(map(type, labels)) in _TYPED_HEADS
+    if cut > 0 and entry:
+        labels, typed = entry
+        if typed and not others and (tail := _TAIL_FIELDS.fullmatch(text, cut)):
+            (round_index, order, demand, gain, total, confidence, digest, response, retries,
+             start, end) = tail.groups()
+            return RoundRecord._make(labels + (
+                int(round_index), int(order), int(demand), int(gain), int(total), confidence,
+                digest, response, int(retries), None, float(start), float(end)))
+        values = _fields("{" + text[cut + 1:], _tail_values, len(_RECORD_FIELDS) - _HEAD, "\n")
+    else:
+        values = None
+    others.append(lineno)
+    return RoundRecord._make(labels + values) if values else RoundRecord.from_line(line, lineno)
+
+
+class TypedRead(list):
+    """A read whose every line `_TAIL_FIELDS` parsed under a head of `_TEMPLATE_TYPES`, so
+    each record's JSON types are known. It takes no new record; a copy (``list(read)``, a
+    slice, `copy.copy`) is a plain list, whose records `group_trajectories` types one by one.
+    """
+
+    def _refuse(self, *_):
+        raise TypeError("a typed read takes no new records; change a copy, list(read)")
+
+    __setitem__ = __iadd__ = append = extend = insert = _refuse
+
+    def __reduce__(self):
+        return list, (list(self),)
 
 
 @dataclass
@@ -324,20 +375,22 @@ class RunStore:
                 raise OSError(exc.errno, exc.strerror, str(self.rounds_path)) from exc
 
     def records(self) -> list[RoundRecord]:
-        """Every stored round in line order.
+        """Every stored round in line order; a `TypedRead` if the template read every line.
 
-        Each distinct label head is decoded once and shared by its records; a line spelled
-        otherwise takes `RoundRecord.from_line`. A final line without its newline is the torn
-        tail of an append that never finished; it is left out, whether or not it parses. Any
-        other malformed line raises IntegrityError.
+        Each distinct label head is decoded once and shared by its records (`_read_line`); a
+        line spelled otherwise takes `RoundRecord.from_line`. A final line without its newline
+        is the torn tail of an append that never finished; it is left out, whether or not it
+        parses. Any other malformed line raises IntegrityError.
         """
         if not self.rounds_path.exists():
             return []
-        heads = {}  # a head's bytes -> its label values
+        heads = {}  # a head's text -> (its label values, whether of `_TEMPLATE_TYPES`)
+        others = []  # the lines not read by `_TAIL_FIELDS`
         with self.rounds_path.open("rb") as handle:  # bytes: a line not UTF-8 is malformed
-            return [_split_record(line, heads) or RoundRecord.from_line(line, lineno)
+            read = [_read_line(line, lineno, heads, others)
                     for lineno, line in enumerate(handle, 1)
-                    if line.endswith(b"\n") and line.strip()]
+                    if line.endswith(b"\n") and not line.isspace()]
+        return read if others else TypedRead(read)
 
     def set_aside_torn_line(self) -> str | None:
         """Move an unterminated final line of rounds.jsonl to rounds.jsonl.torn.
@@ -377,11 +430,13 @@ def group_trajectories(records: list[RoundRecord], planned: dict) -> dict[tuple,
     ``round_index``) and ScenarioConfig. One pass, in line order, refuses the first record
     of a wrong JSON type, of a head not the plan's (checked where the head first appears)
     or of a round index outside its block; nothing is scanned again to word the refusal.
+    A `TypedRead`'s types are known, so only its labels and round indices are checked.
     `runner.replay` checks the values.
     """
     groups: dict[tuple, tuple] = {}  # a head -> (its block's rounds, its records)
+    typed = type(records) is TypedRead  # each record's types are known: no row to compute
     for record in records:  # typed before hashed: 0.0 and True hash as 0 and 1 do
-        if tuple(map(type, record)) not in _TYPE_ROWS:  # else a TypeError far from the record
+        if not typed and tuple(map(type, record)) not in _TYPE_ROWS:  # else a far TypeError
             raise IntegrityError("{}: field {!r} is {!r}, not {}".format(
                 where(record), *mistyped(RoundRecord, record._asdict())))
         if (group := groups.get(head := record[:_HEAD])) is None:  # a head is checked once

@@ -260,6 +260,40 @@ def test_a_write_past_the_file_size_limit_exits_6_and_resumes_to_the_uninterrupt
     assert stripped_lines(cut) == stripped_lines(full)
 
 
+@pytest.mark.parametrize("agents, failing", [
+    (["optimal"], 1), (["optimal", "random"], 1), (["optimal", "random"], 2)],
+    ids=["one-agent", "first-of-two", "second-of-two"])
+def test_a_manifest_write_that_fails_once_exits_6_and_says_what_finishes_the_run(
+        tmp_path, monkeypatch, capsys, agents, failing):
+    """The ``failing``-th manifest write of a fresh run fails once with ENOSPC. Before any
+    store exists the same command finishes the run; after one, it would find that store
+    made, so no second line is printed and the remaining agent is run on its own."""
+    args = ["simulate", *(flag for agent in agents for flag in ("--agent", agent)), *GRID]
+    assert main([*args, "--out", str(tmp_path / "full")]) == 0
+    write_text, writes = Path.write_text, []
+
+    def failing_write(path, *write_args, **kwargs):
+        if path.name == "manifest.json.tmp":
+            writes.append(path)
+            if len(writes) == failing:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return write_text(path, *write_args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write)
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "cut")]) == 6
+    hint = "nothing is stored yet: the same command finishes the run\n" if failing == 1 else ""
+    assert capsys.readouterr().err == (
+        f"i/o error: No space left on device: {writes[-1]}\n{hint}")
+    assert not (writes[-1].parent / "manifest.json").exists()
+    rerun = args if failing == 1 else ["simulate", "--agent", agents[-1], *GRID]
+    assert main([*rerun, "--out", str(tmp_path / "cut")]) == 0
+    for run in (tmp_path / "full").iterdir():
+        assert (tmp_path / "cut" / run.name / "manifest.json").read_bytes() == (
+            run / "manifest.json").read_bytes()
+        assert stripped_lines(tmp_path / "cut" / run.name) == stripped_lines(run)
+
+
 def fail_one_raw_write(monkeypatch):
     """Open each rounds.jsonl append handle over a raw file that counts its writes.
 

@@ -20,7 +20,7 @@ from nvlab.report import ReportError, build_report, load_trajectories
 from nvlab import metrics, report, runner
 from nvlab.runner import (ExperimentPlan, PlanCondition, RoundFailure, RunOutcome, load_plan,
                           replay, run_plan)
-from nvlab.store import RoundRecord, RunStore
+from nvlab.store import RoundRecord, RunStore, TypedRead
 
 
 def read_csv(path):
@@ -1267,6 +1267,31 @@ def test_a_read_names_an_earlier_blocks_prompt_hash_before_a_later_blocks_profit
     err = refused_by_both_commands(tmp_path, capsys, run_dir)
     assert err.count("block=1, round=2): stored prompt hash does not match the re-rendered "
                      "prompt") == 2, err
+
+
+@pytest.mark.parametrize("field, stored, spelled, value", [
+    ("condition_index", 0, b"0.0", 0.0), ("repetition", 1, b"true", True),
+    ("block_index", 1, b"1.0", 1.0)])
+def test_a_late_label_of_a_hash_equal_json_type_is_refused_in_an_otherwise_typed_store(
+        tmp_path, capsys, field, stored, spelled, value):
+    """Every line but one is as nvlab writes it, so read by the line template; that one's
+    label equals, and hashes as, the plan's, but is of another JSON type: the read is not
+    typed, each record's types are checked, and the line is refused by the field's name."""
+    out = tmp_path / "runs"
+    assert main(["simulate", "--experiment", "E1", "--dist", "uniform", "--order", "high-first",
+                 "--agent", "optimal", "--reps", "2", "--rounds", "3", "--out", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    path = run_dir / "rounds.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert type(RunStore(run_dir).records()) is TypedRead and len(lines) == 12
+    late = 8  # repetition 1, block 1, round 3
+    assert b'"repetition":1,"block_index":1,"margin":"high","round_index":3,' in lines[late]
+    key = b'"%s":%d,' % (field.encode(), stored)
+    lines[late] = lines[late].replace(key, key[:-len(b"%d," % stored)] + spelled + b",", 1)
+    path.write_bytes(b"".join(lines))
+    assert type(RunStore(run_dir).records()) is list
+    err = refused_by_both_commands(tmp_path, capsys, run_dir)
+    assert err.count(f"round=3): field {field!r} is {value!r}, not an integer") == 2, err
 
 
 def _relabelled(record):

@@ -465,6 +465,31 @@ def test_replay_of_a_complete_random_store_builds_no_agent_rng(random_store):
     assert all(b.rule is None for b in blocks)
 
 
+@pytest.mark.parametrize("agent, rules", [
+    (OPTIMAL, 4), (AgentSpec("mean-anchor", anchor_weight=0.5), 4), (CHASER, 4),
+    (AgentSpec("random"), 8)], ids=["optimal", "mean-anchor", "demand-chaser", "random"])
+def test_a_scripted_rule_is_built_once_per_condition_block_and_per_random_block(
+        tmp_path, monkeypatch, agent, rules):
+    """2 conditions x 2 blocks x 2 repetitions: the repetitions of a condition-block share
+    its rule, a random block draws its own orders, and a replay or resume builds none."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return scripted_rule(*args)
+
+    scripted_rule = runner_module.scripted_rule
+    monkeypatch.setattr(runner_module, "scripted_rule", counted)
+    plan = small_plan(agent, reps=2, rounds=3)
+    assert run_plan(plan, tmp_path / "run").complete
+    assert len(built) == rules
+    built.clear()
+    store = RunStore(tmp_path / "run")
+    assert [len(b.records) for b in replay(plan, store.records()).values()] == [3] * 8
+    assert resume(tmp_path / "run").complete
+    assert built == []
+
+
 # --- a torn final line after a crash mid-append -----------------------------
 
 def torn_store(tmp_path, cut=40, agent=CHASER):

@@ -1,7 +1,9 @@
 """The round-record line codec: lossless, byte-stable and immutable."""
 
+import copy as copy_module
 import itertools
 import json
+import pickle
 import random
 
 import numpy as np
@@ -13,7 +15,7 @@ from nvlab.cli import main
 from nvlab.llm import ChatClient
 from nvlab.runner import ExperimentPlan, PlanCondition, run_plan
 from nvlab.store import (_LINE_ENCODER, _RECORD_FIELDS, IntegrityError, RoundRecord, RunStore,
-                         _line_head)
+                         TypedRead, _line_head)
 
 RECORD = RoundRecord(
     run_id="run-0123456789ab", condition_index=1, agent="model-ü", experiment="E2",
@@ -241,7 +243,11 @@ def test_lines_nvlab_writes_decode_each_label_head_once(tmp_path, monkeypatch):
         read, fallbacks, scans = _counted_read(monkeypatch, tmp_path / name)
         heads = {line[:line.index(b',"round_index":')] for line in lines}
         assert repr(read) == repr(_full_decode(lines))
-        assert (len(read), fallbacks, scans) == (len(lines), 0, len(lines) + len(heads))
+        # a scripted line's tail is read by the template's inverse; one with token usage
+        # (an object) is decoded as JSON
+        tails = len(lines) if name == "llm" else 0
+        assert (len(read), fallbacks, scans) == (len(lines), 0, len(heads) + tails)
+        assert isinstance(read, TypedRead) == (name == "scripted")
         assert 1 < len(heads) < len(lines)
         # the records of one head share its label values
         first = {}
@@ -270,6 +276,59 @@ def test_a_read_equals_the_full_decode_of_each_line_on_a_seeded_sweep(
             if splits is not None:
                 refused = isinstance(expected, str)
                 assert fallbacks == (0 if splits else 1 if refused else len(mutated))
+
+
+# a record of the types the line template writes (integer money, no token usage)
+TEMPLATED = RECORD._replace(profit=255, cumulative_profit=-1234, raw_response="order 180",
+                            token_usage=None)
+
+
+@pytest.mark.parametrize("field, spelling, typed", [
+    ("order", b"123456789012345678", True),  # 18 digits
+    ("demand", b"1234567890123456789", True),  # 19 digits: the template's longest int
+    ("profit", b"-1234567890123456789", True),
+    ("cumulative_profit", b"12345678901234567890", False),  # 20 digits: decoded as JSON
+    ("retries", b"-0", True),
+    ("round_index", b"07", False),  # not JSON: refused
+    ("ts_start", b"5", False),  # an int, as json.loads reads it
+    ("ts_start", b"1e5", False),
+    ("ts_start", b"-0.0", True),
+    ("ts_start", b"1.5e-7", True),
+    ("ts_start", b"NaN", False),
+    ("ts_start", b"Infinity", False),
+    ("raw_response", '"Stück ✓"'.encode(), False),  # raw UTF-8, which the writer escapes
+    ("raw_response", b'"a\x7fb"', True),  # DEL is no control character to JSON
+    ("raw_response", b'"a\x01b"', False),  # a control character: refused
+    ("raw_response", b'"say \\"150\\""', False),
+    ("parse_confidence", b'"caf\\u00e9"', False),
+    ("token_usage", b'{"total_tokens":59}', False),
+], ids=lambda value: value.decode("utf-8", "replace") if isinstance(value, bytes) else None)
+def test_a_template_read_is_the_full_decode_of_each_spelling_or_declines(
+        tmp_path, field, spelling, typed):
+    line = _with_value(TEMPLATED.to_line().encode() + b"\n", field, spelling)
+    assert spelling in line and TEMPLATED.to_line().encode() + b"\n" != line
+    store = write_lines(tmp_path, [line[:-1], TEMPLATED.to_line().encode()])
+    try:
+        read = store.records()
+    except IntegrityError as exc:
+        read = str(exc)
+    assert repr(read) == repr(_full_decode([line, TEMPLATED.to_line().encode()]))
+    assert isinstance(read, TypedRead) == typed
+
+
+def test_a_typed_read_takes_no_new_record_and_its_copies_are_lists(tmp_path):
+    store = write_lines(tmp_path, [TEMPLATED.to_line().encode()])
+    read = store.records()
+    assert type(read) is TypedRead and read == [TEMPLATED]
+    for add in (lambda: read.append(TEMPLATED), lambda: read.extend([TEMPLATED]),
+                lambda: read.insert(0, TEMPLATED), lambda: read.__setitem__(0, TEMPLATED),
+                lambda: read.__iadd__([TEMPLATED])):
+        with pytest.raises(TypeError, match="a typed read takes no new records"):
+            add()
+    assert read == [TEMPLATED]
+    for copy in (list(read), read[:], read + [], copy_module.copy(read),
+                 pickle.loads(pickle.dumps(read))):
+        assert type(copy) is list and copy == [TEMPLATED]
 
 
 # --- the line writer is the encoder, byte for byte ----------------------------
