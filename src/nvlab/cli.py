@@ -20,8 +20,9 @@ that made it.
 Exit codes: 0 success, 2 configuration error, 3 transport failure,
 4 parse-ambiguity failure, 5 store-integrity failure, 6 I/O failure (a file
 that cannot be read or written; when it lies in a run store, a second line names
-the ``--resume`` that finishes the run, and when it fails the command's first
-store before its manifest is written, a second line says the same command does).
+the ``--resume`` that finishes the run; before its manifest is written, it says
+that the same command does, or after an earlier agent's store, names the agents
+whose stores are not made yet).
 A run with unresolved rounds exits 3 if any of them failed on transport, else 4.
 """
 
@@ -38,7 +39,7 @@ from pathlib import Path
 from . import runner as runner_mod
 from .agents import AGENT_KINDS, DEMAND_CHASER, LLM, MEAN_ANCHOR, SCRIPTED_KINDS, AgentSpec
 from .config import ConfigError, RunConfig, build_plan
-from .llm import ChatClient, TokenBucket, TransportError
+from .llm import ChatClient, TokenBucket
 from .prompts import validate_golden
 from .report import ReportError, build_report
 from .store import IntegrityError, RunStore
@@ -141,8 +142,11 @@ def _execute_plans(config: RunConfig, agents, client_factory, resume_dir) -> int
             print(f"running {agent.label} -> {run_dir}", flush=True)
             try:
                 outcomes.append(runner_mod.run_plan(plan, run_dir, **options))
-            except OSError as exc:  # with no store made yet, running it again is the fix
-                exc.rerun = not outcomes and not RunStore(run_dir).exists()
+            except OSError as exc:  # before this store is made, running what is left is the fix
+                left = ", ".join(a.label for a in agents[len(outcomes):])
+                exc.rerun = None if RunStore(run_dir).exists() else (
+                    f"not stored yet: {left}; running only these agents finishes the run"
+                    if outcomes else "nothing is stored yet: the same command finishes the run")
                 raise
 
     status = EXIT_OK
@@ -294,15 +298,12 @@ def main(argv=None) -> int:
     except ReportError as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except TransportError as exc:
-        print(f"transport error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
     except OSError as exc:  # a full disk, say, or a directory where a store file belongs
         path = f": {exc.filename}" if exc.filename else ""
         print(f"i/o error: {exc.strerror or exc}{path}", file=sys.stderr)
         failed = Path(exc.filename if isinstance(exc.filename, str) else "")
-        if getattr(exc, "rerun", False):  # the command's first store, before its manifest
-            print("nothing is stored yet: the same command finishes the run", file=sys.stderr)
+        if rerun := getattr(exc, "rerun", None):  # a store of the command, before its manifest
+            print(rerun, file=sys.stderr)
         # not for a directory in a store file's place, which fails a resume too
         elif args.command in ("run", "simulate") and failed.is_file() and RunStore(
                 failed.parent).exists():

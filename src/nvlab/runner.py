@@ -18,10 +18,10 @@ the model experiences the margin switch inside a single interaction. Scripted
 agents ignore transcripts. Set ``transcript_continuity=False`` to isolate
 blocks instead.
 
-`_planned` spells a block's labels once: it maps each identity (condition,
-repetition, block) to its label head (the `RoundRecord` fields before
-``round_index``) and scenario. A read checks stored heads against it; a block
-writes each record as its head, then the round's fields.
+`replay` expands a plan into its blocks in one loop. Each identity (condition,
+repetition, block) gets its label head (the `RoundRecord` fields before
+``round_index``) and scenario there, once; a read checks stored heads against
+them, and a block writes each record as its head, then the round's fields.
 
 Each (condition, repetition) is one unit of work: its blocks 1 and 2 run in
 order, each through `_Block.walk`, the one round loop that fresh runs and
@@ -35,19 +35,19 @@ advances the transcript as if the round had just been decided; later rounds
 are decided and appended to the store one at a time, each by one
 `agents.decide` call with the block's scenario and the previous round's order
 and demand. A condition-block's repetitions share its `ScenarioPrompts` and
-scripted rule (`scripted_rule`), built for the first round decided in any of
-them; a replayed round needs none. The random agent's orders are, like the
-demands, its block's seeded draws (round t orders draw t), so each random
-block builds its own rule.
+scripted rule (`scripted_rule`), set up once by that loop and built for the
+first round decided in any of them; a replayed round needs none. The random
+agent's orders are, like the demands, its block's seeded draws (round t orders
+draw t), so each random block gets its own rule.
 
 `replay` is the one read of stored rounds, shared by `report` and `resume`: it
 checks every record's types and labels (`store.group_trajectories`), then
-sets up each condition-block once and hands each block its stored rows to
-walk, in identity order; a block's ``records`` (the rounds walked so far) are
-its only progress. `resume` replays them before it builds a client or decides
-a round, so a corrupt store is refused before anything is appended. An
-unresolved round (transport or parse failure after retries) stops its block
-and leaves the trajectory incomplete for `resume`.
+hands each block its stored rows to walk, in identity order; a block's
+``records`` (the rounds walked so far) are its only progress. `resume`
+replays them before it builds a client or decides a round, so a corrupt
+store is refused before anything is appended. An unresolved round (transport
+or parse failure after retries) stops its block and leaves the trajectory
+incomplete for `resume`.
 
 A round of an LLM block is flushed as it is appended, before the block's next
 chat request. A scripted block's rounds are queued in the store and written in
@@ -270,41 +270,25 @@ def load_plan(store: RunStore) -> ExperimentPlan:
     return plan
 
 
-def _planned(plan: ExperimentPlan, run_id: str) -> dict:
-    """Each identity ``plan`` runs -> (its label head, its scenario); the one spelling of labels.
-
-    A head is the values of the `RoundRecord` fields before ``round_index``, in their order.
-    """
-    planned = {}
-    for index, c in enumerate(plan.conditions):
-        for block in (1, 2):
-            margin = c.margin_for_block(block)
-            sc = c.scenario_for_margin(margin)
-            planned |= {(index, repetition, block): (
-                (run_id, index, c.agent.label, c.experiment, c.dist_kind, c.order_condition,
-                 repetition, block, margin), sc) for repetition in range(c.repetitions)}
-    return planned
-
-
 class _Block:
     """One (condition, repetition, block): its seeded demand draws and progress.
 
     `walk` advances it round by round and can be called again to go further,
     so a block's stored rounds can be replayed long before its first new
     round is decided. ``head`` and ``scenario`` are the plan's for its identity;
-    ``prompts`` and ``shared_rule`` (a builder) its condition-block's, shared by repetitions.
+    ``prompts`` and ``build_rule`` its condition-block's (a random block has its own builder).
     ``records`` holds the rounds walked so far, checked (as `replay` hands them) or decided.
     ``messages`` holds the block's conversation turns for an LLM agent;
     scripted agents ignore transcripts, so theirs is None.
     """
 
-    def __init__(self, condition, identity, head, scenario, prompts, shared_rule):
+    def __init__(self, condition, identity, head, scenario, prompts, build_rule):
         _, repetition, block_index = self.identity = identity
         self.condition = condition
         self.head = head
         self.scenario = scenario
         self.prompts = prompts
-        self.shared_rule = shared_rule
+        self.build_rule = build_rule
         self.records = []
         self.draws = model.sample_sequence(
             scenario.demand, condition.rounds_per_block,
@@ -373,10 +357,8 @@ class _Block:
                 if stop.is_set():
                     break
                 transcript = [*earlier, *self.messages] if chat else None
-                if not chat and self.rule is None:  # a random block's orders are its own draws
-                    self.rule = self.shared_rule() if condition.agent.kind != RANDOM else (
-                        scripted_rule(condition.agent, scenario, derive_seed(
-                            condition.base_seed, *self.identity[1:], salt="agent")))
+                if not chat and self.rule is None:
+                    self.rule = self.build_rule()
                 ts_start = time.time()
                 try:
                     decision = decide(condition.agent, prompt, scenario, round_index,
@@ -408,23 +390,31 @@ class _Block:
 def replay(plan: ExperimentPlan, records: list[RoundRecord], run_id: str | None = None) -> dict:
     """Each identity ``plan`` runs -> its `_Block`, holding its stored rounds in ``records``.
 
-    The one read of stored rounds, shared by `resume` and `report`. `group_trajectories`
-    checks every record's JSON types and labels against the plan, in line order; then
-    each block, in identity order, walks its stored rounds (values, prompt hash, seeded
-    draw); no agent rule is built. The first mismatch in that order raises IntegrityError.
-    A caller that has ``plan.run_id()`` passes it as ``run_id``. The blocks of a
-    condition-block (condition, block) share its prompts and lazily built scripted rule.
+    The one read of stored rounds, shared by `resume` and `report`, and the one expansion of
+    a plan into blocks, which sets each condition-block up once. `group_trajectories` checks
+    every record's JSON types and labels against the plan, in line order; then each block,
+    in identity order, walks its stored rounds (values, prompt hash, seeded draw); no agent
+    rule is built. The first mismatch in that order raises IntegrityError. A caller that
+    has ``plan.run_id()`` passes it as ``run_id``.
     """
-    planned = _planned(plan, run_id or plan.run_id())
+    run_id = run_id or plan.run_id()
+    planned, blocks = {}, {}  # identity -> (its label head, its scenario); -> its _Block
+    for index, c in enumerate(plan.conditions):
+        labels = (run_id, index, c.agent.label, c.experiment, c.dist_kind, c.order_condition)
+        for block in (1, 2):
+            margin = c.margin_for_block(block)
+            sc = c.scenario_for_margin(margin)
+            prompts, rule = scenario_prompts(sc), cache(partial(scripted_rule, c.agent, sc))
+            for repetition in range(c.repetitions):
+                if c.agent.kind == RANDOM:  # its orders are its block's own seeded draws
+                    rule = partial(scripted_rule, c.agent, sc, derive_seed(
+                        c.base_seed, repetition, block, salt="agent"))
+                identity, head = (index, repetition, block), (*labels, repetition, block, margin)
+                planned[identity] = head, sc
+                blocks[identity] = _Block(c, identity, head, sc, prompts, rule)
     stored = group_trajectories(records, planned)
-    blocks = {}
-    shared = {}  # (condition, block) -> its ScenarioPrompts and scripted rule builder
-    for identity, (head, scenario) in sorted(planned.items()):
-        condition = plan.conditions[identity[0]]
-        if (setup := shared.get(identity[::2])) is None:
-            setup = shared[identity[::2]] = (
-                scenario_prompts(scenario), cache(partial(scripted_rule, condition.agent, scenario)))
-        block = blocks[identity] = _Block(condition, identity, head, scenario, *setup)
+    blocks = dict(sorted(blocks.items()))
+    for identity, block in blocks.items():
         block.walk(len(rows := stored.get(identity, ())), stored=rows)
     return blocks
 

@@ -45,6 +45,7 @@ class StubChatServer(ThreadingHTTPServer):
                        through 100,000 nested arrays and a 5,001-digit number
       "bad-usage"   -- answer, with a ``usage`` that alternates between a
                        string and a number instead of an object
+      "no-choices"  -- answer 200 with a payload whose ``choices`` is empty
       "too-long"    -- answer a request whose messages hold more than
                        ``max_chars`` content characters with 400 and
                        `TOO_LONG_BODY`, as a model past its context window
@@ -113,9 +114,9 @@ class _StubHandler(BaseHTTPRequestHandler):
         usage = {"prompt_tokens": 42, "completion_tokens": 17, "total_tokens": 59}
         if mode == "bad-usage":
             usage = ("lots", 5)[(count - 1) % 2]
-        payload = json.dumps(
-            {"choices": [{"message": {"role": "assistant", "content": text}}], "usage": usage}
-        ).encode("utf-8")
+        choices = [] if mode == "no-choices" else [
+            {"message": {"role": "assistant", "content": text}}]
+        payload = json.dumps({"choices": choices, "usage": usage}).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))

@@ -15,6 +15,7 @@ import nvlab
 from conftest import strip_timestamps, write_config, write_replay_store
 from nvlab.cli import main
 from nvlab.config import ConfigError, RunConfig, build_plan
+from nvlab.llm import TokenBucket
 from nvlab.agents import AgentSpec
 from nvlab.report import ReportError, build_report, load_trajectories
 from nvlab import metrics, report, runner
@@ -66,14 +67,18 @@ def test_config_errors_name_the_field():
     ('{"transcript_continuity": "yes"}', "transcript_continuity: must be true or false"),
     ('{"output_dir": 7}', "output_dir: must be a string, got 7"),
     ('[]', "the config must be a JSON object, got list"),
+    ('{"models": ["m"]', "config file is not valid JSON: Expecting ',' delimiter"),
+    (None, "config file not found: "),
 ], ids=["models-string", "models-empty", "distribution-number", "repetitions-string",
         "rounds-float", "temperature-bool", "budget-string", "continuity-string",
-        "output-dir-number", "top-level-list"])
+        "output-dir-number", "top-level-list", "not-json", "missing-file"])
 def test_config_values_of_the_wrong_json_type_are_config_errors(
         tmp_path, capsys, monkeypatch, text, message):
+    """A ``text`` of None writes no config file."""
     monkeypatch.delenv("OPENAI_API_KEY", raising=False)
     path = tmp_path / "config.json"
-    path.write_text(text)
+    if text is not None:
+        path.write_text(text)
     capsys.readouterr()
     assert main(["run", "--config", str(path), "--print-config"]) == 2
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "runs")]) == 2
@@ -90,8 +95,9 @@ def test_config_values_of_the_wrong_json_type_are_config_errors(
     ("rate_limit_per_minute", -5, "rate_limit_per_minute: must be > 0 and finite"),
     ("rate_limit_per_minute", 0, "rate_limit_per_minute: must be > 0 and finite"),
     ("temperature", math.nan, "temperature: must be >= 0 and finite, got nan"),
+    ("order_conditions", ["sideways"], "order_conditions: unknown order condition 'sideways'"),
 ], ids=["endpoint-without-scheme", "endpoint-unclosed-ipv6", "backoff-negative",
-        "rate-limit-negative", "rate-limit-zero", "temperature-nan"])
+        "rate-limit-negative", "rate-limit-zero", "temperature-nan", "order-unknown"])
 def test_config_values_the_run_cannot_use_are_config_errors(
         tmp_path, capsys, monkeypatch, stub_server, field, value, message):
     monkeypatch.setenv("NVLAB_TEST_KEY", "sk-test")
@@ -414,14 +420,25 @@ def test_run_prints_each_unresolved_round_on_one_stderr_line(
         f"unresolved round: {failure}"]
 
 
-def test_run_exit_code_for_transport_failures(tmp_path, stub_server, monkeypatch, capsys):
-    stub_server.mode = "always-429"
+@pytest.mark.parametrize("mode, reply, requests, message", [
+    ("always-429", None, 2, "exhausted 1 retries: HTTP 429 from "),
+    ("ok", "", 1, "empty completion text"),
+    ("no-choices", None, 1, "malformed completion payload: list index out of range"),
+], ids=["rate-limited", "empty-content", "no-choices"])
+def test_run_exit_code_for_transport_failures(tmp_path, stub_server, monkeypatch, capsys, mode,
+                                              reply, requests, message):
+    """The first round fails on transport after ``requests`` requests, which ends the run."""
+    stub_server.mode = mode
+    if reply is not None:
+        stub_server.reply_fn = lambda body: reply
     config_path = llm_config(tmp_path, stub_server, monkeypatch)
     code = main(["run", "--config", str(config_path), "--experiment", "E1",
                  "--dist", "uniform", "--order", "high-first", "--reps", "1",
                  "--rounds", "2", "--out", str(tmp_path / "runs")])
     assert code == 3
-    assert "transport" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"  unresolved: condition=0 rep=0 block=1 round=1 (transport): {message}")
+    assert len(stub_server.requests) == requests
 
 
 @pytest.mark.parametrize("kinds, code", [
@@ -439,12 +456,19 @@ def test_exit_code_does_not_depend_on_failure_order(tmp_path, monkeypatch, capsy
     assert re.findall(r"\((\w+)\): ", capsys.readouterr().err) == list(kinds)
 
 
-def test_run_against_stub_endpoint_completes(tmp_path, stub_server, monkeypatch, capsys):
-    config_path = llm_config(tmp_path, stub_server, monkeypatch)
+@pytest.mark.parametrize("limit", [None, 6000], ids=["unlimited", "rate-limited"])
+def test_run_against_stub_endpoint_completes(tmp_path, stub_server, monkeypatch, capsys, limit):
+    """With ``rate_limit_per_minute``, every request takes a token from one shared bucket."""
+    acquire, buckets = TokenBucket.acquire, []
+    monkeypatch.setattr(TokenBucket, "acquire", lambda self: buckets.append(self) or acquire(self))
+    config_path = llm_config(tmp_path, stub_server, monkeypatch, rate_limit_per_minute=limit)
     code = main(["run", "--config", str(config_path), "--experiment", "E1",
                  "--dist", "uniform", "--order", "high-first", "--reps", "1",
                  "--rounds", "3", "--out", str(tmp_path / "runs")])
     assert code == 0
+    assert len(stub_server.requests) == 6
+    assert [b.rate for b in buckets] == ([] if limit is None else [100.0] * 6)
+    assert len(set(map(id, buckets))) == (limit is not None)
     run_dirs = list((tmp_path / "runs").iterdir())
     assert len(run_dirs) == 1
     code = main(["report", str(run_dirs[0]), "--out", str(tmp_path / "report")])
@@ -1123,6 +1147,15 @@ def test_a_manifest_of_another_format_is_an_integrity_error(tmp_path, capsys, sm
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     err = refused_by_both_commands(tmp_path, capsys, run_dir)
     assert err.count(f"manifest.json: format {found!r} is not 'nvlab-run/1'") == 2, err
+
+
+def test_a_manifest_without_a_plan_is_an_integrity_error(tmp_path, capsys, small_store):
+    run_dir = shutil.copytree(small_store, tmp_path / "run")
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    del manifest["plan"]
+    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    err = refused_by_both_commands(tmp_path, capsys, run_dir)
+    assert err.count(f"malformed plan in {run_dir / 'manifest.json'}: no 'plan' field") == 2, err
 
 
 @pytest.mark.parametrize("name, line, message", [

@@ -490,6 +490,28 @@ def test_a_scripted_rule_is_built_once_per_condition_block_and_per_random_block(
     assert built == []
 
 
+@pytest.mark.parametrize("agent, builders", [(CHASER, 4), (AgentSpec("random"), 12)],
+                         ids=["demand-chaser", "random"])
+def test_the_blocks_of_a_condition_block_share_its_prompts_and_rule_builder(
+        monkeypatch, agent, builders):
+    """2 conditions x 2 blocks x 3 repetitions: prompts are set up once per condition-block
+    and shared by its blocks, and so is its rule builder, but a random block has its own."""
+    prompts = []
+    scenario_prompts = runner_module.scenario_prompts
+    monkeypatch.setattr(runner_module, "scenario_prompts",
+                        lambda sc: prompts.append(scenario_prompts(sc)) or prompts[-1])
+    blocks = replay(small_plan(agent, reps=3, rounds=2), [])
+    assert len(prompts) == 4
+    setups = {}
+    for (condition, _, block_index), block in blocks.items():
+        setups.setdefault((condition, block_index), []).append(block)
+    for (condition, block_index), group in setups.items():
+        assert len(group) == 3
+        assert all(b.prompts is prompts[2 * condition + block_index - 1] for b in group)
+        assert len({id(b.build_rule) for b in group}) == builders // 4
+    assert len({id(b.build_rule) for b in blocks.values()}) == builders
+
+
 # --- a torn final line after a crash mid-append -----------------------------
 
 def torn_store(tmp_path, cut=40, agent=CHASER):
