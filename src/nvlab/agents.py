@@ -261,7 +261,8 @@ def decide(
     is built from a seed). The llm kind appends ``prompt`` to ``transcript``
     (not mutated), sends one chat request via ``client`` and extracts the
     order; unparseable replies are re-prompted up to `MAX_REPROMPTS` times
-    with a clarification turn that stays out of the persistent transcript.
+    with a clarification turn that stays out of the persistent transcript. An order that
+    is not a nonnegative exact ``int`` (a float, a bool, a numpy integer) raises ValueError.
     """
     if agent.kind != LLM:
         decision = Decision(*(rule or scripted_rule(agent, scenario))(
@@ -289,7 +290,7 @@ def decide(
                     {"role": "user", "content": RETRY_NUDGE},
                 ]
         decision = Decision(order, result.text, confidence, retries, usage)
-    if decision.order < 0:
+    if type(decision.order) is not int or decision.order < 0:
         raise ValueError("order must be a nonnegative integer")
     return decision
 

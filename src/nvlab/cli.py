@@ -20,7 +20,8 @@ that made it.
 Exit codes: 0 success, 2 configuration error, 3 transport failure,
 4 parse-ambiguity failure, 5 store-integrity failure, 6 I/O failure (a file
 that cannot be read or written; when it lies in a run store, a second line names
-the ``--resume`` that finishes the run; before its manifest is written, it says
+the ``--resume`` that finishes that store, and a third the ``--agent`` flags of
+the agents the command has not run yet; before its manifest is written, it says
 that the same command does, or after an earlier agent's store, names the agents
 whose stores are not made yet).
 A run with unresolved rounds exits 3 if any of them failed on transport, else 4.
@@ -128,6 +129,14 @@ def _client_factory(config: RunConfig):
     return factory
 
 
+def _selected_as(agents) -> str:
+    """``agents`` as the command selects them: a scripted kind by ``--agent``, an LLM agent by
+    ``--agent llm`` and its model in the config's ``models``."""
+    flags = " ".join(dict.fromkeys(f"--agent {agent.kind}" for agent in agents))
+    models = ", ".join(agent.model_name for agent in agents if agent.kind == LLM)
+    return flags + (f" (with the config's models {models})" if models else "")
+
+
 def _execute_plans(config: RunConfig, agents, client_factory, resume_dir) -> int:
     options = dict(client_factory=client_factory, workers=config.concurrency,
                    progress=lambda msg: print(msg, flush=True))
@@ -143,10 +152,14 @@ def _execute_plans(config: RunConfig, agents, client_factory, resume_dir) -> int
             try:
                 outcomes.append(runner_mod.run_plan(plan, run_dir, **options))
             except OSError as exc:  # before this store is made, running what is left is the fix
-                left = ", ".join(a.label for a in agents[len(outcomes):])
-                exc.rerun = None if RunStore(run_dir).exists() else (
-                    f"not stored yet: {left}; running only these agents finishes the run"
-                    if outcomes else "nothing is stored yet: the same command finishes the run")
+                if not RunStore(run_dir).exists():
+                    left = ", ".join(a.label for a in agents[len(outcomes):])
+                    exc.rerun = (f"not stored yet: {left}; running only these agents finishes "
+                                 "the run" if outcomes else
+                                 "nothing is stored yet: the same command finishes the run")
+                elif left := agents[len(outcomes) + 1:]:  # after this store's --resume
+                    exc.rerun = (f"not run yet: {_selected_as(left)}; the same command with "
+                                 "only these agents runs them")
                 raise
 
     status = EXIT_OK
@@ -302,12 +315,12 @@ def main(argv=None) -> int:
         path = f": {exc.filename}" if exc.filename else ""
         print(f"i/o error: {exc.strerror or exc}{path}", file=sys.stderr)
         failed = Path(exc.filename if isinstance(exc.filename, str) else "")
-        if rerun := getattr(exc, "rerun", None):  # a store of the command, before its manifest
-            print(rerun, file=sys.stderr)
         # not for a directory in a store file's place, which fails a resume too
-        elif args.command in ("run", "simulate") and failed.is_file() and RunStore(
+        if args.command in ("run", "simulate") and failed.is_file() and RunStore(
                 failed.parent).exists():
             print(f"finish the run with --resume {failed.parent}", file=sys.stderr)
+        if rerun := getattr(exc, "rerun", None):  # the command's agents left to run
+            print(rerun, file=sys.stderr)
         return EXIT_IO
 
 

@@ -21,7 +21,11 @@ blocks instead.
 `replay` expands a plan into its blocks in one loop. Each identity (condition,
 repetition, block) gets its label head (the `RoundRecord` fields before
 ``round_index``) and scenario there, once; a read checks stored heads against
-them, and a block writes each record as its head, then the round's fields.
+them. A scripted block spells each decided round's line itself: the head's
+text (`store._line_head`, once, for its first decided round), then `store._TAIL`
+of the values its walk holds, all of known JSON types (ints from the plan, the
+draws and the order `decide` checked; finite clock floats). An LLM round's line
+is `RoundRecord.to_line`'s, since its token usage takes the encoder.
 
 Each (condition, repetition) is one unit of work: its blocks 1 and 2 run in
 order, each through `_Block.walk`, the one round loop that fresh runs and
@@ -94,18 +98,23 @@ from .agents import (
 )
 from .llm import TransportError
 from .prompts import default_templates, render_prompt, scenario_prompts
-from .store import (
+from .store import (  # the line template's parts too: a scripted block fills it itself
+    _TAIL,
     TORN_NAME,
     IntegrityError,
     RoundRecord,
     RunStore,
     Trajectory,
+    _line_head,
+    _quote,
     canonical_json,
     group_trajectories,
     mistyped,
     sha256_text,
     where,
 )
+
+_EXACT_TEXT = _quote(EXACT)  # a scripted round's parse confidence, as its line spells it
 
 log = logging.getLogger(__name__)
 
@@ -295,8 +304,9 @@ class _Block:
             derive_seed(condition.base_seed, repetition, block_index),
         )
         self.messages = [] if condition.agent.kind == LLM else None
-        # built for the first decided round: a replayed block looks up no optimum, draws nothing
-        self.rule = None
+        # built for the first decided round: a replayed block looks up no optimum, draws
+        # nothing and spells no label head
+        self.rule = self.line_head = None
 
     def walk(self, rounds, *, stored=(), earlier=(), store=None, client=None, stop=None):
         """Walk on to round ``rounds``, appending each round walked to ``records``.
@@ -358,7 +368,7 @@ class _Block:
                     break
                 transcript = [*earlier, *self.messages] if chat else None
                 if not chat and self.rule is None:
-                    self.rule = self.build_rule()
+                    self.rule, self.line_head = self.build_rule(), _line_head(self.head)
                 ts_start = time.time()
                 try:
                     decision = decide(condition.agent, prompt, scenario, round_index,
@@ -370,14 +380,18 @@ class _Block:
                     log.warning("unresolved round: %s", failure)
                     break
                 demand = self.draws[round_index - 1]
-                gain = model.profit(decision.order, demand, scenario.cost)
+                gain = model.profit(order := decision.order, demand, scenario.cost)
+                total += gain
+                ts_end = max(time.time(), ts_start)  # a clock stepped back stores no inversion
                 record = RoundRecord(
-                    *self.head, round_index, decision.order, demand, gain, total + gain,
+                    *self.head, round_index, order, demand, gain, total,
                     decision.parse_confidence, prompt_sha256, decision.raw_response,
-                    decision.retries, decision.token_usage, ts_start,
-                    max(time.time(), ts_start))  # a clock stepped back stores no inversion
-                # a chat round is on disk before the next request; a scripted one by the flush below
-                store.append(record, flush=chat)
+                    decision.retries, decision.token_usage, ts_start, ts_end)
+                # a chat round is on disk before the next request; a scripted one, whose
+                # values are all of the template's types, by the flush below
+                store.append(record.to_line() if chat else self.line_head + _TAIL % (
+                    round_index, order, demand, gain, total, _EXACT_TEXT, _quote(prompt_sha256),
+                    _quote(decision.raw_response), 0, ts_start, ts_end), flush=chat)
             self.records.append(record)
             if chat:
                 self.messages += ({"role": "user", "content": prompt},

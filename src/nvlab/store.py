@@ -8,9 +8,12 @@ Layout of one run directory::
       rounds.jsonl.torn  # only after a crash mid-append: the torn final
                          # lines that resume set aside
 
-Records are immutable named tuples; one shared compact JSON encoder defines each
-one's line of its fields in declaration order, which `RoundRecord.to_line` writes
-from a per-trajectory template where it can. Records carry their full trajectory
+Records are immutable named tuples. A record's line is its fields in declaration order
+as the compact JSON encoder writes them; `_HEAD_TEMPLATE` (the label head) and `_TAIL`
+(the round's fields) spell those bytes for values of known JSON types.
+`RoundRecord.to_line` writes from them where a record's types allow, else through the
+encoder; the runner's scripted walk, whose values' types are known, fills them itself.
+`RunStore.append` takes the line. Records carry their full trajectory
 identity (condition index, repetition, block, round) so concurrent trajectories can
 interleave safely. A read decodes each line once, and each distinct label head (a line
 up to ``,"round_index":``) once, shared among its records. A tail spelled as `_TAIL`
@@ -188,7 +191,7 @@ _TAIL_FIELDS = re.compile(
     .replace("%r", r"(-?(?:[1-9][0-9]*|0)\.[0-9]+(?:[eE][-+]?[0-9]+)?)") + "\n")
 
 
-@lru_cache(maxsize=64)  # a scripted run writes one trajectory at a time, an LLM run `workers`
+@lru_cache(maxsize=64)  # an LLM run writes `workers` blocks at once; a scripted block asks once
 def _line_head(labels: tuple) -> str:
     """`_HEAD_TEMPLATE` of the label fields of a record of `_TEMPLATE_TYPES`."""
     run_id, index, agent, experiment, dist, order, repetition, block, margin = labels
@@ -333,14 +336,17 @@ class RunStore:
         except (ValueError, RecursionError) as exc:  # as in `RoundRecord.from_line`
             raise IntegrityError(f"manifest.json is malformed: {exc}") from exc
 
-    def append(self, record: RoundRecord, *, flush: bool = True):
-        """Append one line, flushed unless ``flush`` is false; safe from several threads at once.
+    def append(self, line: str, *, flush: bool = True):
+        """Append one record's ``line`` (no newline), flushed unless ``flush`` is false; safe
+        from several threads at once. A ``line`` that is not a str, such as a record (pass
+        ``record.to_line()``), raises TypeError before anything is queued.
 
         An unflushed line waits in the store's queue; the next flushed append, `flush` or
         `close` writes the queued lines in one call. The first write opens rounds.jsonl; the
         handle stays open until `close`.
         """
-        line = record.to_line()
+        if not isinstance(line, str):  # else the join of a later write fails far from here
+            raise TypeError(f"append takes a line, a str, not {type(line).__name__}")
         with self._append_lock:
             self._queued.append(line)
         if flush:

@@ -254,6 +254,6 @@ def write_replay_store(run_dir, rows, reps=10, rounds=10):
                             prompt_sha256=sha256_text(render_prompt(sc, *feedback)),
                             raw_response=f"replay fixture: constant order {order}",
                         )
-                        store.append(record)
+                        store.append(record.to_line())
                         last = record
     return plan

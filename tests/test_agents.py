@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nvlab import agents
 from nvlab.agents import (
     AgentSpec,
     AmbiguousDecisionError,
@@ -179,6 +180,21 @@ def test_decide_refuses_a_negative_order():
     # a Decision checks nothing itself: decide checks the order a rule gives
     with pytest.raises(ValueError, match="order must be a nonnegative integer"):
         decide(AgentSpec("optimal"), None, SC_HIGH, rule=lambda *_: (-1, "below zero"))
+
+
+NOT_INTS = {"float": 225.0, "bool": True, "numpy-int64": np.int64(225), "str": "225"}
+
+
+@pytest.mark.parametrize("order", NOT_INTS.values(), ids=NOT_INTS)
+def test_decide_refuses_an_order_that_is_not_an_exact_int(order, monkeypatch):
+    """Such an order would be stored through the JSON encoder (``"order":225.0``), which
+    both readers then refuse; a scripted and an LLM decision are checked alike."""
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+        decide(AgentSpec("optimal"), None, SC_HIGH, rule=lambda *_: (order, "not an int"))
+    monkeypatch.setattr(agents, "extract_order", lambda text, sc: (order, "exact"))
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+        decide(AgentSpec("llm", model_name="m"), "the prompt", SC_HIGH,
+               client=FakeClient(["I will order 225 wodgets."]))
 
 
 def test_random_agent_deterministic_given_rng_seed():

@@ -30,7 +30,8 @@ import pytest
 
 import nvlab
 from conftest import strip_timestamps, write_config
-from nvlab.agents import RETRY_NUDGE
+from nvlab import cli
+from nvlab.agents import RETRY_NUDGE, AgentSpec
 from nvlab.cli import main
 from nvlab.config import RunConfig
 from nvlab.runner import build_manifest, resume, run_plan
@@ -300,6 +301,58 @@ def test_a_manifest_write_that_fails_once_exits_6_and_says_what_finishes_the_run
         assert stripped_lines(tmp_path / "cut" / run.name) == stripped_lines(run)
 
 
+def test_a_later_store_whose_rounds_cannot_be_opened_names_the_agents_not_run_yet(
+        tmp_path, monkeypatch, capsys):
+    """The second of three agents' stores fails its first rounds.jsonl open with ENOSPC,
+    after its manifest is written. Exit 6 names that store's --resume and the --agent flags
+    of the agent not run yet; the resume plus the same command with only those flags leave
+    the stores of an uninterrupted run."""
+    args = ["simulate", "--agent", "optimal", "--agent", "random", "--agent", "demand-chaser",
+            *GRID]
+    assert main([*args, "--out", str(tmp_path / "full")]) == 0
+    open_path, opens = Path.open, []
+
+    def failing_open(path, mode="r", *open_args, **kwargs):
+        if path.name == ROUNDS_NAME and mode == "a":
+            opens.append(path.parent.name)
+            if len(set(opens)) == 2 and opens.count(opens[-1]) == 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return open_path(path, mode, *open_args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", failing_open)
+    assert main([*args, "--out", str(tmp_path / "cut")]) == 6
+    monkeypatch.undo()
+    cut = tmp_path / "cut" / opens[-1]  # the second agent's store
+    assert capsys.readouterr().err == (
+        f"i/o error: No space left on device: {cut / ROUNDS_NAME}\n"
+        f"finish the run with --resume {cut}\n"
+        "not run yet: --agent demand-chaser; the same command with only these agents runs "
+        "them\n")
+    assert {path.name for path in (tmp_path / "cut").iterdir()} == set(opens)  # two stores
+    assert main(["simulate", "--resume", str(cut)]) == 0
+    assert main(["simulate", "--agent", "demand-chaser", *GRID,
+                 "--out", str(tmp_path / "cut")]) == 0
+    full = sorted((tmp_path / "full").iterdir())
+    assert [path.name for path in sorted((tmp_path / "cut").iterdir())] == [
+        store.name for store in full] and len(full) == 3
+    for store in full:
+        assert (tmp_path / "cut" / store.name / "manifest.json").read_bytes() == (
+            store / "manifest.json").read_bytes()
+        assert stripped_lines(tmp_path / "cut" / store.name) == stripped_lines(store)
+
+
+def test_agents_not_run_yet_are_spelled_as_the_command_selects_them():
+    """A scripted kind by its --agent flag, whatever its parameters; LLM agents by one
+    --agent llm and their model names, which the config's models choose."""
+    agents = [AgentSpec("demand-chaser", chase_rate=0.5, switch_round=3),
+              AgentSpec("llm", model_name="model-b"), AgentSpec("llm", model_name="model-c"),
+              AgentSpec("mean-anchor", anchor_weight=0.2)]
+    assert cli._selected_as(agents) == (
+        "--agent demand-chaser --agent llm --agent mean-anchor "
+        "(with the config's models model-b, model-c)")
+    assert cli._selected_as(agents[3:]) == "--agent mean-anchor"
+
+
 def fail_one_raw_write(monkeypatch):
     """Open each rounds.jsonl append handle over a raw file that counts its writes.
 
@@ -362,14 +415,14 @@ def test_a_close_that_fails_leaves_no_closed_handle_behind(tmp_path, monkeypatch
     raw = fail_one_raw_write(monkeypatch)
     store = RunStore(tmp_path / "run")
     store.create(build_manifest(CUT_PLAN))
-    store.append(first)
-    store.append(second, flush=False)
+    store.append(first.to_line())
+    store.append(second.to_line(), flush=False)
     raw.fail_at = len(raw.lines) + 1
     with pytest.raises(OSError) as failed:
         store.close()
     assert (failed.value.errno, failed.value.filename) == (errno.ENOSPC, str(store.rounds_path))
     store.close()
-    store.append(third)
+    store.append(third.to_line())
     store.close()
     assert store.rounds_path.read_bytes().endswith(b"\n")
     assert RunStore(tmp_path / "run").records() == [first, second, third]

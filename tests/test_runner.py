@@ -30,7 +30,7 @@ from nvlab.runner import (
     resume,
     run_plan,
 )
-from nvlab.store import IntegrityError, RunStore, Trajectory, sha256_text
+from nvlab.store import IntegrityError, RoundRecord, RunStore, Trajectory, sha256_text
 
 OPTIMAL = AgentSpec("optimal")
 CHASER = AgentSpec("demand-chaser", chase_rate=0.5)
@@ -822,13 +822,76 @@ def test_outcome_of_a_resumed_torn_store_matches_the_store(tmp_path):
     assert_outcome_matches_the_store(outcome)
 
 
+SCRIPTED_AGENTS = {
+    "optimal": OPTIMAL, "mean-anchor": AgentSpec("mean-anchor", anchor_weight=0.3),
+    "random": AgentSpec("random"), "demand-chaser": CHASER,
+    "demand-chaser-switch": AgentSpec("demand-chaser", chase_rate=0.5, switch_round=4,
+                                      chase_rate_before=0.25),
+}
+
+
+def assert_lines_are_the_outcomes_records(outcome):
+    """Each stored line, timestamps included, is `to_line` of the outcome's record in its
+    place (a scripted run writes its blocks in identity order), and reads back to itself."""
+    lines = outcome.store.rounds_path.read_text(encoding="utf-8").splitlines()
+    records = [record for t in outcome.trajectories for record in t.records]
+    assert lines == [record.to_line() for record in records]
+    for lineno, line in enumerate(lines, 1):
+        assert RoundRecord.from_line(line, lineno).to_line() == line
+        assert json.dumps(json.loads(line), separators=(",", ":")) == line
+
+
+@pytest.mark.parametrize("agent", SCRIPTED_AGENTS.values(), ids=SCRIPTED_AGENTS)
+def test_a_scripted_block_writes_each_line_as_its_record_encodes(tmp_path, agent):
+    outcome = run_plan(every_scenario_plan(agent, rounds=6), tmp_path / "run")
+    assert outcome.complete and len(outcome.trajectories) == len(EVERY_SCENARIO) * 2 * 2
+    assert_lines_are_the_outcomes_records(outcome)
+
+
+@pytest.mark.parametrize("agent", SCRIPTED_AGENTS.values(), ids=SCRIPTED_AGENTS)
+def test_a_resume_of_a_store_cut_mid_block_writes_each_line_as_its_record_encodes(
+        tmp_path, agent):
+    plan = small_plan(agent=agent, reps=2, rounds=6)
+    run_plan(plan, tmp_path / "full")
+    run_plan(plan, tmp_path / "run")
+    rounds_path = tmp_path / "run" / "rounds.jsonl"
+    lines = rounds_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rounds_path.write_text("".join(lines[:6 * 5 + 4]), encoding="utf-8")  # block 6, round 4
+    outcome = resume(tmp_path / "run")
+    assert outcome.complete
+    assert_lines_are_the_outcomes_records(outcome)
+    assert stripped_lines(tmp_path / "run") == stripped_lines(tmp_path / "full")
+
+
+def test_a_rule_whose_order_is_not_an_int_stores_nothing_of_its_round(tmp_path, monkeypatch):
+    """A float order is refused by `decide`, before its round's line is spelled or stored:
+    the store keeps the blocks before it and reads, and a resume with the real rule
+    finishes it as an uninterrupted run."""
+    plan = small_plan(reps=1, rounds=4)
+    run_plan(plan, tmp_path / "full")
+    real_rule = runner_module.scripted_rule
+
+    def float_in_block_2(agent, sc, *seed):
+        rule = real_rule(agent, sc, *seed)
+        return lambda t, *last: (float(rule(t, *last)[0]), "a float order") if (
+            sc.margin == "low" and t == 3) else rule(t, *last)
+
+    monkeypatch.setattr(runner_module, "scripted_rule", float_in_block_2)
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+        run_plan(plan, tmp_path / "run")
+    monkeypatch.undo()
+    assert [r.order for r in RunStore(tmp_path / "run").records()] == [225] * 4 + [75] * 2
+    assert resume(tmp_path / "run").complete
+    assert stripped_lines(tmp_path / "run") == stripped_lines(tmp_path / "full")
+
+
 def test_each_append_is_on_disk_before_it_returns(tmp_path):
     run_plan(small_plan(reps=1, rounds=2), tmp_path / "run")
     records = RunStore(tmp_path / "run").records()
     with RunStore(tmp_path / "copy") as store:
         store.create(RunStore(tmp_path / "run").manifest())
         for count, record in enumerate(records, start=1):
-            store.append(record)
+            store.append(record.to_line())
             assert RunStore(tmp_path / "copy").records() == records[:count]
 
 

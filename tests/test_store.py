@@ -197,7 +197,7 @@ def _source_stores(tmp_path) -> dict:
             store.append(RECORD._replace(
                 repetition=index % 3, round_index=index // 3 + 1, order=150 + index,
                 token_usage={"prompt_tokens": 40 + index, "total_tokens": 60 + index},
-                raw_response=f"order {150 + index}, \"round_index\":{index}"))
+                raw_response=f"order {150 + index}, \"round_index\":{index}").to_line())
     return {name: (path / "rounds.jsonl").read_bytes().splitlines(keepends=True)
             for name, path in (("scripted", scripted), ("llm", tmp_path / "llm"))}
 
@@ -383,14 +383,27 @@ def test_to_line_equals_the_encoder_on_a_seeded_sweep():
     assert info.misses + info.hits - templated > 500  # the template wrote a share of the lines
 
 
+@pytest.mark.parametrize("flush", [True, False], ids=["flushed", "queued"])
+def test_an_append_of_a_record_not_its_line_is_refused_before_anything_is_queued(
+        tmp_path, flush):
+    with RunStore(tmp_path / "run") as store:
+        store.create({"format": "nvlab-run/1"})
+        with pytest.raises(TypeError, match="append takes a line, a str, not RoundRecord"):
+            store.append(RECORD, flush=flush)
+        with pytest.raises(TypeError, match="not bytes"):
+            store.append(RECORD.to_line().encode(), flush=flush)
+        store.append(RECORD.to_line(), flush=False)
+    assert store.rounds_path.read_text(encoding="utf-8") == RECORD.to_line() + "\n"
+
+
 def test_an_unflushed_append_is_on_disk_once_flushed_or_closed(tmp_path):
     second = RECORD._replace(round_index=8)
     with RunStore(tmp_path / "run") as store:
         store.create({"format": "nvlab-run/1"})
         store.flush()  # nothing appended yet: nothing to write
-        store.append(RECORD, flush=False)
+        store.append(RECORD.to_line(), flush=False)
         assert RunStore(tmp_path / "run").records() == []  # still queued in the store
         store.flush()
         assert RunStore(tmp_path / "run").records() == [RECORD]
-        store.append(second, flush=False)
+        store.append(second.to_line(), flush=False)
     assert RunStore(tmp_path / "run").records() == [RECORD, second]
