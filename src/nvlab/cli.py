@@ -22,8 +22,8 @@ Exit codes: 0 success, 2 configuration error, 3 transport failure,
 that cannot be read or written; when it lies in a run store, a second line names
 the ``--resume`` that finishes that store, and a third the ``--agent`` flags of
 the agents the command has not run yet; before its manifest is written, it says
-that the same command does, or after an earlier agent's store, names the agents
-whose stores are not made yet).
+that the same command does, or after an earlier agent's store, gives the
+``--agent`` flags of the agents whose stores are not made yet).
 A run with unresolved rounds exits 3 if any of them failed on transport, else 4.
 """
 
@@ -153,9 +153,9 @@ def _execute_plans(config: RunConfig, agents, client_factory, resume_dir) -> int
                 outcomes.append(runner_mod.run_plan(plan, run_dir, **options))
             except OSError as exc:  # before this store is made, running what is left is the fix
                 if not RunStore(run_dir).exists():
-                    left = ", ".join(a.label for a in agents[len(outcomes):])
-                    exc.rerun = (f"not stored yet: {left}; running only these agents finishes "
-                                 "the run" if outcomes else
+                    exc.rerun = (f"not stored yet: {_selected_as(agents[len(outcomes):])}; "
+                                 "the same command with only these agents finishes the run"
+                                 if outcomes else
                                  "nothing is stored yet: the same command finishes the run")
                 elif left := agents[len(outcomes) + 1:]:  # after this store's --resume
                     exc.rerun = (f"not run yet: {_selected_as(left)}; the same command with "

@@ -12,8 +12,8 @@ after a round with those outcomes, which must be exact ints. It joins the
 split at its one ``{history_block}`` slot, both halves filled once per
 scenario and template set (cost, demand description, helpful info, formula
 block) and cached, and the history block as a ``%d`` format between them.
-`ScenarioPrompts.sha256` hashes the same bytes without joining them: a cached
-sha256 state over the head is copied and fed the history text, then the tail.
+`ScenarioPrompts.sha256` hashes the same bytes without joining them: a copy of a
+cached state over the head takes the history, then the tail (round 1: cached).
 So the goldens pin the bytes the runner sends to a chat endpoint and hashes.
 
 Formatting rules the goldens rely on:
@@ -229,13 +229,15 @@ class ScenarioPrompts:
                cumulative_profit=None) -> str:
         """``sha256_text(render_prompt(sc, ...))`` of the same values, without joining it."""
         head, tail, first = self._hashing
-        history = self.fill_history(last_order, last_demand, last_profit, cumulative_profit)
-        if not history:
-            return first
-        state = head.copy()
-        state.update(history.encode("utf-8"))
-        state.update(tail)
-        return state.hexdigest()
+        if type(last_order) is type(last_demand) is type(last_profit) is type(
+                cumulative_profit) is int:  # `fill_history`'s test, without its call
+            state = head.copy()
+            state.update((self.history % (last_order, last_demand, last_profit,
+                                          cumulative_profit)).encode("utf-8"))
+            state.update(tail)
+            return state.hexdigest()
+        # round 1 (no values) has no history; any other values raise TemplateError
+        return self.fill_history(last_order, last_demand, last_profit, cumulative_profit) or first
 
 
 def scenario_prompts(sc: ScenarioConfig) -> ScenarioPrompts:

@@ -34,9 +34,9 @@ its walk hashes each round's prompt (`ScenarioPrompts.sha256`) from the
 previous round's order, demand, profit and cumulative profit, without joining
 its text. Only an LLM block, which keeps a transcript, renders the text. A
 walk is the one place that says what a stored round must be: it checks each
-stored round's values, then its prompt hash, then its seeded demand draw, and
-advances the transcript as if the round had just been decided; later rounds
-are decided and appended to the store one at a time, each by one
+stored round's values (unpacked once), then its prompt hash, then its seeded
+demand draw, and advances the transcript as if the round had just been decided;
+later rounds are decided and appended to the store one at a time, each by one
 `agents.decide` call with the block's scenario and the previous round's order
 and demand. A condition-block's repetitions share its `ScenarioPrompts` and
 scripted rule (`scripted_rule`), set up once by that loop and built for the
@@ -99,6 +99,7 @@ from .agents import (
 from .llm import TransportError
 from .prompts import default_templates, render_prompt, scenario_prompts
 from .store import (  # the line template's parts too: a scripted block fills it itself
+    _HEAD,
     _TAIL,
     TORN_NAME,
     IntegrityError,
@@ -318,51 +319,53 @@ class _Block:
         is set. A scripted block's rounds are queued and written in one call by the flush
         on return. Returns the failure that stopped the block, if any.
         """
-        condition, scenario, prompts = self.condition, self.scenario, self.prompts
+        condition, scenario, sha256 = self.condition, self.scenario, self.prompts.sha256
         lower, upper, max_order = scenario.demand.lower, scenario.demand.upper, scenario.max_order
+        price, cost, draws = scenario.cost.price, scenario.cost.cost, self.draws
         chat = self.messages is not None
         failure = None
+        last = self.records[-1] if self.records else None  # the round walked last
+        feedback = last[_HEAD + 1:_HEAD + 5] if last else (None,) * 4  # outcomes the prompt shows
+        total = last.cumulative_profit if last else 0  # checked, or written, as the running sum
         for round_index in range(len(self.records) + 1, rounds + 1):
-            last = self.records[-1] if self.records else None
-            feedback = () if last is None else (last.order, last.demand, last.profit,
-                                                last.cumulative_profit)
-            total = last.cumulative_profit if last else 0  # checked, or written, as the running sum
-            prompt_sha256 = prompts.sha256(*feedback)
+            prompt_sha256 = sha256(*feedback)
             prompt = render_prompt(scenario, *feedback) if chat else None  # rules read none
             if round_index <= len(stored):  # a copy past the last round fails first
                 record = stored[round_index - 1]
-                if record.round_index != round_index:
+                (index, order, demand, profit, cumulative, confidence, digest, _, retries, _,
+                 start, end) = record[_HEAD:]  # its round's fields, unpacked once
+                if index != round_index:
                     raise IntegrityError(
                         f"{where(record)}: expected round {round_index}, rounds are not contiguous")
-                if record.parse_confidence not in (EXACT, FALLBACK):
+                if confidence not in (EXACT, FALLBACK):
                     raise IntegrityError(f"{where(record)}: field 'parse_confidence' is unknown")
-                if record.retries < 0:
+                if retries < 0:
                     raise IntegrityError(f"{where(record)}: field 'retries' is negative")
-                if not 0 <= record.order <= max_order:
-                    raise IntegrityError(f"{where(record)}: field 'order' is {record.order}, "
+                if not 0 <= order <= max_order:
+                    raise IntegrityError(f"{where(record)}: field 'order' is {order}, "
                                          f"not in [0, {max_order}]")
                 # a NaN fails too, and so does an int past the float range (10**400 < inf)
-                if not 0.0 <= record.ts_start <= record.ts_end <= sys.float_info.max:
+                if not 0.0 <= start <= end <= sys.float_info.max:
                     raise IntegrityError(
-                        f"{where(record)}: timestamps ts_start {record.ts_start!r} and ts_end "
-                        f"{record.ts_end!r} are not 0 <= ts_start <= ts_end <= {sys.float_info.max}")
-                if not lower <= record.demand <= upper:
-                    raise IntegrityError(f"{where(record)}: field 'demand' is {record.demand}, "
+                        f"{where(record)}: timestamps ts_start {start!r} and ts_end "
+                        f"{end!r} are not 0 <= ts_start <= ts_end <= {sys.float_info.max}")
+                if not lower <= demand <= upper:
+                    raise IntegrityError(f"{where(record)}: field 'demand' is {demand}, "
                                          f"not in the demand range [{lower}, {upper}]")
-                gain = model.profit(record.order, record.demand, scenario.cost)
-                if record.profit != gain:
+                gain = price * (order if order < demand else demand) - cost * order
+                if profit != gain:  # `model.profit`'s, its order and demand checked >= 0
                     raise IntegrityError(
-                        f"{where(record)}: stored profit {record.profit} != recomputed {gain}")
+                        f"{where(record)}: stored profit {profit} != recomputed {gain}")
                 total += gain
-                if record.cumulative_profit != total:
+                if cumulative != total:
                     raise IntegrityError(f"{where(record)}: stored cumulative profit "
-                                         f"{record.cumulative_profit} != running sum {total}")
-                if prompt_sha256 != record.prompt_sha256:
+                                         f"{cumulative} != running sum {total}")
+                if prompt_sha256 != digest:
                     raise IntegrityError(f"{where(record)}: stored prompt hash does not match "
                                          "the re-rendered prompt")
-                if (demand := self.draws[round_index - 1]) != record.demand:
-                    raise IntegrityError(f"{where(record)}: stored demand {record.demand} does "
-                                         f"not match the seeded draw {demand}")
+                if (draw := draws[round_index - 1]) != demand:
+                    raise IntegrityError(f"{where(record)}: stored demand {demand} does "
+                                         f"not match the seeded draw {draw}")
             else:
                 if stop.is_set():
                     break
@@ -372,14 +375,14 @@ class _Block:
                 ts_start = time.time()
                 try:
                     decision = decide(condition.agent, prompt, scenario, round_index,
-                                      last and last.order, last and last.demand,
-                                      client=client, transcript=transcript, rule=self.rule)
+                                      feedback[0], feedback[1], client=client,
+                                      transcript=transcript, rule=self.rule)
                 except (AmbiguousDecisionError, TransportError) as exc:
                     kind = "parse" if isinstance(exc, AmbiguousDecisionError) else "transport"
                     failure = RoundFailure(*self.identity, round_index, kind, str(exc))
                     log.warning("unresolved round: %s", failure)
                     break
-                demand = self.draws[round_index - 1]
+                demand = draws[round_index - 1]
                 gain = model.profit(order := decision.order, demand, scenario.cost)
                 total += gain
                 ts_end = max(time.time(), ts_start)  # a clock stepped back stores no inversion
@@ -392,6 +395,7 @@ class _Block:
                 store.append(record.to_line() if chat else self.line_head + _TAIL % (
                     round_index, order, demand, gain, total, _EXACT_TEXT, _quote(prompt_sha256),
                     _quote(decision.raw_response), 0, ts_start, ts_end), flush=chat)
+            feedback = order, demand, gain, total
             self.records.append(record)
             if chat:
                 self.messages += ({"role": "user", "content": prompt},

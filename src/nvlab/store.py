@@ -16,14 +16,14 @@ encoder; the runner's scripted walk, whose values' types are known, fills them i
 `RunStore.append` takes the line. Records carry their full trajectory
 identity (condition index, repetition, block, round) so concurrent trajectories can
 interleave safely. A read decodes each line once, and each distinct label head (a line
-up to ``,"round_index":``) once, shared among its records. A tail spelled as `_TAIL`
-writes it is parsed by the template's inverse into values of known JSON types; another
-is decoded as JSON, and a line split neither way takes `RoundRecord.from_line`. A read
-whose every line took the template is a `TypedRead`. A malformed or non-UTF-8 line
-raises IntegrityError naming it; `group_trajectories` makes one pass, in line order,
-and refuses the first record whose JSON types (money is an integer; a `TypedRead`'s
-are known) or labels and round index are not the plan's, with no rescan to word it;
-it groups the rest by identity.
+up to ``,"round_index":``) once, shared among its records; a line that repeats the last
+one's head reuses its labels. A tail spelled as `_TAIL` writes it is parsed by the
+template's inverse into values of known JSON types; another is decoded as JSON, and a
+line split neither way takes `RoundRecord.from_line`. A read whose every line took the
+template is a `TypedRead`. A malformed or non-UTF-8 line raises IntegrityError naming
+it; `group_trajectories` makes one pass, in line order, and refuses the first record
+whose JSON types (money is an integer; a `TypedRead`'s are known) or labels and round
+index are not the plan's, with no rescan to word it; it groups the rest by identity.
 A round's values are checked by the runner's walk (`runner.replay`). A `Trajectory`
 is its scenario and its records, whose first labels it. A run's outcome holds the
 rounds it read and those it appended, in the blocks the runner walked, so the
@@ -228,16 +228,20 @@ def _read_line(line: bytes, lineno: int, heads: dict, others: list) -> RoundReco
     if cut > 0 and entry:
         labels, typed = entry
         if typed and not others and (tail := _TAIL_FIELDS.fullmatch(text, cut)):
-            (round_index, order, demand, gain, total, confidence, digest, response, retries,
-             start, end) = tail.groups()
-            return RoundRecord._make(labels + (
-                int(round_index), int(order), int(demand), int(gain), int(total), confidence,
-                digest, response, int(retries), None, float(start), float(end)))
+            return _templated(labels, tail)
         values = _fields("{" + text[cut + 1:], _tail_values, len(_RECORD_FIELDS) - _HEAD, "\n")
     else:
         values = None
     others.append(lineno)
     return RoundRecord._make(labels + values) if values else RoundRecord.from_line(line, lineno)
+
+
+def _templated(labels: tuple, tail: re.Match) -> RoundRecord:  # of `_TAIL_FIELDS`'s values
+    (round_index, order, demand, gain, total, confidence, digest, response, retries, start,
+     end) = tail.groups()
+    return tuple.__new__(RoundRecord, labels + (
+        int(round_index), int(order), int(demand), int(gain), int(total), confidence, digest,
+        response, int(retries), None, float(start), float(end)))
 
 
 class TypedRead(list):
@@ -383,19 +387,24 @@ class RunStore:
     def records(self) -> list[RoundRecord]:
         """Every stored round in line order; a `TypedRead` if the template read every line.
 
-        Each distinct label head is decoded once and shared by its records (`_read_line`); a
-        line spelled otherwise takes `RoundRecord.from_line`. A final line without its newline
-        is the torn tail of an append that never finished; it is left out, whether or not it
-        parses. Any other malformed line raises IntegrityError.
+        Each distinct label head is decoded once and shared by its records (`_read_line`);
+        the next line to repeat a templated head through `_CUT` reuses its labels. A line
+        spelled otherwise takes `RoundRecord.from_line`. A final line with no newline, torn
+        by an unfinished append, is left out; any other malformed line raises IntegrityError.
         """
         if not self.rounds_path.exists():
             return []
-        heads = {}  # a head's text -> (its label values, whether of `_TEMPLATE_TYPES`)
-        others = []  # the lines not read by `_TAIL_FIELDS`
+        read, heads, others = [], {}, []  # heads: text -> (labels, typed); others: not templated
+        prefix = b"\n\n"  # while every line is templated, the last one's head through `_CUT`
         with self.rounds_path.open("rb") as handle:  # bytes: a line not UTF-8 is malformed
-            read = [_read_line(line, lineno, heads, others)
-                    for lineno, line in enumerate(handle, 1)
-                    if line.endswith(b"\n") and not line.isspace()]
+            for lineno, line in enumerate(handle, 1):  # a line holds one newline, at its end
+                if line.startswith(prefix) and (tail := _TAIL_FIELDS.fullmatch(  # latin-1 keeps
+                        line.decode("latin-1"), len(prefix) - len(_CUT))):  # offsets; tail ASCII
+                    read.append(_templated(labels, tail))
+                elif line.endswith(b"\n") and not line.isspace():
+                    read.append(record := _read_line(line, lineno, heads, others))
+                    prefix, labels = (b"\n\n", ()) if others else (
+                        line[:line.index(_CUT.encode()) + len(_CUT)], record[:_HEAD])
         return read if others else TypedRead(read)
 
     def set_aside_torn_line(self) -> str | None:

@@ -263,14 +263,15 @@ def test_a_write_past_the_file_size_limit_exits_6_and_resumes_to_the_uninterrupt
 
 @pytest.mark.parametrize("agents, failing, left", [
     (["optimal"], 1, None), (["optimal", "random"], 1, None),
-    (["optimal", "random"], 2, "random"),
-    (["optimal", "random", "demand-chaser"], 2, "random, demand-chaser(alpha=1)")],
+    (["optimal", "random"], 2, "--agent random"),
+    (["optimal", "random", "demand-chaser"], 2, "--agent random --agent demand-chaser")],
     ids=["one-agent", "first-of-two", "second-of-two", "second-of-three"])
 def test_a_manifest_write_that_fails_once_exits_6_and_says_what_finishes_the_run(
         tmp_path, monkeypatch, capsys, agents, failing, left):
     """The ``failing``-th manifest write of a fresh run fails once with ENOSPC. Before any
     store exists the same command finishes the run; after one, it would find that store
-    made, so the second line names the agents ``left`` to store, which are run alone."""
+    made, so the second line gives the ``--agent`` flags ``left`` to store, which the rerun
+    pastes in place of the command's own."""
     def simulate(agents):
         return ["simulate", *(flag for agent in agents for flag in ("--agent", agent)), *GRID]
 
@@ -289,11 +290,11 @@ def test_a_manifest_write_that_fails_once_exits_6_and_says_what_finishes_the_run
     capsys.readouterr()
     assert main([*args, "--out", str(tmp_path / "cut")]) == 6
     hint = ("nothing is stored yet: the same command finishes the run" if left is None else
-            f"not stored yet: {left}; running only these agents finishes the run")
+            f"not stored yet: {left}; the same command with only these agents finishes the run")
     assert capsys.readouterr().err == (
         f"i/o error: No space left on device: {writes[-1]}\n{hint}\n")
     assert not (writes[-1].parent / "manifest.json").exists()
-    rerun = args if left is None else simulate(agents[failing - 1:])
+    rerun = args if left is None else ["simulate", *left.split(), *GRID]
     assert main([*rerun, "--out", str(tmp_path / "cut")]) == 0
     for run in (tmp_path / "full").iterdir():
         assert (tmp_path / "cut" / run.name / "manifest.json").read_bytes() == (

@@ -5,6 +5,8 @@ import itertools
 import json
 import pickle
 import random
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from nvlab.cli import main
 from nvlab.llm import ChatClient
 from nvlab.runner import ExperimentPlan, PlanCondition, run_plan
 from nvlab.store import (_LINE_ENCODER, _RECORD_FIELDS, IntegrityError, RoundRecord, RunStore,
-                         TypedRead, _line_head)
+                         TypedRead, _line_head, group_trajectories)
 
 RECORD = RoundRecord(
     run_id="run-0123456789ab", condition_index=1, agent="model-ü", experiment="E2",
@@ -307,13 +309,86 @@ def test_a_template_read_is_the_full_decode_of_each_spelling_or_declines(
         tmp_path, field, spelling, typed):
     line = _with_value(TEMPLATED.to_line().encode() + b"\n", field, spelling)
     assert spelling in line and TEMPLATED.to_line().encode() + b"\n" != line
-    store = write_lines(tmp_path, [line[:-1], TEMPLATED.to_line().encode()])
+    # at line 1, then at line 2 after a clean line of the same head, which it repeats
+    for lines in ([line[:-1], TEMPLATED.to_line().encode()],
+                  [TEMPLATED.to_line().encode(), line[:-1]]):
+        read = _read_or_refusal(write_lines(tmp_path, lines))
+        assert repr(read) == repr(_full_decode(lines))
+        assert isinstance(read, TypedRead) == typed
+
+
+def _read_or_refusal(store) -> list | str:
     try:
-        read = store.records()
+        return store.records()
     except IntegrityError as exc:
-        read = str(exc)
-    assert repr(read) == repr(_full_decode([line, TEMPLATED.to_line().encode()]))
+        return str(exc)
+
+
+def _round_line(round_index: int, block_index: int = 1, **fields) -> bytes:
+    return TEMPLATED._replace(round_index=round_index, block_index=block_index,
+                              **fields).to_line().encode()
+
+
+def _raw_agent(line: bytes) -> bytes:
+    """``line`` with its agent ``model-ü`` in raw UTF-8, a byte longer than the character."""
+    assert b'"agent":"model-\\u00fc"' in line
+    return line.replace(b"model-\\u00fc", "model-ü".encode())
+
+
+# lines that repeat, or do not repeat, the last line's head: the lines, whether the read
+# is typed, and the lines whose head is not the last line's (or whose tail the template
+# does not take), which the read decodes on their own
+HEAD_RUNS = {
+    "interleaved-blocks": (lambda: [_round_line(r, b) for r in (1, 2, 3) for b in (1, 2)],
+                           True, 6),
+    "run-cut-and-resumed": (lambda: [_round_line(1), _round_line(2), _round_line(1, 2),
+                                     _round_line(3), _round_line(4)], True, 3),
+    "raw-utf-8-head": (lambda: [_raw_agent(_round_line(r)) for r in (1, 2, 3)], True, 1),
+    "raw-utf-8-head-and-tail": (lambda: [_raw_agent(_round_line(1)), _raw_agent(_round_line(
+        2)).replace(b"order 180", "Bestellung ✓".encode()), _raw_agent(_round_line(3))],
+                                False, 3),
+    "token-usage": (lambda: [_round_line(1), _round_line(2, token_usage={"total_tokens": 59}),
+                             _round_line(3)], False, 3),
+}
+
+
+@pytest.mark.parametrize("case", HEAD_RUNS)
+def test_a_line_that_repeats_the_last_head_reads_as_its_full_decode(tmp_path, monkeypatch,
+                                                                     case):
+    build, typed, decoded = HEAD_RUNS[case]
+    lines, read_line, calls = build(), store_module._read_line, []
+
+    def counted(line, *args):
+        calls.append(line)
+        return read_line(line, *args)
+
+    monkeypatch.setattr(store_module, "_read_line", counted)
+    read = _read_or_refusal(write_lines(tmp_path, lines))
+    assert repr(read) == repr(_full_decode(lines))
     assert isinstance(read, TypedRead) == typed
+    assert len(calls) == decoded  # each other line took the last head's labels
+
+
+@pytest.mark.parametrize("blocks, named", [
+    ({1: [1, 2, 4, 3]}, (1, 4)),  # inside a run, past its block
+    ({1: [1, 0, 2, 3]}, (1, 0)),
+    ({1: [1, 2, 3], 2: [1, 2, 3, 4]}, (2, 4)),  # the second run's last round
+    ({1: [1, 2, 3], 3: [1]}, (3, 1)),  # a run whose head the plan does not run
+], ids=["past-the-block", "round-0", "second-run", "unplanned-head"])
+def test_a_typed_read_names_the_first_round_outside_its_block_as_its_copy_does(
+        tmp_path, blocks, named):
+    """Runs of one head, each read after its first line with that line's labels: the
+    refusal names the first record, in line order, outside its block, as a plain list's."""
+    lines = [_round_line(r, b) for b, rounds in blocks.items() for r in rounds]
+    read = write_lines(tmp_path, lines).records()
+    assert type(read) is TypedRead
+    planned = {(1, 3, b): (TEMPLATED._replace(block_index=b)[:9], SimpleNamespace(rounds=3))
+               for b in (1, 2)}  # blocks 1 and 2 of 3 rounds each
+    block, round_index = named
+    for records in (read, list(read)):
+        with pytest.raises(IntegrityError, match=re.escape(
+                f"block={block}, round={round_index}) is outside the plan")):
+            group_trajectories(records, planned)
 
 
 def test_a_typed_read_takes_no_new_record_and_its_copies_are_lists(tmp_path):
