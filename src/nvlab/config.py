@@ -103,7 +103,7 @@ class RunConfig:
             data = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad bytes, too deep or too many digits
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 

@@ -15,15 +15,15 @@ as the compact JSON encoder writes them; `_HEAD_TEMPLATE` (the label head) and `
 encoder; the runner's scripted walk, whose values' types are known, fills them itself.
 `RunStore.append` takes the line. Records carry their full trajectory
 identity (condition index, repetition, block, round) so concurrent trajectories can
-interleave safely. A read decodes each line once, and each distinct label head (a line
-up to ``,"round_index":``) once, shared among its records; a line that repeats the last
-one's head reuses its labels. A tail spelled as `_TAIL` writes it is parsed by the
-template's inverse into values of known JSON types; another is decoded as JSON, and a
-line split neither way takes `RoundRecord.from_line`. A read whose every line took the
-template is a `TypedRead`. A malformed or non-UTF-8 line raises IntegrityError naming
-it; `group_trajectories` makes one pass, in line order, and refuses the first record
-whose JSON types (money is an integer; a `TypedRead`'s are known) or labels and round
-index are not the plan's, with no rescan to word it; it groups the rest by identity.
+interleave safely. A read has one path for a line: its label head (the line through
+``,"round_index":``), reused from the last line or decoded once per distinct head, then
+the tail. Under labels of known JSON types, a tail spelled as `_TAIL` writes it is parsed
+by the template's inverse and the record shares its head's labels; any other line takes
+`RoundRecord.from_line`. A read whose every line took the template is a `TypedRead`. A
+malformed or non-UTF-8 line raises IntegrityError naming it; `group_trajectories` makes
+one pass, in line order, and refuses the first record whose JSON types (money is an
+integer; a `TypedRead`'s are known) or labels and round index are not the plan's, with
+no rescan to word it; it groups the rest by identity.
 A round's values are checked by the runner's walk (`runner.replay`). A `Trajectory`
 is its scenario and its records, whose first labels it. A run's outcome holds the
 rounds it read and those it appended, in the blocks the runner walked, so the
@@ -167,9 +167,9 @@ _RECORD_TYPES = tuple(_JSON_TYPES[kind.__forward_arg__][0]
 _TYPE_ROWS = frozenset(product(*_RECORD_TYPES))  # each field's exact types a record may have
 _HEAD = _RECORD_FIELDS.index("round_index")  # the fields before it label the trajectory
 _round_index = itemgetter(_HEAD)
-_head_values = itemgetter(*_RECORD_FIELDS[:_HEAD])  # the label head's fields, then the tail's
-_tail_values = itemgetter(*_RECORD_FIELDS[_HEAD:])
-_CUT = ',"round_index":'  # where the encoder's label head ends
+_head_values = itemgetter(*_RECORD_FIELDS[:_HEAD])  # the label head's fields
+_CUT = b',"round_index":'  # where the encoder's label head ends
+_NO_HEAD = b"\n\n"  # no line starts with it: a line holds one newline, at its end
 _INF = float("inf")
 # the per-round fields as the encoder writes them, for a record of these exact types
 _TAIL = (',"round_index":%d,"order":%d,"demand":%d,"profit":%d,"cumulative_profit":%d,'
@@ -199,41 +199,19 @@ def _line_head(labels: tuple) -> str:
                              _quote(dist), _quote(order), repetition, block, _quote(margin))
 
 
-def _fields(text: str, values: itemgetter, size: int, end: str = "") -> tuple | None:
-    """``values`` of the object ``text`` holds up to ``end`` if it has just their ``size`` keys."""
-    try:  # a value that ends where ``text`` does, at "}" or "}\n", is an object
-        value, stop = _scan_once(text, 0)
-        return values(value) if text[stop:] == end and len(value) == size else None
-    except (StopIteration, ValueError, RecursionError, KeyError):  # `from_line` words it
-        return None
-
-
-def _read_line(line: bytes, lineno: int, heads: dict, others: list) -> RoundRecord:
-    """``line``'s record from its label head (decoded once per ``heads``) and its tail.
-
-    A tail `_TAIL_FIELDS` matches, under a head of `_TEMPLATE_TYPES`, needs no JSON decode.
-    Any other line adds its number to ``others``: the read is not typed, so later tails are
-    decoded as JSON untried (an LLM store pays for one failed match), and a line split
-    neither way takes `from_line`.
-    """
-    try:  # decoded once; `from_line` words a line that is not UTF-8
-        text = line.decode("utf-8")
-    except UnicodeDecodeError:
-        text = ""
-    cut = text.find(_CUT)
-    head = text[:cut]
-    if cut > 0 and (entry := heads.get(head)) is None and (
-            labels := _fields(head + "}", _head_values, _HEAD)):
-        entry = heads[head] = labels, tuple(map(type, labels)) in _TYPED_HEADS
-    if cut > 0 and entry:
-        labels, typed = entry
-        if typed and not others and (tail := _TAIL_FIELDS.fullmatch(text, cut)):
-            return _templated(labels, tail)
-        values = _fields("{" + text[cut + 1:], _tail_values, len(_RECORD_FIELDS) - _HEAD, "\n")
-    else:
-        values = None
-    others.append(lineno)
-    return RoundRecord._make(labels + values) if values else RoundRecord.from_line(line, lineno)
+def _labels(line: bytes, heads: dict) -> tuple[bytes, tuple | None]:
+    """``line``'s head through `_CUT` (`_NO_HEAD` if it has none) and, decoded once per
+    ``heads``, the head's labels if of `_TYPED_HEADS`, else None."""
+    head, cut, _ = line.partition(_CUT)
+    if (prefix := head + cut if cut else _NO_HEAD) not in heads:
+        try:  # a value that ends where the head does, at the "}" put for its cut, is an object
+            text = head.decode("utf-8") + "}"
+            value, stop = _scan_once(text, 0)
+            labels = _head_values(value) if stop == len(text) and len(value) == _HEAD else ()
+        except (StopIteration, ValueError, RecursionError, KeyError):  # `from_line` words it
+            labels = ()
+        heads[prefix] = labels if tuple(map(type, labels)) in _TYPED_HEADS else None
+    return prefix, heads[prefix]
 
 
 def _templated(labels: tuple, tail: re.Match) -> RoundRecord:  # of `_TAIL_FIELDS`'s values
@@ -387,25 +365,27 @@ class RunStore:
     def records(self) -> list[RoundRecord]:
         """Every stored round in line order; a `TypedRead` if the template read every line.
 
-        Each distinct label head is decoded once and shared by its records (`_read_line`);
-        the next line to repeat a templated head through `_CUT` reuses its labels. A line
-        spelled otherwise takes `RoundRecord.from_line`. A final line with no newline, torn
-        by an unfinished append, is left out; any other malformed line raises IntegrityError.
+        A line that does not start with the last one's head through `_CUT` finds its own
+        (`_labels`), decoded once per distinct head. Under labels of `_TYPED_HEADS`, a tail
+        `_TAIL_FIELDS` matches becomes a record that shares them; any other line takes
+        `RoundRecord.from_line`. A final line with no newline, torn by an unfinished append,
+        is left out; any other malformed line raises IntegrityError.
         """
         if not self.rounds_path.exists():
             return []
-        read, heads, others = [], {}, []  # heads: text -> (labels, typed); others: not templated
-        prefix = b"\n\n"  # while every line is templated, the last one's head through `_CUT`
+        read, typed, prefix, labels = [], True, _NO_HEAD, None
+        heads = {_NO_HEAD: None}  # a head through `_CUT` -> its typed labels, or None
         with self.rounds_path.open("rb") as handle:  # bytes: a line not UTF-8 is malformed
             for lineno, line in enumerate(handle, 1):  # a line holds one newline, at its end
-                if line.startswith(prefix) and (tail := _TAIL_FIELDS.fullmatch(  # latin-1 keeps
-                        line.decode("latin-1"), len(prefix) - len(_CUT))):  # offsets; tail ASCII
+                if not line.startswith(prefix):
+                    prefix, labels = _labels(line, heads)
+                if labels and (tail := _TAIL_FIELDS.fullmatch(  # latin-1 keeps offsets; the
+                        line.decode("latin-1"), len(prefix) - len(_CUT))):  # tail is ASCII
                     read.append(_templated(labels, tail))
                 elif line.endswith(b"\n") and not line.isspace():
-                    read.append(record := _read_line(line, lineno, heads, others))
-                    prefix, labels = (b"\n\n", ()) if others else (
-                        line[:line.index(_CUT.encode()) + len(_CUT)], record[:_HEAD])
-        return read if others else TypedRead(read)
+                    read.append(RoundRecord.from_line(line, lineno))
+                    typed = False
+        return TypedRead(read) if typed else read
 
     def set_aside_torn_line(self) -> str | None:
         """Move an unterminated final line of rounds.jsonl to rounds.jsonl.torn.

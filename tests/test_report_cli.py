@@ -68,17 +68,21 @@ def test_config_errors_name_the_field():
     ('{"output_dir": 7}', "output_dir: must be a string, got 7"),
     ('[]', "the config must be a JSON object, got list"),
     ('{"models": ["m"]', "config file is not valid JSON: Expecting ',' delimiter"),
+    (b'{"models": ["\xff"]}', "config file is not valid JSON: 'utf-8' codec can't decode"),
+    ("[" * 200_000, "config file is not valid JSON: maximum recursion depth exceeded"),
+    ('{"rounds": %s}' % ("7" * 5000), "config file is not valid JSON: Exceeds the limit"),
     (None, "config file not found: "),
 ], ids=["models-string", "models-empty", "distribution-number", "repetitions-string",
         "rounds-float", "temperature-bool", "budget-string", "continuity-string",
-        "output-dir-number", "top-level-list", "not-json", "missing-file"])
+        "output-dir-number", "top-level-list", "not-json", "not-utf-8", "too-deep",
+        "too-many-digits", "missing-file"])
 def test_config_values_of_the_wrong_json_type_are_config_errors(
         tmp_path, capsys, monkeypatch, text, message):
-    """A ``text`` of None writes no config file."""
+    """A ``text`` of None writes no config file; one of bytes is written as they are."""
     monkeypatch.delenv("OPENAI_API_KEY", raising=False)
     path = tmp_path / "config.json"
     if text is not None:
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
     capsys.readouterr()
     assert main(["run", "--config", str(path), "--print-config"]) == 2
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "runs")]) == 2

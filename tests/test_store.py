@@ -165,26 +165,23 @@ def _reorder(rng, line: bytes) -> bytes:
 
 
 # each mutation of one line, a label field (in the head) or a round field drawn where it
-# can be either: (rewrite, whether the line still takes the split path), None where that
-# depends on the draw (a shuffle may keep the labels first)
+# can be either; the template declines every mutated line but a shuffle's, which may keep
+# the round fields last and in order
 MUTATIONS = {
-    "key-order": (_reorder, None),
-    "json-dumps-spacing": (lambda rng, line: json.dumps(json.loads(line)).encode() + b"\n",
-                           False),
-    "duplicate-key-in-tail": (lambda rng, line: line.replace(b',"order":', b',"%s":123,"order":'
-                                                          % rng.choice([b"order", b"demand"]), 1),
-                              True),
-    "head-key-in-tail": (lambda rng, line: line[:-2] + b',"%s":"again"}\n' % rng.choice(
-        ["run_id", "agent", "margin"]).encode(), False),
-    "cut-inside-nested-label": (lambda rng, line: _with_value(
-        line, rng.choice(["run_id", "agent", "margin"]), b'{"k":1,"round_index":2}'), False),
-    "trailing-spaces": (lambda rng, line: line[:-1] + b" " * rng.randint(1, 3) + b"\n", False),
-    "tail-cut-short": (lambda rng, line: line[:-rng.randint(2, 40)] + b"\n", False),
-    "nan": (lambda rng, line: _with_value(line, rng.choice(["repetition", "ts_start"]), b"NaN"),
-            True),
-    "4301-digits": (lambda rng, line: _with_value(
-        line, rng.choice(["repetition", "order"]), b"7" * 4301), False),
-    "non-utf-8": (_bad_byte, False),
+    "key-order": _reorder,
+    "json-dumps-spacing": lambda rng, line: json.dumps(json.loads(line)).encode() + b"\n",
+    "duplicate-key-in-tail": lambda rng, line: line.replace(
+        b',"order":', b',"%s":123,"order":' % rng.choice([b"order", b"demand"]), 1),
+    "head-key-in-tail": lambda rng, line: line[:-2] + b',"%s":"again"}\n' % rng.choice(
+        ["run_id", "agent", "margin"]).encode(),
+    "cut-inside-nested-label": lambda rng, line: _with_value(
+        line, rng.choice(["run_id", "agent", "margin"]), b'{"k":1,"round_index":2}'),
+    "trailing-spaces": lambda rng, line: line[:-1] + b" " * rng.randint(1, 3) + b"\n",
+    "tail-cut-short": lambda rng, line: line[:-rng.randint(2, 40)] + b"\n",
+    "nan": lambda rng, line: _with_value(line, rng.choice(["repetition", "ts_start"]), b"NaN"),
+    "4301-digits": lambda rng, line: _with_value(
+        line, rng.choice(["repetition", "order"]), b"7" * 4301),
+    "non-utf-8": _bad_byte,
 }
 
 
@@ -246,22 +243,22 @@ def test_lines_nvlab_writes_decode_each_label_head_once(tmp_path, monkeypatch):
         heads = {line[:line.index(b',"round_index":')] for line in lines}
         assert repr(read) == repr(_full_decode(lines))
         # a scripted line's tail is read by the template's inverse; one with token usage
-        # (an object) is decoded as JSON
-        tails = len(lines) if name == "llm" else 0
-        assert (len(read), fallbacks, scans) == (len(lines), 0, len(heads) + tails)
+        # (an object) takes `from_line`; either way each distinct head is decoded once
+        decoded = len(lines) if name == "llm" else 0
+        assert (len(read), fallbacks, scans) == (len(lines), decoded, len(heads))
         assert isinstance(read, TypedRead) == (name == "scripted")
         assert 1 < len(heads) < len(lines)
-        # the records of one head share its label values
-        first = {}
-        assert all(first.setdefault(record[:9], record)[index] is record[index]
-                   for record in read for index in range(9))
+        if name == "scripted":  # the records of one head share its label values
+            first = {}
+            assert all(first.setdefault(record[:9], record)[index] is record[index]
+                       for record in read for index in range(9))
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
 def test_a_read_equals_the_full_decode_of_each_line_on_a_seeded_sweep(
         tmp_path, monkeypatch, mutation):
     """Each read gives `from_line`'s records, in value and exact type, or its refusal."""
-    rewrite, splits = MUTATIONS[mutation]
+    rewrite = MUTATIONS[mutation]
     for name, lines in _source_stores(tmp_path).items():
         rng = random.Random(f"{mutation}-{name}")
         for trial in range(4):
@@ -275,9 +272,12 @@ def test_a_read_equals_the_full_decode_of_each_line_on_a_seeded_sweep(
             expected = _full_decode(edited)
             assert [line for line in edited if line not in lines]  # each draw changed a line
             assert repr(read) == repr(expected)  # repr tells 1, 1.0, True and nan apart
-            if splits is not None:
-                refused = isinstance(expected, str)
-                assert fallbacks == (0 if splits else 1 if refused else len(mutated))
+            if mutation != "key-order":  # `from_line` takes each mutated or LLM line
+                decoded = [index for index in range(len(lines))
+                           if name == "llm" or index in mutated]
+                if isinstance(expected, str):  # the first mutated line is refused: no more
+                    decoded = [index for index in decoded if index <= mutated[0]]
+                assert fallbacks == len(decoded)
 
 
 # a record of the types the line template writes (integer money, no token usage)
@@ -289,7 +289,7 @@ TEMPLATED = RECORD._replace(profit=255, cumulative_profit=-1234, raw_response="o
     ("order", b"123456789012345678", True),  # 18 digits
     ("demand", b"1234567890123456789", True),  # 19 digits: the template's longest int
     ("profit", b"-1234567890123456789", True),
-    ("cumulative_profit", b"12345678901234567890", False),  # 20 digits: decoded as JSON
+    ("cumulative_profit", b"12345678901234567890", False),  # 20 digits: `from_line` reads it
     ("retries", b"-0", True),
     ("round_index", b"07", False),  # not JSON: refused
     ("ts_start", b"5", False),  # an int, as json.loads reads it
@@ -304,6 +304,7 @@ TEMPLATED = RECORD._replace(profit=255, cumulative_profit=-1234, raw_response="o
     ("raw_response", b'"say \\"150\\""', False),
     ("parse_confidence", b'"caf\\u00e9"', False),
     ("token_usage", b'{"total_tokens":59}', False),
+    ("margin", b'"high"}', False),  # the object closed before its round fields: refused
 ], ids=lambda value: value.decode("utf-8", "replace") if isinstance(value, bytes) else None)
 def test_a_template_read_is_the_full_decode_of_each_spelling_or_declines(
         tmp_path, field, spelling, typed):
@@ -336,8 +337,8 @@ def _raw_agent(line: bytes) -> bytes:
 
 
 # lines that repeat, or do not repeat, the last line's head: the lines, whether the read
-# is typed, and the lines whose head is not the last line's (or whose tail the template
-# does not take), which the read decodes on their own
+# is typed, and the lines whose head is not the last line's, whose head the read finds on
+# its own; a line whose tail the template declines leaves the last head in place
 HEAD_RUNS = {
     "interleaved-blocks": (lambda: [_round_line(r, b) for r in (1, 2, 3) for b in (1, 2)],
                            True, 6),
@@ -346,27 +347,27 @@ HEAD_RUNS = {
     "raw-utf-8-head": (lambda: [_raw_agent(_round_line(r)) for r in (1, 2, 3)], True, 1),
     "raw-utf-8-head-and-tail": (lambda: [_raw_agent(_round_line(1)), _raw_agent(_round_line(
         2)).replace(b"order 180", "Bestellung ✓".encode()), _raw_agent(_round_line(3))],
-                                False, 3),
+                                False, 1),
     "token-usage": (lambda: [_round_line(1), _round_line(2, token_usage={"total_tokens": 59}),
-                             _round_line(3)], False, 3),
+                             _round_line(3)], False, 1),
 }
 
 
 @pytest.mark.parametrize("case", HEAD_RUNS)
 def test_a_line_that_repeats_the_last_head_reads_as_its_full_decode(tmp_path, monkeypatch,
                                                                      case):
-    build, typed, decoded = HEAD_RUNS[case]
-    lines, read_line, calls = build(), store_module._read_line, []
+    build, typed, found = HEAD_RUNS[case]
+    lines, labels, calls = build(), store_module._labels, []
 
     def counted(line, *args):
         calls.append(line)
-        return read_line(line, *args)
+        return labels(line, *args)
 
-    monkeypatch.setattr(store_module, "_read_line", counted)
+    monkeypatch.setattr(store_module, "_labels", counted)
     read = _read_or_refusal(write_lines(tmp_path, lines))
     assert repr(read) == repr(_full_decode(lines))
     assert isinstance(read, TypedRead) == typed
-    assert len(calls) == decoded  # each other line took the last head's labels
+    assert len(calls) == found  # each other line took the last head's labels
 
 
 @pytest.mark.parametrize("blocks, named", [
