@@ -10,10 +10,11 @@ Transient failures (HTTP 429/5xx, connection errors, timeouts, and a 200
 whose body is truncated, not UTF-8, not JSON, or too deep or long for ``json``)
 are retried with exponential backoff, waiting longer when a 429 or 503 carries
 a ``Retry-After`` delay in seconds (at most the request timeout); auth and
-request-shape errors (4xx) surface immediately, the latter with the first 300
-bytes of the response body, which may say why. A token bucket smooths bursts
-and an optional per-run request budget hard-stops runaway spend. Every request
-is logged with its elapsed time, retry count and token usage.
+request-shape errors (4xx; the latter raise `RejectedError`) surface at once,
+the latter with the first 300 bytes of the response body, which may say why.
+A token bucket smooths bursts and an optional per-run request budget
+hard-stops runaway spend. Every request is logged with its elapsed time, retry
+count and token usage.
 
 ``http.client``, ``urllib.error`` and ``urllib.request`` (and with them
 ``email`` and ``ssl``) are imported by the first request, not by this module,
@@ -41,6 +42,10 @@ class TransportError(RuntimeError):
 
 class AuthError(TransportError):
     """Credential was rejected; retrying cannot help."""
+
+
+class RejectedError(TransportError):
+    """The endpoint refused the request itself (an HTTP 4xx other than 401, 403 and 429)."""
 
 
 class BudgetExceededError(TransportError):
@@ -168,18 +173,20 @@ class ChatClient:
                     reply = response.read()
             except urllib.error.HTTPError as exc:
                 detail = f"HTTP {exc.code} from {self.endpoint}"
-                if exc.code in (401, 403):
-                    raise AuthError(f"credential rejected: {detail}") from exc
-                if exc.code in RETRYABLE_STATUS:
-                    last_error = detail
-                    if exc.code in RETRY_AFTER_STATUS:
-                        retry_after = _retry_after_seconds(exc.headers)
-                    continue
-                try:  # the body may say why the request was refused
-                    reason = exc.read(300).decode("utf-8", errors="replace")
-                except (OSError, http.client.HTTPException):
-                    reason = ""
-                raise TransportError(f"{detail}: {reason}" if reason else detail) from exc
+                with exc:  # closes the connection on every path, its body read or not
+                    if exc.code in (401, 403):
+                        raise AuthError(f"credential rejected: {detail}") from exc
+                    if exc.code in RETRYABLE_STATUS:
+                        last_error = detail
+                        if exc.code in RETRY_AFTER_STATUS:
+                            retry_after = _retry_after_seconds(exc.headers)
+                        continue
+                    try:  # the body may say why the request was refused
+                        reason = exc.read(300).decode("utf-8", errors="replace")
+                    except (OSError, http.client.HTTPException):
+                        reason = ""
+                refused = RejectedError if 400 <= exc.code < 500 else TransportError
+                raise refused(f"{detail}: {reason}" if reason else detail) from exc
             except (urllib.error.URLError, TimeoutError, ConnectionError) as exc:
                 last_error = f"connection failure: {exc}"
                 continue

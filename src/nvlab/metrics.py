@@ -27,12 +27,11 @@ Conventions worth knowing before reading the code:
   prior error) over the late rounds (8-15) minus the same over the early
   rounds (1-7). A zero-variance regressor or response pins R^2 to 0 and
   sets a flag.
-* Learning fits run row-wise, once per (scenario, length) over what they
-  are given: the trajectories that share both are stacked into arrays, and
-  each measure is one row-wise OLS over them (the PE slope over the rounds a
-  row keeps, so rows are stacked by that count). ``ols_line`` is that fit on
-  one row. Row-wise numpy reductions give the same bits as the 1-D ones, so
-  a report, which fits all its trajectories at once, does not change.
+* Learning fits run once per length over what they are given: its
+  trajectories are stacked into arrays, each row with its own scenario's q*
+  and PE, and each measure is one row-wise OLS (the PE slope over the rounds
+  a row keeps, stacked by that count). Row-wise numpy reductions give
+  ``ols_line``'s bits on each row, whatever else is stacked with it.
 * Per-round PE is memoised per (scenario, order), each entry the exact
   ``profit_efficiency`` value, so a report computes each distinct order's
   expected profit once.
@@ -91,7 +90,7 @@ def bias_stats(trajectories: list[Trajectory]) -> BiasStats:
     if not orders:
         raise MetricsError("trajectories contain no rounds")
     q_star = optimal_quantity(sc)
-    mean_order = float(np.mean(orders))
+    mean_order = sum(orders) / len(orders)  # np.mean's bits: each partial sum is an exact int
     ob = mean_order - q_star
     return BiasStats(mean_order, q_star, ob, ob / q_star * 100.0, len(orders))
 
@@ -148,7 +147,8 @@ def classify_adjustments(trajectories: list[Trajectory]) -> tuple[np.ndarray, ..
 
 def quartile_thresholds(abs_errors) -> tuple[float, float, float]:
     """25th/50th/75th percentile cuts (linear interpolation) of |prior error|."""
-    values = np.asarray(list(abs_errors), dtype=float)
+    values = np.asarray(abs_errors if isinstance(abs_errors, np.ndarray) else list(abs_errors),
+                        dtype=float)
     if values.size < 4:
         raise MetricsError(f"need at least 4 pooled errors for quartiles, got {values.size}")
     c1, c2, c3 = np.percentile(values, [25.0, 50.0, 75.0])
@@ -218,24 +218,27 @@ def _efficiency_memo(sc: ScenarioConfig) -> dict:
     return {}
 
 
-def _learning_block(trajectories: list[Trajectory]) -> list[LearningStats] | None:
-    """`learning_stats` of trajectories that share a scenario and a length, row by row."""
-    sc = trajectories[0].scenario
+def _learning_block(by_scenario: dict) -> dict:
+    """{id(t): `LearningStats` of t} over {scenario: trajectories} of one length; {} if short."""
+    trajectories = [t for group in by_scenario.values() for t in group]
     n = len(trajectories[0].orders)
     early = np.arange(2, n + 1) < EARLY_LATE_SPLIT_ROUND
     if min(early.sum(), (~early).sum()) < 3:
-        return None  # too short: each stage needs three adjustments
+        return {}  # too short: each stage needs three adjustments
     orders = np.array([t.orders for t in trajectories])
     demands = np.array([t.demands for t in trajectories])
-    rounds = np.arange(1, n + 1, dtype=float)
-    every_row = np.tile(rounds, (len(trajectories), 1))
-    convergence = _ols_rows(every_row, np.abs(orders - optimal_quantity(sc)).astype(float))[0]
+    every_row = np.tile(np.arange(1, n + 1, dtype=float), (len(trajectories), 1))
 
-    memo = _efficiency_memo(sc)
-    for q in {q for t in trajectories for q in t.orders} - memo.keys():
-        memo[q] = profit_efficiency(q, sc)
+    q_star, pe = [], []  # each row takes its own scenario's q* and PE memo
+    for sc, group in by_scenario.items():
+        memo = _efficiency_memo(sc)
+        for q in {q for t in group for q in t.orders} - memo.keys():
+            memo[q] = profit_efficiency(q, sc)
+        q_star += [optimal_quantity(sc)] * len(group)
+        pe += [[memo[q] for q in t.orders] for t in group]
+    convergence = _ols_rows(every_row, np.abs(orders - np.array(q_star)[:, None]).astype(float))[0]
     # an undefined PE (None) becomes nan; its round is left out of the row's fit
-    pe = np.array([[memo[q] for q in t.orders] for t in trajectories], dtype=float)
+    pe = np.array(pe, dtype=float)
     defined = ~np.isnan(pe)
     efficiency = [None] * len(trajectories)
     kept = defined.sum(axis=1)
@@ -253,13 +256,12 @@ def _learning_block(trajectories: list[Trajectory]) -> list[LearningStats] | Non
     for mask in (early, ~early):
         _, _, r2, degenerate = _ols_rows(errors[:, mask], deltas[:, mask])
         stages += [r2.tolist(), degenerate.tolist()]
-    early_r2, early_degenerate, late_r2, late_degenerate = stages
-    return [
-        LearningStats(convergence_slope, efficiency_slope, late - early, early, late,
-                      early_flat, late_flat)
-        for convergence_slope, efficiency_slope, early, late, early_flat, late_flat in zip(
-            convergence.tolist(), efficiency, early_r2, late_r2, early_degenerate, late_degenerate)
-    ]
+    return {
+        id(t): LearningStats(convergence_slope, efficiency_slope, late - early, early, late,
+                             early_flat, late_flat)
+        for t, convergence_slope, efficiency_slope, early, early_flat, late, late_flat in zip(
+            trajectories, convergence.tolist(), efficiency, *stages)
+    }
 
 
 def learning_stats(trajectories: list[Trajectory]) -> list[LearningStats | None]:
@@ -272,14 +274,12 @@ def learning_stats(trajectories: list[Trajectory]) -> list[LearningStats | None]
     each of which needs three adjustments.
     """
     blocks: dict = {}
-    for position, t in enumerate(trajectories):
-        blocks.setdefault((t.scenario, len(t.orders)), []).append(position)
-    out: list = [None] * len(trajectories)
-    for positions in blocks.values():
-        for position, stats in zip(positions,
-                                   _learning_block([trajectories[p] for p in positions]) or ()):
-            out[position] = stats
-    return out
+    for t in trajectories:
+        blocks.setdefault(len(t.orders), {}).setdefault(t.scenario, []).append(t)
+    fits: dict = {}
+    for by_scenario in blocks.values():
+        fits.update(_learning_block(by_scenario))
+    return [fits.get(id(t)) for t in trajectories]
 
 
 def average_learning_stats(trajectories: list[Trajectory]) -> dict:

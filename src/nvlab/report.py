@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -220,8 +221,10 @@ def learning_rows(trajectories) -> tuple[list[str], list[list]]:
 
 def _share_cells(counts: list[int]) -> list[str]:
     """Percent cells of (no-change, toward, away) counts, then their total; blank when 0."""
-    total = sum(counts)
-    return [*(_fmt(count / total * 100.0 if total else None, 1) for count in counts), str(total)]
+    no_change, toward, away = counts
+    total = no_change + toward + away
+    return [f"{no_change / total * 100.0:.1f}", f"{toward / total * 100.0:.1f}",
+            f"{away / total * 100.0:.1f}", str(total)] if total else ["", "", "", "0"]
 
 
 def _human_quartile_rows(dist: str, order_condition: str) -> list[list]:
@@ -267,16 +270,13 @@ def round_trajectory_rows(trajectories) -> tuple[list[str], list[list]]:
     groups = _group(trajectories, _block_key)
     for (experiment, _, dist, agent, order_condition, block_index), group in groups:
         sc = group[0].scenario
-        q_star = model.optimal_quantity(sc)
-        anchor_value = model.anchor(sc)
-        n_rounds = max(len(t.orders) for t in group)
-        for r in range(n_rounds):
-            orders = [t.orders[r] for t in group if len(t.orders) > r]
-            rows.append([
-                experiment, dist, agent, order_condition, str(block_index), sc.margin,
-                str(r + 1), _fmt(sum(orders) / len(orders), 2), str(q_star),
-                _fmt(anchor_value, 1), str(len(orders)),
-            ])
+        head = [experiment, dist, agent, order_condition, str(block_index), sc.margin]
+        q_star, anchor_value = str(model.optimal_quantity(sc)), _fmt(model.anchor(sc), 1)
+        # a round's column holds None in place of each trajectory that ended before it
+        for r, column in enumerate(zip_longest(*(t.orders for t in group)), start=1):
+            orders = [q for q in column if q is not None]
+            rows.append([*head, str(r), _fmt(sum(orders) / len(orders), 2), q_star, anchor_value,
+                         str(len(orders))])
     return header, rows
 
 
@@ -288,16 +288,14 @@ def adjustment_share_rows(trajectories) -> tuple[list[str], list[list]]:
     rows = []
     groups = _group(trajectories, _block_key)
     for (experiment, _, dist, agent, order_condition, block_index), group in groups:
-        margin = group[0].scenario.margin
+        head = [experiment, dist, agent, order_condition, str(block_index),
+                group[0].scenario.margin]
         rounds, _, _, codes = metrics.classify_adjustments(group)
         # every round from 2 to the longest trajectory's last has an adjustment
         n_rounds = max(len(t.orders) for t in group)
         counts = np.bincount((rounds - 2) * 3 + codes % 3, minlength=3 * (n_rounds - 1))
         for round_index, row in enumerate(counts.reshape(-1, 3).tolist(), start=2):
-            rows.append([
-                experiment, dist, agent, order_condition, str(block_index), margin,
-                str(round_index), *_share_cells(row),
-            ])
+            rows.append([*head, str(round_index), *_share_cells(row)])
     return header, rows
 
 
@@ -321,8 +319,12 @@ def _markdown_table(header, rows) -> str:
 
 def build_report(run_dirs, output_dir, compare_humans: bool = False) -> dict[str, Path]:
     """Compute all tables and figure data, write them under ``output_dir``: {name: path}."""
+    run_dirs, output_dir = list(run_dirs), Path(output_dir)
+    for run_dir in run_dirs:  # a report never writes into a store it reads
+        if output_dir.resolve().is_relative_to(Path(run_dir).resolve()):
+            raise ReportError(f"output directory {output_dir} is run directory {run_dir} or "
+                              "lies inside it")
     trajectories = load_trajectories(run_dirs)
-    output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
 
     sections = {

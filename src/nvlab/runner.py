@@ -96,7 +96,7 @@ from .agents import (
     decide,
     scripted_rule,
 )
-from .llm import TransportError
+from .llm import RejectedError, TransportError
 from .prompts import default_templates, render_prompt, scenario_prompts
 from .store import (  # the line template's parts too: a scripted block fills it itself
     _HEAD,
@@ -222,7 +222,7 @@ class RoundFailure:
     repetition: int
     block_index: int
     round_index: int
-    kind: str  # "transport" | "parse"
+    kind: str  # "transport" | "rejected" (a 4xx refusal; exits as transport) | "parse"
     message: str
 
     def __str__(self) -> str:
@@ -378,7 +378,8 @@ class _Block:
                                       feedback[0], feedback[1], client=client,
                                       transcript=transcript, rule=self.rule)
                 except (AmbiguousDecisionError, TransportError) as exc:
-                    kind = "parse" if isinstance(exc, AmbiguousDecisionError) else "transport"
+                    kind = ("parse" if isinstance(exc, AmbiguousDecisionError) else
+                            "rejected" if isinstance(exc, RejectedError) else "transport")
                     failure = RoundFailure(*self.identity, round_index, kind, str(exc))
                     log.warning("unresolved round: %s", failure)
                     break

@@ -49,6 +49,7 @@ class StubChatServer(ThreadingHTTPServer):
       "too-long"    -- answer a request whose messages hold more than
                        ``max_chars`` content characters with 400 and
                        `TOO_LONG_BODY`, as a model past its context window
+      "status"      -- answer every request with HTTP ``status`` and a short body
     """
 
     daemon_threads = True
@@ -59,6 +60,7 @@ class StubChatServer(ThreadingHTTPServer):
         self.reply_fn = lambda body: "After weighing the trade-off, I will order 150 wodgets."
         self.retry_after = "1"
         self.max_chars = 2000
+        self.status = 400
         self.requests = []
         self.counter = 0
         self.lock = threading.Lock()
@@ -93,6 +95,9 @@ class _StubHandler(BaseHTTPRequestHandler):
         if mode == "too-long" and sum(
                 len(m["content"]) for m in body["messages"]) > self.server.max_chars:
             self._send_status(400, payload=TOO_LONG_BODY)
+            return
+        if mode == "status":
+            self._send_status(self.server.status, payload=b"refused by the stub")
             return
         if mode == "garbage":
             kind = (count - 1) % 3

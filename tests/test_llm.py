@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import nvlab
-from nvlab.llm import AuthError, BudgetExceededError, ChatClient, TokenBucket, TransportError
+from nvlab.llm import (AuthError, BudgetExceededError, ChatClient, RejectedError, TokenBucket,
+                       TransportError)
 
 MESSAGES = [{"role": "user", "content": "How many wodgets will you order?"}]
 
@@ -57,6 +58,21 @@ def test_invalid_credential_fails_fast(stub_server):
     with pytest.raises(AuthError):
         client.chat(MESSAGES)
     assert len(stub_server.requests) == 1  # no retry on auth failure
+
+
+@pytest.mark.parametrize("status, error", [
+    (400, RejectedError), (404, RejectedError), (422, RejectedError),
+    (401, AuthError), (403, AuthError), (501, TransportError),
+])
+def test_a_status_that_is_not_retried_raises_at_once_by_kind(stub_server, status, error):
+    """A 4xx other than 401, 403 and 429 is the request's own refusal; a 501 is the endpoint's."""
+    stub_server.mode, stub_server.status = "status", status
+    with pytest.raises(TransportError) as raised:
+        make_client(stub_server, max_retries=3).chat(MESSAGES)
+    assert type(raised.value) is error
+    assert len(stub_server.requests) == 1
+    if error is not AuthError:
+        assert str(raised.value) == f"HTTP {status} from {stub_server.url}: refused by the stub"
 
 
 def test_connection_failure_raises_transport_error():

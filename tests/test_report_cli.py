@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nvlab
@@ -388,6 +389,24 @@ def test_report_rejects_a_store_given_twice(tmp_path, capsys, again):
         load_trajectories([run_dir, run_dir])
 
 
+@pytest.mark.parametrize("out", ["{b}", "{b}/", "{b}/report", "{a}/../{b_name}/x/report"],
+                         ids=["the-store", "slash", "inside", "dotdot-inside"])
+def test_an_out_in_a_given_run_directory_is_a_report_error_that_writes_nothing(
+        tmp_path, capsys, out):
+    """A report never writes into a store it reads, nor anywhere under one."""
+    run_a, run_b = simulate(tmp_path, "a"), simulate(tmp_path, "b")
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    capsys.readouterr()
+    out = out.format(a=run_a, b=run_b, b_name=f"../b/{run_b.name}")
+    assert main(["report", str(run_a), str(run_b), "--out", out]) == 2
+    assert capsys.readouterr().err == (f"report error: output directory {Path(out)} is run "
+                                       f"directory {run_b} or lies inside it\n")
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+    with pytest.raises(ReportError, match="lies inside it"):
+        build_report(iter([run_b]), run_b / "report")
+    assert main(["report", str(run_a), str(run_b), "--out", str(tmp_path / "report")]) == 0
+
+
 def llm_config(tmp_path, stub_server, monkeypatch, **overrides):
     monkeypatch.setenv("NVLAB_TEST_KEY", "sk-test")
     config = RunConfig(endpoint=stub_server.url, credential_env="NVLAB_TEST_KEY",
@@ -449,9 +468,11 @@ def test_run_exit_code_for_transport_failures(tmp_path, stub_server, monkeypatch
     (("parse", "transport"), 3),
     (("transport", "parse"), 3),
     (("parse", "parse"), 4),
-], ids=["parse-then-transport", "transport-then-parse", "parse-only"])
+    (("parse", "rejected"), 3),
+], ids=["parse-then-transport", "transport-then-parse", "parse-only", "parse-then-rejected"])
 def test_exit_code_does_not_depend_on_failure_order(tmp_path, monkeypatch, capsys, kinds, code):
-    """Any transport failure exits 3, wherever it sorts; only parse failures exit 4."""
+    """Any transport failure, a rejected request among them, exits 3, wherever it sorts; only
+    parse failures exit 4."""
     failures = [RoundFailure(0, rep, 1, 1, kind, f"{kind} failed")
                 for rep, kind in enumerate(kinds)]
     monkeypatch.setattr(runner, "resume", lambda run_dir, **_: RunOutcome(
@@ -782,6 +803,149 @@ def test_learning_rows_fit_once_and_match_the_per_group_averages(tmp_path):
                       ("optimal", False)}
     # per margin, 2 repetitions of each order in each store
     assert {row[-1] for row in rows if row[2] == chaser.label} == {"8"}
+
+
+@pytest.fixture(scope="module")
+def mixed_trajectories(tmp_path_factory):
+    """Stores of 15-, 2- and 1-round blocks of all four scripted agents: each scenario and
+    each report group holds trajectories of three lengths."""
+    agents = [AgentSpec("optimal"), AgentSpec("random"),
+              AgentSpec("demand-chaser", chase_rate=0.5), AgentSpec("mean-anchor", anchor_weight=0.3)]
+    root, runs = tmp_path_factory.mktemp("mixed"), []
+    for rounds in (15, 2, 1):
+        config = RunConfig(experiments=("E1", "E2", "E3"), distributions=("uniform", "normal"),
+                           repetitions=2, rounds=rounds, base_seed=17)
+        plan = build_plan(config, agents)
+        assert run_plan(plan, root / plan.run_id()).complete
+        runs.append(root / plan.run_id())
+    return load_trajectories(runs)
+
+
+def reference_share_cells(counts):
+    total = sum(counts)
+    return [*(report._fmt(count / total * 100.0 if total else None, 1) for count in counts),
+            str(total)]
+
+
+def reference_round_trajectory_rows(trajectories):
+    """Each round's mean order from its group re-scanned for the orders that reach it."""
+    rows = []
+    for (experiment, _, dist, agent, order_condition, block_index), group in report._group(
+            trajectories, report._block_key):
+        sc = group[0].scenario
+        for r in range(max(len(t.orders) for t in group)):
+            orders = [t.orders[r] for t in group if len(t.orders) > r]
+            rows.append([experiment, dist, agent, order_condition, str(block_index), sc.margin,
+                         str(r + 1), report._fmt(sum(orders) / len(orders), 2),
+                         str(nvlab.optimal_quantity(sc)), report._fmt(nvlab.anchor(sc), 1),
+                         str(len(orders))])
+    return rows
+
+
+def reference_adjustment_share_rows(trajectories):
+    """Each round's direction shares, counted adjustment by adjustment."""
+    rows = []
+    for (experiment, _, dist, agent, order_condition, block_index), group in report._group(
+            trajectories, report._block_key):
+        counts = [[0, 0, 0] for _ in range(max(len(t.orders) for t in group) - 1)]
+        for t in group:
+            for r in range(1, len(t.orders)):
+                delta = t.orders[r] - t.orders[r - 1]
+                error = t.demands[r - 1] - t.orders[r - 1]
+                counts[r - 1][int(np.sign(delta) * np.sign(error)) % 3] += 1
+        rows += [[experiment, dist, agent, order_condition, str(block_index),
+                  group[0].scenario.margin, str(r), *reference_share_cells(row)]
+                 for r, row in enumerate(counts, start=2)]
+    return rows
+
+
+def reference_quartile_rows(trajectories):
+    """Each group's quartile cuts from a list of its |prior errors|, shares counted per cell."""
+    groups = []
+    for (experiment, _, dist, agent, order_condition), group in report._group(
+            trajectories, lambda t: (*report._condition_key(t), t.order_condition)):
+        _, _, errors, codes = metrics.classify_adjustments(group)
+        abs_errors = [abs(e) for e in errors.tolist()]
+        if len(abs_errors) < 4:
+            continue
+        cuts = [float(c) for c in np.percentile(np.asarray(abs_errors, dtype=float),
+                                                [25.0, 50.0, 75.0])]
+        counts = [[0, 0, 0] for _ in metrics.QUARTILES]
+        for e, code in zip(abs_errors, codes.tolist()):
+            counts[sum(e > c for c in cuts)][code % 3] += 1  # a tie goes to the lower quartile
+        groups.append((experiment, (dist, order_condition), [
+            [experiment, dist, agent, order_condition, quartile, *reference_share_cells(row),
+             "this run"] for quartile, row in zip(metrics.QUARTILES, counts)]))
+    return report._with_humans(groups, True, report._human_quartile_rows)
+
+
+def reference_bias_stats(group):
+    """`bias_stats` with its mean order by ``np.mean``."""
+    q_star = nvlab.optimal_quantity(group[0].scenario)
+    mean_order = float(np.mean([q for t in group for q in t.orders]))
+    ob = mean_order - q_star
+    return metrics.BiasStats(mean_order, q_star, ob, ob / q_star * 100.0,
+                             sum(len(t.orders) for t in group))
+
+
+def reference_bias_rows(trajectories):
+    def cells(subset):
+        stats = reference_bias_stats(subset)
+        pe = metrics.profit_efficiency(stats.mean_order, subset[0].scenario)
+        return [report._fmt(stats.mean_order, 2), str(stats.optimal),
+                report._fmt(stats.order_bias, 2), report._fmt(stats.normalized_bias, 2),
+                report._fmt(pe, 2)]
+    groups = [(experiment, (dist,), [[experiment, dist, agent,
+                                      *report._margin_cells(group, cells, 5), "this run"]])
+              for (experiment, _, dist, agent), group in report._group(trajectories,
+                                                                       report._condition_key)]
+    return report._with_humans(groups, True, report._human_bias_rows)
+
+
+def test_the_tables_equal_their_references_on_mixed_lengths(mixed_trajectories):
+    """Per-round columns, inline share cells, an ndarray's cuts and integer means give the
+    rows of the per-group references, over groups that mix 15-, 2- and 1-round blocks."""
+    trajectories = mixed_trajectories
+    assert {len(t.orders) for t in trajectories} == {15, 2, 1}
+    assert report.round_trajectory_rows(trajectories)[1] == reference_round_trajectory_rows(
+        trajectories)
+    assert report.adjustment_share_rows(trajectories)[1] == reference_adjustment_share_rows(
+        trajectories)
+    rows = report.quartile_rows(trajectories, True)[1]
+    assert rows == reference_quartile_rows(trajectories)
+    assert any(row[2] == "humans" for row in rows)
+    assert report.bias_rows(trajectories, True)[1] == reference_bias_rows(trajectories)
+    for _, group in report._group(trajectories, report._margin_key):
+        assert repr(metrics.bias_stats(group)) == repr(reference_bias_stats(group))
+
+
+@pytest.mark.parametrize("counts", [[0, 0, 0], [1, 0, 0], [0, 2, 1], [3, 3, 3], [1, 1, 5],
+                                    [997, 1, 2]])
+def test_share_cells_equal_their_reference(counts):
+    """An empty quartile (all its group's errors tied below it) gets blank shares and 0."""
+    assert report._share_cells(counts) == reference_share_cells(counts)
+
+
+def test_learning_of_mixed_lengths_equals_each_trajectory_fitted_alone(mixed_trajectories):
+    """Trajectories of one length are fitted together across scenarios, bit for bit as alone."""
+    # each side fills the PE memo itself, so a value memoised under the wrong scenario shows
+    metrics._efficiency_memo.cache_clear()
+    alone = [metrics.learning_stats([t])[0] for t in mixed_trajectories]
+    metrics._efficiency_memo.cache_clear()
+    fits = metrics.learning_stats(mixed_trajectories)
+    assert repr(fits) == repr(alone)
+    assert {len(t.orders) for t, fit in zip(mixed_trajectories, fits) if fit is not None} == {15}
+    assert len({t.scenario for t, fit in zip(mixed_trajectories, fits) if fit}) > 1
+
+
+@pytest.mark.parametrize("errors", [[3, 0, 7, 7, 12, 1], [2.5, 0.5, 9.0, 4.0],
+                                    [5, 5, 5, 5, 5]], ids=["ints", "floats", "ties"])
+def test_quartile_cuts_do_not_depend_on_the_kind_of_iterable(errors):
+    cuts = metrics.quartile_thresholds(np.array(errors))
+    assert metrics.quartile_thresholds(errors) == cuts
+    assert metrics.quartile_thresholds(e for e in errors) == cuts
+    assert metrics.quartile_thresholds(np.array(errors, dtype=float)) == cuts
+    assert all(type(c) is float for c in cuts)
 
 
 @pytest.mark.parametrize("edit", [

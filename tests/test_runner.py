@@ -637,12 +637,13 @@ def stub_factory(server, budget=None):
 
 def test_a_rejected_request_fails_its_round_with_the_reason_the_endpoint_gave(
         tmp_path, stub_server):
-    """A 400 is not retried; the failure keeps the first 300 bytes of the body that says why."""
+    """A 400 is not retried; the round fails as rejected, keeping the first 300 bytes of the
+    body that says why."""
     stub_server.mode = "too-long"
     plan = small_plan(agent=LLM_AGENT, orders=("high-first",), reps=1, rounds=5)
     outcome = run_plan(plan, tmp_path / "run", client_factory=stub_factory(stub_server))
     (failure,) = outcome.failures
-    assert (failure.block_index, failure.kind) == (1, "transport")
+    assert (failure.block_index, failure.kind) == (1, "rejected")
     assert 1 < failure.round_index == len(RunStore(tmp_path / "run").records()) + 1
     assert "maximum context length exceeded" in failure.message
     assert failure.message == f"HTTP 400 from {stub_server.url}: {TOO_LONG_BODY[:300].decode()}"
