@@ -265,8 +265,8 @@ def decide(
     is not a nonnegative exact ``int`` (a float, a bool, a numpy integer) raises ValueError.
     """
     if agent.kind != LLM:
-        decision = Decision(*(rule or scripted_rule(agent, scenario))(
-            round_index, last_order, last_demand), EXACT)
+        order, text = (rule or scripted_rule(agent, scenario))(round_index, last_order, last_demand)
+        decision = order, text, EXACT, 0, None
     else:
         if client is None:
             raise ValueError("llm agent needs a chat client")
@@ -289,10 +289,10 @@ def decide(
                     {"role": "assistant", "content": result.text},
                     {"role": "user", "content": RETRY_NUDGE},
                 ]
-        decision = Decision(order, result.text, confidence, retries, usage)
-    if type(decision.order) is not int or decision.order < 0:
+        decision = order, result.text, confidence, retries, usage
+    if type(order) is not int or order < 0:
         raise ValueError("order must be a nonnegative integer")
-    return decision
+    return tuple.__new__(Decision, decision)
 
 
 def _merge_usage(acc: dict | None, new: dict | None) -> dict | None:

@@ -84,6 +84,8 @@ class RunConfig:
                           ("max_retries", 0), ("concurrency", 1), ("backoff_base", 0)):
             if not low <= (value := getattr(self, name)) < math.inf:  # a NaN fails too
                 raise ConfigError(f"{name}: must be >= {low} and finite, got {value}")
+        if not 0 <= self.base_seed < 2**63:  # `derive_seed` keeps 63 bits: no two alias
+            raise ConfigError(f"base_seed: must be >= 0 and < 2**63, got {self.base_seed}")
         for name in ("request_budget", "rate_limit_per_minute"):  # None: no limit
             if (value := getattr(self, name)) is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{name}: must be > 0 and finite, or null, got {value}")

@@ -61,8 +61,9 @@ raises): a crash mid-block loses at most that block's unflushed rounds, which
 
 A run appends through one store handle, closed when the run returns or
 raises. Its outcome is the blocks it walked, each holding its stored rounds,
-then those it decided: the file is not read back, and a decided round, built
-from the plan, the seeded draw and an order `decide` checked, is not re-checked.
+then those it decided: the file is not read back, and a decided round is not
+re-checked. Its record is built once from the plan, the seeded draw, its
+profit worked out in line and one `decide` call's five values (order checked).
 
 Plans with an LLM condition run their units on one pool of up to ``workers``
 threads (`LLM_WORKERS` by default), since each repetition is its own
@@ -373,10 +374,10 @@ class _Block:
                 if not chat and self.rule is None:
                     self.rule, self.line_head = self.build_rule(), _line_head(self.head)
                 ts_start = time.time()
-                try:
-                    decision = decide(condition.agent, prompt, scenario, round_index,
-                                      feedback[0], feedback[1], client=client,
-                                      transcript=transcript, rule=self.rule)
+                try:  # positional: a round pays for no keyword dict
+                    order, response, confidence, retries, usage = decide(
+                        condition.agent, prompt, scenario, round_index, feedback[0],
+                        feedback[1], client, transcript, self.rule)
                 except (AmbiguousDecisionError, TransportError) as exc:
                     kind = ("parse" if isinstance(exc, AmbiguousDecisionError) else
                             "rejected" if isinstance(exc, RejectedError) else "transport")
@@ -384,18 +385,18 @@ class _Block:
                     log.warning("unresolved round: %s", failure)
                     break
                 demand = draws[round_index - 1]
-                gain = model.profit(order := decision.order, demand, scenario.cost)
+                # `model.profit`'s: `decide` checked the order, and a draw is in its range
+                gain = price * (order if order < demand else demand) - cost * order
                 total += gain
                 ts_end = max(time.time(), ts_start)  # a clock stepped back stores no inversion
-                record = RoundRecord(
-                    *self.head, round_index, order, demand, gain, total,
-                    decision.parse_confidence, prompt_sha256, decision.raw_response,
-                    decision.retries, decision.token_usage, ts_start, ts_end)
+                record = tuple.__new__(RoundRecord, self.head + (  # fields in order, unchecked
+                    round_index, order, demand, gain, total, confidence, prompt_sha256, response,
+                    retries, usage, ts_start, ts_end))
                 # a chat round is on disk before the next request; a scripted one, whose
                 # values are all of the template's types, by the flush below
                 store.append(record.to_line() if chat else self.line_head + _TAIL % (
                     round_index, order, demand, gain, total, _EXACT_TEXT, _quote(prompt_sha256),
-                    _quote(decision.raw_response), 0, ts_start, ts_end), flush=chat)
+                    _quote(response), 0, ts_start, ts_end), flush=chat)
             feedback = order, demand, gain, total
             self.records.append(record)
             if chat:

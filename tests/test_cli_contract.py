@@ -1,15 +1,22 @@
 """The command line's contract, checked through ``python -m nvlab.cli`` in child processes.
 
 Each test runs the console commands as a user would, in its own ``tmp_path``, with
-nvlab imported from this source tree; nothing needs installing.
+nvlab imported from this source tree; nothing needs installing. The README default grid's
+stores, which several tests read, are built once per session (`default_grid`).
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import nvlab
+from nvlab.store import RoundRecord, RunStore, TypedRead
 
 
 def nvlab_cli(cwd: Path, *args: str):
@@ -52,3 +59,83 @@ def test_the_report_is_a_pure_function_of_the_stores(tmp_path):
         for name, data in twins.items():
             lines = data.splitlines(keepends=True)
             assert b"".join(line for line in lines if b",humans," not in line) == plain[name], name
+
+
+@pytest.fixture(scope="session")
+def default_grid(tmp_path_factory) -> list[Path]:
+    """The README default grid (all four scripted agents, 14,400 rounds): its run directories."""
+    root = tmp_path_factory.mktemp("default-grid")
+    nvlab_cli(root, "simulate", "--out", "default")
+    runs = sorted((root / "default").iterdir())
+    assert len(runs) == 4
+    return runs
+
+
+def test_the_line_writer_writes_what_json_writes(default_grid):
+    """Every full line of the default grid's stores, timestamps included, is json's compact
+    re-encoding of itself."""
+    checked, differ = 0, []
+    for run in default_grid:
+        with open(run / "rounds.jsonl", encoding="utf-8", newline="") as handle:
+            for lineno, line in enumerate(handle, 1):
+                checked += 1
+                if line[-1:] != "\n" or json.dumps(json.loads(line),
+                                                   separators=(",", ":")) != line[:-1]:
+                    differ.append(f"{run.name}:{lineno}")
+    assert differ == [] and checked == 14400
+
+
+def test_a_store_nvlab_writes_is_read_by_the_line_templates_inverse(default_grid, monkeypatch):
+    """Each of the default grid's stores reads as a `TypedRead`, no line falls back to
+    `RoundRecord.from_line`, and the read equals each line's ``from_line``, types included
+    (so a writer change that falls off the template fails here, not only loses speed); and
+    every line is its ``from_line``'s ``to_line``, so the runner's own spelling of a
+    scripted round and the record encoder's agree."""
+    from_line, fallbacks = RoundRecord.from_line.__func__, []
+
+    def counted(cls, line, lineno):
+        fallbacks.append(lineno)
+        return from_line(cls, line, lineno)
+
+    checked = 0
+    for run in default_grid:
+        monkeypatch.setattr(RoundRecord, "from_line", classmethod(counted))
+        read = RunStore(run).records()
+        monkeypatch.undo()
+        lines = (run / "rounds.jsonl").read_bytes().splitlines()
+        full = [RoundRecord.from_line(line, n) for n, line in enumerate(lines, 1)]
+        respelled = [n for n, (record, line) in enumerate(zip(full, lines), 1)
+                     if record.to_line() != line.decode("utf-8")]
+        assert respelled == [], f"{run}: lines that are not their record's to_line"
+        assert type(read) is TypedRead and fallbacks == [] and repr(read) == repr(full), run
+        checked += len(read)
+    assert checked == 14400
+
+
+def test_every_stored_prompt_hash_is_that_of_the_public_renderers_prompt(
+        default_grid, tmp_path):
+    """Each round of the tiny grid and of the default grid (every scenario of the grid) is
+    re-rendered by `nvlab.render_prompt` from its scenario and the previous stored round of
+    its block, and the joined text is hashed here, apart from the runner's round loop and
+    `ScenarioPrompts.sha256` (which hash without joining)."""
+    nvlab_cli(tmp_path, "simulate", "--reps", "2", "--rounds", "15", "--out", "runs")
+    checked, differ = 0, []
+    for run in [*sorted((tmp_path / "runs").iterdir()), *default_grid]:
+        conditions = json.loads((run / "manifest.json").read_text())["plan"]["conditions"]
+        with open(run / "rounds.jsonl", encoding="utf-8") as handle:
+            rows = [SimpleNamespace(**json.loads(line)) for line in handle]
+        rows.sort(key=lambda r: (r.condition_index, r.repetition, r.block_index, r.round_index))
+        last = {}
+        for r in rows:
+            block = r.condition_index, r.repetition, r.block_index
+            sc = nvlab.scenario(r.experiment, r.margin, r.dist,
+                                conditions[r.condition_index]["rounds_per_block"])
+            p = last.get(block)
+            feedback = () if r.round_index == 1 else (p.order, p.demand, p.profit,
+                                                      p.cumulative_profit)
+            prompt = nvlab.render_prompt(sc, *feedback)
+            if hashlib.sha256(prompt.encode("utf-8")).hexdigest() != r.prompt_sha256:
+                differ.append((run.name, block, r.round_index))
+            checked += 1
+            last[block] = r
+    assert differ == [] and checked == 2880 + 14400  # the tiny grid has 2 repetitions, not 10

@@ -238,6 +238,38 @@ def test_an_agent_flag_the_run_cannot_use_is_a_config_error(tmp_path, capsys, fl
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**63 + 5, 2**64], ids=[
+    "minus-1", "2**63", "5+2**63", "2**64"])
+def test_a_seed_outside_63_bits_is_a_config_error(tmp_path, capsys, seed):
+    """`derive_seed` keeps 63 bits, so a seed outside [0, 2**63) would draw another seed's
+    demands and orders under a run id of its own."""
+    capsys.readouterr()
+    assert main(["simulate", "--experiment", "E1", "--dist", "uniform", "--agent", "random",
+                 "--reps", "1", "--rounds", "2", f"--seed={seed}",
+                 "--out", str(tmp_path / "runs")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: base_seed: must be >= 0 and < 2**63, "
+                                        f"got {seed}")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_seeds_at_the_ends_of_63_bits_run_and_a_stored_seed_past_them_still_reads(tmp_path):
+    """0 and 2**63 - 1 are seeds a run takes; a manifest is not re-checked, so a store
+    written with a seed past 63 bits is still reported and resumed."""
+    for seed in (0, 2**63 - 1):
+        assert main(["simulate", "--experiment", "E1", "--dist", "uniform", "--agent",
+                     "random", "--reps", "1", "--rounds", "2", f"--seed={seed}",
+                     "--out", str(tmp_path / f"runs-{seed}")]) == 0
+    plan = ExperimentPlan((PlanCondition("E1-baseline", "uniform", AgentSpec("random"),
+                                         "high-first", 1, 3, base_seed=2**63 + 5),))
+    run_plan(plan, tmp_path / "stored")
+    lines = (tmp_path / "stored" / "rounds.jsonl").read_bytes().splitlines(keepends=True)
+    (tmp_path / "stored" / "rounds.jsonl").write_bytes(b"".join(lines[:-1]))
+    assert main(["simulate", "--resume", str(tmp_path / "stored")]) == 0
+    assert len(RunStore(tmp_path / "stored").records()) == 6
+    assert main(["report", str(tmp_path / "stored"), "--out", str(tmp_path / "report")]) == 0
+
+
 @pytest.mark.parametrize("field, value", [
     ("chase_rate", math.nan), ("chase_rate", math.inf), ("chase_rate_before", math.inf),
 ], ids=["chase-rate-nan", "chase-rate-inf", "chase-rate-before-inf"])

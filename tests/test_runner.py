@@ -864,6 +864,61 @@ def test_a_resume_of_a_store_cut_mid_block_writes_each_line_as_its_record_encode
     assert stripped_lines(tmp_path / "run") == stripped_lines(tmp_path / "full")
 
 
+def assert_decided_records_are_their_lines_records(outcome):
+    """Each record the run holds is a whole `RoundRecord`, its line's record, exact types
+    included, and a fresh read of the store gives the same records."""
+    records = [record for t in outcome.trajectories for record in t.records]
+    assert records
+    for record in records:
+        assert type(record) is RoundRecord and len(record) == 21
+        read = RoundRecord.from_line(record.to_line(), 1)
+        assert record == read and tuple(map(type, record)) == tuple(map(type, read))
+    assert_outcome_matches_the_store(outcome)
+
+
+@pytest.mark.parametrize("agent", SCRIPTED_AGENTS.values(), ids=SCRIPTED_AGENTS)
+def test_a_decided_scripted_record_is_its_lines_record(tmp_path, agent):
+    plan = small_plan(agent=agent, reps=2, rounds=4)
+    outcome = run_plan(plan, tmp_path / "run")
+    assert outcome.complete
+    assert_decided_records_are_their_lines_records(outcome)
+    first = outcome.trajectories[0]  # condition 0, repetition 0, block 1
+    rule = agents.scripted_rule(agent, first.scenario, derive_seed(7, 0, 1, salt="agent"))
+    last = ()  # the previous round's order and demand
+    for record in first.records:
+        decision = agents.decide(agent, None, first.scenario, record.round_index, *last,
+                                 rule=rule)
+        assert type(decision) is agents.Decision
+        assert decision == (record.order, record.raw_response, record.parse_confidence,
+                            record.retries, record.token_usage)
+        last = record.order, record.demand
+
+
+def test_a_decided_llm_record_is_its_lines_record(tmp_path, stub_server):
+    """Every round of an LLM run, each retried once after a 429, stores a token usage
+    object, and about half of them take the fallback parse."""
+    stub_server.mode = "flaky"
+    stub_server.reply_fn = lambda body: (
+        "I will order 150 wodgets." if int(sha256_text(body["messages"][-1]["content"])[:8], 16)
+        % 2 else "Somewhere near 120 seems fine.")
+
+    def factory(spec):
+        return ChatClient(stub_server.url, spec.model_name, api_key="k", max_retries=1,
+                          backoff_base=0.001)
+
+    plan = small_plan(agent=LLM_AGENT, orders=("high-first",), reps=2, rounds=4)
+    outcome = run_plan(plan, tmp_path / "run", client_factory=factory, workers=1)
+    assert outcome.complete
+    assert_decided_records_are_their_lines_records(outcome)
+    records = [record for t in outcome.trajectories for record in t.records]
+    assert {r.parse_confidence for r in records} == {"exact", "fallback"}
+    assert all(r.retries == 1 and r.token_usage == {"prompt_tokens": 42, "completion_tokens": 17,
+                                                    "total_tokens": 59} for r in records)
+    decision = agents.decide(LLM_AGENT, "How many wodgets?", outcome.trajectories[0].scenario,
+                             client=factory(LLM_AGENT))
+    assert type(decision) is agents.Decision and decision.retries == 1
+
+
 def test_a_rule_whose_order_is_not_an_int_stores_nothing_of_its_round(tmp_path, monkeypatch):
     """A float order is refused by `decide`, before its round's line is spelled or stored:
     the store keeps the blocks before it and reads, and a resume with the real rule
