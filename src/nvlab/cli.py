@@ -39,7 +39,7 @@ from pathlib import Path
 
 from . import runner as runner_mod
 from .agents import AGENT_KINDS, DEMAND_CHASER, LLM, MEAN_ANCHOR, SCRIPTED_KINDS, AgentSpec
-from .config import ConfigError, RunConfig, build_plan
+from .config import ConfigError, RunConfig, _refuse_repeats, build_plan
 from .llm import ChatClient, TokenBucket
 from .prompts import validate_golden
 from .report import ReportError, build_report
@@ -56,6 +56,7 @@ LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
 def _build_agents(args, config: RunConfig) -> list[AgentSpec]:
+    _refuse_repeats("agent", args.agent)  # before any store is made
     agents = []
     for kind in args.agent:
         try:

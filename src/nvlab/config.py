@@ -32,6 +32,13 @@ class ConfigError(ValueError):
     """A configuration field is missing or invalid; the message names it."""
 
 
+def _refuse_repeats(name: str, values, label=repr):
+    """Raise ConfigError naming ``name`` and the first of ``values`` given twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{name}: {label(value)} is given twice")
+
+
 @dataclass
 class RunConfig:
     endpoint: str = "https://api.openai.com/v1/chat/completions"
@@ -69,6 +76,8 @@ class RunConfig:
         for order in self.order_conditions:
             if order not in ORDER_CONDITIONS:
                 raise ConfigError(f"order_conditions: unknown order condition {order!r}")
+        for name in ("models", "experiments", "distributions", "order_conditions"):
+            _refuse_repeats(name, getattr(self, name))  # an alias and its name are one value
         for name in ("models", "experiments", "distributions", "order_conditions", "endpoint",
                      "credential_env"):
             if not getattr(self, name):
@@ -114,6 +123,7 @@ def build_plan(config: RunConfig, agents: list[AgentSpec]) -> ExperimentPlan:
     """Expand the config grid for the given agents into an executable plan."""
     if not agents:
         raise ConfigError("agents: at least one agent is required")
+    _refuse_repeats("agents", agents, lambda agent: repr(agent.label))
     conditions = []
     for agent in agents:
         for experiment in config.experiments:

@@ -21,11 +21,11 @@ blocks instead.
 `replay` expands a plan into its blocks in one loop. Each identity (condition,
 repetition, block) gets its label head (the `RoundRecord` fields before
 ``round_index``) and scenario there, once; a read checks stored heads against
-them. A scripted block spells each decided round's line itself: the head's
-text (`store._line_head`, once, for its first decided round), then `store._TAIL`
-of the values its walk holds, all of known JSON types (ints from the plan, the
-draws and the order `decide` checked; finite clock floats). An LLM round's line
-is `RoundRecord.to_line`'s, since its token usage takes the encoder.
+them. A scripted block spells each decided round's line itself, the store
+template's one writer: the head's text (`store._line_head`, once, for its first
+decided round), then `store._TAIL` of the values its walk holds, all of known
+JSON types (ints from the plan, the draws and the order `decide` checked; finite
+clock floats). An LLM round's line is `RoundRecord.to_line`'s, the encoder's.
 
 Each (condition, repetition) is one unit of work: its blocks 1 and 2 run in
 order, each through `_Block.walk`, the one round loop that fresh runs and

@@ -9,11 +9,10 @@ Layout of one run directory::
                          # lines that resume set aside
 
 Records are immutable named tuples. A record's line is its fields in declaration order
-as the compact JSON encoder writes them; `_HEAD_TEMPLATE` (the label head) and `_TAIL`
-(the round's fields) spell those bytes for values of known JSON types.
-`RoundRecord.to_line` writes from them where a record's types allow, else through the
-encoder; the runner's scripted walk, whose values' types are known, fills them itself.
-`RunStore.append` takes the line. Records carry their full trajectory
+as the compact JSON encoder writes them, which is what `RoundRecord.to_line` does.
+`_HEAD_TEMPLATE` (the label head) and `_TAIL` (the round's fields) spell those bytes for
+values of known JSON types; the runner's scripted walk, whose values' types are known, is
+their one writer. `RunStore.append` takes the line. Records carry their full trajectory
 identity (condition index, repetition, block, round) so concurrent trajectories can
 interleave safely. A read has one path for a line: its label head (the line through
 ``,"round_index":``), reused from the last line or decoded once per distinct head, then
@@ -47,7 +46,7 @@ import json
 import re
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from json.encoder import encode_basestring_ascii as _quote  # as the encoder quotes
 from operator import itemgetter
@@ -127,17 +126,7 @@ class RoundRecord(NamedTuple):
     ts_end: float = 0.0
 
     def to_line(self) -> str:
-        """``_LINE_ENCODER``'s line of the fields in order; from `_TAIL` where its bytes agree.
-
-        A value not of `_TEMPLATE_TYPES`, NaN or inf gets the encoder's bytes or exception.
-        """
-        (round_index, order, demand, gain, total, confidence, digest, response, retries, _,
-         start, end) = self[_HEAD:]
-        if (tuple(map(type, self)) in _TEMPLATE_TYPES  # exact types: 1, 1.0 and True differ
-                and -_INF < start < _INF and -_INF < end < _INF):
-            return _line_head(self[:_HEAD]) + _TAIL % (
-                round_index, order, demand, gain, total, _quote(confidence), _quote(digest),
-                _quote(response), retries, start, end)
+        """``_LINE_ENCODER``'s line of the fields in order (the scripted walk's, for its rounds)."""
         return _LINE_ENCODER.encode(dict(zip(_RECORD_FIELDS, self)))
 
     @classmethod
@@ -170,15 +159,14 @@ _round_index = itemgetter(_HEAD)
 _head_values = itemgetter(*_RECORD_FIELDS[:_HEAD])  # the label head's fields
 _CUT = b',"round_index":'  # where the encoder's label head ends
 _NO_HEAD = b"\n\n"  # no line starts with it: a line holds one newline, at its end
-_INF = float("inf")
-# the per-round fields as the encoder writes them, for a record of these exact types
+# the per-round fields as the encoder writes them, for a record of these exact types and
+# finite floats; the runner's scripted walk fills it (and `_HEAD_TEMPLATE`) for its rounds
 _TAIL = (',"round_index":%d,"order":%d,"demand":%d,"profit":%d,"cumulative_profit":%d,'
          '"parse_confidence":%s,"prompt_sha256":%s,"raw_response":%s,"retries":%d,'
          '"token_usage":null,"ts_start":%r,"ts_end":%r}')
 # the label fields as the encoder writes them, up to the first per-round field
 _HEAD_TEMPLATE = ('{"run_id":%s,"condition_index":%d,"agent":%s,"experiment":%s,"dist":%s,'
                   '"order_condition":%s,"repetition":%d,"block_index":%d,"margin":%s')
-_TEMPLATE_TYPES = frozenset(product(*_RECORD_TYPES[:-3], {type(None)}, *_RECORD_TYPES[-2:]))
 _TYPED_HEADS = frozenset(product(*_RECORD_TYPES[:_HEAD]))
 # `_TAIL` inverted, for the spellings whose value needs no JSON decode to be json.loads's:
 # ints of the JSON grammar up to 19 digits (well short of int's digit limit), strings of
@@ -191,9 +179,8 @@ _TAIL_FIELDS = re.compile(
     .replace("%r", r"(-?(?:[1-9][0-9]*|0)\.[0-9]+(?:[eE][-+]?[0-9]+)?)") + "\n")
 
 
-@lru_cache(maxsize=64)  # an LLM run writes `workers` blocks at once; a scripted block asks once
-def _line_head(labels: tuple) -> str:
-    """`_HEAD_TEMPLATE` of the label fields of a record of `_TEMPLATE_TYPES`."""
+def _line_head(labels: tuple) -> str:  # a scripted block asks once
+    """`_HEAD_TEMPLATE` of label fields of exact JSON types, as `_TYPED_HEADS` holds."""
     run_id, index, agent, experiment, dist, order, repetition, block, margin = labels
     return _HEAD_TEMPLATE % (_quote(run_id), index, _quote(agent), _quote(experiment),
                              _quote(dist), _quote(order), repetition, block, _quote(margin))
@@ -223,7 +210,7 @@ def _templated(labels: tuple, tail: re.Match) -> RoundRecord:  # of `_TAIL_FIELD
 
 
 class TypedRead(list):
-    """A read whose every line `_TAIL_FIELDS` parsed under a head of `_TEMPLATE_TYPES`, so
+    """A read whose every line `_TAIL_FIELDS` parsed under a head of `_TYPED_HEADS`, so
     each record's JSON types are known. It takes no new record; a copy (``list(read)``, a
     slice, `copy.copy`) is a plain list, whose records `group_trajectories` types one by one.
     """

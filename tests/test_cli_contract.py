@@ -19,12 +19,14 @@ import nvlab
 from nvlab.store import RoundRecord, RunStore, TypedRead
 
 
-def nvlab_cli(cwd: Path, *args: str):
-    """Run one nvlab command in ``cwd``; fail the test, with its stderr, unless it exits 0."""
+def nvlab_cli(cwd: Path, *args: str, status: int = 0) -> str:
+    """Run one nvlab command in ``cwd``; fail the test, with its stderr, unless it exits
+    ``status``. Returns its stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(nvlab.__file__).parents[1]))
     child = subprocess.run([sys.executable, "-m", "nvlab.cli", *args], cwd=cwd, env=env,
                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    assert child.returncode == 0, (args, child.returncode, child.stderr)
+    assert child.returncode == status, (args, child.returncode, child.stderr)
+    return child.stderr
 
 
 def files(root: Path) -> dict[str, bytes]:
@@ -139,3 +141,100 @@ def test_every_stored_prompt_hash_is_that_of_the_public_renderers_prompt(
             checked += 1
             last[block] = r
     assert differ == [] and checked == 2880 + 14400  # the tiny grid has 2 repetitions, not 10
+
+
+def without_timestamps(line: bytes) -> dict:
+    return {k: v for k, v in json.loads(line).items() if not k.startswith("ts_")}
+
+
+def test_a_fresh_run_is_a_function_of_its_plan(default_grid, tmp_path):
+    """The README default grid run twice gives the same run directories, the same manifests
+    byte for byte and, timestamps aside, the same rounds.jsonl lines in the same order. The
+    lines are compared as json.dumps text, so key order counts and 1, 1.0 and true differ."""
+    def stripped(run) -> list[str]:
+        return [json.dumps(without_timestamps(line))
+                for line in (run / "rounds.jsonl").read_bytes().splitlines()]
+
+    nvlab_cli(tmp_path, "simulate", "--out", "default-b")
+    twins = sorted((tmp_path / "default-b").iterdir())
+    assert len(default_grid) == 4 and [run.name for run in twins] == [
+        run.name for run in default_grid]
+    for run, twin in zip(default_grid, twins):
+        assert (run / "manifest.json").read_bytes() == (twin / "manifest.json").read_bytes()
+        lines = stripped(run)
+        assert lines, run
+        assert lines == stripped(twin), run
+
+
+def test_a_block_does_not_depend_on_the_blocks_run_before_it(default_grid, tmp_path):
+    """The default grid's last condition run alone gives the same rounds as inside the grid,
+    apart from the run id, the condition index and the timestamps."""
+    def rounds(runs) -> dict:
+        rows = {}
+        for run in runs:
+            for line in (run / "rounds.jsonl").read_bytes().splitlines():
+                row = {k: v for k, v in without_timestamps(line).items()
+                       if k not in ("run_id", "condition_index")}
+                rows[tuple(row[k] for k in ("agent", "experiment", "dist", "order_condition",
+                                            "repetition", "block_index", "round_index"))] = row
+        return rows
+
+    nvlab_cli(tmp_path, "simulate", "--experiment", "E3", "--dist", "normal", "--order",
+              "low-first", "--reps", "1", "--out", "alone")
+    grid, alone = rounds(default_grid), rounds(sorted((tmp_path / "alone").iterdir()))
+    assert [key for key, row in alone.items() if grid.get(key) != row] == []
+    assert len(alone) == 4 * 2 * 15
+
+
+@pytest.mark.parametrize("args, message", [
+    (("simulate", "--agent", "mean-anchor", "--anchor-weight", "2", "--out", "bad/runs"),
+     "agent 'mean-anchor': mean-anchor agent needs anchor_weight in [0, 1]"),
+    (("simulate", "--agent", "demand-chaser", "--chase-rate", "nan", "--out", "bad/runs"),
+     "agent 'demand-chaser': demand-chaser agent needs a finite chase_rate"),
+    (("run", "--config", "bad/endpoint.json", "--agent", "optimal", "--out", "bad/runs"),
+     "endpoint: must be an http or https URL"),
+    (("run", "--config", "bad/backoff.json", "--agent", "optimal", "--out", "bad/runs"),
+     "backoff_base: must be >= 0"),
+    (("run", "--config", "bad/missing.json", "--agent", "optimal", "--out", "bad/runs"),
+     "config file not found"),
+    (("simulate", "--config", "bad/notjson.json", "--out", "bad/runs"),
+     "config file is not valid JSON"),
+    (("simulate", "--config", "bad/notutf8.json", "--out", "bad/runs"),
+     "config file is not valid JSON: 'utf-8' codec"),
+    (("simulate", "--reps", "1", "--rounds", "2", "--out", "bad/afile"),
+     "output_dir: 'bad/afile' is not"),
+    (("simulate", "--reps", "1", "--rounds", "2", "--out", "bad/afile/sub"),
+     "output_dir: 'bad/afile/sub' is not"),
+    (("report", "{runs}", "--out", "bad/afile"), "--out: 'bad/afile' is not"),
+    (("report", "{runs}", "--out", "bad/afile/sub"), "--out: 'bad/afile/sub' is not"),
+    (("simulate", "--agent", "optimal", "--agent", "optimal", "--experiment", "E1", "--dist",
+      "uniform", "--reps", "1", "--rounds", "2", "--out", "bad/runs"),
+     "agent: 'optimal' is given twice"),
+    (("simulate", "--order", "high-first", "--order", "high-first", "--reps", "1", "--out",
+      "bad/runs"), "order_conditions: 'high-first' is given twice"),
+    (("simulate", "--experiment", "E1", "--experiment", "E1-baseline", "--reps", "1", "--out",
+      "bad/runs"), "experiments: 'E1-baseline' is given twice"),
+], ids=["anchor-weight", "chase-rate", "endpoint", "backoff", "config-missing",
+        "config-not-json", "config-not-utf8", "simulate-out-file", "simulate-out-under-file",
+        "report-out-file", "report-out-under-file", "agent-twice", "order-twice",
+        "experiment-twice"])
+def test_a_flag_or_config_value_the_run_cannot_use_exits_2_and_makes_no_run_directory(
+        default_grid, tmp_path, args, message):
+    """A bad agent flag, a scheme-less endpoint, a negative backoff_base, a --config file that
+    is missing, not JSON or not UTF-8, an --out that names a file or lies under one, and a
+    grid value or agent given twice exit 2 through the command line, with a config error
+    that names the value; the command makes no run directory and writes no file."""
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "afile").touch()
+    (bad / "endpoint.json").write_text('{"endpoint": "api.example/v1"}\n')
+    (bad / "backoff.json").write_text('{"backoff_base": -1}\n')
+    (bad / "notjson.json").write_text('{"models": ["m"]\n')
+    (bad / "notutf8.json").write_bytes(b'{"models": ["\xff"]}\n')
+    if "{runs}" in args:  # the stores a report reads: the default grid's
+        i = args.index("{runs}")
+        args = (*args[:i], *map(str, default_grid), *args[i + 1:])
+    stderr = nvlab_cli(tmp_path, *args, status=2)
+    assert stderr.startswith(f"config error: {message}"), stderr
+    assert not (bad / "runs").exists() and not (bad / "missing.json").exists()
+    assert (bad / "afile").is_file() and (bad / "afile").stat().st_size == 0

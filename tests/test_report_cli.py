@@ -55,6 +55,14 @@ def test_config_errors_name_the_field():
         RunConfig(credential_env="")
     with pytest.raises(ConfigError, match="concurrency"):
         RunConfig(concurrency=0)
+    # a grid holding a value twice would store its conditions twice, and a report would count
+    # each of their trajectories twice; an alias and its name are one value
+    for field, values, repeated in (
+            ("models", ("m", "m"), "m"), ("experiments", ("E1", "E1-baseline"), "E1-baseline"),
+            ("distributions", ("normal", "uniform", "truncated-normal"), "truncated-normal"),
+            ("order_conditions", ("low-first", "low-first"), "low-first")):
+        with pytest.raises(ConfigError, match=f"^{field}: '{repeated}' is given twice$"):
+            RunConfig(**{field: values})
 
 
 @pytest.mark.parametrize("text, message", [
@@ -141,6 +149,29 @@ def test_build_plan_skips_undefined_lognormal_risk_neutral():
     config = RunConfig(experiments=("E3",), distributions=("uniform", "lognormal"))
     plan = build_plan(config, [AgentSpec("optimal")])
     assert all(c.dist_kind == "uniform" for c in plan.conditions)
+
+
+def test_build_plan_refuses_an_agent_given_twice():
+    anchor = AgentSpec("mean-anchor", anchor_weight=0.3)
+    twice = re.escape("agents: 'mean-anchor(w=0.3)' is given twice")
+    with pytest.raises(ConfigError, match=twice):
+        build_plan(RunConfig(), [anchor, AgentSpec("optimal"), anchor])
+    build_plan(RunConfig(), [anchor, AgentSpec("mean-anchor", anchor_weight=0.4)])
+
+
+def test_a_stored_plan_with_a_condition_twice_still_resumes_and_reports(tmp_path):
+    """A stored manifest's plan is not checked for repeats: a store whose plan holds one
+    condition twice, as a repeated grid flag once made, still resumes and reports."""
+    condition = PlanCondition("E1-baseline", "uniform", AgentSpec("optimal"), "high-first",
+                              repetitions=1, rounds_per_block=2)
+    plan = ExperimentPlan((condition, condition))
+    run_dir = tmp_path / plan.run_id()
+    assert run_plan(plan, run_dir).complete
+    stored = (run_dir / "rounds.jsonl").read_bytes()
+    assert len(stored.splitlines()) == 2 * 2 * 2
+    assert main(["simulate", "--resume", str(run_dir)]) == 0
+    assert (run_dir / "rounds.jsonl").read_bytes() == stored
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 0
 
 
 # --- CLI ---------------------------------------------------------------------

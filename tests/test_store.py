@@ -3,6 +3,7 @@
 import copy as copy_module
 import itertools
 import json
+import math
 import pickle
 import random
 import re
@@ -16,8 +17,8 @@ from nvlab.agents import AgentSpec
 from nvlab.cli import main
 from nvlab.llm import ChatClient
 from nvlab.runner import ExperimentPlan, PlanCondition, run_plan
-from nvlab.store import (_LINE_ENCODER, _RECORD_FIELDS, IntegrityError, RoundRecord, RunStore,
-                         TypedRead, _line_head, group_trajectories)
+from nvlab.store import (_LINE_ENCODER, _RECORD_FIELDS, _TAIL, IntegrityError, RoundRecord,
+                         RunStore, TypedRead, _line_head, _quote, group_trajectories)
 
 RECORD = RoundRecord(
     run_id="run-0123456789ab", condition_index=1, agent="model-ü", experiment="E2",
@@ -421,15 +422,15 @@ STRAYS = [True, False, 1.0, 1, None, "1", np.float64(2.5), [1], {"k": 1}, 10**50
 BANKS = {"str": STRINGS, "int": INTS, "float": NUMBERS, "dict | None": USAGES}
 
 
-def assert_written_as_encoded(record):
-    """``to_line`` gives its definition's line, or raises its definition's exception type."""
+def assert_written_as_encoded(record, write=RoundRecord.to_line):
+    """``write`` (``to_line``) gives the encoder's line, or raises the encoder's exception type."""
     try:
         expected = _LINE_ENCODER.encode(dict(zip(_RECORD_FIELDS, record)))
-    except Exception as exc:  # whatever the encoder raises, to_line raises
+    except Exception as exc:  # whatever the encoder raises, the writer raises
         with pytest.raises(type(exc)):
-            record.to_line()
+            write(record)
     else:
-        assert record.to_line() == expected
+        assert write(record) == expected
 
 
 def test_label_ints_one_true_and_one_point_zero_get_their_own_lines():
@@ -440,10 +441,26 @@ def test_label_ints_one_true_and_one_point_zero_get_their_own_lines():
         assert f'"condition_index":{json.dumps(value)},' in record.to_line()
 
 
+# the exact types the line template spells, by annotation: token usage only as null
+TEMPLATE_TYPES = {"str": {str}, "int": {int}, "float": {int, float}, "dict | None": {type(None)}}
+
+
+def templated_line(record) -> str:
+    """``record`` spelled as the scripted walk spells its rounds: the label head's text, then
+    `_TAIL` of the round's values."""
+    (round_index, order, demand, gain, total, confidence, digest, response, retries, _,
+     start, end) = record[9:]
+    return _line_head(record[:9]) + _TAIL % (
+        round_index, order, demand, gain, total, _quote(confidence), _quote(digest),
+        _quote(response), retries, start, end)
+
+
 def test_to_line_equals_the_encoder_on_a_seeded_sweep():
+    """``to_line`` is the encoder; and for each draw of the template's types (exact ints and
+    strs, null usage, finite floats), so is the template the scripted walk fills."""
     rng = random.Random(20260418)
     kinds = [kind.__forward_arg__ for kind in RoundRecord.__annotations__.values()]
-    templated = _line_head.cache_info().misses + _line_head.cache_info().hits
+    templated = 0
     for _ in range(3000):
         # mostly values of each field's own type, a few fields with a stray value
         values = [rng.choice(BANKS[kind]) for kind in kinds]
@@ -454,9 +471,13 @@ def test_to_line_equals_the_encoder_on_a_seeded_sweep():
             values[18:] = None, 1700000000.125, 1700000001.5
         for index in rng.sample(range(len(values)), rng.choice([0, 0, 0, 1, 2])):
             values[index] = rng.choice(STRAYS)
-        assert_written_as_encoded(RoundRecord(*values))
-    info = _line_head.cache_info()
-    assert info.misses + info.hits - templated > 500  # the template wrote a share of the lines
+        record = RoundRecord(*values)
+        assert_written_as_encoded(record)
+        if all(type(value) in TEMPLATE_TYPES[kind] for kind, value in zip(kinds, values)) and all(
+                -math.inf < value < math.inf for value in values[-2:]):
+            assert_written_as_encoded(record, templated_line)
+            templated += 1
+    assert templated > 500  # the template spelled a share of the lines
 
 
 @pytest.mark.parametrize("flush", [True, False], ids=["flushed", "queued"])
